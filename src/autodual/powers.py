@@ -9,6 +9,7 @@ catalog algebras and for subalgebras of powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
@@ -49,30 +50,59 @@ def generate_subuniverse(M: AutomaticAlgebra, n: int,
     round then multiplies all known pairs in index order and appends new
     elements in discovery order.
     """
-    elems = []
-    index = {}
+    return generate_power_groupoid(M, n, generators, max_elements)[0]
+
+
+def generate_power_groupoid(M: AutomaticAlgebra, n: int,
+                            generators: Sequence[tuple],
+                            max_elements: Optional[int] = None) -> tuple:
+    """(elements, Groupoid) of the subalgebra of M^n the generators generate.
+
+    Elements come in the order of `generate_subuniverse`: generators first,
+    then one round at a time, where round r multiplies every known u with
+    every v found in round r - 1, u·v before v·u.  Products are read from
+    the |M|×|M| table of M, and each product's index is written into the
+    groupoid table as it is found, so the table is complete when the
+    closure is.
+    """
+    size = M.size()
+    mt = [[M.mul(x, y) for y in range(size)] for x in range(size)]
+    elems, index = [], {}
     for g in generators:
         if len(g) != n:
             raise BadParams("generator has wrong index size")
+        if any(not 0 <= x < size for x in g):
+            raise BadParams("generator has a coordinate outside M")
         if g not in index:
             index[g] = len(elems)
             elems.append(g)
-    frontier = list(elems)
-    while frontier:
-        new = []
-        known = list(elems)
-        for u in known:
-            for v in frontier:
-                for w in (pointwise_mul(M, u, v), pointwise_mul(M, v, u)):
-                    if w not in index:
-                        index[w] = len(elems)
-                        elems.append(w)
-                        new.append(w)
-                        if max_elements is not None and len(elems) > max_elements:
-                            raise CapExceeded(
-                                f"subuniverse exceeded {max_elements} elements")
-        frontier = new
-    return elems
+    mt_rows = []    # mt_rows[i][c] = mt[elems[i][c]], so u·v = map(getitem, mt_rows[u], v)
+    table = []
+
+    def index_of(w):
+        k = index.get(w)
+        if k is None:
+            k = index[w] = len(elems)
+            elems.append(w)
+            if max_elements is not None and len(elems) > max_elements:
+                raise CapExceeded(f"subuniverse exceeded {max_elements} elements")
+        return k
+
+    start = 0       # the frontier is elems[start:known]
+    while start < len(elems):
+        known = len(elems)
+        for row in table:
+            row.extend([0] * (known - len(row)))
+        table.extend([0] * known for _ in range(known - len(table)))
+        mt_rows.extend(tuple(map(mt.__getitem__, u)) for u in elems[len(mt_rows):])
+        for i in range(known):
+            u, mt_u, row_u = elems[i], mt_rows[i], table[i]
+            # a frontier u has already met, as v, every frontier element before it
+            for j in range(max(start, i), known):
+                row_u[j] = index_of(tuple(map(getitem, mt_u, elems[j])))
+                table[j][i] = index_of(tuple(map(getitem, mt_rows[j], u)))
+        start = known
+    return elems, Groupoid(table, labels=elems)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +119,26 @@ class Groupoid:
             if len(row) != self.n or any(not 0 <= x < self.n for x in row):
                 raise BadParams("malformed multiplication table")
         self.labels = list(labels) if labels is not None else list(range(self.n))
+        self._search_index = None
+
+    def search_index(self) -> tuple:
+        """(columns, pre_left, pre_right), built once and kept.
+
+        `columns[j][k]` is k·j; `pre_left[t]` and `pre_right[t]` are parallel
+        lists of the pairs (k, j) with k·j = t, the preimage index that hom
+        search narrows through.
+        """
+        if self._search_index is None:
+            ids = list(range(self.n))  # one int object per element, shared
+            pre_left = [[] for _ in ids]
+            pre_right = [[] for _ in ids]
+            for k, row in zip(ids, self.table):
+                for j, t in zip(ids, row):
+                    pre_left[t].append(k)
+                    pre_right[t].append(j)
+            columns = [list(col) for col in zip(*self.table)]
+            self._search_index = (columns, pre_left, pre_right)
+        return self._search_index
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -132,9 +182,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                    limit: Optional[int] = None) -> list:
     """All homomorphisms A -> M as tuples of element codes, indexed by A.
 
-    Backtracking with closure propagation (a product's image is forced as
-    soon as both factors are decided) and forward checking: at every node
-    the most constrained element is branched next.  The result is returned
+    The search is `_hom_search`: one bitmask domain of candidate values per
+    element of A, narrowed as elements are decided.  The result is returned
     sorted, so the output order is canonical regardless of search order.
     With `limit`, enumeration aborts with CapExceeded once more than that
     many homs exist.
@@ -146,6 +195,12 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
                max_elements: int = 4096) -> bool:
     """Is there a hom A -> M extending the partial element->code map?"""
+    size = M.size()
+    for j, v in (preassigned or {}).items():
+        if not isinstance(j, int) or not 0 <= j < A.n:
+            raise IndexOutOfRange(f"preassigned element {j!r} not in 0..{A.n - 1}")
+        if not isinstance(v, int) or not 0 <= v < size:
+            raise BadParams(f"preassigned value {v!r} is not an element of M")
     found = _hom_search(A, M, preassigned=preassigned, first_only=True,
                         max_elements=max_elements)
     return bool(found)
@@ -155,124 +210,187 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                 max_elements: int = HOM_CAP_DEFAULT, limit: Optional[int] = None,
                 preassigned: Optional[dict] = None,
                 first_only: bool = False) -> list:
+    """Depth-first hom search over bitmask domains (AC-3 style narrowing).
+
+    `dom[j]` is the set of values still possible for element j, as a bitmask
+    over the element codes of M.  Deciding element i with value v
+    propagates along every product that involves i:
+
+    - i·j and j·i with j decided: the product's image is forced;
+    - j open, the image z of i·j (or j·i) decided: dom[j] keeps the c with
+      v·c = z (or c·v = z), the precomputed masks L[v][z] and R[v][z];
+    - i = k·j in A, the preimage index of A: with k decided, dom[j] keeps
+      L[img k][v]; with j decided, dom[k] keeps R[img j][v]; with k = j
+      open, dom[k] keeps D[v], the c with c·c = v;
+    - with `injective_only`, v leaves every open domain.
+
+    A domain that empties is a contradiction; one that shrinks to a single
+    value decides its element.  Every domain change goes on `trail` as the
+    flat pair (element, previous domain), and every decision on `decided`,
+    so backtracking pops both back to a mark.  Branching takes the open
+    element with the smallest domain, lowest index first, and tries its
+    values in code order; the branch stack is explicit, so the depth of
+    the search is not bounded by Python's recursion limit.
+    """
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
-    targets = M.elements()
+    n, table = A.n, A.table
+    columns, pre_left, pre_right = A.search_index()
     size = M.size()
-    mul = [[M.mul(x, y) for y in range(size)] for x in range(size)]
-    n = A.n
-    table = A.table
+    mt = [[M.mul(x, y) for y in range(size)] for x in range(size)]
+    full = (1 << size) - 1
+    # L[x][z]: the c with x·c = z; R[x][z]: the c with c·x = z; D[z]: the c
+    # with c·c = z.  L[x][-1] and R[x][-1] are full, for an open z.
+    L = [[0] * size + [full] for _ in range(size)]
+    R = [[0] * size + [full] for _ in range(size)]
+    D = [0] * size
+    for x in range(size):
+        for c in range(size):
+            L[x][mt[x][c]] |= 1 << c
+            R[x][mt[c][x]] |= 1 << c
+        D[mt[x][x]] |= 1 << x
+
+    img = [-1] * n
+    dom = [full] * n
+    trail = []
+    decided = []
+    queue = []
+    used = 0  # values taken so far, kept under injective_only
     out = []
-    img = [None] * n
 
-    assigned = []
+    def decide(i, v):
+        nonlocal used
+        bit = 1 << v
+        if not dom[i] & bit or used & bit:
+            return False
+        if injective_only:
+            used |= bit
+        trail.append(i)
+        trail.append(dom[i])
+        dom[i] = bit
+        img[i] = v
+        decided.append(i)
+        queue.append(i)
+        return True
 
-    def propagate(start):
-        forced = [start]
-        assigned.append(start)
-        queue = [start]
+    def narrow(j, mask):
+        d = dom[j]
+        if d & mask == d:
+            return True
+        d &= mask
+        if not d:
+            return False
+        trail.append(j)
+        trail.append(dom[j])
+        dom[j] = d
+        if d & (d - 1):
+            return True
+        return decide(j, d.bit_length() - 1)
+
+    def propagate():
         while queue:
             i = queue.pop()
-            row_i = table[i]
-            for j in list(assigned):
-                for (x, y) in ((i, j), (j, i)):
-                    k = table[x][y]
-                    v = mul[img[x]][img[y]]
-                    if img[k] is None:
-                        img[k] = v
-                        forced.append(k)
-                        assigned.append(k)
-                        queue.append(k)
-                    elif img[k] != v:
-                        return forced, False
-        return forced, True
+            v = img[i]
+            row_v, L_v, R_v = mt[v], L[v], R[v]
+            for j, t, s, y in zip(range(n), table[i], columns[i], img):
+                if y >= 0:      # t = i·j and s = j·i are forced
+                    w = row_v[y]
+                    z = img[t]
+                    if z != w and (z >= 0 or not decide(t, w)):
+                        return False
+                    w = mt[y][v]
+                    z = img[s]
+                    if z != w and (z >= 0 or not decide(s, w)):
+                        return False
+                else:           # an open image reads the full mask at index -1
+                    mask = L_v[img[t]] & R_v[img[s]]
+                    d = dom[j]
+                    if d & mask != d and not narrow(j, mask):
+                        return False
+            for k, j in zip(pre_left[i], pre_right[i]):
+                x, y = img[k], img[j]
+                if x >= 0:
+                    if y < 0 and not narrow(j, L[x][v]):
+                        return False
+                elif y >= 0:
+                    if not narrow(k, R[y][v]):
+                        return False
+                elif k == j and not narrow(k, D[v]):
+                    return False
+            if injective_only:
+                keep = ~(1 << v)
+                for j in range(n):
+                    if img[j] < 0 and not narrow(j, keep):
+                        return False
+        return True
 
-    def undo(forced):
-        for k in forced:
-            img[k] = None
-        del assigned[-len(forced):]
+    def try_value(i, v):
+        """Decide i = v and propagate; on failure leave the undo to the caller."""
+        if decide(i, v) and propagate():
+            return True
+        queue.clear()
+        return False
 
-    def candidates(j):
-        used = set(img) - {None} if injective_only else ()
-        found = []
-        row_j = table[j]
-        for c in targets:
-            if c in used:
-                continue
-            ok = True
-            for k in assigned:
-                t = table[k][j]
-                if img[t] is not None and mul[img[k]][c] != img[t]:
-                    ok = False
-                    break
-                t = row_j[k]
-                if img[t] is not None and mul[c][img[k]] != img[t]:
-                    ok = False
-                    break
-            if ok:
-                t = row_j[j]
-                if img[t] is not None and mul[c][c] != img[t]:
-                    continue
-                found.append(c)
-        return found
+    def undo(trail_mark, decided_mark):
+        nonlocal used
+        while len(trail) > trail_mark:
+            old = trail.pop()
+            dom[trail.pop()] = old
+        while len(decided) > decided_mark:
+            j = decided.pop()
+            used &= ~(1 << img[j])
+            img[j] = -1
 
-    def extend():
-        if first_only and out:
-            return
-        best_j, best_cands = None, None
+    def branch_element():
+        """The open element with the smallest domain, lowest index first."""
+        best, best_count = -1, size + 1
         for j in range(n):
-            if img[j] is not None:
-                continue
-            cands = candidates(j)
-            if best_cands is None or len(cands) < len(best_cands):
-                best_j, best_cands = j, cands
-                if len(cands) <= 1:
-                    break
-        if best_j is not None and not best_cands:
-            return
-        if best_j is None:
-            if injective_only and len(set(img)) != n:
-                return
+            if img[j] < 0:
+                count = dom[j].bit_count()
+                if count < best_count:
+                    best, best_count = j, count
+                    if count <= 2:
+                        break
+        return best
+
+    for j, v in (preassigned or {}).items():
+        if img[j] < 0:
+            if not try_value(j, v):
+                return []
+        elif img[j] != v:
+            return []
+    # one frame per branching element, four flat ints: the element, its
+    # untried values, and the trail and decided marks that undo its choice
+    frames = []
+    while True:
+        best = branch_element()
+        if best >= 0:
+            frames += (best, dom[best], len(trail), len(decided))
+        else:
             out.append(tuple(img))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} homomorphisms")
-            return
-        for c in best_cands:
-            img[best_j] = c
-            forced, ok = propagate(best_j)
-            if ok and not (injective_only and _has_dup(img)):
-                extend()
-            undo(forced)
-            if first_only and out:
-                return
-
-    def _has_dup(values):
-        seen = set()
-        for v in values:
-            if v is None:
+            if first_only:
+                break
+        while frames:       # the next value that propagates, backtracking
+            undo(frames[-2], frames[-1])
+            values = frames[-3]
+            if not values:
+                del frames[-4:]
                 continue
-            if v in seen:
-                return True
-            seen.add(v)
-        return False
-
-    if preassigned:
-        for j, v in preassigned.items():
-            if img[j] is None:
-                img[j] = v
-                forced, ok = propagate(j)
-                if not ok:
-                    return []
-            elif img[j] != v:
-                return []
-    extend()
+            low = values & -values
+            frames[-3] = values ^ low
+            if try_value(frames[-4], low.bit_length() - 1):
+                break
+        else:
+            break
     out.sort()
     return out
 
 
 def find_embedding(A: Groupoid, M: AutomaticAlgebra,
                    max_elements: int = HOM_CAP_DEFAULT) -> Optional[tuple]:
-    """First injective hom A -> M, or None."""
+    """Least injective hom A -> M (as a tuple of codes), or None."""
     homs = enumerate_homs(A, M, injective_only=True, max_elements=max_elements)
     return homs[0] if homs else None
 

@@ -21,7 +21,7 @@ from typing import Optional
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (Groupoid, enumerate_homs, generate_subuniverse,
+from .powers import (Groupoid, enumerate_homs, generate_power_groupoid,
                      hom_exists, pointwise_mul)
 from .structure import permutation_profile, _compose, _perm_inverse, _perm_order
 
@@ -303,9 +303,8 @@ def build_truncation(name: str, params=(), N: int = 4,
     spec = _SPEC_BUILDERS[name](params, N)
     gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
     width = len(spec.coord_names)
-    elements = generate_subuniverse(spec.algebra, width, gens,
-                                    max_elements=max_elements)
-    groupoid = Groupoid.from_power(spec.algebra, elements)
+    elements, groupoid = generate_power_groupoid(spec.algebra, width, gens,
+                                                 max_elements=max_elements)
     pos = {t: i for i, t in enumerate(elements)}
     a0_indices = [pos[t] for _, t in spec.a0]
     return Truncation(spec, elements, groupoid, a0_indices)
@@ -320,11 +319,6 @@ def _mulchain(M, first, *rest):
     for x in rest:
         out = pointwise_mul(M, out, x)
     return out
-
-
-def _check(name, lhs, rhs, indices, failures):
-    if lhs != rhs:
-        raise ProofIdentityFailed(name, indices)
 
 
 def _identity_instances(trunc: Truncation):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import strategies as st
 
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.classify import gen_chain
-from autodual.errors import (CapExceeded, DuplicateIndex, IndexOutOfRange,
-                             PreconditionViolated)
+from autodual.errors import (BadParams, CapExceeded, DuplicateIndex,
+                             IndexOutOfRange, PreconditionViolated)
 from autodual.powers import (Groupoid, enumerate_homs, find_embedding,
-                             generate_subuniverse, hom_exists, is_compatible,
+                             generate_power_groupoid, generate_subuniverse,
+                             hom_exists, is_compatible,
                              make_compatible_op, op_chain_meet, op_diamond,
                              op_g_uv, op_h, op_join, op_lambda, op_pbar,
                              op_psi, op_quasi_meet, power_element, pointwise_mul)
 from autodual.structure import component_group, components
+from autodual.witness import CONSTRUCTION_NAMES, build_truncation
 
 
 def test_power_element_examples():
@@ -54,6 +57,147 @@ def test_subuniverse_monotone_idempotent(xs, ys):
     sg_again = generate_subuniverse(B, 2, sg_x)
     assert set(sg_again) == set(sg_x)
     assert set(sg_x) <= set(generate_subuniverse(B, 2, Y))
+
+
+def naive_power_groupoid(M, n, generators, max_elements=None):
+    """Reference closure: products through pointwise_mul, then the table
+    worked out again through Groupoid.from_power."""
+    elems, index = [], {}
+    for g in generators:
+        if g not in index:
+            index[g] = len(elems)
+            elems.append(g)
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for u in list(elems):
+            for v in frontier:
+                for w in (pointwise_mul(M, u, v), pointwise_mul(M, v, u)):
+                    if w not in index:
+                        index[w] = len(elems)
+                        elems.append(w)
+                        new.append(w)
+                        if max_elements is not None and len(elems) > max_elements:
+                            raise CapExceeded("reference closure over cap")
+        frontier = new
+    return elems, Groupoid.from_power(M, elems)
+
+
+def assert_closure_matches(M, n, gens):
+    elems, G = generate_power_groupoid(M, n, gens)
+    ref_elems, ref = naive_power_groupoid(M, n, gens)
+    assert elems == ref_elems
+    assert G.table == ref.table and G.labels == ref.labels
+    assert generate_subuniverse(M, n, gens) == ref_elems
+    # the cap applies to the elements products add, not to the generators
+    cap = len(ref_elems) - 1
+    got = closure_or_cap(generate_power_groupoid, M, n, gens, cap)
+    assert got == closure_or_cap(naive_power_groupoid, M, n, gens, cap)
+    assert (got == "cap") == (len(ref_elems) > len(set(gens)))
+    assert generate_power_groupoid(M, n, gens, len(ref_elems))[0] == ref_elems
+
+
+def closure_or_cap(build, M, n, gens, cap):
+    try:
+        return build(M, n, gens, max_elements=cap)[0]
+    except CapExceeded:
+        return "cap"
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("name", CONSTRUCTION_NAMES)
+def test_power_groupoid_matches_reference_on_constructions(name, N):
+    spec = build_truncation(name, (), N).spec
+    gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
+    assert_closure_matches(spec.algebra, len(spec.coord_names), gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("B",), ("F", 0), ("N", 1)]), st.integers(1, 3), st.data())
+def test_power_groupoid_matches_reference_on_random_generators(which, n, data):
+    M = catalog(*which)
+    element = st.tuples(*[st.sampled_from(M.elements())] * n)
+    gens = data.draw(st.lists(element, min_size=1, max_size=4))
+    assert_closure_matches(M, n, gens)
+
+
+def test_power_groupoid_order_puts_uv_before_vu():
+    B = catalog("B")
+    q, r, a = (B.element_by_name(x) for x in "qra")
+    elems, G = generate_power_groupoid(B, 2, [(q, a), (a, q)])
+    assert elems == [(q, a), (a, q), (ZERO, ZERO), (r, ZERO), (ZERO, r)]
+    assert G.table[0][1] == 3 and G.table[1][0] == 4
+    assert_closure_matches(B, 3, [(q, a, r), (a, q, q), (r, a, a)])
+
+
+def test_power_groupoid_rejects_bad_generators():
+    B = catalog("B")
+    with pytest.raises(BadParams):
+        generate_power_groupoid(B, 2, [(ZERO,)])
+    with pytest.raises(BadParams):
+        generate_power_groupoid(B, 1, [(B.size(),)])
+
+
+def brute_force_homs(A, M):
+    """Every map A -> M, kept when it preserves every product of A."""
+    mt = [[M.mul(x, y) for y in range(M.size())] for x in range(M.size())]
+    triples = [(i, j, A.table[i][j]) for i in range(A.n) for j in range(A.n)]
+    return sorted(h for h in itertools.product(M.elements(), repeat=A.n)
+                  if all(h[t] == mt[h[i]][h[j]] for i, j, t in triples))
+
+
+def small_sources():
+    keys = [("R",), ("C", 3)] + [("F", m) for m in range(3)] + [("N", k) for k in range(6)]
+    sources = [Groupoid.from_algebra(catalog(*key)) for key in keys]
+    N0, F0 = catalog("N", 0), catalog("F", 0)
+    q, r, a = (N0.element_by_name(x) for x in "qra")
+    sources.append(Groupoid.from_power(N0, generate_subuniverse(
+        N0, 2, [(q, q), (q, r), (a, a)])))
+    q, a = F0.element_by_name("q"), F0.element_by_name("a")
+    sources.append(Groupoid.from_power(F0, generate_subuniverse(F0, 2, [(q, a), (a, a)])))
+    return sources
+
+
+@pytest.mark.parametrize("target", [("F", 0), ("N", 1), ("R",), ("B",)])
+def test_hom_search_matches_brute_force(target):
+    M = catalog(*target)
+    checked = 0
+    for A in small_sources():
+        if M.size() ** A.n > 10 ** 5:
+            continue
+        checked += 1
+        homs = brute_force_homs(A, M)
+        embeddings = [h for h in homs if len(set(h)) == A.n]
+        assert enumerate_homs(A, M) == homs
+        assert enumerate_homs(A, M, injective_only=True) == embeddings
+        assert find_embedding(A, M) == (embeddings[0] if embeddings else None)
+        for i in range(A.n):
+            for c in M.elements():
+                assert hom_exists(A, M, {i: c}) == any(h[i] == c for h in homs)
+        if homs:
+            with pytest.raises(CapExceeded):
+                enumerate_homs(A, M, limit=len(homs) - 1)
+        assert enumerate_homs(A, M, limit=len(homs)) == homs
+    assert checked >= 3
+
+
+def test_hom_search_deeper_than_recursion_limit():
+    # a zero semigroup leaves every element but its zero to its own branch,
+    # so the search goes deeper than CPython's default recursion limit, 1000
+    n = 1100
+    A = Groupoid([[0] * n for _ in range(n)])
+    assert hom_exists(A, catalog("F", 0), max_elements=n)
+
+
+def test_hom_exists_validates_preassignment():
+    F0, B = catalog("F", 0), catalog("B")
+    A = Groupoid.from_algebra(F0)
+    for bad in ({A.n: ZERO}, {-1: ZERO}, {"q": ZERO}):
+        with pytest.raises(IndexOutOfRange):
+            hom_exists(A, B, bad)
+    for bad in ({0: B.size()}, {0: -1}, {0: "q"}):
+        with pytest.raises(BadParams):
+            hom_exists(A, B, bad)
 
 
 def test_enumerate_homs_examples():
