@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (CapExceeded, ConstructionFailed, ExponentMismatch,
@@ -18,10 +18,6 @@ from .errors import (CapExceeded, ConstructionFailed, ExponentMismatch,
                      NotSubgroup, PropositionViolated)
 
 GROUP_CAP = 64
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _prime_factors(n: int) -> dict:
@@ -105,7 +101,7 @@ class AbelianGroup:
     def exponent(self) -> int:
         out = 1
         for x in range(self.n):
-            out = _lcm(out, self._order[x])
+            out = lcm(out, self._order[x])
         return out
 
     def elements(self):
@@ -125,12 +121,6 @@ class AbelianGroup:
                         new.append(y)
             frontier = new
         return frozenset(out)
-
-    def is_subgroup(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        if self.identity not in s:
-            return False
-        return all(self.table[x][y] in s for x in s for y in s)
 
     # -- constructors ------------------------------------------------------
 

@@ -192,11 +192,12 @@ class AutomaticAlgebra:
         return AutomaticAlgebra(self.state_names, names, delta)
 
     def drop_state(self, i: int) -> "AutomaticAlgebra":
-        if any(i in (si, ti) for (si, _), ti in self.delta.items()):
-            raise BadParams(f"state {self.state_names[i]} still has transitions")
+        """Remove a state that is in no letter's range, with its outgoing row."""
+        if i in self.delta.values():
+            raise BadParams(f"state {self.state_names[i]} is still in a range")
         names = self.state_names[:i] + self.state_names[i + 1:]
         delta = {(si if si < i else si - 1, lj): (ti if ti < i else ti - 1)
-                 for (si, lj), ti in self.delta.items()}
+                 for (si, lj), ti in self.delta.items() if si != i}
         return AutomaticAlgebra(names, self.letter_names, delta)
 
     def component_subalgebra(self, state_indices: Sequence[int]) -> "AutomaticAlgebra":

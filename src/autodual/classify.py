@@ -15,6 +15,10 @@ The rule pipeline (order is part of the external contract):
  11  commuting_permutations  coset-free commuting permutations   -> non-dualizable
  12  unknown                 honest fall-through
 
+Rules 3-11 are the ordered `RULES` table, the single source of the pipeline
+order: `classify` runs it, `RULE_ORDER` is read off it, and the verifier of
+an `unknown` verdict replays it.  Rules 1, 2 and 12 frame it in `classify`.
+
 Certificates are JSON-shaped dicts tagged by "kind"; `verify_certificate`
 re-derives every claim from the algebra alone.
 """
@@ -26,17 +30,12 @@ from typing import Optional
 
 from . import structure, terms
 from .abgroups import AbelianGroup
-from .algebras import ZERO, AutomaticAlgebra, catalog
+from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
 from .errors import BadParams, InternalInconsistency
-from .powers import Groupoid, find_embedding
+from .powers import Groupoid, constant_letter_values, find_embedding
 from .structure import (components, letter_affine_analysis, nondcomm_check,
                         rankill_check, whiskery_check)
 from .terms import LeftChain, check_identity
-
-RULE_ORDER = ("zero_semigroup", "normalize", "whiskery", "rankill",
-              "order_sensitivity", "single_letter", "two_state",
-              "constant_letters", "all_loops", "letter_affine",
-              "commuting_permutations", "unknown")
 
 EQ_XY_XYYY = (LeftChain("x", ("y",)), LeftChain("x", ("y", "y", "y")))
 EQ_WXYZ_WYXZ = (LeftChain("w", ("x", "y", "z")), LeftChain("w", ("y", "x", "z")))
@@ -63,64 +62,53 @@ class Verdict:
 # normalization (quasi-variety-preserving reductions)
 # ---------------------------------------------------------------------------
 
-def _drop_state_row(M: AutomaticAlgebra, i: int) -> AutomaticAlgebra:
-    """Remove a state that is in no letter's range, with its outgoing row."""
-    names = M.state_names[:i] + M.state_names[i + 1:]
-    delta = {}
-    for (si, lj), ti in M.delta.items():
-        if si == i:
-            continue
-        if ti == i:
-            raise BadParams("state is still in a range")
-        delta[(si if si < i else si - 1, lj)] = ti if ti < i else ti - 1
-    return AutomaticAlgebra(names, M.letter_names, delta)
+_REDUCTIONS = ("drop_undefined_letter", "drop_repeated_letter",
+               "drop_isolated_state", "drop_redundant_state")
+
+
+def _reduction_image(M: AutomaticAlgebra, kind: str, k: int) -> Optional[list]:
+    """Where the embedding into the square of the reduced algebra sends the
+    removed letter or state k, or None if the reduction does not apply."""
+    if kind == "drop_undefined_letter":
+        if M.n_states > 0 and not M.dom(k):
+            return ["0", M.state_names[0]]
+    elif kind == "drop_repeated_letter":
+        for j1 in range(k):
+            if M.action(j1) == M.action(k):
+                return [M.letter_names[j1]] * 2
+    elif kind == "drop_isolated_state":
+        if M.n_letters > 0 and all(k not in M.dom(j) and k not in M.ran(j)
+                                   for j in range(M.n_letters)):
+            return ["0", M.letter_names[0]]
+    elif not any(k in M.ran(j) for j in range(M.n_letters)):   # drop_redundant_state
+        for r in range(M.n_states):
+            if r != k and all(M.delta.get((k, j)) == M.delta.get((r, j))
+                              for j in range(M.n_letters)):
+                return [M.state_names[r]] * 2
+    return None
+
+
+def _reduce(M: AutomaticAlgebra, kind: str, k: int):
+    """(reduced algebra, step record) if the reduction applies to k, else None."""
+    image = _reduction_image(M, kind, k)
+    if image is None:
+        return None
+    if kind.endswith("letter"):
+        N, removed = M.drop_letter(k), M.letter_names[k]
+    else:
+        N, removed = M.drop_state(k), M.state_names[k]
+    emb = {x: [x, "0"] for x in _names(N)}
+    emb[removed] = image
+    return N, {"kind": kind, "removed": removed, "embedding": emb}
 
 
 def _find_reduction(M: AutomaticAlgebra):
-    """First applicable reduction, least-index element first."""
-    if M.n_states > 0:
-        for j in range(M.n_letters):
-            if not M.dom(j):
-                N = M.drop_letter(j)
-                q = M.state_names[0]
-                emb = {x: [x, "0"] for x in _names(N)}
-                emb[M.letter_names[j]] = ["0", q]
-                return N, {"kind": "drop_undefined_letter",
-                           "removed": M.letter_names[j], "embedding": emb}
-    for j2 in range(M.n_letters):
-        for j1 in range(j2):
-            if M.action(j1) == M.action(j2):
-                N = M.drop_letter(j2)
-                kept = M.letter_names[j1]
-                emb = {x: [x, "0"] for x in _names(N)}
-                emb[M.letter_names[j2]] = [kept, kept]
-                return N, {"kind": "drop_repeated_letter",
-                           "removed": M.letter_names[j2], "embedding": emb}
-    if M.n_letters > 0:
-        for i in range(M.n_states):
-            if all(i not in M.dom(j) and i not in M.ran(j)
-                   for j in range(M.n_letters)):
-                N = _drop_state_row(M, i)
-                a = M.letter_names[0]
-                emb = {x: [x, "0"] for x in _names(N)}
-                emb[M.state_names[i]] = ["0", a]
-                return N, {"kind": "drop_isolated_state",
-                           "removed": M.state_names[i], "embedding": emb}
-    for i in range(M.n_states):
-        if any(i in M.ran(j) for j in range(M.n_letters)):
-            continue
-        for r in range(M.n_states):
-            if r == i:
-                continue
-            if all(M.delta.get((i, j)) == M.delta.get((r, j))
-                   for j in range(M.n_letters)):
-                N = _drop_state_row(M, i)
-                keep = M.state_names[r]
-                emb = {x: [x, "0"] for x in _names(N)}
-                emb[M.state_names[i]] = [keep, keep]
-                return N, {"kind": "drop_redundant_state",
-                           "removed": M.state_names[i], "embedding": emb}
-        # only the least redundant state is taken per pass; continue scanning
+    """First applicable reduction in `_REDUCTIONS` order, least index first."""
+    for kind in _REDUCTIONS:
+        for k in range(M.n_letters if kind.endswith("letter") else M.n_states):
+            found = _reduce(M, kind, k)
+            if found is not None:
+                return found
     return None
 
 
@@ -128,54 +116,51 @@ def _names(M: AutomaticAlgebra) -> list:
     return list(M.state_names) + list(M.letter_names) + ["0"]
 
 
-def _check_product_embedding(M: AutomaticAlgebra, factors: list, emb: dict) -> Optional[str]:
-    """None if emb is an injective hom M -> Π factors, else a reason."""
-    width = len(factors)
-    for name in _names(M):
-        if name not in emb or len(emb[name]) != width:
-            return f"embedding missing or malformed at {name}"
+def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[str]:
+    """None if `emb` is an injective hom A -> Π targets, else a reason.
+
+    `emb` maps every element name of A, and nothing else, to a list of one
+    element name per target.
+    """
+    names = _names(A)
+    if set(emb) != set(names):
+        return "embedding domain does not match the algebra's elements"
+    if any(len(emb[n]) != len(targets) for n in names):
+        return "embedding images have the wrong width"
     try:
-        vec = {M.element_by_name(n): tuple(F.element_by_name(c)
-                                           for F, c in zip(factors, emb[n]))
-               for n in _names(M)}
+        vec = {A.element_by_name(n): tuple(T.element_by_name(c)
+                                           for T, c in zip(targets, emb[n]))
+               for n in names}
     except Exception as exc:
         return f"embedding names invalid: {exc}"
     if len(set(vec.values())) != len(vec):
         return "embedding is not injective"
-    for x in M.elements():
-        for y in M.elements():
-            lhs = vec[M.mul(x, y)]
-            rhs = tuple(F.mul(a, b) for F, a, b in zip(factors, vec[x], vec[y]))
+    for x in A.elements():
+        for y in A.elements():
+            lhs = vec[A.mul(x, y)]
+            rhs = tuple(T.mul(a, b) for T, a, b in zip(targets, vec[x], vec[y]))
             if lhs != rhs:
                 return (f"embedding is not a homomorphism at "
-                        f"({M.name(x)}, {M.name(y)})")
+                        f"({A.name(x)}, {A.name(y)})")
     return None
 
 
-def _apply_step_named(M: AutomaticAlgebra, step: dict) -> AutomaticAlgebra:
-    kind, removed = step["kind"], step["removed"]
-    if kind in ("drop_undefined_letter", "drop_repeated_letter"):
-        j = M.letter_names.index(removed)
-        if kind == "drop_undefined_letter" and M.dom(j):
-            raise InternalInconsistency(f"letter {removed} is not undefined")
-        if kind == "drop_repeated_letter" and not any(
-                M.action(j) == M.action(j1) for j1 in range(M.n_letters) if j1 != j):
-            raise InternalInconsistency(f"letter {removed} is not repeated")
-        return M.drop_letter(j)
-    if kind in ("drop_isolated_state", "drop_redundant_state"):
-        i = M.state_names.index(removed)
-        if any(i in M.ran(j) for j in range(M.n_letters)):
-            raise InternalInconsistency(f"state {removed} is in a range")
-        if kind == "drop_isolated_state" and any(
-                i in M.dom(j) for j in range(M.n_letters)):
-            raise InternalInconsistency(f"state {removed} is not isolated")
-        if kind == "drop_redundant_state" and not any(
-                r != i and all(M.delta.get((i, j)) == M.delta.get((r, j))
-                               for j in range(M.n_letters))
-                for r in range(M.n_states)):
-            raise InternalInconsistency(f"state {removed} is not redundant")
-        return _drop_state_row(M, i)
-    raise InternalInconsistency(f"unknown reduction step kind {kind!r}")
+def _replay_steps(M: AutomaticAlgebra, steps: list) -> tuple:
+    """(reduced algebra, None) after checking every stated step, or (None, reason)."""
+    cur = M
+    for step in steps:
+        kind, removed = step["kind"], step["removed"]
+        if kind not in _REDUCTIONS:
+            return None, f"unknown reduction step kind {kind!r}"
+        names = cur.letter_names if kind.endswith("letter") else cur.state_names
+        found = _reduce(cur, kind, names.index(removed))
+        if found is None:
+            return None, f"{kind} does not apply to {removed}"
+        reason = check_embedding(cur, [found[0], found[0]], step["embedding"])
+        if reason is not None:
+            return None, reason
+        cur = found[0]
+    return cur, None
 
 
 def normalize_algebra(M: AutomaticAlgebra):
@@ -188,7 +173,7 @@ def normalize_algebra(M: AutomaticAlgebra):
         if found is None:
             return cur, steps
         nxt, step = found
-        reason = _check_product_embedding(cur, [nxt, nxt], step["embedding"])
+        reason = check_embedding(cur, [nxt, nxt], step["embedding"])
         if reason is not None:
             raise InternalInconsistency(f"reduction embedding invalid: {reason}")
         steps.append(step)
@@ -196,34 +181,64 @@ def normalize_algebra(M: AutomaticAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# the rule engine
+# the rule table
 # ---------------------------------------------------------------------------
+#
+# Each detector takes the normalized algebra N and returns None when its
+# rule does not fire, or (outcome, certificate, trace detail) when it does.
+# A rule that does not fire may still report a detail as (None, None, detail).
+# Detectors call the structure/terms predicates through module globals, so
+# wrappers installed on those names see every call.
 
-def _constant_values(M: AutomaticAlgebra) -> Optional[dict]:
-    if not M.is_total() or M.n_states == 0:
+def _detect_whiskery(N: AutomaticAlgebra):
+    wf = whiskery_check(N)
+    if wf is None:
         return None
-    out = {}
-    for j in range(M.n_letters):
-        imgs = set(M.action(j))
-        if len(imgs) != 1:
-            return None
-        out[M.letter_names[j]] = M.state_names[imgs.pop()]
-    return out
+    cert = {"kind": "whiskery_failure",
+            "letter": N.letter_names[wf.letter],
+            "state": N.state_names[wf.state],
+            "m": wf.forbidden_m, "embedding": wf.embedding}
+    return ("non_dualizable", cert,
+            f"letter {cert['letter']} fails at {cert['state']}")
 
 
-def _all_loops(M: AutomaticAlgebra) -> bool:
-    return all(ti == si for (si, _), ti in M.delta.items())
+def _detect_rankill(N: AutomaticAlgebra):
+    rk = rankill_check(N)
+    if rk is None:
+        return None
+    cert = {"kind": "rankill", "case": rk.case,
+            "letter": N.letter_names[rk.letter],
+            "state": N.state_names[rk.state],
+            "word": [N.letter_names[j] for j in rk.word]}
+    return ("non_dualizable", cert, f"case {rk.case} at letter {cert['letter']}")
 
 
-def _two_state_decide(N: AutomaticAlgebra):
-    """(holds: bool, forbidden: (name, embedding) or None), cross-asserted."""
+def _detect_order_sensitivity(N: AutomaticAlgebra):
+    ow = terms.order_sensitivity(N)
+    if ow is None:
+        return None
+    cert = {"kind": "order_sensitive", "state": N.state_names[ow.state],
+            "w1": [N.letter_names[j] for j in ow.w1],
+            "w2": [N.letter_names[j] for j in ow.w2]}
+    return ("non_dualizable", cert, f"state {cert['state']}")
+
+
+def _detect_single_letter(N: AutomaticAlgebra):
+    if N.n_letters != 1:
+        return None
+    return ("dualizable", {"kind": "single_letter_whiskery"}, "single whiskery letter")
+
+
+def _detect_two_state(N: AutomaticAlgebra):
+    """The equational test, cross-asserted against the forbidden subalgebras."""
+    if N.n_states != 2:
+        return None
     cex1 = check_identity(N, *EQ_XY_XYYY)
     cex2 = check_identity(N, *EQ_WXYZ_WYXZ)
     holds = cex1 is None and cex2 is None
     forbidden = None
     for i in range(6):
-        Ni = catalog("N", i)
-        A = Groupoid.from_algebra(Ni)
+        A = Groupoid.from_algebra(catalog("N", i))
         hom = find_embedding(A, N)
         if hom is not None:
             forbidden = (f"N{i}", {A.labels[k]: N.name(x) for k, x in enumerate(hom)})
@@ -231,10 +246,71 @@ def _two_state_decide(N: AutomaticAlgebra):
     if holds != (forbidden is None):
         raise InternalInconsistency(
             "two-state equations and forbidden-subalgebra tests disagree")
-    return holds, forbidden
+    if holds:
+        cert = {"kind": "two_state_equations",
+                "identities": ["x*y = x*y*y*y", "w*x*y*z = w*y*x*z"]}
+        return ("dualizable", cert, "both equations hold")
+    cert = {"kind": "two_state_forbidden", "which": forbidden[0],
+            "embedding": forbidden[1]}
+    return ("non_dualizable", cert, f"forbidden subalgebra {forbidden[0]}")
 
 
-def _serialize_affine(N: AutomaticAlgebra, report) -> dict:
+def _detect_constant_letters(N: AutomaticAlgebra):
+    values = constant_letter_values(N)
+    if values is None:
+        return None
+    cert = {"kind": "constant_letters",
+            "values": {N.letter_names[j]: N.state_names[v] for j, v in enumerate(values)}}
+    return ("dualizable", cert, "")
+
+
+def _all_loops(M: AutomaticAlgebra) -> bool:
+    return all(ti == si for (si, _), ti in M.delta.items())
+
+
+def _detect_all_loops(N: AutomaticAlgebra):
+    if not _all_loops(N):
+        return None
+    comps = components(N)
+    split = None
+    if len(comps) > 1:
+        subs = [N.component_subalgebra(c) for c in comps]
+        emb = {}
+        for i, c in enumerate(comps):
+            for s in c:
+                vec = ["0"] * len(comps)
+                vec[i] = N.state_names[s]
+                emb[N.state_names[s]] = vec
+        for name in list(N.letter_names) + ["0"]:
+            emb[name] = [name] * len(comps)
+        split = {"kind": "component_split",
+                 "components": [[N.state_names[s] for s in c] for c in comps],
+                 "embedding": emb}
+        reason = check_embedding(N, subs, emb)
+        if reason is not None:
+            raise InternalInconsistency(f"component split invalid: {reason}")
+    entries = []
+    for c in comps:
+        sub = N.component_subalgebra(c)
+        final, steps = normalize_algebra(sub)
+        if final.n_states != 1 or final.n_letters != 1 or \
+                constant_letter_values(final) is None:
+            raise InternalInconsistency("loop component did not reduce to a "
+                                        "one-state constant-letter algebra")
+        entries.append({"states": [N.state_names[s] for s in c],
+                        "steps": steps,
+                        "final": {"state": final.state_names[0],
+                                  "letter": final.letter_names[0]}})
+    return ("dualizable", {"kind": "all_loops", "split": split, "components": entries}, "")
+
+
+def _detect_letter_affine(N: AutomaticAlgebra):
+    report = letter_affine_analysis(N)
+    if not report.affine:
+        if report.failure is None:
+            return None
+        comp_names = " ".join(N.state_names[i] for i in report.failure[0])
+        return (None, None, f"failure {report.failure[1]} on component {{{comp_names}}}")
     comps = []
     for cr in report.components:
         entry = {"states": [N.state_names[s] for s in cr.states],
@@ -254,41 +330,34 @@ def _serialize_affine(N: AutomaticAlgebra, report) -> dict:
                 "decomposition": [[names[g], d] for g, d in data.decomposition],
             })
         comps.append(entry)
-    return {"kind": "letter_affine", "components": comps}
+    return ("dualizable", {"kind": "letter_affine", "components": comps}, "")
 
 
-def _loops_chain_cert(N: AutomaticAlgebra) -> dict:
-    comps = components(N)
-    split = None
-    if len(comps) > 1:
-        subs = [N.component_subalgebra(c) for c in comps]
-        emb = {}
-        for i, c in enumerate(comps):
-            for s in c:
-                vec = ["0"] * len(comps)
-                vec[i] = N.state_names[s]
-                emb[N.state_names[s]] = vec
-        for name in list(N.letter_names) + ["0"]:
-            emb[name] = [name] * len(comps)
-        split = {"kind": "component_split",
-                 "components": [[N.state_names[s] for s in c] for c in comps],
-                 "embedding": emb}
-        reason = _check_product_embedding(N, subs, emb)
-        if reason is not None:
-            raise InternalInconsistency(f"component split invalid: {reason}")
-    entries = []
-    for c in comps:
-        sub = N.component_subalgebra(c)
-        final, steps = normalize_algebra(sub)
-        if final.n_states != 1 or final.n_letters != 1 or \
-                _constant_values(final) is None:
-            raise InternalInconsistency("loop component did not reduce to a "
-                                        "one-state constant-letter algebra")
-        entries.append({"states": [N.state_names[s] for s in c],
-                        "steps": steps,
-                        "final": {"state": final.state_names[0],
-                                  "letter": final.letter_names[0]}})
-    return {"kind": "all_loops", "split": split, "components": entries}
+def _detect_commuting_permutations(N: AutomaticAlgebra):
+    nd = nondcomm_check(N)
+    if nd is None:
+        return None
+    cert = {"kind": "commuting_permutations",
+            "b": N.letter_names[nd.b], "c": N.letter_names[nd.c], "m": nd.m,
+            "report": [{"states": [N.state_names[s] for s in comp],
+                        "actions": count} for comp, count in nd.coset_report]}
+    return ("non_dualizable", cert, f"pair ({cert['b']}, {cert['c']}), m = {nd.m}")
+
+
+RULES = (
+    ("whiskery", _detect_whiskery),
+    ("rankill", _detect_rankill),
+    ("order_sensitivity", _detect_order_sensitivity),
+    ("single_letter", _detect_single_letter),
+    ("two_state", _detect_two_state),
+    ("constant_letters", _detect_constant_letters),
+    ("all_loops", _detect_all_loops),
+    ("letter_affine", _detect_letter_affine),
+    ("commuting_permutations", _detect_commuting_permutations),
+)
+
+RULE_ORDER = (("zero_semigroup", "normalize") + tuple(name for name, _ in RULES)
+              + ("unknown",))
 
 
 def classify(M: AutomaticAlgebra) -> Verdict:
@@ -318,89 +387,11 @@ def classify(M: AutomaticAlgebra) -> Verdict:
         return Verdict("dualizable", "zero_semigroup",
                        wrap({"kind": "zero_semigroup"}), trace)
 
-    wf = whiskery_check(N)
-    if wf is not None:
-        entry("whiskery", True,
-              f"letter {N.letter_names[wf.letter]} fails at {N.state_names[wf.state]}")
-        cert = {"kind": "whiskery_failure",
-                "letter": N.letter_names[wf.letter],
-                "state": N.state_names[wf.state],
-                "m": wf.forbidden_m, "embedding": wf.embedding}
-        return Verdict("non_dualizable", "whiskery", wrap(cert), trace)
-    entry("whiskery", False)
-
-    rk = rankill_check(N)
-    if rk is not None:
-        entry("rankill", True, f"case {rk.case} at letter {N.letter_names[rk.letter]}")
-        cert = {"kind": "rankill", "case": rk.case,
-                "letter": N.letter_names[rk.letter],
-                "state": N.state_names[rk.state],
-                "word": [N.letter_names[j] for j in rk.word]}
-        return Verdict("non_dualizable", "rankill", wrap(cert), trace)
-    entry("rankill", False)
-
-    ow = terms.order_sensitivity(N)
-    if ow is not None:
-        entry("order_sensitivity", True, f"state {N.state_names[ow.state]}")
-        cert = {"kind": "order_sensitive", "state": N.state_names[ow.state],
-                "w1": [N.letter_names[j] for j in ow.w1],
-                "w2": [N.letter_names[j] for j in ow.w2]}
-        return Verdict("non_dualizable", "order_sensitivity", wrap(cert), trace)
-    entry("order_sensitivity", False)
-
-    if N.n_letters == 1:
-        entry("single_letter", True, "single whiskery letter")
-        return Verdict("dualizable", "single_letter",
-                       wrap({"kind": "single_letter_whiskery"}), trace)
-    entry("single_letter", False)
-
-    if N.n_states == 2:
-        holds, forbidden = _two_state_decide(N)
-        if holds:
-            entry("two_state", True, "both equations hold")
-            cert = {"kind": "two_state_equations",
-                    "identities": ["x*y = x*y*y*y", "w*x*y*z = w*y*x*z"]}
-            return Verdict("dualizable", "two_state", wrap(cert), trace)
-        entry("two_state", True, f"forbidden subalgebra {forbidden[0]}")
-        cert = {"kind": "two_state_forbidden", "which": forbidden[0],
-                "embedding": forbidden[1]}
-        return Verdict("non_dualizable", "two_state", wrap(cert), trace)
-    entry("two_state", False)
-
-    values = _constant_values(N)
-    if values is not None:
-        entry("constant_letters", True)
-        return Verdict("dualizable", "constant_letters",
-                       wrap({"kind": "constant_letters", "values": values}), trace)
-    entry("constant_letters", False)
-
-    if _all_loops(N):
-        entry("all_loops", True)
-        return Verdict("dualizable", "all_loops", wrap(_loops_chain_cert(N)), trace)
-    entry("all_loops", False)
-
-    affine = letter_affine_analysis(N)
-    if affine.affine:
-        entry("letter_affine", True)
-        return Verdict("dualizable", "letter_affine",
-                       wrap(_serialize_affine(N, affine)), trace)
-    if affine.failure:
-        comp_names = " ".join(N.state_names[i] for i in affine.failure[0])
-        entry("letter_affine", False,
-              f"failure {affine.failure[1]} on component {{{comp_names}}}")
-    else:
-        entry("letter_affine", False)
-
-    nd = nondcomm_check(N)
-    if nd is not None:
-        entry("commuting_permutations", True,
-              f"pair ({N.letter_names[nd.b]}, {N.letter_names[nd.c]}), m = {nd.m}")
-        cert = {"kind": "commuting_permutations",
-                "b": N.letter_names[nd.b], "c": N.letter_names[nd.c], "m": nd.m,
-                "report": [{"states": [N.state_names[s] for s in comp],
-                            "actions": count} for comp, count in nd.coset_report]}
-        return Verdict("non_dualizable", "commuting_permutations", wrap(cert), trace)
-    entry("commuting_permutations", False)
+    for name, detect in RULES:
+        outcome, cert, detail = detect(N) or (None, None, "")
+        entry(name, outcome is not None, detail)
+        if outcome is not None:
+            return Verdict(outcome, name, wrap(cert), trace)
 
     entry("unknown", True, "no rule applies; the problem is open here")
     return Verdict("unknown", "unknown", None, trace)
@@ -428,32 +419,18 @@ def verify_certificate(M: AutomaticAlgebra, verdict) -> tuple:
         return (False, f"verification error: {exc}")
 
 
-_ND_KINDS = {"whiskery_failure", "rankill", "order_sensitive",
-             "two_state_forbidden", "commuting_permutations"}
-_D_KINDS = {"zero_semigroup", "single_letter_whiskery", "two_state_equations",
-            "constant_letters", "all_loops", "letter_affine"}
-
-
 def _verify_cert(M: AutomaticAlgebra, cert: dict, outcome: str) -> tuple:
     kind = cert.get("kind")
     if kind == "reduction_chain":
-        cur = M
-        for step in cert["steps"]:
-            if step["kind"] == "component_split":
-                return (False, "component_split is only valid inside all_loops")
-            nxt = _apply_step_named(cur, step)
-            reason = _check_product_embedding(cur, [nxt, nxt], step["embedding"])
-            if reason is not None:
-                return (False, reason)
-            cur = nxt
+        cur, reason = _replay_steps(M, cert["steps"])
+        if reason is not None:
+            return (False, reason)
         return _verify_cert(cur, cert["inner"], outcome)
-    if outcome == "non_dualizable" and kind not in _ND_KINDS:
-        return (False, f"{kind} cannot witness non-dualizability")
-    if outcome == "dualizable" and kind not in _D_KINDS:
-        return (False, f"{kind} cannot witness dualizability")
-    checker = _CHECKERS.get(kind)
-    if checker is None:
+    if kind not in _CERT_KINDS:
         return (False, f"unknown certificate kind {kind!r}")
+    witnesses, checker = _CERT_KINDS[kind]
+    if outcome != witnesses:
+        return (False, f"{kind} cannot witness the verdict {outcome}")
     return checker(M, cert)
 
 
@@ -463,34 +440,23 @@ def _verify_zero(M, cert):
     return (False, "both Q and Σ are nonempty")
 
 
+def _verify_embeds(A: AutomaticAlgebra, M: AutomaticAlgebra, emb: dict) -> tuple:
+    """Check an element-name embedding A -> M."""
+    reason = check_embedding(A, [M], {name: [img] for name, img in emb.items()})
+    return (reason is None, reason or "")
+
+
 def _verify_whiskery_failure(M, cert):
     j = M.letter_names.index(cert["letter"])
     i = M.state_names.index(cert["state"])
-    x = M.mul(M.state(i), M.letter(j))
-    if x == ZERO:
-        return (False, "letter is undefined at the state, so it passes there")
-    y = x
-    for _ in range(M.n_states):
-        y = M.mul(y, M.letter(j))
-        if y == x:
-            return (False, "the state returns to an a-cycle; no failure")
+    if structure._whiskery_at(M, i, j):
+        return (False, "the letter passes at the state; no failure")
     m = cert["m"]
-    Fm = catalog("F", m)
-    emb = cert["embedding"]
-    elems = {Fm.name(e): e for e in Fm.elements()}
-    if set(emb) != set(elems):
-        return (False, "embedding domain does not match F_m")
-    try:
-        img = {e: M.element_by_name(emb[name]) for name, e in elems.items()}
-    except Exception:
-        return (False, "embedding image names invalid")
-    if len(set(img.values())) != len(img):
-        return (False, "embedding not injective")
-    for a in Fm.elements():
-        for b in Fm.elements():
-            if M.mul(img[a], img[b]) != img[Fm.mul(a, b)]:
-                return (False, "embedding is not a homomorphism")
-    return (True, "")
+    # an embedded F_m has m + 2 distinct states, so m < |Q|; bound it before
+    # building F_m
+    if type(m) is not int or not 0 <= m < M.n_states:
+        return (False, "stated m is not an integer in 0..|Q|-1")
+    return _verify_embeds(catalog("F", m), M, cert["embedding"])
 
 
 def _verify_rankill(M, cert):
@@ -547,29 +513,14 @@ def _verify_two_state_forbidden(M, cert):
     which = cert["which"]
     if not which.startswith("N") or not which[1:].isdigit():
         return (False, "unknown forbidden algebra")
-    Ni = catalog("N", int(which[1:]))
-    emb = cert["embedding"]
-    elems = {Ni.name(e): e for e in Ni.elements()}
-    if set(emb) != set(elems):
-        return (False, "embedding domain mismatch")
-    try:
-        img = {e: M.element_by_name(emb[name]) for name, e in elems.items()}
-    except Exception:
-        return (False, "embedding image names invalid")
-    if len(set(img.values())) != len(img):
-        return (False, "embedding not injective")
-    for a in Ni.elements():
-        for b in Ni.elements():
-            if M.mul(img[a], img[b]) != img[Ni.mul(a, b)]:
-                return (False, "embedding is not a homomorphism")
-    return (True, "")
+    return _verify_embeds(catalog("N", int(which[1:])), M, cert["embedding"])
 
 
 def _verify_constant_letters(M, cert):
-    values = _constant_values(M)
-    if values is None:
+    found = _detect_constant_letters(M)
+    if found is None:
         return (False, "not a total constant-letter algebra")
-    if values != cert["values"]:
+    if found[1]["values"] != cert["values"]:
         return (False, "stated constants disagree with the table")
     return (True, "")
 
@@ -586,18 +537,14 @@ def _verify_all_loops(M, cert):
         if split is None:
             return (False, "missing component split")
         subs = [M.component_subalgebra(c) for c in comps]
-        reason = _check_product_embedding(M, subs, split["embedding"])
+        reason = check_embedding(M, subs, split["embedding"])
         if reason is not None:
             return (False, reason)
     for comp, entry in zip(comps, stated):
-        cur = M.component_subalgebra(comp)
-        for step in entry["steps"]:
-            nxt = _apply_step_named(cur, step)
-            reason = _check_product_embedding(cur, [nxt, nxt], step["embedding"])
-            if reason is not None:
-                return (False, reason)
-            cur = nxt
-        if cur.n_states != 1 or cur.n_letters != 1 or _constant_values(cur) is None:
+        cur, reason = _replay_steps(M.component_subalgebra(comp), entry["steps"])
+        if reason is not None:
+            return (False, reason)
+        if cur.n_states != 1 or cur.n_letters != 1 or constant_letter_values(cur) is None:
             return (False, "component does not reduce to the constant-letter case")
         if entry["final"] != {"state": cur.state_names[0],
                               "letter": cur.letter_names[0]}:
@@ -685,42 +632,33 @@ def _verify_commuting_permutations(M, cert):
     return (True, "")
 
 
-_CHECKERS = {
-    "zero_semigroup": _verify_zero,
-    "whiskery_failure": _verify_whiskery_failure,
-    "rankill": _verify_rankill,
-    "order_sensitive": _verify_order_sensitive,
-    "single_letter_whiskery": _verify_single_letter,
-    "two_state_equations": _verify_two_state_equations,
-    "two_state_forbidden": _verify_two_state_forbidden,
-    "constant_letters": _verify_constant_letters,
-    "all_loops": _verify_all_loops,
-    "letter_affine": _verify_letter_affine,
-    "commuting_permutations": _verify_commuting_permutations,
+# certificate kind -> (the verdict it witnesses, its checker)
+_CERT_KINDS = {
+    "zero_semigroup": ("dualizable", _verify_zero),
+    "whiskery_failure": ("non_dualizable", _verify_whiskery_failure),
+    "rankill": ("non_dualizable", _verify_rankill),
+    "order_sensitive": ("non_dualizable", _verify_order_sensitive),
+    "single_letter_whiskery": ("dualizable", _verify_single_letter),
+    "two_state_equations": ("dualizable", _verify_two_state_equations),
+    "two_state_forbidden": ("non_dualizable", _verify_two_state_forbidden),
+    "constant_letters": ("dualizable", _verify_constant_letters),
+    "all_loops": ("dualizable", _verify_all_loops),
+    "letter_affine": ("dualizable", _verify_letter_affine),
+    "commuting_permutations": ("non_dualizable", _verify_commuting_permutations),
 }
 
 
 def _verify_unknown(M: AutomaticAlgebra) -> tuple:
-    """An unknown verdict claims no rule decides; re-check each predicate."""
+    """An unknown verdict claims no rule decides: replay the pipeline."""
     if M.n_states == 0 or M.n_letters == 0:
         return (False, "zero semigroup decides")
     N, _ = normalize_algebra(M)
     if N.n_states == 0 or N.n_letters == 0:
         return (False, "normalizes to a zero semigroup")
-    if whiskery_check(N) is not None:
-        return (False, "whiskery decides")
-    if rankill_check(N) is not None:
-        return (False, "rankill decides")
-    if terms.order_sensitivity(N) is not None:
-        return (False, "order sensitivity decides")
-    if N.n_letters == 1 or N.n_states == 2:
-        return (False, "a classification theorem decides")
-    if _constant_values(N) is not None or _all_loops(N):
-        return (False, "a sufficiency rule decides")
-    if letter_affine_analysis(N).affine:
-        return (False, "letter-affine decides")
-    if nondcomm_check(N) is not None:
-        return (False, "commuting permutations decide")
+    for name, detect in RULES:
+        found = detect(N)
+        if found is not None and found[0] is not None:
+            return (False, f"rule {name} decides")
     return (True, "")
 
 
@@ -729,26 +667,11 @@ def _verify_unknown(M: AutomaticAlgebra) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _least_prime_above(x: int) -> int:
+    """Least prime above x, for x >= 2 (so the prime is odd)."""
     p = x + 1
-    while True:
-        if p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            return p
+    while not _is_odd_prime(p):
         p += 1
-
-
-def _perm_closure(perms: set) -> set:
-    out = set(perms)
-    frontier = list(out)
-    while frontier:
-        new = []
-        for p in frontier:
-            for q in perms:
-                r = tuple(p[i] for i in q)
-                if r not in out:
-                    out.add(r)
-                    new.append(r)
-        frontier = new
-    return out
+    return p
 
 
 def gen_chain(n: int) -> AutomaticAlgebra:
@@ -764,7 +687,7 @@ def gen_chain(n: int) -> AutomaticAlgebra:
         letters = list(M.letter_names)
         actions = {letters[j]: M.action(j) for j in range(M.n_letters)}
         if stage % 2 == 0:
-            closure = _perm_closure(set(actions.values()))
+            closure = structure.generated_group(set(actions.values()), len(states))
             for perm in sorted(closure - set(actions.values())):
                 name = f"g{g_counter}"
                 g_counter += 1

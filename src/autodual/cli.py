@@ -276,8 +276,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (reserved)")
     shared.add_argument("--max-elements", type=int, default=64, dest="max_elements",
                         help="hom-enumeration cap")
     parser = _Parser(prog="autodual",

@@ -472,8 +472,9 @@ def op_quasi_meet(M: AutomaticAlgebra) -> PartialOperation:
     return PartialOperation("quasi_meet", 2, table)
 
 
-def _constant_letter_values(M: AutomaticAlgebra):
-    """state-index value of each letter if all letters are constant, else None."""
+def constant_letter_values(M: AutomaticAlgebra) -> Optional[list]:
+    """State index of each letter's value if every letter is total and
+    constant, else None."""
     values = []
     for j in range(M.n_letters):
         imgs = set(M.action(j))
@@ -491,11 +492,9 @@ def op_chain_meet(M: AutomaticAlgebra) -> PartialOperation:
     state index; the meet of two states (or two letters) is the one with
     the larger index, mixed pairs meet at 0.
     """
-    if not M.is_total():
-        raise PreconditionViolated("chain meet needs a total algebra")
-    values = _constant_letter_values(M)
+    values = constant_letter_values(M)
     if values is None:
-        raise PreconditionViolated("chain meet needs constant letters")
+        raise PreconditionViolated("chain meet needs total constant letters")
     if sorted(values) != list(range(M.n_states)):
         raise PreconditionViolated("chain meet needs letter values to enumerate Q")
     letter_rank = {M.letter(j): values[j] for j in range(M.n_letters)}
@@ -518,11 +517,9 @@ def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
     Domain excludes the distinguished state's letter in the first slot;
     the value is the join of y, z over {0, q} when x = q, else 0.
     """
-    if not M.is_total():
-        raise PreconditionViolated("h needs a total algebra")
-    values = _constant_letter_values(M)
+    values = constant_letter_values(M)
     if values is None:
-        raise PreconditionViolated("h needs constant letters")
+        raise PreconditionViolated("h needs total constant letters")
     q1 = M.state(state_index)
     with_value = [j for j in range(M.n_letters) if values[j] == state_index]
     if len(with_value) != 1:

@@ -129,23 +129,26 @@ class WhiskeryFailure:
     embedding: dict       # F_m element name -> M element name
 
 
-def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
-    """(letter, state) of the first failure, scanning letters then states.
-
-    The letter passes at q when q·a is 0 or returns to itself within |Q|
-    further steps of a (the orbit of q·a has period at most |Q|).
+def _whiskery_at(M: AutomaticAlgebra, i: int, j: int) -> bool:
+    """Whether letter j passes at state q = i: q·a is 0 or returns to itself
+    within |Q| further steps of a (the orbit of q·a has period at most |Q|).
     """
+    x = M.mul(M.state(i), M.letter(j))
+    if x == ZERO:
+        return True
+    y = x
+    for _ in range(M.n_states):
+        y = M.mul(y, M.letter(j))
+        if y == x:
+            return True
+    return False
+
+
+def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
+    """(letter, state) of the first failure, scanning letters then states."""
     for j in range(M.n_letters):
         for i in range(M.n_states):
-            x = M.mul(M.state(i), M.letter(j))
-            if x == ZERO:
-                continue
-            y = x
-            for _ in range(M.n_states):
-                y = M.mul(y, M.letter(j))
-                if y == x:
-                    break
-            else:
+            if not _whiskery_at(M, i, j):
                 return (j, i)
     return None
 
@@ -284,6 +287,24 @@ def _perm_inverse(p: tuple) -> tuple:
     return tuple(out)
 
 
+def generated_group(gens, n: int) -> set:
+    """The group of permutations of range(n) generated by `gens`; for finite
+    permutations this is also their closure under composition."""
+    ident = tuple(range(n))
+    out = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = _compose(g, p)
+                if q not in out:
+                    out.add(q)
+                    new.append(q)
+        frontier = new
+    return out
+
+
 def _perm_order(p: tuple) -> int:
     ident = tuple(range(len(p)))
     acc, k = p, 1
@@ -319,18 +340,7 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int],
             if _compose(perms[j1], perms[j2]) != _compose(perms[j2], perms[j1]):
                 raise NotCommuting(
                     f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
-    ident = tuple(range(len(comp)))
-    group_elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for j in letters:
-                q = _compose(perms[j], p)
-                if q not in group_elems:
-                    group_elems.add(q)
-                    new.append(q)
-        frontier = new
+    group_elems = generated_group([perms[j] for j in letters], len(comp))
     orbit = {p[0] for p in group_elems}
     if len(orbit) != len(comp):
         raise NotTransitive("letters do not act transitively on the component")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
@@ -228,7 +228,7 @@ def _spec_thm_nondcomm(params, N):
     m = _perm_order(_compose(perms[bj], _perm_inverse(perms[cj])))
     if m <= 1:
         raise BadParams("chosen letters have equal action")
-    lam = _lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
+    lam = lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
     s_idx = None
     for i in range(M.n_states):
         r0 = M.word(M.state(i), (bj,) + (cj,) * (lam - 1))
@@ -276,10 +276,6 @@ def _spec_thm_nondcomm(params, N):
                             {"b": bj, "c": cj, "m": m, "lam": lam, "nu": nu,
                              "s": s_elem, "r": r_elem, "width": width,
                              "w": w, "v": v})
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 _SPEC_BUILDERS = {

@@ -305,11 +305,26 @@ def _mutations():
             node[path[-1]] = value
         return apply
 
-    def swap_embedding(key1, key2):
+    def swap_embedding(key1, key2, path=()):
         def apply(cert):
-            emb = cert["embedding"]
+            node = cert
+            for key in path:
+                node = node[key]
+            emb = node["embedding"]
             emb[key1], emb[key2] = emb[key2], emb[key1]
         return apply
+
+    def set_embedding(key, value):
+        def apply(cert):
+            cert["embedding"][key] = value
+        return apply
+
+    def on_reduction_chain(mutate):
+        # applied to the whole reduction_chain certificate, not its inner one
+        mutate.whole_certificate = True
+        return mutate
+
+    undefined_b = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
 
     out = []
     out.append((b, b, set_field(["letter"], "b")))
@@ -337,6 +352,15 @@ def _mutations():
     out.append((const3, const3, set_field(["values", "a"], "r")))
     out.append((const3, b, None))       # certificate replayed on the wrong algebra
     out.append((cycle3, catalog("F", 0), None))
+    # every certificate path through check_embedding
+    out.append((undefined_b, undefined_b,
+                on_reduction_chain(swap_embedding("q", "r", ["steps", 0]))))
+    out.append((undefined_b, undefined_b, on_reduction_chain(
+        set_field(["steps", 0, "embedding", "s9"], ["0", "0"]))))
+    out.append((loops, loops, swap_embedding("r", "a", ["components", 1, "steps", 0])))
+    out.append((loops, loops, swap_embedding("q", "r", ["split"])))
+    out.append((n4, n4, set_embedding("r", "q")))       # not injective
+    out.append((b, b, set_embedding("s9", "0")))        # extra key
     return out
 
 
@@ -355,7 +379,8 @@ def test_criterion_11_certificate_audit():
         verdict = json.loads(json.dumps(verdict))
         if mutate is not None:
             cert = verdict["certificate"]
-            if cert.get("kind") == "reduction_chain":
+            if cert.get("kind") == "reduction_chain" and \
+                    not getattr(mutate, "whole_certificate", False):
                 cert = cert["inner"]
             mutate(cert)
         ok, _ = verify_certificate(target, verdict)

@@ -140,3 +140,13 @@ def test_component_subalgebra_roundtrip():
     L = catalog("L")
     sub = L.component_subalgebra([0, 1, 2])
     assert sub == L
+
+
+def test_drop_state_takes_its_outgoing_row():
+    M = AutomaticAlgebra.build("qrs", "ab", [("q", "a", "r"), ("r", "b", "s"),
+                                             ("s", "a", "s")])
+    N = M.drop_state(0)
+    assert N.state_names == ("r", "s")
+    assert N.transitions() == [(0, 1, 1), (1, 0, 1)]
+    with pytest.raises(BadParams):
+        M.drop_state(1)   # r is q·a

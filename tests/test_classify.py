@@ -1,9 +1,11 @@
+import importlib
+import itertools
 import json
 import random
 
 import pytest
 
-from autodual.algebras import AutomaticAlgebra, catalog, random_algebra
+from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (RULE_ORDER, Verdict, classify, gen_chain,
                                normalize_algebra, verify_certificate)
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
@@ -193,3 +195,54 @@ def test_classify_normalize_stability():
         M = random_algebra(rng, 4, 3)
         N, _ = normalize_algebra(M)
         assert classify(M).outcome == classify(N).outcome
+
+
+def test_verifier_bounds_whiskery_m_before_building_F_m(monkeypatch):
+    B = catalog("B")
+    good = classify(B).to_json()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("catalog must not be called for an out-of-range m")
+
+    # the package re-exports the function `classify`, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("autodual.classify"), "catalog", spy)
+    for m in (10 ** 9, B.n_states, -1, "0", 0.0):
+        verdict = json.loads(json.dumps(good))
+        verdict["certificate"]["m"] = m
+        ok, reason = verify_certificate(B, verdict)
+        assert not ok and "m" in reason
+    assert calls == []
+
+
+def _every_algebra(n_states, n_letters):
+    """Every algebra of this shape: each (state, letter) pair, states outer,
+    goes to a target in 0..n_states, where n_states means undefined."""
+    states = [f"q{i}" for i in range(n_states)]
+    letters = [f"a{j}" for j in range(n_letters)]
+    pairs = [(i, j) for i in range(n_states) for j in range(n_letters)]
+    for targets in itertools.product(range(n_states + 1), repeat=len(pairs)):
+        yield AutomaticAlgebra(states, letters, {p: t for p, t in zip(pairs, targets)
+                                                 if t < n_states})
+
+
+def test_unknown_verifier_agrees_with_classify():
+    algebras = [M for nq in range(3) for ns in range(3) for M in _every_algebra(nq, ns)]
+    algebras += list(_every_algebra(3, 1))
+    algebras += list(itertools.islice(_every_algebra(3, 2), 0, None, 5))
+    algebras += [M for _, M in standard_catalog()]
+    algebras.append(AutomaticAlgebra.build(
+        ["q", "r", "s"], ["a", "b", "c"],
+        [(x, "a", "q") for x in "qrs"] + [(x, "b", "r") for x in "qrs"]
+        + [(x, "c", "s") for x in "qrs"]))
+    reached = set()
+    for M in algebras:
+        v = classify(M)
+        reached.add(v.rule)
+        claims_unknown = verify_certificate(M, {"verdict": "unknown"})[0]
+        assert claims_unknown == (v.outcome == "unknown"), (M.table_key(), v.rule)
+        if v.outcome != "unknown":
+            ok, reason = verify_certificate(M, v)
+            assert ok, (M.table_key(), v.rule, reason)
+    assert reached == set(RULE_ORDER) - {"normalize"}
