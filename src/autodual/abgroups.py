@@ -33,6 +33,23 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
+def closure(start: Iterable, gens: Sequence, op: Callable) -> set:
+    """Everything reachable from `start` by repeatedly applying x -> op(x, g)
+    for g in `gens`, breadth first; `start` is included."""
+    out = set(start)
+    frontier = list(out)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = op(x, g)
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+        frontier = new
+    return out
+
+
 class AbelianGroup:
     """Finite abelian group on elements 0..n-1 with an explicit table."""
 
@@ -108,19 +125,7 @@ class AbelianGroup:
         return range(self.n)
 
     def subgroup_generated(self, gens: Iterable[int]) -> frozenset:
-        out = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in out:
-                        out.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(out)
+        return frozenset(closure([self.identity], list(gens), self.op))
 
     # -- constructors ------------------------------------------------------
 
@@ -187,22 +192,6 @@ def abelian_group_isomorphism_types(max_order: int) -> list:
 # primary decomposition
 # ---------------------------------------------------------------------------
 
-def _span(G: AbelianGroup, base: set, extra: Iterable[int]) -> set:
-    out = set(base) | {G.identity}
-    frontier = list(out)
-    gens = list(set(base) | set(extra))
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.op(x, g)
-                if y not in out:
-                    out.add(y)
-                    new.append(y)
-        frontier = new
-    return out
-
-
 def _complement(G: AbelianGroup, inside: set, avoid: set, target: int) -> Optional[set]:
     """A subgroup K of `inside` with K ∩ avoid = {e} and |K| = target."""
 
@@ -212,7 +201,7 @@ def _complement(G: AbelianGroup, inside: set, avoid: set, target: int) -> Option
         for x in sorted(inside):
             if x in K:
                 continue
-            K2 = _span(G, K, [x])
+            K2 = G.subgroup_generated(K | {x})
             if len(K2) <= target and target % len(K2) == 0 \
                     and K2 <= inside and len(K2 & avoid) == 1:
                 got = extend(K2)
@@ -262,13 +251,8 @@ def _verify_decomposition(G: AbelianGroup, basis: list) -> None:
         total *= d
     if total != G.n:
         raise InternalInconsistency("decomposition orders do not multiply to |G|")
-    seen = set()
-    for coords in iproduct(*[range(d) for _, d in basis]):
-        x = G.identity
-        for (g, _), t in zip(basis, coords):
-            x = G.op(x, G.power(g, t))
-        seen.add(x)
-    if len(seen) != G.n:
+    coords_of, _ = coordinate_maps(G, basis)
+    if len(coords_of) != G.n:
         raise InternalInconsistency("decomposition does not reconstruct the table")
 
 
@@ -494,29 +478,13 @@ def annihilator_system(m: int, H: Iterable[tuple]) -> list:
     for c in ann:
         if c not in span:
             rows.append(c)
-            span = _zmk_span(m, k, rows)
+            span = closure([tuple([0] * k)], rows, lambda x, g: tuple(
+                (a + b) % m for a, b in zip(x, g)))
             if len(span) == len(ann):
                 break
-    solutions = {x for x in iproduct(range(m), repeat=k)
-                 if all(sum(ci * xi for ci, xi in zip(c, x)) % m == 0 for c in rows)}
-    if solutions != H:
+    if solve_system(m, k, rows) != H:
         raise InternalInconsistency("annihilator round trip failed")
     return rows
-
-
-def _zmk_span(m: int, k: int, gens: list) -> set:
-    out = {tuple([0] * k)}
-    frontier = list(out)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % m for a, b in zip(x, g))
-                if y not in out:
-                    out.add(y)
-                    new.append(y)
-        frontier = new
-    return out
 
 
 def solve_system(m: int, k: int, rows: list) -> set:

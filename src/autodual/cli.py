@@ -225,7 +225,10 @@ def cmd_embed(args) -> int:
 def cmd_witness(args) -> int:
     params = ()
     if args.name == "thm_wc":
-        params = (int(args.params[0]),) if args.params else (0,)
+        try:
+            params = (int(args.params[0]),) if args.params else (0,)
+        except ValueError:
+            raise UsageError(f"thm_wc takes an integer m, not {args.params[0]!r}")
     elif args.name == "thm_pcomm_case1":
         params = (_algebra_by_token(args.params[0]),) if args.params else ()
     elif args.name == "thm_nondcomm":

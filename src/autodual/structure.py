@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .abgroups import AbelianGroup, cyclic_decomposition
+from .abgroups import AbelianGroup, closure, cyclic_decomposition
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (InternalInconsistency, NotCommuting, NotPermutational,
                      NotTransitive)
@@ -290,19 +290,7 @@ def _perm_inverse(p: tuple) -> tuple:
 def generated_group(gens, n: int) -> set:
     """The group of permutations of range(n) generated by `gens`; for finite
     permutations this is also their closure under composition."""
-    ident = tuple(range(n))
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(g, p)
-                if q not in out:
-                    out.add(q)
-                    new.append(q)
-        frontier = new
-    return out
+    return closure([tuple(range(n))], list(gens), lambda p, g: _compose(g, p))
 
 
 def _perm_order(p: tuple) -> int:

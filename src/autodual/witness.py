@@ -1,11 +1,15 @@
 """Finite truncations of the non-dualizability constructions.
 
-Only the finitely checkable content of those arguments is verified here:
-the displayed product identities at every admissible index tuple, the
-non-membership of the forbidden element in the generated subalgebra, and
-the hom-kernel block shape at truncation scale.  The congruence-index
-conditions quantify over infinite algebras and are out of reach; every
-report says so in its header.
+Each construction is declared once, by its `_spec_*` builder: the
+generators of A0 and B, the forbidden element g, and the displayed
+product identities, each as (name, index tuples, instance) where
+`instance(*indices)` returns the two sides built from the builder's own
+elements.  `verify_construction` checks every declared identity at every
+admissible index tuple, the non-membership of g in the generated
+subalgebra, and any containment the builder declares; the hom-kernel
+block shape is checked at truncation scale by `kernel_block_analysis`.
+The congruence-index conditions quantify over infinite algebras and are
+out of reach; every report says so in its header.
 
 Report indices are 1-based; internal coordinates are 0-based.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
@@ -31,9 +35,6 @@ SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
 
 BUILD_CAP_DEFAULT = 4096
 
-CONSTRUCTION_NAMES = ("thm_wc", "thm_pcomm_case1", "ex_all4_L",
-                      "lem_2state2_N4", "lem_2state3_N5", "thm_nondcomm")
-
 
 @dataclass
 class ConstructionSpec:
@@ -46,7 +47,8 @@ class ConstructionSpec:
     b: list                   # (label, tuple) pairs
     g: tuple                  # (label, tuple)
     nu: int
-    extra: dict
+    identities: list          # (name, index tuples, instance) triples
+    containment: Optional[Callable] = None   # elements -> bool
 
 
 @dataclass
@@ -65,9 +67,26 @@ def _ov(base: int, n: int, *pairs) -> tuple:
     return tuple(vals)
 
 
-def _label(M: AutomaticAlgebra, base: int, *pairs) -> str:
-    inner = "".join(f"|{M.name(v)}@{i}" for i, v in pairs)
-    return f"{M.name(base)}{inner}"
+def _gen(M: AutomaticAlgebra, n: int, base: int, *pairs) -> tuple:
+    """A labelled generator: (label, overline tuple), e.g. "q|s@2|r@3"."""
+    label = M.name(base) + "".join(f"|{M.name(v)}@{i}" for i, v in pairs)
+    return label, _ov(base, n, *pairs)
+
+
+def _distinct(lo: int, n: int, k: int) -> list:
+    """Every k-tuple of pairwise distinct indices in lo..n, in nested-loop order."""
+    return list(permutations(range(lo, n + 1), k))
+
+
+def _mulchain(M, first, *rest):
+    out = first
+    for x in rest:
+        out = pointwise_mul(M, out, x)
+    return out
+
+
+def _coords(N):
+    return [str(i) for i in range(1, N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +96,32 @@ def _label(M: AutomaticAlgebra, base: int, *pairs) -> str:
 def _spec_thm_wc(params, N):
     m = params[0] if params else 0
     M = catalog("F", m)
-    q, r, a = M.element_by_name("q"), M.element_by_name("r"), M.element_by_name("a")
-    a0 = [(_label(M, ZERO, (1, r), (i, r)), _ov(ZERO, N, (1, r), (i, r)))
-          for i in range(2, N + 1)]
-    b = [(_label(M, ZERO, (1, q), (i, q), (j, q)),
-          _ov(ZERO, N, (1, q), (i, q), (j, q)))
-         for i in range(2, N + 1) for j in range(i + 1, N + 1)]
-    b += [(_label(M, a, (i, ZERO)), _ov(a, N, (i, ZERO))) for i in range(2, N + 1)]
-    g = (_label(M, ZERO, (1, r)), _ov(ZERO, N, (1, r)))
-    return ConstructionSpec("thm_wc", (m,), N, M, [str(i) for i in range(1, N + 1)],
-                            a0, b, g, 1, {"q": q, "r": r, "a": a, "m": m})
+    q, r, a = (M.element_by_name(x) for x in "qra")
+    a0 = [_gen(M, N, ZERO, (1, r), (i, r)) for i in range(2, N + 1)]
+    pairs = list(combinations(range(2, N + 1), 2))
+    gens = [_gen(M, N, ZERO, (1, q), (i, q), (j, q)) for i, j in pairs]
+    gens += [_gen(M, N, a, (i, ZERO)) for i in range(2, N + 1)]
+    g = _gen(M, N, ZERO, (1, r))
+    identities = [
+        ("0|r@1,r@j = 0|q@1,q@j,q@k . a|0@k", _distinct(2, N, 2),
+         lambda j, k: (_ov(ZERO, N, (1, r), (j, r)),
+                       pointwise_mul(M, _ov(ZERO, N, (1, q), (j, q), (k, q)),
+                                     _ov(a, N, (k, ZERO))))),
+        ("0|q@1,q@j,q@k . a|0@l = 0|r@1,r@j,r@k", _distinct(2, N, 3),
+         lambda j, k, l: (pointwise_mul(M, _ov(ZERO, N, (1, q), (j, q), (k, q)),
+                                        _ov(a, N, (l, ZERO))),
+                          _ov(ZERO, N, (1, r), (j, r), (k, r)))),
+    ]
+
+    def containment(elements):
+        """A sits inside A0 ∪ B ∪ {0|r@1,r@i,r@j} ∪ {0,s1..sm}^N."""
+        allowed = {t for _, t in a0 + gens}
+        allowed |= {_ov(ZERO, N, (1, r), (i, r), (j, r)) for i, j in pairs}
+        cycle = {ZERO} | {M.element_by_name(f"s{i}") for i in range(1, m + 1)}
+        return all(t in allowed or all(v in cycle for v in t) for t in elements)
+
+    return ConstructionSpec("thm_wc", (m,), N, M, _coords(N), a0, gens, g, 1,
+                            identities, containment)
 
 
 def _spec_ex_all4_L(params, N):
@@ -94,43 +129,58 @@ def _spec_ex_all4_L(params, N):
         "qrs", "ac",
         [("q", "a", "q"), ("q", "c", "q"), ("r", "a", "q"), ("r", "c", "s"),
          ("s", "a", "s"), ("s", "c", "s")])
-    q, r, s = (M.element_by_name(x) for x in "qrs")
-    a, c = M.element_by_name("a"), M.element_by_name("c")
-    a0 = [(_label(M, q, (i, s)), _ov(q, N, (i, s))) for i in range(1, N + 1)]
-    b = [(_label(M, q, (i, s), (k, r)), _ov(q, N, (i, s), (k, r)))
-         for i in range(1, N + 1) for k in range(1, N + 1) if i != k]
-    b += [(_label(M, c, (k, a)), _ov(c, N, (k, a))) for k in range(1, N + 1)]
-    g = (_label(M, q), _ov(q, N))
-    return ConstructionSpec("ex_all4_L", (), N, M,
-                            [str(i) for i in range(1, N + 1)],
-                            a0, b, g, 1,
-                            {"q": q, "r": r, "s": s, "a": a, "c": c})
+    q, r, s, a, c = (M.element_by_name(x) for x in "qrsac")
+    a0 = [_gen(M, N, q, (i, s)) for i in range(1, N + 1)]
+    gens = [_gen(M, N, q, (i, s), (k, r)) for i, k in _distinct(1, N, 2)]
+    gens += [_gen(M, N, c, (k, a)) for k in range(1, N + 1)]
+    identities = [
+        ("q|s@i,r@k . c|a@k = q|s@i", _distinct(1, N, 2),
+         lambda i, k: (pointwise_mul(M, _ov(q, N, (i, s), (k, r)), _ov(c, N, (k, a))),
+                       _ov(q, N, (i, s)))),
+        ("q|s@i,r@k . c|a@l = q|s@i,s@k", _distinct(1, N, 3),
+         lambda i, k, l: (pointwise_mul(M, _ov(q, N, (i, s), (k, r)),
+                                        _ov(c, N, (l, a))),
+                          _ov(q, N, (i, s), (k, s)))),
+    ]
+    return ConstructionSpec("ex_all4_L", (), N, M, _coords(N), a0, gens,
+                            _gen(M, N, q), 1, identities)
 
 
 def _spec_lem_2state2(params, N):
     M = catalog("N", 4)
-    q, r = M.element_by_name("q"), M.element_by_name("r")
-    a, bl = M.element_by_name("a"), M.element_by_name("b")
-    a0 = [(_label(M, q, (i, r)), _ov(q, N, (i, r))) for i in range(1, N + 1)]
-    b = [(_label(M, bl, (i, a)), _ov(bl, N, (i, a))) for i in range(1, N + 1)]
-    g = (_label(M, q), _ov(q, N))
-    return ConstructionSpec("lem_2state2_N4", (), N, M,
-                            [str(i) for i in range(1, N + 1)],
-                            a0, b, g, 1, {"q": q, "r": r, "a": a, "b": bl})
+    q, r, a, b = (M.element_by_name(x) for x in "qrab")
+    a0 = [_gen(M, N, q, (i, r)) for i in range(1, N + 1)]
+    gens = [_gen(M, N, b, (i, a)) for i in range(1, N + 1)]
+    identities = [
+        ("q|r@k . b|a@k . b|a@j = q|r@j", _distinct(1, N, 2),
+         lambda j, k: (_mulchain(M, _ov(q, N, (k, r)), _ov(b, N, (k, a)),
+                                 _ov(b, N, (j, a))),
+                       _ov(q, N, (j, r)))),
+        ("q|r@k . b|a@l . b|a@j = q|r@j,r@k", _distinct(1, N, 3),
+         lambda j, k, l: (_mulchain(M, _ov(q, N, (k, r)), _ov(b, N, (l, a)),
+                                    _ov(b, N, (j, a))),
+                          _ov(q, N, (j, r), (k, r)))),
+    ]
+    return ConstructionSpec("lem_2state2_N4", (), N, M, _coords(N), a0, gens,
+                            _gen(M, N, q), 1, identities)
 
 
 def _spec_lem_2state3(params, N):
     M = catalog("N", 5)
-    q, r = M.element_by_name("q"), M.element_by_name("r")
-    a, bl, c = (M.element_by_name(x) for x in "abc")
-    a0 = [(_label(M, q, (i, r)), _ov(q, N, (i, r))) for i in range(1, N + 1)]
-    b = [(_label(M, bl, (i, c), (k, a)), _ov(bl, N, (i, c), (k, a)))
-         for i in range(1, N + 1) for k in range(1, N + 1) if i != k]
-    g = (_label(M, q), _ov(q, N))
-    return ConstructionSpec("lem_2state3_N5", (), N, M,
-                            [str(i) for i in range(1, N + 1)],
-                            a0, b, g, 1,
-                            {"q": q, "r": r, "a": a, "b": bl, "c": c})
+    q, r, a, b, c = (M.element_by_name(x) for x in "qrabc")
+    a0 = [_gen(M, N, q, (i, r)) for i in range(1, N + 1)]
+    gens = [_gen(M, N, b, (i, c), (k, a)) for i, k in _distinct(1, N, 2)]
+    identities = [
+        ("q|r@j . b|c@i,a@k = q|r@k", _distinct(1, N, 3),
+         lambda i, j, k: (pointwise_mul(M, _ov(q, N, (j, r)),
+                                        _ov(b, N, (i, c), (k, a))),
+                          _ov(q, N, (k, r)))),
+        ("q|r@i . b|c@i,a@k = q|r@i,r@k", _distinct(1, N, 2),
+         lambda i, k: (pointwise_mul(M, _ov(q, N, (i, r)), _ov(b, N, (i, c), (k, a))),
+                       _ov(q, N, (i, r), (k, r)))),
+    ]
+    return ConstructionSpec("lem_2state3_N5", (), N, M, _coords(N), a0, gens,
+                            _gen(M, N, q), 1, identities)
 
 
 def _derive_pcomm_params(M: AutomaticAlgebra):
@@ -143,22 +193,13 @@ def _derive_pcomm_params(M: AutomaticAlgebra):
                 for bj in range(M.n_letters):
                     if aj == bj:
                         continue
-                    for cs in _words(M.n_letters, m):
+                    for cs in product(range(M.n_letters), repeat=m):
                         if M.word(q, (aj, bj) + cs) == ZERO and \
                                 M.word(q, (bj, aj) + cs) != ZERO:
                             got = _finish_pcomm(M, qi, aj, bj, cs)
                             if got is not None:
                                 return got
     raise BadParams("algebra does not fail the transposition quasi-equation")
-
-
-def _words(n_letters, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(n_letters):
-        for rest in _words(n_letters, length - 1):
-            yield (head,) + rest
 
 
 def _finish_pcomm(M, qi, aj, bj, cs):
@@ -179,54 +220,70 @@ def _finish_pcomm(M, qi, aj, bj, cs):
 
 def _spec_thm_pcomm(params, N):
     M = params[0] if params else catalog("N", 1)
-    if isinstance(M, str):
-        M = catalog(M) if not M.startswith("N") else catalog("N", int(M[1:]))
     qi, aj, bj, cs, p, si, t, ri = _derive_pcomm_params(M)
-    q, s = M.state(qi), M.state(si)
-    r = M.state(ri)
+    q, s, r = M.state(qi), M.state(si), M.state(ri)
     a, b = M.letter(aj), M.letter(bj)
     consts = [M.letter(c) for c in cs]
-    a0 = [(_label(M, r, (i, ZERO)), _ov(r, N, (i, ZERO))) for i in range(1, N + 1)]
-    gens = []
+    a0 = [_gen(M, N, r, (i, ZERO)) for i in range(1, N + 1)]
+    gens = [_gen(M, N, q, (i, ZERO), (k, s)) for i, k in _distinct(1, N, 2)]
+    for i, k, l in _distinct(1, N, 3):
+        gens.append(_gen(M, N, q, (i, ZERO), (k, s), (l, ZERO)))
+        gens.append(_gen(M, N, q, (i, ZERO), (k, ZERO), (l, ZERO)))
     for i in range(1, N + 1):
-        for k in range(1, N + 1):
-            if i != k:
-                gens.append((_label(M, q, (i, ZERO), (k, s)),
-                             _ov(q, N, (i, ZERO), (k, s))))
-    for i, k, l in permutations(range(1, N + 1), 3):
-        gens.append((_label(M, q, (i, ZERO), (k, s), (l, ZERO)),
-                     _ov(q, N, (i, ZERO), (k, s), (l, ZERO))))
-        gens.append((_label(M, q, (i, ZERO), (k, ZERO), (l, ZERO)),
-                     _ov(q, N, (i, ZERO), (k, ZERO), (l, ZERO))))
-    for i in range(1, N + 1):
-        gens.append((_label(M, b, (i, a)), _ov(b, N, (i, a))))
-        gens.append((_label(M, b, (i, ZERO)), _ov(b, N, (i, ZERO))))
-    gens.append((_label(M, a), _ov(a, N)))
-    gens.append((_label(M, b), _ov(b, N)))
-    for cl in consts:
-        gens.append((_label(M, cl), _ov(cl, N)))
-    g = (_label(M, r), _ov(r, N))
+        gens.append(_gen(M, N, b, (i, a)))
+        gens.append(_gen(M, N, b, (i, ZERO)))
+    gens += [_gen(M, N, x) for x in [a, b] + consts]
+    tail = [_ov(x, N) for x in [a] + consts]
+
+    def bk(k):
+        return [_ov(b, N, (k, a))] * p
+
+    identities = [
+        ("q|0@i,s@k . (b|a@k)^{p+1} . a~. c~ = r|0@i", _distinct(1, N, 2),
+         lambda i, k: (_mulchain(M, _ov(q, N, (i, ZERO), (k, s)),
+                                 _ov(b, N, (k, a)), *bk(k), *tail),
+                       _ov(r, N, (i, ZERO)))),
+        ("q|0@i,s@k . b|a@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l", _distinct(1, N, 3),
+         lambda i, k, l: (_mulchain(M, _ov(q, N, (i, ZERO), (k, s)),
+                                    _ov(b, N, (l, a)), *bk(k), *tail),
+                          _ov(r, N, (i, ZERO), (k, t), (l, ZERO)))),
+        ("q|0@i,s@k,0@l . b|0@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l",
+         _distinct(1, N, 3),
+         lambda i, k, l: (_mulchain(M, _ov(q, N, (i, ZERO), (k, s), (l, ZERO)),
+                                    _ov(b, N, (l, ZERO)), *bk(k), *tail),
+                          _ov(r, N, (i, ZERO), (k, t), (l, ZERO)))),
+        ("q|0@i,s@k,0@l . b|0@k . (b|a@k)^p . a~. c~ = r|0@i,0@k,0@l",
+         _distinct(1, N, 3),
+         lambda i, k, l: (_mulchain(M, _ov(q, N, (i, ZERO), (k, s), (l, ZERO)),
+                                    _ov(b, N, (k, ZERO)), *bk(k), *tail),
+                          _ov(r, N, (i, ZERO), (k, ZERO), (l, ZERO)))),
+        ("q|0@i,0@k,0@l . b|0@i . b~^p . a~. c~ = r|0@i,0@k,0@l", _distinct(1, N, 3),
+         lambda i, k, l: (_mulchain(M, _ov(q, N, (i, ZERO), (k, ZERO), (l, ZERO)),
+                                    _ov(b, N, (i, ZERO)), *[_ov(b, N)] * p, *tail),
+                          _ov(r, N, (i, ZERO), (k, ZERO), (l, ZERO)))),
+        ("q|0@i,0@k,0@l . b|0@j . b~^p . a~. c~ = r|0@i,0@j,0@k,0@l",
+         _distinct(1, N, 4),
+         lambda i, j, k, l: (_mulchain(M, _ov(q, N, (i, ZERO), (k, ZERO), (l, ZERO)),
+                                       _ov(b, N, (j, ZERO)), *[_ov(b, N)] * p, *tail),
+                             _ov(r, N, (i, ZERO), (j, ZERO), (k, ZERO), (l, ZERO)))),
+    ]
     return ConstructionSpec("thm_pcomm_case1", (M.name(q), M.name(a), M.name(b)),
-                            N, M, [str(i) for i in range(1, N + 1)],
-                            a0, gens, g, 1,
-                            {"q": q, "a": a, "b": b, "cs": tuple(consts), "p": p,
-                             "s": s, "t": t, "r": r})
+                            N, M, _coords(N), a0, gens, _gen(M, N, r), 1, identities)
 
 
 def _spec_thm_nondcomm(params, N):
-    if not params:
-        params = (catalog("C", 3), "b", "c")
-    M, bname, cname = params
-    if isinstance(M, str):
-        M = catalog(M) if M != "C3" else catalog("C", 3)
+    M, bname, cname = params or (catalog("C", 3), "b", "c")
+    for letter in (bname, cname):
+        if letter not in M.letter_names:
+            raise UnknownName(f"{letter!r} is not a letter of the algebra; "
+                              f"letters: {' '.join(M.letter_names)}")
     profile = permutation_profile(M)
     if not profile.permutational or not profile.commuting:
         raise BadParams("needs a permutational algebra with commuting letters")
     bj = M.letter_names.index(bname)
     cj = M.letter_names.index(cname)
     perms = profile.perms
-    m = _perm_order(_compose(perms[bj], _perm_inverse(perms[cj])))
-    if m <= 1:
+    if _perm_order(_compose(perms[bj], _perm_inverse(perms[cj]))) <= 1:
         raise BadParams("chosen letters have equal action")
     lam = lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
     s_idx = None
@@ -240,14 +297,13 @@ def _spec_thm_nondcomm(params, N):
     nu = M.n_letters - 1
     b_elem, c_elem = M.letter(bj), M.letter(cj)
     s_elem, r_elem = M.state(s_idx), M.state(r_idx)
-    coords = [str(i) for i in range(1, N + 1)]
+    coords = _coords(N)
     block = []
     for i in range(M.n_states):
         block.append(("b", i))
         block.append(("c", i))
         coords.append(f"({M.state_names[i]},{bname})")
         coords.append(f"({M.state_names[i]},{cname})")
-    width = N + len(block)
 
     def v(i):
         vals = [r_elem if n == i else s_elem for n in range(1, N + 1)]
@@ -269,13 +325,17 @@ def _spec_thm_nondcomm(params, N):
     bgen = [("w{" + ",".join(map(str, I)) + "}", w(set(I)))
             for I in combinations(range(1, N + 1), nu + 1)]
     gvals = [s_elem] * N + [M.state(st) for _, st in block]
-    g = ("g", tuple(gvals))
+    family = [(i, j) + K for i, j in _distinct(1, N, 2)
+              for K in combinations([x for x in range(1, N + 1) if x not in (i, j)], nu)]
+
+    def instance(i, j, *K):
+        wj = w(set(K) | {j})
+        return _mulchain(M, v(j), w(set(K) | {i}), *[wj] * (lam - 1)), v(i)
+
+    identities = [("v_i = v_j . w_{K+i} . w_{K+j}^{lam-1}", family, instance)]
     return ConstructionSpec("thm_nondcomm",
                             (M.name(M.state(s_idx)), bname, cname), N, M, coords,
-                            a0, bgen, g, nu,
-                            {"b": bj, "c": cj, "m": m, "lam": lam, "nu": nu,
-                             "s": s_elem, "r": r_elem, "width": width,
-                             "w": w, "v": v})
+                            a0, bgen, ("g", tuple(gvals)), nu, identities)
 
 
 _SPEC_BUILDERS = {
@@ -286,6 +346,8 @@ _SPEC_BUILDERS = {
     "lem_2state3_N5": _spec_lem_2state3,
     "thm_nondcomm": _spec_thm_nondcomm,
 }
+
+CONSTRUCTION_NAMES = tuple(_SPEC_BUILDERS)
 
 
 def build_truncation(name: str, params=(), N: int = 4,
@@ -310,202 +372,36 @@ def build_truncation(name: str, params=(), N: int = 4,
 # identity verification
 # ---------------------------------------------------------------------------
 
-def _mulchain(M, first, *rest):
-    out = first
-    for x in rest:
-        out = pointwise_mul(M, out, x)
-    return out
-
-
-def _identity_instances(trunc: Truncation):
-    """Yield (identity name, index tuple, lhs, rhs) for every admissible
-    index choice of every displayed identity of the construction."""
-    spec = trunc.spec
-    M, N = spec.algebra, spec.N
-    e = spec.extra
-    if spec.name == "thm_wc":
-        q, r, a = e["q"], e["r"], e["a"]
-        for j in range(2, N + 1):
-            for k in range(2, N + 1):
-                if j == k:
-                    continue
-                lhs = _ov(ZERO, N, (1, r), (j, r))
-                rhs = pointwise_mul(M, _ov(ZERO, N, (1, q), (j, q), (k, q)),
-                                    _ov(a, N, (k, ZERO)))
-                yield ("0|r@1,r@j = 0|q@1,q@j,q@k . a|0@k", (j, k), lhs, rhs)
-        for j in range(2, N + 1):
-            for k in range(2, N + 1):
-                for l in range(2, N + 1):
-                    if len({j, k, l}) < 3:
-                        continue
-                    lhs = pointwise_mul(M, _ov(ZERO, N, (1, q), (j, q), (k, q)),
-                                        _ov(a, N, (l, ZERO)))
-                    rhs = _ov(ZERO, N, (1, r), (j, r), (k, r))
-                    yield ("0|q@1,q@j,q@k . a|0@l = 0|r@1,r@j,r@k", (j, k, l),
-                           lhs, rhs)
-    elif spec.name == "ex_all4_L":
-        q, r, s, a, c = e["q"], e["r"], e["s"], e["a"], e["c"]
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                if i == k:
-                    continue
-                lhs = pointwise_mul(M, _ov(q, N, (i, s), (k, r)), _ov(c, N, (k, a)))
-                yield ("q|s@i,r@k . c|a@k = q|s@i", (i, k), lhs, _ov(q, N, (i, s)))
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    if len({i, k, l}) < 3:
-                        continue
-                    lhs = pointwise_mul(M, _ov(q, N, (i, s), (k, r)), _ov(c, N, (l, a)))
-                    yield ("q|s@i,r@k . c|a@l = q|s@i,s@k", (i, k, l), lhs,
-                           _ov(q, N, (i, s), (k, s)))
-    elif spec.name == "lem_2state2_N4":
-        q, r, a, b = e["q"], e["r"], e["a"], e["b"]
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                if j == k:
-                    continue
-                lhs = _mulchain(M, _ov(q, N, (k, r)), _ov(b, N, (k, a)),
-                                _ov(b, N, (j, a)))
-                yield ("q|r@k . b|a@k . b|a@j = q|r@j", (j, k), lhs,
-                       _ov(q, N, (j, r)))
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    if len({j, k, l}) < 3:
-                        continue
-                    lhs = _mulchain(M, _ov(q, N, (k, r)), _ov(b, N, (l, a)),
-                                    _ov(b, N, (j, a)))
-                    yield ("q|r@k . b|a@l . b|a@j = q|r@j,r@k", (j, k, l), lhs,
-                           _ov(q, N, (j, r), (k, r)))
-    elif spec.name == "lem_2state3_N5":
-        q, r, a, b, c = e["q"], e["r"], e["a"], e["b"], e["c"]
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                for k in range(1, N + 1):
-                    if len({i, j, k}) < 3:
-                        continue
-                    lhs = pointwise_mul(M, _ov(q, N, (j, r)),
-                                        _ov(b, N, (i, c), (k, a)))
-                    yield ("q|r@j . b|c@i,a@k = q|r@k", (i, j, k), lhs,
-                           _ov(q, N, (k, r)))
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                if i == k:
-                    continue
-                lhs = pointwise_mul(M, _ov(q, N, (i, r)),
-                                    _ov(b, N, (i, c), (k, a)))
-                yield ("q|r@i . b|c@i,a@k = q|r@i,r@k", (i, k), lhs,
-                       _ov(q, N, (i, r), (k, r)))
-    elif spec.name == "thm_pcomm_case1":
-        q, a, b = e["q"], e["a"], e["b"]
-        s, t, r = e["s"], e["t"], e["r"]
-        cs, p = e["cs"], e["p"]
-        tail = [_ov(a, N)] + [_ov(cl, N) for cl in cs]
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                if i == k:
-                    continue
-                lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, s)),
-                                *([_ov(b, N, (k, a))] * (p + 1) + tail))
-                yield ("q|0@i,s@k . (b|a@k)^{p+1} . a~. c~ = r|0@i", (i, k),
-                       lhs, _ov(r, N, (i, ZERO)))
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    if len({i, k, l}) < 3:
-                        continue
-                    tkl = _ov(r, N, (i, ZERO), (k, t), (l, ZERO))
-                    lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, s)),
-                                    *([_ov(b, N, (l, a))]
-                                      + [_ov(b, N, (k, a))] * p + tail))
-                    yield ("q|0@i,s@k . b|a@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l",
-                           (i, k, l), lhs, tkl)
-                    lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, s), (l, ZERO)),
-                                    *([_ov(b, N, (l, ZERO))]
-                                      + [_ov(b, N, (k, a))] * p + tail))
-                    yield ("q|0@i,s@k,0@l . b|0@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l",
-                           (i, k, l), lhs, tkl)
-                    lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, s), (l, ZERO)),
-                                    *([_ov(b, N, (k, ZERO))]
-                                      + [_ov(b, N, (k, a))] * p + tail))
-                    yield ("q|0@i,s@k,0@l . b|0@k . (b|a@k)^p . a~. c~ = r|0@i,0@k,0@l",
-                           (i, k, l), lhs, _ov(r, N, (i, ZERO), (k, ZERO), (l, ZERO)))
-                    lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, ZERO), (l, ZERO)),
-                                    *([_ov(b, N, (i, ZERO))]
-                                      + [_ov(b, N)] * p + tail))
-                    yield ("q|0@i,0@k,0@l . b|0@i . b~^p . a~. c~ = r|0@i,0@k,0@l",
-                           (i, k, l), lhs, _ov(r, N, (i, ZERO), (k, ZERO), (l, ZERO)))
-        for i, j, k, l in permutations(range(1, N + 1), 4):
-            lhs = _mulchain(M, _ov(q, N, (i, ZERO), (k, ZERO), (l, ZERO)),
-                            *([_ov(b, N, (j, ZERO))] + [_ov(b, N)] * p + tail))
-            yield ("q|0@i,0@k,0@l . b|0@j . b~^p . a~. c~ = r|0@i,0@j,0@k,0@l",
-                   (i, j, k, l), lhs,
-                   _ov(r, N, (i, ZERO), (j, ZERO), (k, ZERO), (l, ZERO)))
-    elif spec.name == "thm_nondcomm":
-        lam, nu = e["lam"], e["nu"]
-        wfun, vfun = e["w"], e["v"]
-        others = list(range(1, N + 1))
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if i == j:
-                    continue
-                rest = [x for x in others if x not in (i, j)]
-                for K in combinations(rest, nu):
-                    wi = wfun(set(K) | {i})
-                    wj = wfun(set(K) | {j})
-                    lhs = _mulchain(M, vfun(j), wi, *([wj] * (lam - 1)))
-                    yield ("v_i = v_j . w_{K+i} . w_{K+j}^{lam-1}",
-                           (i, j) + K, lhs, vfun(i))
-    else:
-        raise UnknownName(spec.name)
-
-
 def verify_construction(trunc: Truncation) -> dict:
-    """Check every displayed identity and the non-membership of g.
+    """Check every declared identity and the non-membership of g.
 
     A failing identity raises ProofIdentityFailed: it would mean the
-    transcription of the construction is wrong.
+    transcription of the construction is wrong.  An identity with no
+    admissible index tuple at this N is left out of the report.
     """
     spec = trunc.spec
-    counts = {}
-    for name, indices, lhs, rhs in _identity_instances(trunc):
-        if lhs != rhs:
-            raise ProofIdentityFailed(name, indices)
-        counts[name] = counts.get(name, 0) + 1
+    identities = []
+    for name, family, instance in spec.identities:
+        for indices in family:
+            lhs, rhs = instance(*indices)
+            if lhs != rhs:
+                raise ProofIdentityFailed(name, indices)
+        if family:
+            identities.append({"identity": name, "instances": len(family),
+                               "pass": True})
     report = {
         "name": spec.name,
         "params": [str(p) for p in spec.params],
         "N": spec.N,
         "scope": SCOPE_NOTE,
-        "identities": [{"identity": k, "instances": v, "pass": True}
-                       for k, v in counts.items()],
+        "identities": identities,
         "A_size": len(trunc.elements),
         "g_label": spec.g[0],
         "g_in_A": spec.g[1] in set(trunc.elements),
     }
-    if spec.name == "thm_wc":
-        report["containment_ok"] = _thm_wc_containment(trunc)
+    if spec.containment is not None:
+        report["containment_ok"] = spec.containment(trunc.elements)
     return report
-
-
-def _thm_wc_containment(trunc: Truncation) -> bool:
-    """A sits inside A0 ∪ B ∪ {0|r@1,r@i,r@j} ∪ {0,s1..sm}^N."""
-    spec = trunc.spec
-    M, N = spec.algebra, spec.N
-    q, r = spec.extra["q"], spec.extra["r"]
-    allowed = {t for _, t in spec.a0} | {t for _, t in spec.b}
-    for i in range(2, N + 1):
-        for j in range(i + 1, N + 1):
-            allowed.add(_ov(ZERO, N, (1, r), (i, r), (j, r)))
-    cycle = {ZERO} | {M.element_by_name(f"s{i}")
-                      for i in range(1, spec.extra["m"] + 1)}
-    for t in trunc.elements:
-        if t in allowed:
-            continue
-        if not all(v in cycle for v in t):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,9 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, err = run(["classify", str(tmp_path / "missing.alg")], capsys)
     assert code == 1
+    code, _, err = run(["witness", "thm_wc", "x", "--size", "4"], capsys)
+    assert code == 1 and "usage error" in err
+    for letter in ("z", "1", "0"):      # unknown name, a state, the zero
+        code, _, err = run(["witness", "thm_nondcomm", "C3", letter, "--size", "4"],
+                           capsys)
+        assert code == 3 and "not a letter" in err

@@ -126,10 +126,63 @@ def test_kernel_nu_vacuous():
 
 def test_proof_identity_failure_aborts():
     tr = build_truncation("lem_2state2_N4", (), 4)
-    # sabotage the algebra reference so the identities cannot hold
-    tr.spec.extra["a"], tr.spec.extra["b"] = tr.spec.extra["b"], tr.spec.extra["a"]
-    with pytest.raises(ProofIdentityFailed):
+    M, N = tr.spec.algebra, tr.spec.N
+    q, r, a, b = (M.element_by_name(x) for x in "qrab")
+
+    def ov(base, *pairs):
+        return tuple(dict(pairs).get(n, base) for n in range(1, N + 1))
+
+    # a wrong transcription of the first identity: letters a and b swapped
+    def swapped(j, k):
+        lhs = pointwise_mul(M, pointwise_mul(M, ov(q, (k, r)), ov(a, (k, b))),
+                            ov(a, (j, b)))
+        return lhs, ov(q, (j, r))
+
+    name, family, _ = tr.spec.identities[0]
+    tr.spec.identities[0] = (name, family, swapped)
+    with pytest.raises(ProofIdentityFailed) as err:
         verify_construction(tr)
+    assert err.value.identity == name and err.value.indices in family
+
+
+# (identity, instances) of every construction at N = 3 and N = 4.  An
+# identity with no admissible index tuple is absent (thm_wc's second at
+# N = 3, thm_pcomm_case1's last at N = 3).
+_WC = ["0|r@1,r@j = 0|q@1,q@j,q@k . a|0@k",
+       "0|q@1,q@j,q@k . a|0@l = 0|r@1,r@j,r@k"]
+_PCOMM = ["q|0@i,s@k . (b|a@k)^{p+1} . a~. c~ = r|0@i",
+          "q|0@i,s@k . b|a@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l",
+          "q|0@i,s@k,0@l . b|0@l . (b|a@k)^p . a~. c~ = r|0@i,t@k,0@l",
+          "q|0@i,s@k,0@l . b|0@k . (b|a@k)^p . a~. c~ = r|0@i,0@k,0@l",
+          "q|0@i,0@k,0@l . b|0@i . b~^p . a~. c~ = r|0@i,0@k,0@l",
+          "q|0@i,0@k,0@l . b|0@j . b~^p . a~. c~ = r|0@i,0@j,0@k,0@l"]
+_ALL4 = ["q|s@i,r@k . c|a@k = q|s@i", "q|s@i,r@k . c|a@l = q|s@i,s@k"]
+_N4 = ["q|r@k . b|a@k . b|a@j = q|r@j", "q|r@k . b|a@l . b|a@j = q|r@j,r@k"]
+_N5 = ["q|r@j . b|c@i,a@k = q|r@k", "q|r@i . b|c@i,a@k = q|r@i,r@k"]
+_ND = ["v_i = v_j . w_{K+i} . w_{K+j}^{lam-1}"]
+PINNED_IDENTITIES = {
+    "thm_wc": {3: [(_WC[0], 2)], 4: [(_WC[0], 6), (_WC[1], 6)]},
+    "thm_pcomm_case1": {3: [(x, 6) for x in _PCOMM[:5]],
+                        4: [(_PCOMM[0], 12)] + [(x, 24) for x in _PCOMM[1:]]},
+    "ex_all4_L": {3: [(_ALL4[0], 6), (_ALL4[1], 6)],
+                  4: [(_ALL4[0], 12), (_ALL4[1], 24)]},
+    "lem_2state2_N4": {3: [(_N4[0], 6), (_N4[1], 6)],
+                       4: [(_N4[0], 12), (_N4[1], 24)]},
+    "lem_2state3_N5": {3: [(_N5[0], 6), (_N5[1], 6)],
+                       4: [(_N5[0], 24), (_N5[1], 12)]},
+    "thm_nondcomm": {3: [(_ND[0], 6)], 4: [(_ND[0], 24)]},
+}
+
+
+def test_identity_names_and_instance_counts_are_pinned():
+    assert set(PINNED_IDENTITIES) == set(CONSTRUCTION_NAMES)
+    runs = [(name, ()) for name in CONSTRUCTION_NAMES]
+    runs += [("thm_wc", (m,)) for m in (0, 1, 2)]
+    for name, params in runs:
+        for N in (3, 4):
+            report = verify_construction(build_truncation(name, params, N))
+            got = [(i["identity"], i["instances"]) for i in report["identities"]]
+            assert got == PINNED_IDENTITIES[name][N], (name, params, N)
 
 
 def test_local_eval_probe_f0():
