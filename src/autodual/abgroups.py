@@ -127,6 +127,24 @@ class AbelianGroup:
     def subgroup_generated(self, gens: Iterable[int]) -> frozenset:
         return frozenset(closure([self.identity], list(gens), self.op))
 
+    def difference_subgroup(self, xs: Iterable[int]) -> frozenset:
+        """⟨x⁻¹y : x, y in xs⟩; a Mal'cev closed xs is a coset of it."""
+        xs = set(xs)
+        return self.subgroup_generated({self.op(self._inv[x], y) for x in xs for y in xs})
+
+    def malcev_gap(self, xs: Sequence[int]) -> Optional[tuple]:
+        """The first index triple (i, j, k), in nested-loop order, with
+        xs[i]·xs[j]⁻¹·xs[k] outside xs, or None when xs is closed under
+        x·y⁻¹·z; a nonempty xs is closed exactly when it is a coset."""
+        inside = set(xs)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                row = self.table[self.table[x][self._inv[y]]]
+                for k, z in enumerate(xs):
+                    if row[z] not in inside:
+                        return (i, j, k)
+        return None
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -32,9 +32,11 @@ from . import structure, terms
 from .abgroups import AbelianGroup
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
 from .errors import BadParams, InternalInconsistency
-from .powers import Groupoid, constant_letter_values, find_embedding
-from .structure import (components, letter_affine_analysis, nondcomm_check,
-                        rankill_check, whiskery_check)
+from .powers import constant_letter_values
+from .structure import (component_actions, component_letters, components,
+                        difference_order, first_embedded, group_law_holds,
+                        letter_affine_analysis, nondcomm_check, rankill_check,
+                        whiskery_check)
 from .terms import LeftChain, check_identity
 
 EQ_XY_XYYY = (LeftChain("x", ("y",)), LeftChain("x", ("y", "y", "y")))
@@ -236,13 +238,7 @@ def _detect_two_state(N: AutomaticAlgebra):
     cex1 = check_identity(N, *EQ_XY_XYYY)
     cex2 = check_identity(N, *EQ_WXYZ_WYXZ)
     holds = cex1 is None and cex2 is None
-    forbidden = None
-    for i in range(6):
-        A = Groupoid.from_algebra(catalog("N", i))
-        hom = find_embedding(A, N)
-        if hom is not None:
-            forbidden = (f"N{i}", {A.labels[k]: N.name(x) for k, x in enumerate(hom)})
-            break
+    forbidden = first_embedded(N, "N", range(6))
     if holds != (forbidden is None):
         raise InternalInconsistency(
             "two-state equations and forbidden-subalgebra tests disagree")
@@ -250,9 +246,9 @@ def _detect_two_state(N: AutomaticAlgebra):
         cert = {"kind": "two_state_equations",
                 "identities": ["x*y = x*y*y*y", "w*x*y*z = w*y*x*z"]}
         return ("dualizable", cert, "both equations hold")
-    cert = {"kind": "two_state_forbidden", "which": forbidden[0],
+    cert = {"kind": "two_state_forbidden", "which": f"N{forbidden[0]}",
             "embedding": forbidden[1]}
-    return ("non_dualizable", cert, f"forbidden subalgebra {forbidden[0]}")
+    return ("non_dualizable", cert, f"forbidden subalgebra {cert['which']}")
 
 
 def _detect_constant_letters(N: AutomaticAlgebra):
@@ -558,8 +554,7 @@ def _verify_letter_affine(M, cert):
     if [e["states"] for e in stated] != [[M.state_names[s] for s in c] for c in comps]:
         return (False, "stated components do not match")
     for comp, entry in zip(comps, stated):
-        sigma_c = [j for j in range(M.n_letters)
-                   if any((s, j) in M.delta for s in comp)]
+        sigma_c = component_letters(M, comp)
         if entry["letters"] != [M.letter_names[j] for j in sigma_c]:
             return (False, "stated component letters do not match")
         if not sigma_c:
@@ -579,22 +574,14 @@ def _verify_letter_affine(M, cert):
             if img_name not in pos:
                 return (False, f"no stated image for letter {M.letter_names[j]}")
             images[j] = pos[img_name]
-        for k, s in enumerate(comp):
-            for j in sigma_c:
-                got = M.mul(M.state(s), M.letter(j))
-                want_pos = G.op(k, images[j])
-                if got == ZERO or M.state_names.index(names[want_pos]) != M.state_index(got):
-                    return (False, "table law q·a = q * a_img fails")
-        diffs = [G.op(G.inv(images[a]), images[b]) for a in sigma_c for b in sigma_c]
-        H = G.subgroup_generated(diffs)
+        if not group_law_holds(M, comp, G, images):
+            return (False, "table law q·a = q * a_img fails")
+        H = G.difference_subgroup(images.values())
         if sorted(names[g] for g in H) != sorted(entry["H"]):
             return (False, "stated H is not the difference subgroup")
         image_set = set(images.values())
-        for x in image_set:
-            for y in image_set:
-                for z in image_set:
-                    if G.op(x, G.op(G.inv(y), z)) not in image_set:
-                        return (False, "letter images are not Mal'cev closed")
+        if G.malcev_gap(sorted(image_set)) is not None:
+            return (False, "letter images are not Mal'cev closed")
         least = images[sigma_c[0]]
         coset = {G.op(least, h) for h in H}
         if coset != image_set:
@@ -620,14 +607,11 @@ def _verify_commuting_permutations(M, cert):
     b = M.letter_names.index(cert["b"])
     c = M.letter_names.index(cert["c"])
     perms = profile.perms
-    m = structure._perm_order(structure._compose(perms[b],
-                                                 structure._perm_inverse(perms[c])))
+    m = difference_order(perms, b, c)
     if m != cert["m"] or m <= 1:
         return (False, f"stated order m = {cert['m']} is wrong (actual {m})")
     for comp in components(M):
-        pos = {s: k for k, s in enumerate(comp)}
-        actions = {tuple(pos[perms[j][s]] for s in comp) for j in range(M.n_letters)}
-        if structure._coset_inside(actions, m):
+        if structure._coset_inside(component_actions(comp, perms), m):
             return (False, "a component action set contains a qualifying coset")
     return (True, "")
 

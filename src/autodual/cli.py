@@ -222,7 +222,16 @@ def cmd_embed(args) -> int:
     return 0
 
 
+# the most positional parameters each construction accepts
+_WITNESS_ARITY = {name: 0 for name in witness_mod.CONSTRUCTION_NAMES} | {
+    "thm_wc": 1, "thm_pcomm_case1": 1, "thm_nondcomm": 3}
+
+
 def cmd_witness(args) -> int:
+    arity = _WITNESS_ARITY.get(args.name)
+    if arity is not None and len(args.params) > arity:
+        raise UsageError(f"{args.name} takes at most {arity} parameter(s), "
+                         f"got {len(args.params)}")
     params = ()
     if args.name == "thm_wc":
         try:

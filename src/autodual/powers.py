@@ -9,6 +9,7 @@ catalog algebras and for subalgebras of powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import getitem
 from typing import Iterable, Optional, Sequence
 
@@ -575,24 +576,19 @@ def op_pbar(M: AutomaticAlgebra, component_index: int = 0) -> PartialOperation:
     from .structure import components, component_group
     comp = components(M)[component_index]
     data = component_group(M, comp)
-    images = sorted(set(data.letter_images.values()))
-    table = {(ZERO, ZERO, ZERO): ZERO}
-    for x in comp:
-        for y in comp:
-            for z in comp:
-                val = data.op_states(x, data.op_states(data.inv_state(y), z))
-                table[(M.state(x), M.state(y), M.state(z))] = M.state(val)
+    G = data.group
     image_of = {a: data.letter_images[M.letter_index(a)] for a in M.letters()}
-    for a in M.letters():
-        for b in M.letters():
-            for c in M.letters():
-                gi = data.group.op(image_of[a],
-                                   data.group.op(data.group.inv(image_of[b]),
-                                                 image_of[c]))
-                if gi not in images:
-                    raise PreconditionViolated(
-                        "letter images are not Mal'cev closed on this component")
-                table[(a, b, c)] = _least_letter_with_image(M, data, gi)
+    if G.malcev_gap(list(image_of.values())) is not None:
+        raise PreconditionViolated("letter images are not Mal'cev closed on this component")
+    # the operation itself: x·y⁻¹·z in the group, on states and on letters
+    carriers = (({M.state(s): k for k, s in enumerate(comp)},
+                 lambda g: M.state(comp[g])),
+                (image_of, lambda g: _least_letter_with_image(M, data, g)))
+    table = {(ZERO, ZERO, ZERO): ZERO}
+    for index_of, element in carriers:
+        for x, y, z in product(index_of, repeat=3):
+            table[(x, y, z)] = element(G.op(G.op(index_of[x], G.inv(index_of[y])),
+                                            index_of[z]))
     return PartialOperation("pbar", 3, table)
 
 
@@ -648,6 +644,19 @@ def op_psi(M: AutomaticAlgebra, endo: dict, component_index: int = 0) -> Partial
     return PartialOperation("psi", 1, table)
 
 
+_OP_BUILDERS = {
+    "g_uv": op_g_uv,
+    "join": op_join,
+    "quasi_meet": op_quasi_meet,
+    "chain_meet": op_chain_meet,
+    "h": op_h,
+    "lambda_g": op_lambda,
+    "diamond": op_diamond,
+    "pbar": op_pbar,
+    "psi": op_psi,
+}
+
+
 def make_compatible_op(M: AutomaticAlgebra, name: str, params=None) -> PartialOperation:
     """Dispatcher over the compatible-operation library.
 
@@ -655,23 +664,6 @@ def make_compatible_op(M: AutomaticAlgebra, name: str, params=None) -> PartialOp
     lambda_g(g), diamond, pbar(component_index), psi(endo, component_index).
     Parameters are passed as a tuple/dict in `params`.
     """
-    params = params or ()
-    if name == "g_uv":
-        return op_g_uv(M, *params)
-    if name == "join":
-        return op_join(M)
-    if name == "quasi_meet":
-        return op_quasi_meet(M)
-    if name == "chain_meet":
-        return op_chain_meet(M)
-    if name == "h":
-        return op_h(M, *params)
-    if name == "lambda_g":
-        return op_lambda(M, *params)
-    if name == "diamond":
-        return op_diamond(M)
-    if name == "pbar":
-        return op_pbar(M, *params)
-    if name == "psi":
-        return op_psi(M, *params)
-    raise UnknownName(f"unknown compatible operation {name!r}")
+    if name not in _OP_BUILDERS:
+        raise UnknownName(f"unknown compatible operation {name!r}")
+    return _OP_BUILDERS[name](M, *(params or ()))

@@ -1,12 +1,21 @@
 """Structural predicates: components, kill sets, whiskery cycles,
 permutation profiles, per-component abelian groups, the letter-affine test,
 and the commuting-permutation non-dualizability conditions.
+
+The per-component group data has one home each: `component_letters` (the
+letters defined on a component), `component_actions` (their position
+permutations), `difference_order` (the order of ρ_b ρ_c⁻¹),
+`group_law_holds` (q·a = q * a_img) and `first_embedded` (the least
+catalog algebra of a family that embeds).  The detectors here and the
+certificate verifiers in `classify` both call them, and the Mal'cev and
+difference-subgroup computations live on `abgroups.AbelianGroup`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .abgroups import AbelianGroup, closure, cyclic_decomposition
@@ -47,6 +56,11 @@ def component_of(M: AutomaticAlgebra, state_index: int) -> list:
         if state_index in comp:
             return comp
     raise InternalInconsistency("state not covered by components")
+
+
+def component_letters(M: AutomaticAlgebra, comp: Sequence[int]) -> list:
+    """Indices of the letters defined at some state of the component."""
+    return [j for j in range(M.n_letters) if any((s, j) in M.delta for s in comp)]
 
 
 @dataclass(frozen=True)
@@ -153,16 +167,20 @@ def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
     return None
 
 
-def _whiskery_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
-    """(m, embedding dict) for the least m with F_m embeddable, else None."""
-    for m in range(0, max(0, M.n_states - 1)):
-        Fm = catalog("F", m)
-        A = Groupoid.from_algebra(Fm)
+def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional[tuple]:
+    """(p, element-name map) for the first p in `params` with catalog(name, p)
+    embeddable in M, else None."""
+    for p in params:
+        A = Groupoid.from_algebra(catalog(name, p))
         hom = find_embedding(A, M)
         if hom is not None:
-            names = {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
-            return (m, names)
+            return p, {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
     return None
+
+
+def _whiskery_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
+    """(m, embedding dict) for the least m with F_m embeddable, else None."""
+    return first_embedded(M, "F", range(max(0, M.n_states - 1)))
 
 
 def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
@@ -198,37 +216,17 @@ class PermProfile:
 
 
 def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
-    perms = []
-    permutational = True
-    for j in range(M.n_letters):
-        act = M.action(j)
-        if None in act or len(set(act)) != M.n_states:
-            permutational = False
-            perms = None
-            break
-        perms.append(act)
-    commuting = True
-    for i in range(M.n_states):
-        q = M.state(i)
-        for a in range(M.n_letters):
-            for b in range(M.n_letters):
-                if M.word(q, (a, b)) != M.word(q, (b, a)):
-                    commuting = False
+    perms = tuple(M.action(j) for j in range(M.n_letters))
+    permutational = all(None not in p and len(set(p)) == M.n_states for p in perms)
+    commuting = all(M.word(q, (a, b)) == M.word(q, (b, a)) for q in M.states()
+                    for a, b in combinations(range(M.n_letters), 2))
     status = []
     for comp in components(M):
-        row = []
-        for j in range(M.n_letters):
-            defined = [i for i in comp if (i, j) in M.delta]
-            if not defined:
-                row.append("undefined")
-            elif len(defined) == len(comp) and \
-                    len({M.delta[(i, j)] for i in defined}) == len(comp):
-                row.append("total")
-            else:
-                row.append("partial")
-        status.append(tuple(row))
-    return PermProfile(permutational, commuting,
-                       tuple(perms) if perms is not None else None,
+        on = component_letters(M, comp)
+        status.append(tuple("undefined" if j not in on else
+                            "partial" if _perm_on(M, comp, j) is None else "total"
+                            for j in range(M.n_letters)))
+    return PermProfile(permutational, commuting, perms if permutational else None,
                        tuple(status))
 
 
@@ -265,15 +263,10 @@ class AbelianGroupData:
 def _perm_on(M: AutomaticAlgebra, comp: list, j: int) -> Optional[tuple]:
     """Letter j as a position permutation of the component, or None."""
     pos = {s: k for k, s in enumerate(comp)}
-    out = []
-    for s in comp:
-        t = M.delta.get((s, j))
-        if t is None or t not in pos:
-            return None
-    images = [pos[M.delta[(s, j)]] for s in comp]
-    if len(set(images)) != len(comp):
+    images = tuple(pos.get(M.delta.get((s, j))) for s in comp)
+    if None in images or len(set(images)) != len(comp):
         return None
-    return tuple(images)
+    return images
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -302,8 +295,27 @@ def _perm_order(p: tuple) -> int:
     return k
 
 
-def component_group(M: AutomaticAlgebra, comp: Sequence[int],
-                    letters: Optional[Sequence[int]] = None) -> AbelianGroupData:
+def difference_order(perms: Sequence[tuple], b: int, c: int) -> int:
+    """The order of ρ_b ρ_c⁻¹ for the letter permutations `perms`."""
+    return _perm_order(_compose(perms[b], _perm_inverse(perms[c])))
+
+
+def component_actions(comp: Sequence[int], perms: Sequence[tuple]) -> set:
+    """The distinct actions of the letters on a component, as permutations
+    of its positions."""
+    pos = {s: k for k, s in enumerate(comp)}
+    return {tuple(pos[p[s]] for s in comp) for p in perms}
+
+
+def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
+                    images: dict) -> bool:
+    """Whether q·a = q * a_img for every state q of the component and every
+    letter a in `images`; group element k is the state comp[k]."""
+    return all(M.mul(M.state(s), M.letter(j)) == M.state(comp[G.op(k, g)])
+               for k, s in enumerate(comp) for j, g in images.items())
+
+
+def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupData:
     """The abelian group a component carries under a transitive commuting
     permutation action of its letters.
 
@@ -313,9 +325,7 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int],
     law q·a = q * a_img is asserted before returning.
     """
     comp = sorted(comp)
-    if letters is None:
-        letters = [j for j in range(M.n_letters)
-                   if any((s, j) in M.delta for s in comp)]
+    letters = component_letters(M, comp)
     perms = {}
     for j in letters:
         p = _perm_on(M, comp, j)
@@ -323,11 +333,10 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int],
             raise NotPermutational(
                 f"letter {M.letter_names[j]} is not a permutation of the component")
         perms[j] = p
-    for j1 in letters:
-        for j2 in letters:
-            if _compose(perms[j1], perms[j2]) != _compose(perms[j2], perms[j1]):
-                raise NotCommuting(
-                    f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
+    for j1, j2 in combinations(letters, 2):
+        if _compose(perms[j1], perms[j2]) != _compose(perms[j2], perms[j1]):
+            raise NotCommuting(
+                f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
     group_elems = generated_group([perms[j] for j in letters], len(comp))
     orbit = {p[0] for p in group_elems}
     if len(orbit) != len(comp):
@@ -335,30 +344,16 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int],
     if len(group_elems) != len(comp):
         raise NotCommuting("transitive abelian action is not regular; "
                            "letters cannot commute")
-    # e sits at position 0 (least state); the bijection is φ ↦ φ(position 0)
-    by_value = {}
-    for p in group_elems:
-        by_value[p[0]] = p
-    table = [[0] * len(comp) for _ in comp]
-    for g1 in range(len(comp)):
-        for g2 in range(len(comp)):
-            table[g1][g2] = _compose(by_value[g1], by_value[g2])[0]
-    group = AbelianGroup(table, labels=[M.state_names[s] for s in comp])
+    # e sits at position 0 (least state) and g is the φ with φ(0) = g.  Row g
+    # of the table is φ_g itself, as g·h = (φ_g∘φ_h)(0) = φ_g(h); sorting
+    # the φ orders them by φ(0), the first coordinate, which is distinct.
+    group = AbelianGroup(sorted(group_elems), labels=[M.state_names[s] for s in comp])
     letter_images = {j: perms[j][0] for j in letters}
-    diffs = []
-    for j1 in letters:
-        for j2 in letters:
-            diffs.append(group.op(group.inv(letter_images[j1]), letter_images[j2]))
-    H = group.subgroup_generated(diffs)
-    data = AbelianGroupData(tuple(comp), comp[0], group, letter_images, H,
+    data = AbelianGroupData(tuple(comp), comp[0], group, letter_images,
+                            group.difference_subgroup(letter_images.values()),
                             group.exponent, cyclic_decomposition(group))
-    for s in comp:
-        for j in letters:
-            got = M.mul(M.state(s), M.letter(j))
-            want = M.state(data.op_states(s, data.state_of_group_index(letter_images[j])))
-            if got != want:
-                raise InternalInconsistency(
-                    "component group law q·a = q * a_img failed")
+    if not group_law_holds(M, comp, group, letter_images):
+        raise InternalInconsistency("component group law q·a = q * a_img failed")
     return data
 
 
@@ -372,8 +367,6 @@ class ComponentAffineReport:
     sigma_c: tuple            # letter indices acting on this component
     dropped: tuple            # letters undefined on this component
     data: Optional[AbelianGroupData]
-    coset_ok: bool
-    failure: Optional[tuple]  # (kind, detail)
 
 
 @dataclass
@@ -394,43 +387,24 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
     """
     reports = []
     for comp in components(M):
-        sigma_c = [j for j in range(M.n_letters)
-                   if any((s, j) in M.delta for s in comp)]
+        sigma_c = component_letters(M, comp)
         dropped = tuple(j for j in range(M.n_letters) if j not in sigma_c)
         for j in sigma_c:
             if _perm_on(M, comp, j) is None:
                 failure = (tuple(comp), "not-permutational", M.letter_names[j])
                 return LetterAffineReport(False, reports, failure)
         try:
-            data = component_group(M, comp, sigma_c) if sigma_c else None
+            data = component_group(M, comp) if sigma_c else None
         except NotCommuting as exc:
             return LetterAffineReport(False, reports,
                                       (tuple(comp), "not-commuting", str(exc)))
-        triple = None
+        reports.append(ComponentAffineReport(tuple(comp), tuple(sigma_c), dropped, data))
         if data is not None:
-            images = data.letter_images
-            image_set = set(images.values())
-            for a in sigma_c:
-                for b in sigma_c:
-                    for c in sigma_c:
-                        g = data.group.op(images[a],
-                                          data.group.op(data.group.inv(images[b]),
-                                                        images[c]))
-                        if g not in image_set:
-                            triple = (a, b, c)
-                            break
-                    if triple:
-                        break
-                if triple:
-                    break
-        if triple is not None:
-            reports.append(ComponentAffineReport(tuple(comp), tuple(sigma_c),
-                                                 dropped, data, False, None))
-            return LetterAffineReport(False, reports,
-                                      (tuple(comp), "malcev",
-                                       tuple(M.letter_names[x] for x in triple)))
-        reports.append(ComponentAffineReport(tuple(comp), tuple(sigma_c),
-                                             dropped, data, True, None))
+            gap = data.group.malcev_gap([data.letter_images[j] for j in sigma_c])
+            if gap is not None:
+                return LetterAffineReport(False, reports,
+                                          (tuple(comp), "malcev",
+                                           tuple(M.letter_names[sigma_c[i]] for i in gap)))
     return LetterAffineReport(True, reports)
 
 
@@ -489,25 +463,20 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
     if not profile.permutational or not profile.commuting:
         return None
     perms = profile.perms
-    comps = components(M)
+    comp_actions = [(tuple(comp), component_actions(comp, perms))
+                    for comp in components(M)]
     for b in range(M.n_letters):
         for c in range(M.n_letters):
             if b == c:
                 continue
-            m = _perm_order(_compose(perms[b], _perm_inverse(perms[c])))
+            m = difference_order(perms, b, c)
             if m <= 1:
                 continue
             report = []
-            ok = True
-            for comp in comps:
-                pos = {s: k for k, s in enumerate(comp)}
-                actions = set()
-                for j in range(M.n_letters):
-                    actions.add(tuple(pos[perms[j][s]] for s in comp))
+            for comp, actions in comp_actions:
                 if _coset_inside(actions, m):
-                    ok = False
                     break
-                report.append((tuple(comp), len(actions)))
-            if ok:
+                report.append((comp, len(actions)))
+            else:
                 return NondcommWitness(b, c, m, report)
     return None

@@ -27,7 +27,7 @@ from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
 from .powers import (Groupoid, enumerate_homs, generate_power_groupoid,
                      hom_exists, pointwise_mul)
-from .structure import permutation_profile, _compose, _perm_inverse, _perm_order
+from .structure import difference_order, permutation_profile, _perm_order
 
 SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
               "only; congruence-index conditions over infinite algebras are "
@@ -42,7 +42,7 @@ class ConstructionSpec:
     params: tuple
     N: int
     algebra: AutomaticAlgebra
-    coord_names: list
+    width: int                # number of coordinates of the power
     a0: list                  # (label, tuple) pairs
     b: list                   # (label, tuple) pairs
     g: tuple                  # (label, tuple)
@@ -85,10 +85,6 @@ def _mulchain(M, first, *rest):
     return out
 
 
-def _coords(N):
-    return [str(i) for i in range(1, N + 1)]
-
-
 # ---------------------------------------------------------------------------
 # the constructions
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def _spec_thm_wc(params, N):
         cycle = {ZERO} | {M.element_by_name(f"s{i}") for i in range(1, m + 1)}
         return all(t in allowed or all(v in cycle for v in t) for t in elements)
 
-    return ConstructionSpec("thm_wc", (m,), N, M, _coords(N), a0, gens, g, 1,
+    return ConstructionSpec("thm_wc", (m,), N, M, N, a0, gens, g, 1,
                             identities, containment)
 
 
@@ -142,7 +138,7 @@ def _spec_ex_all4_L(params, N):
                                         _ov(c, N, (l, a))),
                           _ov(q, N, (i, s), (k, s)))),
     ]
-    return ConstructionSpec("ex_all4_L", (), N, M, _coords(N), a0, gens,
+    return ConstructionSpec("ex_all4_L", (), N, M, N, a0, gens,
                             _gen(M, N, q), 1, identities)
 
 
@@ -161,7 +157,7 @@ def _spec_lem_2state2(params, N):
                                     _ov(b, N, (j, a))),
                           _ov(q, N, (j, r), (k, r)))),
     ]
-    return ConstructionSpec("lem_2state2_N4", (), N, M, _coords(N), a0, gens,
+    return ConstructionSpec("lem_2state2_N4", (), N, M, N, a0, gens,
                             _gen(M, N, q), 1, identities)
 
 
@@ -179,7 +175,7 @@ def _spec_lem_2state3(params, N):
          lambda i, k: (pointwise_mul(M, _ov(q, N, (i, r)), _ov(b, N, (i, c), (k, a))),
                        _ov(q, N, (i, r), (k, r)))),
     ]
-    return ConstructionSpec("lem_2state3_N5", (), N, M, _coords(N), a0, gens,
+    return ConstructionSpec("lem_2state3_N5", (), N, M, N, a0, gens,
                             _gen(M, N, q), 1, identities)
 
 
@@ -268,7 +264,7 @@ def _spec_thm_pcomm(params, N):
                              _ov(r, N, (i, ZERO), (j, ZERO), (k, ZERO), (l, ZERO)))),
     ]
     return ConstructionSpec("thm_pcomm_case1", (M.name(q), M.name(a), M.name(b)),
-                            N, M, _coords(N), a0, gens, _gen(M, N, r), 1, identities)
+                            N, M, N, a0, gens, _gen(M, N, r), 1, identities)
 
 
 def _spec_thm_nondcomm(params, N):
@@ -283,7 +279,7 @@ def _spec_thm_nondcomm(params, N):
     bj = M.letter_names.index(bname)
     cj = M.letter_names.index(cname)
     perms = profile.perms
-    if _perm_order(_compose(perms[bj], _perm_inverse(perms[cj]))) <= 1:
+    if difference_order(perms, bj, cj) <= 1:
         raise BadParams("chosen letters have equal action")
     lam = lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
     s_idx = None
@@ -297,13 +293,7 @@ def _spec_thm_nondcomm(params, N):
     nu = M.n_letters - 1
     b_elem, c_elem = M.letter(bj), M.letter(cj)
     s_elem, r_elem = M.state(s_idx), M.state(r_idx)
-    coords = _coords(N)
-    block = []
-    for i in range(M.n_states):
-        block.append(("b", i))
-        block.append(("c", i))
-        coords.append(f"({M.state_names[i]},{bname})")
-        coords.append(f"({M.state_names[i]},{cname})")
+    block = [(kind, i) for i in range(M.n_states) for kind in "bc"]
 
     def v(i):
         vals = [r_elem if n == i else s_elem for n in range(1, N + 1)]
@@ -333,9 +323,9 @@ def _spec_thm_nondcomm(params, N):
         return _mulchain(M, v(j), w(set(K) | {i}), *[wj] * (lam - 1)), v(i)
 
     identities = [("v_i = v_j . w_{K+i} . w_{K+j}^{lam-1}", family, instance)]
-    return ConstructionSpec("thm_nondcomm",
-                            (M.name(M.state(s_idx)), bname, cname), N, M, coords,
-                            a0, bgen, ("g", tuple(gvals)), nu, identities)
+    return ConstructionSpec("thm_nondcomm", (M.name(M.state(s_idx)), bname, cname),
+                            N, M, N + len(block), a0, bgen, ("g", tuple(gvals)), nu,
+                            identities)
 
 
 _SPEC_BUILDERS = {
@@ -360,8 +350,7 @@ def build_truncation(name: str, params=(), N: int = 4,
         raise BadParams("truncation size must be at least 3")
     spec = _SPEC_BUILDERS[name](params, N)
     gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
-    width = len(spec.coord_names)
-    elements, groupoid = generate_power_groupoid(spec.algebra, width, gens,
+    elements, groupoid = generate_power_groupoid(spec.algebra, spec.width, gens,
                                                  max_elements=max_elements)
     pos = {t: i for i, t in enumerate(elements)}
     a0_indices = [pos[t] for _, t in spec.a0]

@@ -166,6 +166,10 @@ def test_malcev_closure_characterizes_cosets():
         S = frozenset(i for i in range(6) if bits >> i & 1)
         closed = all((x - y + z) % 6 in S for x in S for y in S for z in S)
         assert closed == (S in cosets), S
+        assert (G.malcev_gap(sorted(S)) is None) == (S in cosets), S
+        if S in cosets:
+            x = min(S)
+            assert G.difference_subgroup(sorted(S)) == {(s - x) % 6 for s in S}, S
 
 
 def test_zero_column_exhaustive_z2():

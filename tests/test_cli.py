@@ -140,3 +140,7 @@ def test_exit_codes(tmp_path, capsys):
         code, _, err = run(["witness", "thm_nondcomm", "C3", letter, "--size", "4"],
                            capsys)
         assert code == 3 and "not a letter" in err
+    for argv in (["ex_all4_L", "foo"], ["thm_wc", "1", "junk"],
+                 ["lem_2state2_N4", "x"], ["thm_nondcomm", "C3", "b", "c", "d"]):
+        code, _, err = run(["witness", *argv, "--size", "3"], capsys)
+        assert code == 1 and "usage error" in err

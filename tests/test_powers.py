@@ -109,7 +109,7 @@ def closure_or_cap(build, M, n, gens, cap):
 def test_power_groupoid_matches_reference_on_constructions(name, N):
     spec = build_truncation(name, (), N).spec
     gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
-    assert_closure_matches(spec.algebra, len(spec.coord_names), gens)
+    assert_closure_matches(spec.algebra, spec.width, gens)
 
 
 @settings(max_examples=60, deadline=None)
