@@ -67,6 +67,7 @@ class AutomaticAlgebra:
                     f"conflicting transitions for ({state_names[si]}, {letter_names[lj]})")
             clean[(si, lj)] = ti
         self.delta = MappingProxyType(clean)
+        self._products = None   # product_table(), built on first use
 
     @classmethod
     def build(cls, states: Sequence[str], letters: Sequence[str],
@@ -144,6 +145,23 @@ class AutomaticAlgebra:
             if t is not None:
                 return 1 + t
         return ZERO
+
+    def product_table(self) -> tuple:
+        """The |M|×|M| table of `mul`, rows and columns indexed by element code.
+
+        Built on first use and kept.  It is derived from `delta`, so it takes
+        no part in `table_key`, equality or hashing.  The rows of 0 and of
+        the letters are one shared all-zero tuple.
+        """
+        if self._products is None:
+            size, n = self.size(), self.n_states
+            rows = [[ZERO] * size for _ in range(n)]
+            for (si, lj), ti in self.delta.items():
+                rows[si][1 + n + lj] = 1 + ti
+            zero_row = (ZERO,) * size
+            self._products = ((zero_row,) + tuple(map(tuple, rows))
+                              + (zero_row,) * self.n_letters)
+        return self._products
 
     def word(self, x: int, letter_indices: Iterable[int]) -> int:
         """Left-bracketed action of a word (sequence of letter indices)."""

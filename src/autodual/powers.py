@@ -67,7 +67,7 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
     closure is.
     """
     size = M.size()
-    mt = [[M.mul(x, y) for y in range(size)] for x in range(size)]
+    mt = M.product_table()
     elems, index = [], {}
     for g in generators:
         if len(g) != n:
@@ -238,7 +238,7 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     n, table = A.n, A.table
     columns, pre_left, pre_right = A.search_index()
     size = M.size()
-    mt = [[M.mul(x, y) for y in range(size)] for x in range(size)]
+    mt = M.product_table()
     full = (1 << size) - 1
     # L[x][z]: the c with x·c = z; R[x][z]: the c with c·x = z; D[z]: the c
     # with c·c = z.  L[x][-1] and R[x][-1] are full, for an open z.
@@ -567,15 +567,27 @@ def op_diamond(M: AutomaticAlgebra) -> PartialOperation:
     return PartialOperation("diamond", 2, table)
 
 
+def _letter_component(M: AutomaticAlgebra, component_index: int) -> tuple:
+    """(component, its group data), for a component every letter acts on."""
+    from .structure import components, component_group
+    comps = components(M)
+    if not 0 <= component_index < len(comps):
+        raise IndexOutOfRange(f"no component {component_index}")
+    data = component_group(M, comps[component_index])
+    for j in range(M.n_letters):
+        if j not in data.letter_images:
+            raise PreconditionViolated(
+                f"letter {M.letter_names[j]} is undefined on this component")
+    return comps[component_index], data
+
+
 def op_pbar(M: AutomaticAlgebra, component_index: int = 0) -> PartialOperation:
     """Mal'cev operation xy⁻¹z on one component, extended to letter triples.
 
     Needs the letter images on the component to be closed under the Mal'cev
     operation (the letter-affine condition there).
     """
-    from .structure import components, component_group
-    comp = components(M)[component_index]
-    data = component_group(M, comp)
+    comp, data = _letter_component(M, component_index)
     G = data.group
     image_of = {a: data.letter_images[M.letter_index(a)] for a in M.letters()}
     if G.malcev_gap(list(image_of.values())) is not None:
@@ -607,9 +619,9 @@ def op_psi(M: AutomaticAlgebra, endo: dict, component_index: int = 0) -> Partial
     sends a^t·h to a^t·endo(h) on the component and acts on letters through
     their images; it is defined on C ∪ Σ ∪ {0}.
     """
-    from .structure import components, component_group
-    comp = components(M)[component_index]
-    data = component_group(M, comp)
+    comp, data = _letter_component(M, component_index)
+    if not data.letter_images:
+        raise PreconditionViolated("no letter acts on this component")
     G, H = data.group, data.subgroup_H
     for h in H:
         if endo.get(h) not in H:

@@ -13,6 +13,10 @@ quasi-identities ``eq ('&' eq)* '=>' eq``.
 Every term normalizes under the bracket-from-the-left convention: a product
 whose right factor is itself a product is constantly 0 in every automatic
 algebra, and everything else flattens to a left chain u·v1·v2·…·vn.
+
+Identities and quasi-identities are model-checked as a hash join over the
+algebra's product table, which returns the first counterexample of a
+lexicographic scan; `check_quasi_identity` describes the join.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import getitem
 from typing import Optional, Union
 
 from .algebras import ZERO, AutomaticAlgebra
-from .errors import TermSyntaxError
+from .errors import CapExceeded, TermSyntaxError
 
 
 # ---------------------------------------------------------------------------
@@ -208,49 +213,146 @@ def parse_quasi_identity(src: str, variables=None) -> QuasiIdentity:
 # evaluation and model checking
 # ---------------------------------------------------------------------------
 
-def eval_term(M: AutomaticAlgebra, term: GroupoidTerm, assignment: dict) -> int:
-    if isinstance(term, Var):
-        return assignment[term.name]
-    return M.mul(eval_term(M, term.left, assignment),
-                 eval_term(M, term.right, assignment))
+# The most work one check may do: the |M|² product-table cells it reads plus
+# the partial assignments it walks.  Whiskery's check at chain 7
+# (|M| = 1,264) needs 3·|M|² ≈ 4.8·10⁶.
+JOIN_CAP = 10_000_000
 
 
-def eval_normal(M: AutomaticAlgebra, term: NormalTerm, assignment: dict) -> int:
-    if isinstance(term, ZeroEquivalent):
+def _column(table, chain, jv, cols, n):
+    """Values of a left chain over the n assignments of one side.
+
+    Positions below len(jv) read the join values, the others read the
+    side's columns, so a product costs one table lookup per assignment.
+    """
+    if isinstance(chain, ZeroEquivalent):
+        return [ZERO] * n
+    head, tail = chain
+    nj = len(jv)
+    xs = [jv[head]] * n if head < nj else cols[head - nj]
+    for p in tail:
+        if p < nj:
+            y = jv[p]
+            xs = [table[x][y] for x in xs]
+        else:
+            xs = list(map(getitem, map(table.__getitem__, xs), cols[p - nj]))
+    return xs
+
+
+def _value(table, chain, vals):
+    """Value of a left chain at one assignment of its positions."""
+    if isinstance(chain, ZeroEquivalent):
         return ZERO
-    x = assignment[term.head]
-    for v in term.tail:
-        x = M.mul(x, assignment[v])
+    head, tail = chain
+    x = vals[head]
+    for p in tail:
+        x = table[x][vals[p]]
     return x
 
 
-def _assignments(M: AutomaticAlgebra, variables):
-    """Lexicographic over the canonical element order, last variable fastest."""
+def _least_two(keys, values):
+    """Per key: [least index, its value, least index with another value]."""
+    out = {}
+    for i, (key, c) in enumerate(zip(keys, values)):
+        entry = out.get(key)
+        if entry is None:
+            out[key] = [i, c, None]
+        elif entry[2] is None and c != entry[1]:
+            entry[2] = i
+    return out
+
+
+def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional[dict]:
+    """The hash join behind `check_identity` and `check_quasi_identity`."""
+    equations = tuple(premises) + (conclusion,)
+    left = {v for lhs, _ in equations for v in lhs.variables()}
+    right = {v for _, rhs in equations for v in rhs.variables()}
+    variables = sorted(left | right)
+    joined = sorted(left & right)
+    size = M.size()
+    sides = []
+    for only, pick in ((sorted(left - right), 0), (sorted(right - left), 1)):
+        pos = {v: k for k, v in enumerate(joined + only)}
+        terms = [eq[pick] if isinstance(eq[pick], ZeroEquivalent) else
+                 (pos[eq[pick].head], tuple(pos[v] for v in eq[pick].tail))
+                 for eq in equations]
+        sides.append((only, terms, size ** len(only)))
+    work = size * size + size ** len(joined) * (sides[0][2] + sides[1][2])
+    if work > JOIN_CAP:
+        raise CapExceeded(f"checking this over {size} elements takes {work} steps, "
+                          f"over the cap {JOIN_CAP}")
+    table = M.product_table()
     elems = M.elements()
-    for values in iproduct(elems, repeat=len(variables)):
-        yield dict(zip(variables, values))
+    (l_only, l_terms, _), (r_only, r_terms, _) = sides
+    if not (l_only or r_only):      # every variable joined: the plain scan
+        for jv in iproduct(elems, repeat=len(joined)):
+            lv = [_value(table, t, jv) for t in l_terms]
+            rv = [_value(table, t, jv) for t in r_terms]
+            if lv[:-1] == rv[:-1] and lv[-1] != rv[-1]:
+                return dict(zip(joined, jv))
+        return None
+    columns = [list(zip(*iproduct(elems, repeat=len(only)))) for only in (l_only, r_only)]
+    rank = {x: k for k, x in enumerate(elems)}
+    # J sorting first makes the first J value with a counterexample the least
+    stop_early = variables[:len(joined)] == joined
+    best = None
+    for jv in iproduct(elems, repeat=len(joined)):
+        buckets = []
+        for (_, terms, n), cols in zip(sides, columns):
+            values = [_column(table, t, jv, cols, n) for t in terms]
+            buckets.append(_least_two(list(zip(*values[:-1])) or [()] * n, values[-1]))
+        for key, (a1, ca, a2) in buckets[0].items():
+            entry = buckets[1].get(key)
+            if entry is None:
+                continue
+            b1, cb, b2 = entry
+            pairs = [(a1, b1)] if ca != cb else [(a, b) for a, b in ((a1, b2), (a2, b1))
+                                                  if a is not None and b is not None]
+            for a, b in pairs:
+                found = dict(zip(joined, jv))
+                found.update((v, col[a]) for v, col in zip(l_only, columns[0]))
+                found.update((v, col[b]) for v, col in zip(r_only, columns[1]))
+                ranked = tuple(rank[found[v]] for v in variables)
+                if best is None or ranked < best[0]:
+                    best = (ranked, found)
+        if best is not None and stop_early:
+            break
+    return None if best is None else {v: best[1][v] for v in variables}
 
 
 def check_identity(M: AutomaticAlgebra, lhs: NormalTerm,
                    rhs: NormalTerm) -> Optional[dict]:
-    """None if the identity holds, else the first counterexample assignment."""
-    variables = sorted(set(lhs.variables()) | set(rhs.variables()))
-    for assignment in _assignments(M, variables):
-        if eval_normal(M, lhs, assignment) != eval_normal(M, rhs, assignment):
-            return assignment
-    return None
+    """None if the identity holds, else the first counterexample assignment.
+
+    The join of `check_quasi_identity` with no premises.
+    """
+    return _first_counterexample(M, (), (lhs, rhs))
 
 
 def check_quasi_identity(M: AutomaticAlgebra, q: QuasiIdentity) -> Optional[dict]:
-    """None if the quasi-identity holds, else the first counterexample."""
-    variables = sorted(q.variables())
-    for assignment in _assignments(M, variables):
-        if all(eval_normal(M, l, assignment) == eval_normal(M, r, assignment)
-               for l, r in q.premises):
-            l, r = q.conclusion
-            if eval_normal(M, l, assignment) != eval_normal(M, r, assignment):
-                return assignment
-    return None
+    """None if the quasi-identity holds, else the first counterexample.
+
+    The first counterexample is the least assignment, in the lexicographic
+    order of the variables sorted by name over the canonical element order,
+    that satisfies every premise and breaks the conclusion.  It is found as
+    a hash join.  A variable is a join variable if it occurs on some
+    left-hand side and some right-hand side; the others occur on one side
+    only.  For each assignment of the join variables, the left-only
+    assignments are bucketed by the values of the premise left-hand sides,
+    and the right-only ones by the right-hand sides, so the premises hold
+    exactly on the pairs within one bucket.  Each bucket keeps its least
+    assignment, that one's conclusion value, and the least assignment with
+    another conclusion value.  The least counterexample in a bucket pairs
+    the least assignment of one side with the least of the other side that
+    disagrees with it, so at most two candidates per bucket are compared.
+
+    The walk takes |M|^|J|·(|M|^|L| + |M|^|R|) steps for J join, L
+    left-only and R right-only variables: 2·|M|² for `WHISKERY_QUASI`
+    (J = {x}).  With every variable joined it is the plain scan over all
+    assignments.  Raises CapExceeded before any work when that count plus
+    the |M|² table exceeds `JOIN_CAP`.
+    """
+    return _first_counterexample(M, q.premises, q.conclusion)
 
 
 WHISKERY_QUASI = QuasiIdentity(

@@ -91,12 +91,13 @@ def test_criterion_01_golden_verdicts():
 
 
 def test_criterion_02_chain_alternation():
-    want = ["non_dualizable", "dualizable", "non_dualizable", "dualizable"]
+    want = ["non_dualizable", "dualizable", "non_dualizable", "dualizable",
+            "non_dualizable"]
     for n, expect in enumerate(want, 1):
         assert classify(gen_chain(n)).outcome == expect, n
     M3 = gen_chain(3)
     assert M3.n_states == 10 and "b_3" in M3.letter_names  # p = 7 adjoined
-    report(2, "chain verdicts alternate ND, D, ND, D with p = 7 at stage 3")
+    report(2, "chain verdicts alternate ND, D, ND, D, ND with p = 7 at stage 3")
 
 
 def test_criterion_03_two_state_exhaustive():

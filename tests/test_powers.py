@@ -300,6 +300,24 @@ def test_pbar_needs_letter_affine():
         op_pbar(catalog("C", 3), 0)
 
 
+def test_component_ops_refuse_components_some_letter_misses():
+    M = AutomaticAlgebra.build(["q0", "q1", "q2"], ["a", "b"],
+                               [("q0", "a", "q1"), ("q1", "a", "q0"), ("q2", "b", "q2")])
+    with pytest.raises(PreconditionViolated, match="letter b is undefined"):
+        op_pbar(M, 0)
+    with pytest.raises(PreconditionViolated, match="letter a is undefined"):
+        op_psi(M, {0: 0}, 1)
+    isolated = AutomaticAlgebra.build(["q0", "q1", "q2"], ["a"],
+                                      [("q0", "a", "q1"), ("q1", "a", "q0")])
+    with pytest.raises(PreconditionViolated, match="letter a is undefined"):
+        op_psi(isolated, {0: 0}, 1)      # q2's component has no letters
+    bare = AutomaticAlgebra(["q"], [], {})
+    with pytest.raises(PreconditionViolated, match="no letter acts"):
+        op_psi(bare, {0: 0}, 0)
+    with pytest.raises(IndexOutOfRange):
+        op_pbar(M, 2)
+
+
 def test_lambda_example_on_C3():
     C3 = catalog("C", 3)
     lam = op_lambda(C3, C3.element_by_name("2"))

@@ -2,14 +2,51 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from autodual.algebras import ZERO, catalog, random_algebra
-from autodual.errors import TermSyntaxError
-from autodual.terms import (LeftChain, Prod, QuasiIdentity, Var, ZeroEquivalent,
-                            WHISKERY_QUASI, check_identity, check_quasi_identity,
-                            eval_normal, eval_term, normalize, order_sensitivity,
+from autodual.algebras import (ZERO, AutomaticAlgebra, catalog, random_algebra,
+                               standard_catalog)
+from autodual.classify import EQ_WXYZ_WYXZ, EQ_XY_XYYY, gen_chain
+from autodual.errors import CapExceeded, TermSyntaxError
+from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
+                            ZeroEquivalent, WHISKERY_QUASI, check_identity,
+                            check_quasi_identity, normalize, order_sensitivity,
                             order_sensitivity_brute, parse_and_normalize,
                             parse_equation, parse_quasi_identity, parse_term)
+
+
+# -- reference evaluators: one dict per assignment, one `mul` per product ----
+
+def eval_term(M, term, assignment):
+    if isinstance(term, Var):
+        return assignment[term.name]
+    return M.mul(eval_term(M, term.left, assignment),
+                 eval_term(M, term.right, assignment))
+
+
+def eval_normal(M, term, assignment):
+    if isinstance(term, ZeroEquivalent):
+        return ZERO
+    x = assignment[term.head]
+    for v in term.tail:
+        x = M.mul(x, assignment[v])
+    return x
+
+
+def scan_quasi_identity(M, premises, conclusion):
+    """The first counterexample by a lexicographic scan over every
+    assignment of the sorted variables, last variable fastest."""
+    variables = sorted({v for eq in tuple(premises) + (conclusion,)
+                        for side in eq for v in side.variables()})
+    for values in iproduct(M.elements(), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if all(eval_normal(M, l, assignment) == eval_normal(M, r, assignment)
+               for l, r in premises):
+            l, r = conclusion
+            if eval_normal(M, l, assignment) != eval_normal(M, r, assignment):
+                return assignment
+    return None
 
 
 def test_parse_and_normalize_examples():
@@ -88,6 +125,71 @@ def test_check_quasi_identity_examples():
     assert check_quasi_identity(catalog("C", 3), WHISKERY_QUASI) is None
     trivial = parse_quasi_identity("x = y => x = y")
     assert check_quasi_identity(catalog("B"), trivial) is None
+
+
+def _every_algebra(n_states, n_letters):
+    pairs = [(i, j) for i in range(n_states) for j in range(n_letters)]
+    for targets in iproduct(range(n_states + 1), repeat=len(pairs)):
+        yield AutomaticAlgebra([f"q{i}" for i in range(n_states)],
+                               [f"a{j}" for j in range(n_letters)],
+                               {p: t for p, t in zip(pairs, targets) if t < n_states})
+
+
+_FIXED_QUASI = [WHISKERY_QUASI, QuasiIdentity((), EQ_XY_XYYY)] + [
+    parse_quasi_identity(src) for src in (
+        "x = y => x = y", "xy = yx => x = y", "ab = cd => ba = dc",
+        "x*(y*z) = w => w = x", "c = a & b = d => cb = ad", "bz = ab => zz = a",
+        "u = v => uw = wv", "x*(y*z) = u => yu = xu")]
+
+
+def _agrees(M, q):
+    got = check_quasi_identity(M, q)
+    want = scan_quasi_identity(M, q.premises, q.conclusion)
+    assert got == want and (got is None or list(got) == list(want)), (M, q)
+    if not q.premises:
+        assert check_identity(M, *q.conclusion) == want, (M, q)
+    return got is not None
+
+
+def test_join_matches_scan_on_small_and_chain_algebras():
+    algebras = [M for nq in range(3) for ns in range(3) for M in _every_algebra(nq, ns)]
+    algebras += [M for _, M in standard_catalog()] + [gen_chain(n) for n in range(1, 5)]
+    found = 0
+    for M in algebras:
+        for q in _FIXED_QUASI + [QuasiIdentity((), EQ_WXYZ_WYXZ)]:
+            if M.size() ** len(q.variables()) <= 40_000:   # what the scan walks
+                found += _agrees(M, q)
+    assert found > 100      # the counterexample path is exercised, not just None
+
+
+_ALGEBRAS = [catalog("B"), catalog("F", 0), catalog("N", 4), catalog("R"),
+             catalog("C", 3), random_algebra(random.Random(5), 3, 2)]
+_VARS = st.sampled_from("abcde")
+_TERM = st.one_of(st.just(ZeroEquivalent()),
+                  st.builds(LeftChain, _VARS, st.lists(_VARS, max_size=2).map(tuple)))
+_EQUATION = st.tuples(_TERM, _TERM)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_ALGEBRAS))),
+       st.lists(_EQUATION, max_size=2).map(tuple), _EQUATION)
+@example(0, ((LeftChain("b", ("e",)), LeftChain("d", ("e",))),),   # e joins; b, d one side
+         (LeftChain("a", ("e",)), LeftChain("c", ("e",))))         # sorted a b c d e interleaves
+@example(3, ((LeftChain("d", ()), ZeroEquivalent()),),            # d only in a premise
+         (LeftChain("a", ("b",)), LeftChain("c", ())))
+@example(2, (), (ZeroEquivalent(), LeftChain("c", ("a",))))
+@example(0, (), (LeftChain("b", ("d", "e")), LeftChain("e", ("d",))))   # head is the 2nd join variable
+def test_join_matches_scan_on_drawn_quasi_identities(k, premises, conclusion):
+    _agrees(_ALGEBRAS[k], QuasiIdentity(premises, conclusion))
+
+
+def test_join_refuses_oversized_checks_before_work():
+    B = catalog("B")
+    lhs, rhs = parse_equation("abcdefghi = ihgfedcba")
+    assert 2 * B.size() ** 9 > JOIN_CAP
+    with pytest.raises(CapExceeded):
+        check_identity(B, lhs, rhs)
+    assert B._products is None      # refused before the table was built
 
 
 def test_quasi_identity_variable_collection():
