@@ -31,7 +31,7 @@ from typing import Optional
 from . import structure, terms
 from .abgroups import AbelianGroup
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
-from .errors import BadParams, InternalInconsistency
+from .errors import BadParams, CapExceeded, InternalInconsistency
 from .powers import constant_letter_values
 from .structure import (component_actions, component_letters, components,
                         difference_order, first_embedded, group_law_holds,
@@ -658,12 +658,24 @@ def _least_prime_above(x: int) -> int:
     return p
 
 
+# Stage 8 would close its letters to Z_3×Z_7×Z_29×Z_613: 373,317
+# permutations of 652 points.
+CHAIN_CAP = 7
+
+
+def check_chain_cap(n: int) -> None:
+    """CapExceeded for a chain stage past `CHAIN_CAP`, before any work."""
+    if n > CHAIN_CAP:
+        raise CapExceeded(f"chain stage {n} exceeds the chain cap {CHAIN_CAP}")
+
+
 def gen_chain(n: int) -> AutomaticAlgebra:
     """Stage n of the alternating chain: odd stages append a fresh prime
     cycle pair, even stages close the letter actions into an abelian
     permutation group."""
     if n < 1:
         raise BadParams("chain index must be >= 1")
+    check_chain_cap(n)
     M = catalog("C", 3)
     g_counter = 1
     for stage in range(2, n + 1):

@@ -15,7 +15,8 @@ import sys
 
 from . import witness as witness_mod
 from .algebras import AutomaticAlgebra, catalog
-from .classify import classify, gen_chain, normalize_algebra, verify_certificate
+from .classify import (check_chain_cap, classify, gen_chain, normalize_algebra,
+                       verify_certificate)
 from .errors import InputParseError, ToolError
 from .powers import Groupoid, find_embedding
 from .structure import (components, letter_affine_analysis, letter_sets,
@@ -185,6 +186,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    check_chain_cap(args.n)
     for n in range(1, args.n + 1):
         M = gen_chain(n)
         verdict = classify(M)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
-    p = subcommand("chain", help="classify the alternating chain M_1..M_N")
+    p = subcommand("chain", help="classify the alternating chain M_1..M_N, N <= 7")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_chain)
 

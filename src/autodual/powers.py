@@ -220,6 +220,9 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     - i·j and j·i with j decided: the product's image is forced;
     - j open, the image z of i·j (or j·i) decided: dom[j] keeps the c with
       v·c = z (or c·v = z), the precomputed masks L[v][z] and R[v][z];
+    - j open and i·j (or j·i) open, under `injective_only`: that product
+      can take no value another element already has, so dom[j] loses
+      L[v][z] (or R[v][z]) for every z in `used`;
     - i = k·j in A, the preimage index of A: with k decided, dom[j] keeps
       L[img k][v]; with j decided, dom[k] keeps R[img j][v]; with k = j
       open, dom[k] keeps D[v], the c with c·c = v;
@@ -232,6 +235,10 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     element with the smallest domain, lowest index first, and tries its
     values in code order; the branch stack is explicit, so the depth of
     the search is not bounded by Python's recursion limit.
+
+    The masks depend on M alone.  They are built once per target and kept
+    in `_masks`, one `(M, L, R, D)` tuple for the last M searched, so a
+    run of searches into one M builds them once and the next M drops them.
     """
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
@@ -240,16 +247,7 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     size = M.size()
     mt = M.product_table()
     full = (1 << size) - 1
-    # L[x][z]: the c with x·c = z; R[x][z]: the c with c·x = z; D[z]: the c
-    # with c·c = z.  L[x][-1] and R[x][-1] are full, for an open z.
-    L = [[0] * size + [full] for _ in range(size)]
-    R = [[0] * size + [full] for _ in range(size)]
-    D = [0] * size
-    for x in range(size):
-        for c in range(size):
-            L[x][mt[x][c]] |= 1 << c
-            R[x][mt[c][x]] |= 1 << c
-        D[mt[x][x]] |= 1 << x
+    L, R, D = _search_masks(M)
 
     img = [-1] * n
     dom = [full] * n
@@ -293,6 +291,11 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
             i = queue.pop()
             v = img[i]
             row_v, L_v, R_v = mt[v], L[v], R[v]
+            # what an injective search adds for an open product: no c whose
+            # product with v is in `seen`, the values of `used` folded in so
+            # far; `used` only grows while propagating, so each is folded once
+            open_l = open_r = full
+            seen = 0
             for j, t, s, y in zip(range(n), table[i], columns[i], img):
                 if y >= 0:      # t = i·j and s = j·i are forced
                     w = row_v[y]
@@ -304,7 +307,20 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                     if z != w and (z >= 0 or not decide(s, w)):
                         return False
                 else:           # an open image reads the full mask at index -1
-                    mask = L_v[img[t]] & R_v[img[s]]
+                    z, w = img[t], img[s]
+                    mask = L_v[z] & R_v[w]
+                    if used and (z < 0 or w < 0):
+                        if seen != used:
+                            rest, seen = used & ~seen, used
+                            while rest:
+                                u = rest.bit_length() - 1
+                                rest ^= 1 << u
+                                open_l &= ~L_v[u]
+                                open_r &= ~R_v[u]
+                        if z < 0:
+                            mask &= open_l
+                        if w < 0:
+                            mask &= open_r
                     d = dom[j]
                     if d & mask != d and not narrow(j, mask):
                         return False
@@ -387,6 +403,35 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
             break
     out.sort()
     return out
+
+
+_masks = None   # (M, L, R, D) for the last target searched
+
+
+def _search_masks(M: AutomaticAlgebra) -> tuple:
+    """(L, R, D) of M: L[x][z] is the mask of the c with x·c = z, R[x][z]
+    of the c with c·x = z, D[z] of the c with c·c = z.  L[x][-1] and
+    R[x][-1] are full, for an open z.
+
+    Kept for the last M only; the slot is rebound as one tuple and read
+    once, so a search never mixes the masks of two targets.
+    """
+    global _masks
+    slot = _masks
+    if slot is None or slot[0] is not M:
+        size = M.size()
+        mt = M.product_table()
+        full = (1 << size) - 1
+        L = [[0] * size + [full] for _ in range(size)]
+        R = [[0] * size + [full] for _ in range(size)]
+        D = [0] * size
+        for x in range(size):
+            for c in range(size):
+                L[x][mt[x][c]] |= 1 << c
+                R[x][mt[c][x]] |= 1 << c
+            D[mt[x][x]] |= 1 << x
+        slot = _masks = (M, L, R, D)
+    return slot[1:]
 
 
 def find_embedding(A: Groupoid, M: AutomaticAlgebra,

@@ -8,6 +8,7 @@ import pytest
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (RULE_ORDER, Verdict, classify, gen_chain,
                                normalize_algebra, verify_certificate)
+from autodual.errors import CapExceeded
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
                                 rankill_check, whiskery_check)
 from autodual.terms import order_sensitivity
@@ -116,6 +117,20 @@ def test_gen_chain_structure():
     assert M3.letter_names == ("b", "c", "g1", "b_3", "c_3")
     M4 = gen_chain(4)
     assert M4.n_states == 10 and M4.n_letters == 21
+
+
+def test_gen_chain_caps_stages_past_7_before_building(monkeypatch):
+    module = importlib.import_module("autodual.classify")
+
+    def build_nothing(*args):
+        raise AssertionError("no chain stage may be built past the cap")
+
+    monkeypatch.setattr(module, "catalog", build_nothing)
+    for n in (module.CHAIN_CAP + 1, 10 ** 9):
+        with pytest.raises(CapExceeded):
+            gen_chain(n)
+    with pytest.raises(AssertionError):     # stage 7 is within the cap
+        gen_chain(module.CHAIN_CAP)
 
 
 def test_chain_alternation():

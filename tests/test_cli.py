@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -123,13 +124,24 @@ def test_verify_cert_command(tmp_path, capsys):
     assert code == 1 and "INVALID" in out
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.alg"
     bad.write_text("states q r\nletters a\ntrans q a r\ntrans q a q\n")
     code, _, err = run(["classify", str(bad)], capsys)
     assert code == 2
     code, _, err = run(["catalog", "C", "4"], capsys)
     assert code == 3
+
+    def build_nothing(*args):
+        raise AssertionError("no chain stage may be built past the cap")
+
+    # the package re-exports the function `classify`, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("autodual.classify"), "catalog",
+                        build_nothing)
+    for argv in (["chain", "8"], ["catalog", "chain", "8"]):
+        code, _, err = run(argv, capsys)
+        assert code == 3 and "chain cap 7" in err
+    monkeypatch.undo()
     code, _, err = run(["nonsense"], capsys)
     assert code == 1
     code, _, err = run(["classify", str(tmp_path / "missing.alg")], capsys)

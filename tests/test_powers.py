@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -138,12 +140,18 @@ def test_power_groupoid_rejects_bad_generators():
         generate_power_groupoid(B, 1, [(B.size(),)])
 
 
-def brute_force_homs(A, M):
-    """Every map A -> M, kept when it preserves every product of A."""
+def preserving(A, M, maps):
+    """The maps A -> M (tuples indexed by A) that preserve every product of A,
+    sorted."""
     mt = [[M.mul(x, y) for y in range(M.size())] for x in range(M.size())]
     triples = [(i, j, A.table[i][j]) for i in range(A.n) for j in range(A.n)]
-    return sorted(h for h in itertools.product(M.elements(), repeat=A.n)
+    return sorted(h for h in maps
                   if all(h[t] == mt[h[i]][h[j]] for i, j, t in triples))
+
+
+def brute_force_homs(A, M):
+    """Every map A -> M, kept when it preserves every product of A."""
+    return preserving(A, M, itertools.product(M.elements(), repeat=A.n))
 
 
 def small_sources():
@@ -179,6 +187,52 @@ def test_hom_search_matches_brute_force(target):
                 enumerate_homs(A, M, limit=len(homs) - 1)
         assert enumerate_homs(A, M, limit=len(homs)) == homs
     assert checked >= 3
+
+
+def every_algebra(n_states, n_letters):
+    """Every algebra of this shape; target n_states means undefined."""
+    states = [f"q{i}" for i in range(n_states)]
+    letters = [f"a{j}" for j in range(n_letters)]
+    pairs = list(itertools.product(range(n_states), range(n_letters)))
+    for targets in itertools.product(range(n_states + 1), repeat=len(pairs)):
+        yield AutomaticAlgebra(states, letters, {p: t for p, t in zip(pairs, targets)
+                                                 if t < n_states})
+
+
+def test_injective_search_matches_permutation_oracle():
+    targets = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
+    three_states = [M for ns in (1, 2) for M in every_algebra(3, ns)]
+    targets += random.Random(7).sample(three_states, 24)
+    sources = small_sources()
+    oracle = {}
+    embedded = 0
+    # each target is searched again after its successor, so a search that
+    # read the masks of the previous target would fail
+    for t1 in range(len(targets)):
+        t2 = (t1 + 1) % len(targets)
+        for t in (t1, t2, t1):
+            M = targets[t]
+            for k, A in enumerate(sources):
+                if (k, t) not in oracle:
+                    oracle[k, t] = preserving(
+                        A, M, itertools.permutations(M.elements(), A.n))
+                    embedded += bool(oracle[k, t])
+                want = oracle[k, t]
+                assert enumerate_homs(A, M, injective_only=True) == want
+                assert find_embedding(A, M) == (want[0] if want else None)
+    assert embedded >= 100
+
+
+def test_search_masks_hold_one_target():
+    A = Groupoid.from_algebra(catalog("F", 0))
+    M1 = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
+    M2 = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r"), ("r", "b", "q")])
+    assert find_embedding(A, M1) is not None
+    assert find_embedding(A, M2) is not None
+    ref = weakref.ref(M1)
+    del M1
+    gc.collect()
+    assert ref() is None
 
 
 def test_hom_search_deeper_than_recursion_limit():
