@@ -174,9 +174,6 @@ class AutomaticAlgebra:
                 x = ZERO
         return x
 
-    def word_from_names(self, text: Iterable[str]) -> tuple:
-        return tuple(self.letter_names.index(c) for c in text)
-
     # -- per-letter structure ---------------------------------------------
 
     def action(self, j: int) -> tuple:
@@ -240,7 +237,7 @@ class AutomaticAlgebra:
         return isinstance(other, AutomaticAlgebra) and self.table_key() == other.table_key()
 
     def __hash__(self):
-        return hash(self.table_key())
+        return hash((self.state_names, self.letter_names, tuple(self.transitions())))
 
     def __repr__(self):
         return (f"AutomaticAlgebra(states={list(self.state_names)}, "

@@ -54,11 +54,6 @@ class Verdict:
         return {"verdict": self.outcome, "rule": self.rule,
                 "certificate": self.certificate, "trace": self.trace}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Verdict":
-        return cls(data["verdict"], data["rule"], data.get("certificate"),
-                   data.get("trace", []))
-
 
 # ---------------------------------------------------------------------------
 # normalization (quasi-variety-preserving reductions)
@@ -561,8 +556,11 @@ def _verify_letter_affine(M, cert):
             continue
         names = entry["states"]
         pos = {n: k for k, n in enumerate(names)}
+        op = entry["op"]
+        if len(op) != len(names) or any(len(row) != len(names) for row in op):
+            return (False, "stated table is not |C|×|C|")
         try:
-            table = [[pos[v] for v in row] for row in entry["op"]]
+            table = [[pos[v] for v in row] for row in op]
             G = AbelianGroup(table, labels=names)
         except Exception as exc:
             return (False, f"stated table is not an abelian group: {exc}")
@@ -664,7 +662,10 @@ CHAIN_CAP = 7
 
 
 def check_chain_cap(n: int) -> None:
-    """CapExceeded for a chain stage past `CHAIN_CAP`, before any work."""
+    """BadParams for a chain stage below 1 and CapExceeded for one past
+    `CHAIN_CAP`, before any work."""
+    if n < 1:
+        raise BadParams("chain index must be >= 1")
     if n > CHAIN_CAP:
         raise CapExceeded(f"chain stage {n} exceeds the chain cap {CHAIN_CAP}")
 
@@ -673,8 +674,6 @@ def gen_chain(n: int) -> AutomaticAlgebra:
     """Stage n of the alternating chain: odd stages append a fresh prime
     cycle pair, even stages close the letter actions into an abelian
     permutation group."""
-    if n < 1:
-        raise BadParams("chain index must be >= 1")
     check_chain_cap(n)
     M = catalog("C", 3)
     g_counter = 1

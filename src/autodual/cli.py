@@ -269,7 +269,7 @@ def cmd_verify_cert(args) -> int:
     with open(args.cert_file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputParseError(f"certificate file is not JSON: {exc}")
     ok, reason = verify_certificate(M, data)
     if ok:

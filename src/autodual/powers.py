@@ -120,26 +120,6 @@ class Groupoid:
             if len(row) != self.n or any(not 0 <= x < self.n for x in row):
                 raise BadParams("malformed multiplication table")
         self.labels = list(labels) if labels is not None else list(range(self.n))
-        self._search_index = None
-
-    def search_index(self) -> tuple:
-        """(columns, pre_left, pre_right), built once and kept.
-
-        `columns[j][k]` is k·j; `pre_left[t]` and `pre_right[t]` are parallel
-        lists of the pairs (k, j) with k·j = t, the preimage index that hom
-        search narrows through.
-        """
-        if self._search_index is None:
-            ids = list(range(self.n))  # one int object per element, shared
-            pre_left = [[] for _ in ids]
-            pre_right = [[] for _ in ids]
-            for k, row in zip(ids, self.table):
-                for j, t in zip(ids, row):
-                    pre_left[t].append(k)
-                    pre_right[t].append(j)
-            columns = [list(col) for col in zip(*self.table)]
-            self._search_index = (columns, pre_left, pre_right)
-        return self._search_index
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -165,14 +145,6 @@ class Groupoid:
             table.append(row)
         return cls(table, labels=list(elements))
 
-    def zero_element(self) -> Optional[int]:
-        """The absorbing element, if there is one."""
-        for i in range(self.n):
-            if all(self.table[i][j] == i and self.table[j][i] == i
-                   for j in range(self.n)):
-                return i
-        return None
-
 
 # ---------------------------------------------------------------------------
 # homomorphism enumeration
@@ -180,17 +152,22 @@ class Groupoid:
 
 def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                    max_elements: int = HOM_CAP_DEFAULT,
-                   limit: Optional[int] = None) -> list:
+                   limit: Optional[int] = None,
+                   distinct_on: Optional[Sequence[int]] = None) -> list:
     """All homomorphisms A -> M as tuples of element codes, indexed by A.
 
     The search is `_hom_search`: one bitmask domain of candidate values per
     element of A, narrowed as elements are decided.  The result is returned
     sorted, so the output order is canonical regardless of search order.
     With `limit`, enumeration aborts with CapExceeded once more than that
-    many homs exist.
+    many homs exist.  With `distinct_on`, a sequence of elements of A, only
+    one hom is returned per distinct restriction to those elements.
     """
+    for j in distinct_on or ():
+        _check_element(A, j, "distinct_on element")
     return _hom_search(A, M, injective_only=injective_only,
-                       max_elements=max_elements, limit=limit)
+                       max_elements=max_elements, limit=limit,
+                       distinct_on=distinct_on)
 
 
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
@@ -198,19 +175,23 @@ def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = N
     """Is there a hom A -> M extending the partial element->code map?"""
     size = M.size()
     for j, v in (preassigned or {}).items():
-        if not isinstance(j, int) or not 0 <= j < A.n:
-            raise IndexOutOfRange(f"preassigned element {j!r} not in 0..{A.n - 1}")
+        _check_element(A, j, "preassigned element")
         if not isinstance(v, int) or not 0 <= v < size:
             raise BadParams(f"preassigned value {v!r} is not an element of M")
-    found = _hom_search(A, M, preassigned=preassigned, first_only=True,
+    found = _hom_search(A, M, preassigned=preassigned, distinct_on=(),
                         max_elements=max_elements)
     return bool(found)
+
+
+def _check_element(A: Groupoid, j, what: str) -> None:
+    if not isinstance(j, int) or not 0 <= j < A.n:
+        raise IndexOutOfRange(f"{what} {j!r} not in 0..{A.n - 1}")
 
 
 def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                 max_elements: int = HOM_CAP_DEFAULT, limit: Optional[int] = None,
                 preassigned: Optional[dict] = None,
-                first_only: bool = False) -> list:
+                distinct_on: Optional[Sequence[int]] = None) -> list:
     """Depth-first hom search over bitmask domains (AC-3 style narrowing).
 
     `dom[j]` is the set of values still possible for element j, as a bitmask
@@ -223,9 +204,10 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     - j open and i·j (or j·i) open, under `injective_only`: that product
       can take no value another element already has, so dom[j] loses
       L[v][z] (or R[v][z]) for every z in `used`;
-    - i = k·j in A, the preimage index of A: with k decided, dom[j] keeps
-      L[img k][v]; with j decided, dom[k] keeps R[img j][v]; with k = j
-      open, dom[k] keeps D[v], the c with c·c = v;
+    - i = k·j in A, through the preimage index of A built on entry
+      (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
+      k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
+      R[img j][v]; with k = j open, dom[k] keeps D[v], the c with c·c = v;
     - with `injective_only`, v leaves every open domain.
 
     A domain that empties is a contradiction; one that shrinks to a single
@@ -236,6 +218,15 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     values in code order; the branch stack is explicit, so the depth of
     the search is not bounded by Python's recursion limit.
 
+    `distinct_on`, a sequence of elements of A, asks for one hom per
+    distinct restriction to those elements.  The search then branches on
+    the open ones among them first, in the order given, and after each hom
+    drops every deeper frame and backtracks straight to the last branch on
+    one of them.  Two homs found this way differ on some branched element,
+    and every restriction that extends to a hom is reached, since the
+    search below the last such branch is complete.  `distinct_on=()` stops
+    at the first hom.
+
     The masks depend on M alone.  They are built once per target and kept
     in `_masks`, one `(M, L, R, D)` tuple for the last M searched, so a
     run of searches into one M builds them once and the next M drops them.
@@ -243,7 +234,16 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
     n, table = A.n, A.table
-    columns, pre_left, pre_right = A.search_index()
+    ids = list(range(n))    # one int object per element, shared
+    pre_left = [[] for _ in ids]
+    pre_right = [[] for _ in ids]
+    for k, row in zip(ids, table):
+        for j, t in zip(ids, row):
+            pre_left[t].append(k)
+            pre_right[t].append(j)
+    columns = list(zip(*table))     # columns[j][k] = k·j
+    first = distinct_on or ()
+    keep = frozenset(first)     # frames on these survive a hom
     size = M.size()
     mt = M.product_table()
     full = (1 << size) - 1
@@ -359,7 +359,11 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
             img[j] = -1
 
     def branch_element():
-        """The open element with the smallest domain, lowest index first."""
+        """The first open element of `distinct_on`, else the open element
+        with the smallest domain, lowest index first."""
+        for j in first:
+            if img[j] < 0:
+                return j
         best, best_count = -1, size + 1
         for j in range(n):
             if img[j] < 0:
@@ -387,8 +391,9 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
             out.append(tuple(img))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} homomorphisms")
-            if first_only:
-                break
+            if distinct_on is not None:
+                while frames and frames[-4] not in keep:
+                    del frames[-4:]
         while frames:       # the next value that propagates, backtracking
             undo(frames[-2], frames[-1])
             values = frames[-3]

@@ -26,7 +26,7 @@ from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
 from .powers import (Groupoid, enumerate_homs, generate_power_groupoid,
-                     hom_exists, pointwise_mul)
+                     pointwise_mul)
 from .structure import difference_order, permutation_profile, _perm_order
 
 SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
@@ -414,29 +414,31 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
                           hom_budget: int = 20000) -> KernelReport:
     """Block structure of ker(x|A0) over all homs x: A -> M.
 
-    Full hom enumeration is attempted first; when the hom set is too large
-    (degenerate collapse maps can make it exponential even for small A),
-    the analysis switches to enumerating the achievable restrictions x|A0,
-    each certified by an extension witness.  The flagged condition -- some
+    Full hom enumeration is attempted first, capped at `max_elements`
+    elements of A and `hom_budget` homs.  When either cap is hit
+    (degenerate collapse maps can make the hom set exponential even for
+    small A), the analysis switches to restriction mode: one search with
+    `distinct_on` set to A0 returns one hom per achievable restriction x|A0,
+    which is its extension witness, and the profiles are listed in canonical
+    element order (states, letters, then 0).  The flagged condition -- some
     hom whose kernel on A0 has two blocks larger than nu -- is decided
     exactly in both modes.
     """
     spec = trunc.spec
+    M = spec.algebra
     if nu is None:
         nu = spec.nu
     try:
-        homs = enumerate_homs(trunc.groupoid, spec.algebra,
+        homs = enumerate_homs(trunc.groupoid, M,
                               max_elements=max_elements, limit=hom_budget)
+        count, mode, key = len(homs), "homs", None
     except CapExceeded:
-        homs = None
-    if homs is not None:
-        profiles = sorted({tuple(h[p] for p in trunc.a0_indices) for h in homs})
-        count = len(homs)
-        mode = "homs"
-    else:
-        profiles = _achievable_restrictions(trunc, max_elements)
-        count = None
-        mode = "restrictions"
+        homs = enumerate_homs(trunc.groupoid, M,
+                              max_elements=max(max_elements, trunc.groupoid.n),
+                              distinct_on=trunc.a0_indices)
+        rank = {x: k for k, x in enumerate(M.elements())}
+        count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
+    profiles = sorted({tuple(h[p] for p in trunc.a0_indices) for h in homs}, key=key)
     multisets = set()
     violations = []
     for prof in profiles:
@@ -446,32 +448,8 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
         sizes = tuple(sorted(blocks.values(), reverse=True))
         multisets.add(sizes)
         if len([s for s in sizes if s > nu]) >= 2:
-            violations.append([spec.algebra.name(v) for v in prof])
+            violations.append([M.name(v) for v in prof])
     return KernelReport(nu, mode, count, sorted(multisets), violations)
-
-
-def _achievable_restrictions(trunc: Truncation, max_elements: int) -> list:
-    """All x|A0 value profiles achievable by some hom, by DFS with
-    extension-feasibility pruning at every partial assignment."""
-    M = trunc.spec.algebra
-    positions = trunc.a0_indices
-    values = M.elements()
-    out = []
-    partial = {}
-
-    def extend(i):
-        if i == len(positions):
-            out.append(tuple(partial[p] for p in positions))
-            return
-        for v in values:
-            partial[positions[i]] = v
-            if hom_exists(trunc.groupoid, M, preassigned=dict(partial),
-                          max_elements=max(max_elements, trunc.groupoid.n)):
-                extend(i + 1)
-        del partial[positions[i]]
-
-    extend(0)
-    return out
 
 
 # ---------------------------------------------------------------------------

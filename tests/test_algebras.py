@@ -59,9 +59,27 @@ def test_product_examples_on_B():
 def test_apply_word_examples():
     B = catalog("B")
     q, s = B.element_by_name("q"), B.element_by_name("s")
-    assert apply_word(B, q, B.word_from_names("abc")) == s
+
+    def word(text):
+        return tuple(B.letter_names.index(c) for c in text)
+
+    assert apply_word(B, q, word("abc")) == s
     assert apply_word(B, q, ()) == q
-    assert apply_word(B, q, B.word_from_names("ba")) == ZERO
+    assert apply_word(B, q, word("ba")) == ZERO
+    assert apply_word(B, ZERO, word("a")) == ZERO
+
+
+def test_algebras_hash_consistently_with_equality():
+    B = catalog("B")
+    twin = AutomaticAlgebra.build("qrs", "abc", [("r", "c", "s"), ("q", "a", "r"),
+                                                 ("r", "b", "r")])
+    assert twin == B and hash(twin) == hash(B)
+    assert repr(B.table_key()) == ("(('q', 'r', 's'), ('a', 'b', 'c'), "
+                         "[(0, 0, 1), (1, 1, 1), (1, 2, 2)])")
+    seen = {M: name for name, M in standard_catalog()}
+    assert len(seen) == len({repr(M.table_key()) for _, M in standard_catalog()})
+    assert seen[twin] == "B"
+    assert B.drop_letter(2) != B and len({B, twin, B.drop_letter(2)}) == 2
 
 
 def test_absorption_and_flatness():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import (RULE_ORDER, Verdict, classify, gen_chain,
+from autodual.classify import (RULE_ORDER, classify, gen_chain,
                                normalize_algebra, verify_certificate)
 from autodual.errors import CapExceeded
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
@@ -69,10 +69,11 @@ def test_trace_follows_rule_order():
 
 def test_verdict_json_roundtrip():
     v = classify(catalog("B"))
-    blob = json.dumps(v.to_json())
-    v2 = Verdict.from_json(json.loads(blob))
-    assert v2.outcome == v.outcome and v2.certificate == v.certificate
-    assert list(v.to_json()) == ["verdict", "rule", "certificate", "trace"]
+    data = json.loads(json.dumps(v.to_json()))
+    assert list(data) == ["verdict", "rule", "certificate", "trace"]
+    assert (data["verdict"], data["rule"]) == (v.outcome, v.rule)
+    assert data["certificate"] == v.certificate and data["trace"] == v.trace
+    assert verify_certificate(catalog("B"), data) == (True, "")
 
 
 def test_two_state_rule_cross_asserts():
@@ -229,6 +230,30 @@ def test_verifier_bounds_whiskery_m_before_building_F_m(monkeypatch):
         ok, reason = verify_certificate(B, verdict)
         assert not ok and "m" in reason
     assert calls == []
+
+
+def test_verifier_bounds_letter_affine_table_before_building_group(monkeypatch):
+    M = gen_chain(2)            # letter-affine on one 3-state component
+    good = classify(M).to_json()
+    assert good["certificate"]["kind"] == "letter_affine"
+    module = importlib.import_module("autodual.classify")
+    real, sizes = module.AbelianGroup, []
+
+    def spy(table, *args, **kw):
+        sizes.append((len(table), {len(row) for row in table}))
+        return real(table, *args, **kw)
+
+    monkeypatch.setattr(module, "AbelianGroup", spy)
+    assert verify_certificate(M, good) == (True, "")
+    assert sizes == [(3, {3})]
+    names = good["certificate"]["components"][0]["states"]
+    big = [[names[(i + j) % 3] for j in range(300)] for i in range(300)]
+    for op in (big, big[:3], [row[:3] for row in big], big[:2] + [big[0][:3]]):
+        verdict = json.loads(json.dumps(good))
+        verdict["certificate"]["components"][0]["op"] = op
+        ok, reason = verify_certificate(M, verdict)
+        assert not ok and "|C|" in reason
+    assert sizes == [(3, {3})]
 
 
 def _every_algebra(n_states, n_letters):

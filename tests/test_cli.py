@@ -141,6 +141,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     for argv in (["chain", "8"], ["catalog", "chain", "8"]):
         code, _, err = run(argv, capsys)
         assert code == 3 and "chain cap 7" in err
+    for argv in (["chain", "0"], ["chain", "-3"], ["catalog", "chain", "0"]):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and ">= 1" in err and out == ""
     monkeypatch.undo()
     code, _, err = run(["nonsense"], capsys)
     assert code == 1
@@ -159,3 +162,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables
     code, out, err = run(["check-eq", b_path, "abcdefghi = ihgfedcba"], capsys)
     assert code == 3 and "over the cap" in err and out == ""
+    deep = tmp_path / "deep.json"       # nested past the recursion limit
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["verify-cert", b_path, str(deep)], capsys)
+    assert code == 2 and "not JSON" in err and out == ""

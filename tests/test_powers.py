@@ -182,11 +182,31 @@ def test_hom_search_matches_brute_force(target):
         for i in range(A.n):
             for c in M.elements():
                 assert hom_exists(A, M, {i: c}) == any(h[i] == c for h in homs)
+        assert_one_hom_per_restriction(A, M, homs, ())
+        for S in ((0, A.n - 1), (A.n - 1, 1)):
+            assert_one_hom_per_restriction(A, M, homs, S)
         if homs:
             with pytest.raises(CapExceeded):
                 enumerate_homs(A, M, limit=len(homs) - 1)
         assert enumerate_homs(A, M, limit=len(homs)) == homs
     assert checked >= 3
+
+
+def assert_one_hom_per_restriction(A, M, homs, S):
+    """`distinct_on=S` returns homs of A -> M, exactly one for each
+    restriction to S that the hom set `homs` realizes."""
+    got = enumerate_homs(A, M, distinct_on=S)
+    assert got == sorted(got) and set(got) <= set(homs)
+    restrict = [tuple(h[i] for i in S) for h in got]
+    assert len(set(restrict)) == len(restrict)
+    assert set(restrict) == {tuple(h[i] for i in S) for h in homs}
+
+
+def test_distinct_on_validates_elements():
+    A = Groupoid.from_algebra(catalog("F", 0))
+    for bad in ((A.n,), (0, -1), ("q",)):
+        with pytest.raises(IndexOutOfRange):
+            enumerate_homs(A, catalog("B"), distinct_on=bad)
 
 
 def every_algebra(n_states, n_letters):
@@ -272,8 +292,11 @@ def test_enumerate_homs_examples():
 def test_homs_preserve_absorbing_zero():
     N1 = catalog("N", 1)
     A = Groupoid.from_algebra(catalog("N", 0))
-    z = A.zero_element()
-    for h in enumerate_homs(A, N1):
+    z = A.labels.index("0")
+    assert all(A.mul(z, j) == A.mul(j, z) == z for j in range(A.n))
+    homs = enumerate_homs(A, N1)
+    assert homs
+    for h in homs:
         assert h[z] == ZERO
 
 

@@ -118,6 +118,25 @@ def test_kernel_analysis_restriction_mode():
     assert not kr.violations
 
 
+@pytest.mark.parametrize("name, params", [("thm_wc", (0,)), ("thm_wc", (1,)),
+                                          ("lem_2state2_N4", ()), ("thm_nondcomm", ())])
+def test_restriction_mode_matches_hom_mode(name, params):
+    tr = build_truncation(name, params, 4)
+    M, n = tr.spec.algebra, tr.groupoid.n
+    rank = {M.name(x): k for k, x in enumerate(M.elements())}
+    for nu in (0, None):
+        full = kernel_block_analysis(tr, nu=nu, max_elements=n)
+        restricted = kernel_block_analysis(tr, nu=nu, max_elements=n, hom_budget=0)
+        assert (full.mode, restricted.mode) == ("homs", "restrictions")
+        assert restricted.block_multisets == full.block_multisets
+        found = [tuple(v) for v in restricted.violations]
+        assert len(set(found)) == len(found)
+        assert set(found) == {tuple(v) for v in full.violations}
+        # profiles come in canonical element order: states, letters, then 0
+        assert found == sorted(found, key=lambda prof: [rank[v] for v in prof])
+    assert restricted.violations == [] and full.violations == []   # default nu
+
+
 def test_kernel_nu_vacuous():
     tr = build_truncation("lem_2state2_N4", (), 4)
     kr = kernel_block_analysis(tr, nu=4, max_elements=64)
