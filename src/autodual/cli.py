@@ -289,58 +289,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-elements", type=int, default=64, dest="max_elements",
-                        help="hom-enumeration cap")
     parser = _Parser(prog="autodual",
                      description="Dualizability toolkit for finite automatic algebras")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, **kw):
-        return commands.add_parser(name, parents=[shared], **kw)
-
-    p = subcommand("classify", help="classify an algebra file")
+    p = commands.add_parser("classify", help="classify an algebra file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = subcommand("analyze", help="structural report")
+    p = commands.add_parser("analyze", help="structural report")
     p.add_argument("file")
     p.set_defaults(func=cmd_analyze)
 
-    p = subcommand("normalize", help="apply quasi-variety-preserving reductions")
+    p = commands.add_parser("normalize", help="apply quasi-variety-preserving reductions")
     p.add_argument("file")
     p.set_defaults(func=cmd_normalize)
 
-    p = subcommand("catalog", help="emit a named algebra")
+    p = commands.add_parser("catalog", help="emit a named algebra")
     p.add_argument("name")
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--emit", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
-    p = subcommand("chain", help="classify the alternating chain M_1..M_N, N <= 7")
+    p = commands.add_parser("chain", help="classify the alternating chain M_1..M_N, N <= 7")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_chain)
 
-    p = subcommand("check-eq", help="check an identity or quasi-identity")
+    p = commands.add_parser("check-eq", help="check an identity or quasi-identity")
     p.add_argument("file")
     p.add_argument("expr")
     p.set_defaults(func=cmd_check_eq)
 
-    p = subcommand("embed", help="search an embedding FILE1 -> FILE2")
+    p = commands.add_parser("embed", help="search an embedding FILE1 -> FILE2")
     p.add_argument("file1")
     p.add_argument("file2")
+    p.add_argument("--max-elements", type=int, default=64, help="hom-enumeration cap")
     p.set_defaults(func=cmd_embed)
 
-    p = subcommand("witness", help="build and verify a truncated construction")
+    p = commands.add_parser("witness", help="build and verify a truncated construction")
     p.add_argument("name")
     p.add_argument("params", nargs="*")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--nu", type=int, default=None)
     p.add_argument("--build-cap", type=int, default=witness_mod.BUILD_CAP_DEFAULT)
+    p.add_argument("--max-elements", type=int, default=64, help="hom-enumeration cap")
     p.set_defaults(func=cmd_witness)
 
-    p = subcommand("verify-cert", help="re-check a verdict JSON against an algebra")
+    p = commands.add_parser("verify-cert", help="re-check a verdict JSON against an algebra")
     p.add_argument("file")
     p.add_argument("cert_file")
     p.set_defaults(func=cmd_verify_cert)

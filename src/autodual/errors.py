@@ -54,10 +54,6 @@ class BadParams(PreconditionViolated):
     pass
 
 
-class DuplicateIndex(PreconditionViolated):
-    pass
-
-
 class IndexOutOfRange(PreconditionViolated):
     pass
 

@@ -14,8 +14,7 @@ from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
-from .errors import (BadParams, CapExceeded, DuplicateIndex, IndexOutOfRange,
-                     PreconditionViolated, UnknownName)
+from .errors import BadParams, CapExceeded, IndexOutOfRange, PreconditionViolated
 
 HOM_CAP_DEFAULT = 64
 
@@ -23,20 +22,6 @@ HOM_CAP_DEFAULT = 64
 # ---------------------------------------------------------------------------
 # power elements and subuniverse generation
 # ---------------------------------------------------------------------------
-
-def power_element(base: int, overrides: Iterable[tuple], n: int) -> tuple:
-    """Constant tuple with value `base`, patched at the override positions."""
-    values = [base] * n
-    seen = set()
-    for idx, v in overrides:
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"override index {idx} not in 0..{n - 1}")
-        if idx in seen:
-            raise DuplicateIndex(f"override index {idx} repeated")
-        seen.add(idx)
-        values[idx] = v
-    return tuple(values)
-
 
 def pointwise_mul(M: AutomaticAlgebra, u: tuple, v: tuple) -> tuple:
     return tuple(M.mul(x, y) for x, y in zip(u, v))
@@ -453,17 +438,12 @@ def find_embedding(A: Groupoid, M: AutomaticAlgebra,
 def is_compatible(M: AutomaticAlgebra, relation: Iterable[tuple]) -> bool:
     """True iff the relation is closed under the pointwise product."""
     rel = set(relation)
-    for u in rel:
-        for v in rel:
-            if tuple(M.mul(x, y) for x, y in zip(u, v)) not in rel:
-                return False
-    return True
+    return all(pointwise_mul(M, u, v) in rel for u in rel for v in rel)
 
 
 @dataclass(frozen=True)
 class PartialOperation:
     name: str
-    arity: int
     table: dict  # argument tuple -> value
 
     @property
@@ -481,6 +461,16 @@ class PartialOperation:
 # the compatible-operation library
 # ---------------------------------------------------------------------------
 
+def _tabulate(name: str, M: AutomaticAlgebra, arity: int, value,
+              keep=None) -> PartialOperation:
+    """The operation sending each `arity`-tuple of elements of M that `keep`
+    accepts (every tuple, without `keep`) to value(*args), the tuples taken
+    in `product` order."""
+    args = product(M.elements(), repeat=arity)
+    return PartialOperation(name, {a: value(*a) for a in args
+                                   if keep is None or keep(*a)})
+
+
 def op_g_uv(M: AutomaticAlgebra, u: int, v: int) -> PartialOperation:
     """Binary total op: u on the single pair (u, v), 0 elsewhere.
 
@@ -489,11 +479,7 @@ def op_g_uv(M: AutomaticAlgebra, u: int, v: int) -> PartialOperation:
     """
     if not (M.is_letter(u) or M.is_letter(v)):
         raise PreconditionViolated("g_uv needs a letter among its parameters")
-    table = {}
-    for x in M.elements():
-        for y in M.elements():
-            table[(x, y)] = u if (x, y) == (u, v) else ZERO
-    return PartialOperation("g_uv", 2, table)
+    return _tabulate("g_uv", M, 2, lambda x, y: u if (x, y) == (u, v) else ZERO)
 
 
 def op_join(M: AutomaticAlgebra) -> PartialOperation:
@@ -504,7 +490,7 @@ def op_join(M: AutomaticAlgebra) -> PartialOperation:
     for s in M.states():
         table[(ZERO, s)] = s
         table[(s, ZERO)] = s
-    return PartialOperation("join", 2, table)
+    return PartialOperation("join", table)
 
 
 def op_quasi_meet(M: AutomaticAlgebra) -> PartialOperation:
@@ -514,13 +500,9 @@ def op_quasi_meet(M: AutomaticAlgebra) -> PartialOperation:
     """
     if not M.is_total():
         raise PreconditionViolated("quasi-meet needs a total algebra")
-    table = {}
-    for x in M.elements():
-        for y in M.elements():
-            both_states = M.is_state(x) and M.is_state(y)
-            both_letters = M.is_letter(x) and M.is_letter(y)
-            table[(x, y)] = x if (both_states or both_letters) else ZERO
-    return PartialOperation("quasi_meet", 2, table)
+    Q, S = set(M.states()), set(M.letters())
+    return _tabulate("quasi_meet", M, 2,
+                     lambda x, y: x if {x, y} <= Q or {x, y} <= S else ZERO)
 
 
 def constant_letter_values(M: AutomaticAlgebra) -> Optional[list]:
@@ -550,16 +532,13 @@ def op_chain_meet(M: AutomaticAlgebra) -> PartialOperation:
         raise PreconditionViolated("chain meet needs letter values to enumerate Q")
     letter_rank = {M.letter(j): values[j] for j in range(M.n_letters)}
     state_rank = {M.state(i): i for i in range(M.n_states)}
-    table = {}
-    for x in M.elements():
-        for y in M.elements():
-            if x in state_rank and y in state_rank:
-                table[(x, y)] = x if state_rank[x] >= state_rank[y] else y
-            elif x in letter_rank and y in letter_rank:
-                table[(x, y)] = x if letter_rank[x] >= letter_rank[y] else y
-            else:
-                table[(x, y)] = ZERO
-    return PartialOperation("chain_meet", 2, table)
+
+    def meet(x, y):
+        for rank in (state_rank, letter_rank):
+            if x in rank and y in rank:
+                return x if rank[x] >= rank[y] else y
+        return ZERO
+    return _tabulate("chain_meet", M, 2, meet)
 
 
 def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
@@ -576,17 +555,9 @@ def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
     if len(with_value) != 1:
         raise PreconditionViolated("h needs exactly one letter with the chosen value")
     a1 = M.letter(with_value[0])
-    table = {}
-    for x in M.elements():
-        if x == a1:
-            continue
-        for y in M.elements():
-            for z in M.elements():
-                if x == q1 and y in (ZERO, q1) and z in (ZERO, q1):
-                    table[(x, y, z)] = q1 if (y == q1 or z == q1) else ZERO
-                else:
-                    table[(x, y, z)] = ZERO
-    return PartialOperation("h", 3, table)
+    joins = {(ZERO, q1), (q1, ZERO), (q1, q1)}     # the (y, z) that join to q1
+    return _tabulate("h", M, 3, lambda x, y, z: q1 if x == q1 and (y, z) in joins else ZERO,
+                     keep=lambda x, y, z: x != a1)
 
 
 def op_lambda(M: AutomaticAlgebra, g: int) -> PartialOperation:
@@ -597,7 +568,7 @@ def op_lambda(M: AutomaticAlgebra, g: int) -> PartialOperation:
     table = {(x,): x for x in M.elements()}
     for s in comp:
         table[(M.state(s),)] = M.state(data.op_states(M.state_index(g), s))
-    return PartialOperation("lambda_g", 1, table)
+    return PartialOperation("lambda_g", table)
 
 
 def op_diamond(M: AutomaticAlgebra) -> PartialOperation:
@@ -614,7 +585,7 @@ def op_diamond(M: AutomaticAlgebra) -> PartialOperation:
                 diff = data.op_states(data.inv_state(u), v)
                 in_H = data.group_index(diff) in data.subgroup_H
                 table[(M.state(u), M.state(v))] = ZERO if not in_H else M.state(u)
-    return PartialOperation("diamond", 2, table)
+    return PartialOperation("diamond", table)
 
 
 def _letter_component(M: AutomaticAlgebra, component_index: int) -> tuple:
@@ -651,7 +622,7 @@ def op_pbar(M: AutomaticAlgebra, component_index: int = 0) -> PartialOperation:
         for x, y, z in product(index_of, repeat=3):
             table[(x, y, z)] = element(G.op(G.op(index_of[x], G.inv(index_of[y])),
                                             index_of[z]))
-    return PartialOperation("pbar", 3, table)
+    return PartialOperation("pbar", table)
 
 
 def _least_letter_with_image(M: AutomaticAlgebra, data, group_index: int) -> int:
@@ -703,29 +674,5 @@ def op_psi(M: AutomaticAlgebra, endo: dict, component_index: int = 0) -> Partial
             raise PreconditionViolated(
                 "extension leaves the letter images; component is not letter-affine")
         table[(a,)] = _least_letter_with_image(M, data, gi)
-    return PartialOperation("psi", 1, table)
+    return PartialOperation("psi", table)
 
-
-_OP_BUILDERS = {
-    "g_uv": op_g_uv,
-    "join": op_join,
-    "quasi_meet": op_quasi_meet,
-    "chain_meet": op_chain_meet,
-    "h": op_h,
-    "lambda_g": op_lambda,
-    "diamond": op_diamond,
-    "pbar": op_pbar,
-    "psi": op_psi,
-}
-
-
-def make_compatible_op(M: AutomaticAlgebra, name: str, params=None) -> PartialOperation:
-    """Dispatcher over the compatible-operation library.
-
-    Names: g_uv(u, v), join, quasi_meet, chain_meet, h(state_index),
-    lambda_g(g), diamond, pbar(component_index), psi(endo, component_index).
-    Parameters are passed as a tuple/dict in `params`.
-    """
-    if name not in _OP_BUILDERS:
-        raise UnknownName(f"unknown compatible operation {name!r}")
-    return _OP_BUILDERS[name](M, *(params or ()))

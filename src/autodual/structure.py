@@ -169,10 +169,11 @@ def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
 
 def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional[tuple]:
     """(p, element-name map) for the first p in `params` with catalog(name, p)
-    embeddable in M, else None."""
+    embeddable in M, else None.  The catalog algebras are built here, not
+    read from input, so each search is capped at its own algebra's size."""
     for p in params:
         A = Groupoid.from_algebra(catalog(name, p))
-        hom = find_embedding(A, M)
+        hom = find_embedding(A, M, max_elements=A.n)
         if hom is not None:
             return p, {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
     return None

@@ -414,15 +414,15 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
                           hom_budget: int = 20000) -> KernelReport:
     """Block structure of ker(x|A0) over all homs x: A -> M.
 
-    Full hom enumeration is attempted first, capped at `max_elements`
-    elements of A and `hom_budget` homs.  When either cap is hit
-    (degenerate collapse maps can make the hom set exponential even for
-    small A), the analysis switches to restriction mode: one search with
-    `distinct_on` set to A0 returns one hom per achievable restriction x|A0,
-    which is its extension witness, and the profiles are listed in canonical
-    element order (states, letters, then 0).  The flagged condition -- some
-    hom whose kernel on A0 has two blocks larger than nu -- is decided
-    exactly in both modes.
+    An A with more than `max_elements` elements raises CapExceeded.  Full
+    hom enumeration is attempted first, capped at `hom_budget` homs.  When
+    that cap is hit (degenerate collapse maps can make the hom set
+    exponential even for small A), the analysis switches to restriction
+    mode: one search with `distinct_on` set to A0 returns one hom per
+    achievable restriction x|A0, which is its extension witness, and the
+    profiles are listed in canonical element order (states, letters, then
+    0).  The flagged condition -- some hom whose kernel on A0 has two blocks
+    larger than nu -- is decided exactly in both modes.
     """
     spec = trunc.spec
     M = spec.algebra
@@ -433,8 +433,7 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
                               max_elements=max_elements, limit=hom_budget)
         count, mode, key = len(homs), "homs", None
     except CapExceeded:
-        homs = enumerate_homs(trunc.groupoid, M,
-                              max_elements=max(max_elements, trunc.groupoid.n),
+        homs = enumerate_homs(trunc.groupoid, M, max_elements=max_elements,
                               distinct_on=trunc.a0_indices)
         rank = {x: k for k, x in enumerate(M.elements())}
         count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]

@@ -140,6 +140,18 @@ def test_chain_alternation():
         assert classify(gen_chain(n)).outcome == want
 
 
+def test_whiskery_refutations_past_the_hom_cap():
+    # F_m has m + 4 elements and m runs to |Q| - 2, past the default hom cap
+    # of 64; letter b is a 10-cycle on each block of ten states
+    states = [f"q{i}" for i in range(70)]
+    M = AutomaticAlgebra(states, ["a", "b"],
+                         {**{(i, 0): i for i in range(70)},
+                          **{(i, 1): i - i % 10 + (i + 1) % 10 for i in range(70)}})
+    v = classify(M)
+    assert (v.outcome, v.rule) == ("non_dualizable", "commuting_permutations")
+    assert verify_certificate(M, v) == (True, "")
+
+
 def test_reduction_chain_certificate_verifies():
     M = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
     v = classify(M)

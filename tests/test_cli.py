@@ -162,6 +162,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables
     code, out, err = run(["check-eq", b_path, "abcdefghi = ihgfedcba"], capsys)
     assert code == 3 and "over the cap" in err and out == ""
+    code, _, err = run(["classify", b_path, "--max-elements", "5"], capsys)
+    assert code == 1 and "usage error" in err       # only embed and witness take it
     deep = tmp_path / "deep.json"       # nested past the recursion limit
     deep.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(["verify-cert", b_path, str(deep)], capsys)

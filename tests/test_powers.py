@@ -9,29 +9,15 @@ from hypothesis import strategies as st
 
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.classify import gen_chain
-from autodual.errors import (BadParams, CapExceeded, DuplicateIndex,
-                             IndexOutOfRange, PreconditionViolated)
+from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
+                             PreconditionViolated)
 from autodual.powers import (Groupoid, enumerate_homs, find_embedding,
                              generate_power_groupoid, generate_subuniverse,
-                             hom_exists, is_compatible,
-                             make_compatible_op, op_chain_meet, op_diamond,
-                             op_g_uv, op_h, op_join, op_lambda, op_pbar,
-                             op_psi, op_quasi_meet, power_element, pointwise_mul)
+                             hom_exists, is_compatible, op_chain_meet,
+                             op_diamond, op_g_uv, op_h, op_join, op_lambda,
+                             op_pbar, op_psi, op_quasi_meet, pointwise_mul)
 from autodual.structure import component_group, components
 from autodual.witness import CONSTRUCTION_NAMES, build_truncation
-
-
-def test_power_element_examples():
-    B = catalog("B")
-    r = B.element_by_name("r")
-    v = B.element_by_name("q")
-    assert power_element(ZERO, [(1, r), (5, r)], 6) == (0, r, 0, 0, 0, r)
-    assert power_element(v, [], 3) == (v, v, v)
-    assert power_element(v, [], 1) == (v,)
-    with pytest.raises(DuplicateIndex):
-        power_element(ZERO, [(1, r), (1, r)], 4)
-    with pytest.raises(IndexOutOfRange):
-        power_element(ZERO, [(7, r)], 4)
 
 
 def test_generate_subuniverse_examples():
@@ -350,6 +336,79 @@ CONSTANT_D2 = AutomaticAlgebra.build(
     "qr", "ab", [("q", "a", "q"), ("r", "a", "q"), ("q", "b", "r"), ("r", "b", "r")])
 
 
+BIG_CONSTANT = AutomaticAlgebra.build(
+    ["q1", "q2", "q3"], ["a1", "a2", "a3"],
+    [(s, f"a{i}", f"q{i}") for s in ("q1", "q2", "q3") for i in (1, 2, 3)])
+
+
+def table_sample():
+    from autodual.algebras import standard_catalog
+    return standard_catalog() + [("chain1", gen_chain(1)), ("chain2", gen_chain(2)),
+                                 ("D2", CONSTANT_D2), ("big", BIG_CONSTANT)]
+
+
+def constant_values(M):
+    """State index of each letter's value, from the transitions, if every
+    letter is total and constant, else None."""
+    values = []
+    for j in range(M.n_letters):
+        targets = {M.mul(s, M.letter(j)) for s in M.states()}
+        if len(targets) != 1 or ZERO in targets:
+            return None
+        values.append(M.state_index(targets.pop()))
+    return values
+
+
+def test_operation_tables_match_their_definitions():
+    ranked = set()
+    for name, M in table_sample():
+        E, Q, S = M.elements(), set(M.states()), set(M.letters())
+        for u, v in itertools.product(E, repeat=2):
+            if u in S or v in S:
+                want = {(x, y): u if (x, y) == (u, v) else ZERO
+                        for x, y in itertools.product(E, repeat=2)}
+                assert op_g_uv(M, u, v).table == want, (name, u, v)
+        want = {(x, x): x for x in E}
+        want.update({p: s for s in Q for p in ((ZERO, s), (s, ZERO))})
+        assert op_join(M).table == want, name
+        if M.is_total():
+            want = {(x, y): x if {x, y} <= Q or {x, y} <= S else ZERO
+                    for x, y in itertools.product(E, repeat=2)}
+            assert op_quasi_meet(M).table == want, name
+        values = constant_values(M)
+        if values is None or sorted(values) != list(range(M.n_states)):
+            with pytest.raises(PreconditionViolated):
+                op_chain_meet(M)
+        else:
+            rank = {M.state(i): i for i in range(M.n_states)}
+            rank.update({M.letter(j): values[j] for j in range(M.n_letters)})
+
+            def meet(x, y):
+                if {x, y} <= Q or {x, y} <= S:
+                    return max(x, y, key=rank.__getitem__)
+                return ZERO
+            want = {(x, y): meet(x, y) for x, y in itertools.product(E, repeat=2)}
+            assert op_chain_meet(M).table == want, name
+            ranked.add(name)
+        for i in range(M.n_states):
+            hits = [] if values is None else \
+                [M.letter(j) for j in range(M.n_letters) if values[j] == i]
+            if len(hits) != 1:
+                with pytest.raises(PreconditionViolated):
+                    op_h(M, i)
+                continue
+            q = M.state(i)
+
+            def h(x, y, z):
+                if x == q and {y, z} <= {ZERO, q}:
+                    return q if q in (y, z) else ZERO
+                return ZERO
+            want = {(x, y, z): h(x, y, z)
+                    for x, y, z in itertools.product(E, repeat=3) if x != hits[0]}
+            assert op_h(M, i).table == want, (name, i)
+    assert ranked == {"D2", "big"}
+
+
 def test_chain_meet_and_h_on_constant_display():
     assert is_compatible(CONSTANT_D2, op_chain_meet(CONSTANT_D2).graph())
     for i in range(2):
@@ -401,15 +460,6 @@ def test_lambda_example_on_C3():
     assert C3.name(lam(C3.element_by_name("1"))) == "2"
     assert C3.name(lam(C3.element_by_name("b"))) == "b"
     assert lam(ZERO) == ZERO
-
-
-def test_make_compatible_op_dispatch():
-    B = catalog("B")
-    q, a = B.element_by_name("q"), B.element_by_name("a")
-    assert make_compatible_op(B, "g_uv", (q, a)).name == "g_uv"
-    assert make_compatible_op(B, "join").name == "join"
-    with pytest.raises(Exception):
-        make_compatible_op(B, "nonsense")
 
 
 def test_evaluation_maps_preserve_compatible_relations():

@@ -1,7 +1,7 @@
 import pytest
 
 from autodual.algebras import ZERO, catalog
-from autodual.errors import BadParams, ProofIdentityFailed, UnknownName
+from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.powers import Groupoid, generate_subuniverse, pointwise_mul
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, build_truncation,
                               kernel_block_analysis, local_eval_probe,
@@ -135,6 +135,13 @@ def test_restriction_mode_matches_hom_mode(name, params):
         # profiles come in canonical element order: states, letters, then 0
         assert found == sorted(found, key=lambda prof: [rank[v] for v in prof])
     assert restricted.violations == [] and full.violations == []   # default nu
+
+
+def test_kernel_analysis_caps_A_in_both_modes():
+    tr = build_truncation("thm_pcomm_case1", (), 4)
+    assert tr.groupoid.n == 53
+    with pytest.raises(CapExceeded):
+        kernel_block_analysis(tr, max_elements=52)
 
 
 def test_kernel_nu_vacuous():
