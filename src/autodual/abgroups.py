@@ -9,8 +9,10 @@ self-verified element by element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (CapExceeded, ConstructionFailed, ExponentMismatch,
@@ -156,19 +158,13 @@ class AbelianGroup:
         return cls.cyclic(1)
 
     @classmethod
-    def direct_product(cls, *factors: "AbelianGroup") -> "AbelianGroup":
-        if not factors:
-            return cls.trivial()
-        sizes = [G.n for G in factors]
-        tuples = list(iproduct(*[range(s) for s in sizes]))
+    def of_orders(cls, *orders: int) -> "AbelianGroup":
+        """Z_{d1} × ... × Z_{dk}, its elements labelled by coordinate tuples."""
+        tuples = list(iproduct(*[range(d) for d in orders]))
         pos = {t: i for i, t in enumerate(tuples)}
-        table = [[pos[tuple(G.op(a, b) for G, a, b in zip(factors, t1, t2))]
+        table = [[pos[tuple((a + b) % d for a, b, d in zip(t1, t2, orders))]
                   for t2 in tuples] for t1 in tuples]
         return cls(table, labels=tuples)
-
-    @classmethod
-    def of_orders(cls, *orders: int) -> "AbelianGroup":
-        return cls.direct_product(*[cls.cyclic(d) for d in orders])
 
     def __repr__(self):
         return f"AbelianGroup(n={self.n})"
@@ -290,44 +286,32 @@ def coordinate_maps(G: AbelianGroup, basis: list):
 # endomorphism / character oracles
 # ---------------------------------------------------------------------------
 
+def _basis_maps(G: AbelianGroup, candidates: Callable, value: Callable) -> list:
+    """Every map out of G fixed by images of the basis generators, as a tuple
+    of values over G.elements(), in product order of the images.
+
+    `candidates(d)` lists the images allowed for a generator of order d;
+    `value(images, coords)` is the map's value at the element with these
+    coordinates.  The trivial group has the empty basis and one map.
+    """
+    basis = cyclic_decomposition(G)
+    coords_of, _ = coordinate_maps(G, basis)
+    return [tuple(value(images, coords_of[x]) for x in G.elements())
+            for images in iproduct(*[candidates(d) for _, d in basis])]
+
+
 def all_endomorphisms(G: AbelianGroup) -> list:
     """Every endomorphism, as a tuple image vector (brute-force oracle)."""
-    if G.n > GROUP_CAP:
-        raise CapExceeded(f"|G| = {G.n} exceeds group cap {GROUP_CAP}")
-    basis = cyclic_decomposition(G)
-    if not basis:
-        return [tuple([G.identity] * G.n)]
-    coords_of, _ = coordinate_maps(G, basis)
-    candidates = []
-    for _, d in basis:
-        candidates.append([x for x in G.elements() if d % G.order_of(x) == 0])
-    out = []
-    for images in iproduct(*candidates):
-        table = []
-        for x in G.elements():
-            y = G.identity
-            for (g, _), img, t in zip(basis, images, coords_of[x]):
-                y = G.op(y, G.power(img, t))
-            table.append(y)
-        out.append(tuple(table))
-    return out
+    return _basis_maps(
+        G, lambda d: [x for x in G.elements() if d % G.order_of(x) == 0],
+        lambda images, coords: reduce(G.op, map(G.power, images, coords),
+                                      G.identity))
 
 
 def all_characters(G: AbelianGroup, m: int) -> list:
     """Every homomorphism G -> Z_m, as a tuple of values (oracle)."""
-    basis = cyclic_decomposition(G)
-    if not basis:
-        return [tuple([0] * G.n)]
-    coords_of, _ = coordinate_maps(G, basis)
-    candidates = []
-    for _, d in basis:
-        step = m // gcd(m, d)
-        candidates.append(list(range(0, m, step)))
-    out = []
-    for images in iproduct(*candidates):
-        out.append(tuple(sum(img * t for img, t in zip(images, coords_of[x])) % m
-                         for x in G.elements()))
-    return out
+    return _basis_maps(G, lambda d: range(0, m, m // gcd(m, d)),
+                       lambda images, coords: sum(map(mul, images, coords)) % m)
 
 
 # ---------------------------------------------------------------------------
@@ -382,60 +366,53 @@ def huc_character(H: AbelianGroup, m: int, u: int) -> CharacterWitness:
     if H.exponent == 0 or m % H.exponent != 0:
         raise ExponentMismatch(f"exponent {H.exponent} does not divide m = {m}")
     basis = cyclic_decomposition(H)
-    coords_of, elem_of = coordinate_maps(H, basis)
+    coords_of, _ = coordinate_maps(H, basis)
     coords = {x: list(coords_of[x]) for x in H.elements()}
-    orders = [d for _, d in basis]
 
-    by_prime = {}
-    for idx, d in enumerate(orders):
-        p = min(_prime_factors(d))
+    exps = []          # coordinate i is cyclic of order p ** exps[i]
+    by_prime = {}      # p -> its coordinate indices, orders ascending
+    for idx, (_, d) in enumerate(basis):
+        (p, e), = _prime_factors(d).items()
+        exps.append(e)
         by_prime.setdefault(p, []).append(idx)
 
-    proj_idx = {}      # prime -> coordinate index used for chi
-    proj_mod = {}      # prime -> modulus of that coordinate
+    # the last coordinate of each prime is the one chi projects onto
     for p, idxs in by_prime.items():
-        exps = [_prime_factors(orders[i])[p] for i in idxs]
-        # coordinate orders ascend within a prime by construction
-        dvals = [exps[j] - _vp(coords[u][idxs[j]], p, exps[j])
-                 for j in range(len(idxs))]
-        dmax = max(dvals)
-        if dvals[-1] != dmax:
-            j = dvals.index(dmax)
-            nj, nk = exps[j], exps[-1]
-            cj, ck = idxs[j], idxs[-1]
-            shift = p ** (nk - nj)
+        dvals = [exps[i] - _vp(coords[u][i], p, exps[i]) for i in idxs]
+        if dvals[-1] != max(dvals):
+            cj, ck = idxs[dvals.index(max(dvals))], idxs[-1]
+            shift, mod = p ** (exps[ck] - exps[cj]), p ** exps[ck]
             for x in H.elements():
-                coords[x][ck] = (coords[x][ck] + shift * coords[x][cj]) % (p ** nk)
-        proj_idx[p] = idxs[-1]
-        proj_mod[p] = p ** exps[-1]
+                coords[x][ck] = (coords[x][ck] + shift * coords[x][cj]) % mod
 
     # the adjustments re-choose the coordinate isomorphism; rebuild its inverse
     elem_of = {tuple(c): x for x, c in coords.items()}
 
     chi = {}
     for x in H.elements():
-        chi[x] = sum((m // proj_mod[p]) * coords[x][proj_idx[p]]
-                     for p in by_prime) % m
+        chi[x] = sum((m // p ** exps[idxs[-1]]) * coords[x][idxs[-1]]
+                     for p, idxs in by_prime.items()) % m
+
+    def shear_target(h: int) -> Optional[tuple]:
+        """(p, j) with p the first prime where h has a nonzero coordinate,
+        j the first such coordinate, and h's projected coordinate at p zero;
+        None when the identity serves (h = e, or chi(h) ≠ 0 already)."""
+        for p, idxs in by_prime.items():
+            if coords[h][idxs[-1]] != 0:
+                return None
+            for j in idxs[:-1]:
+                if coords[h][j] != 0:
+                    return p, j
+        return None
 
     def endo_provider(h: int):
-        table = {x: list(coords[x]) for x in H.elements()}
-        hit = None
-        for p, idxs in by_prime.items():
-            if coords[h][proj_idx[p]] != 0:
-                hit = (p, None)
-                break
-            js = [j for j in idxs[:-1] if coords[h][j] != 0]
-            if js:
-                hit = (p, js[0])
-                break
-        if hit is None:
-            return tuple(elem_of[tuple(c)] for x, c in
-                         sorted(table.items()))  # h = e: identity
-        p, cj = hit
-        if cj is not None:
-            ck = proj_idx[p]
-            nj = _prime_factors(orders[cj])[p]
-            nk = _prime_factors(orders[ck])[p]
+        """The identity, unless h must be sheared off ker chi."""
+        table = [list(coords[x]) for x in H.elements()]
+        target = shear_target(h)
+        if target is not None:
+            p, cj = target
+            ck = by_prime[p][-1]
+            nj, nk = exps[cj], exps[ck]
             mODk = p ** nk
             uj, uk = coords[u][cj], coords[u][ck]
             d1 = nj - _vp(uj, p, nj)
@@ -445,13 +422,10 @@ def huc_character(H: AbelianGroup, m: int, u: int) -> CharacterWitness:
             d = d2 - d1
             b = pow(ak, -1, mODk)
             c = ((aj * (p ** d) - ak) * b) % mODk
-            for x in H.elements():
-                mu = (p ** (nk - nj)) * table[x][cj]
-                table[x][ck] = (mu - c * table[x][ck]) % mODk
-        out = [None] * H.n
-        for x in H.elements():
-            out[x] = elem_of[tuple(table[x])]
-        return tuple(out)
+            for row in table:
+                mu = (p ** (nk - nj)) * row[cj]
+                row[ck] = (mu - c * row[ck]) % mODk
+        return tuple(elem_of[tuple(row)] for row in table)
 
     witness = CharacterWitness(chi, endo_provider, m)
     witness.verify(H, u)
@@ -462,35 +436,23 @@ def huc_character(H: AbelianGroup, m: int, u: int) -> CharacterWitness:
 # annihilators over Z_m
 # ---------------------------------------------------------------------------
 
-def _check_zmk_subgroup(m: int, k: int, H: Iterable[tuple]) -> set:
-    S = {tuple(x % m for x in row) for row in H}
-    zero = tuple([0] * k)
-    if not S or any(len(x) != k for x in S):
-        raise NotSubgroup("need nonempty subset of Z_m^k")
-    if zero not in S:
-        raise NotSubgroup("missing zero vector")
-    for x in S:
-        for y in S:
-            if tuple((a + b) % m for a, b in zip(x, y)) not in S:
-                raise NotSubgroup(f"not closed under addition: {x} + {y}")
-    return S
-
-
 def annihilator_system(m: int, H: Iterable[tuple]) -> list:
     """Generating rows of {c : c·x ≡ 0 (mod m) for all x in H}.
 
     The returned system is round-trip verified: its solution set in Z_m^k
     is exactly H (the double annihilator of a subgroup of Z_m^k is itself).
     """
-    H = [tuple(row) for row in H]
-    if not H:
+    H = {tuple(x % m for x in row) for row in H}
+    k = len(next(iter(H), ()))
+    if not H or any(len(x) != k for x in H):
         raise NotSubgroup("need nonempty subset of Z_m^k")
-    k = len(H[0])
-    H = _check_zmk_subgroup(m, k, H)
+    witness = rows_form_subgroup(MatrixZm(m, tuple(sorted(H))))
+    if witness is not None:
+        raise NotSubgroup(f"not a subgroup of Z_m^k: {witness} is missing")
     if m ** k > 10 ** 6:
         raise CapExceeded("annihilator enumeration too large")
-    ann = [c for c in iproduct(range(m), repeat=k)
-           if all(sum(ci * xi for ci, xi in zip(c, x)) % m == 0 for x in H)]
+    # c·x = x·c, so the annihilator is the solution set of H as a system
+    ann = sorted(solve_system(m, k, H))
     rows = []
     span = {tuple([0] * k)}
     for c in ann:
@@ -518,10 +480,6 @@ def solve_system(m: int, k: int, rows: list) -> set:
 class MatrixZm:
     modulus: int
     rows: tuple  # of row tuples
-
-    @property
-    def j(self):
-        return len(self.rows)
 
     @property
     def k(self):
@@ -576,15 +534,12 @@ def find_zero_column(mat: MatrixZm) -> int:
     Under the verified hypotheses a zero column must exist; its absence
     would falsify the underlying proposition and aborts loudly.
     """
-    witness = rows_form_subgroup(mat)
-    if witness is not None:
-        raise HypothesisFailed("rows-subgroup", witness)
-    witness = columns_form_coset(mat)
-    if witness is not None:
-        raise HypothesisFailed("columns-coset", witness)
-    witness = every_row_has_zero(mat)
-    if witness is not None:
-        raise HypothesisFailed("row-zero", witness)
+    for which, check in (("rows-subgroup", rows_form_subgroup),
+                         ("columns-coset", columns_form_coset),
+                         ("row-zero", every_row_has_zero)):
+        witness = check(mat)
+        if witness is not None:
+            raise HypothesisFailed(which, witness)
     for c, col in enumerate(mat.columns()):
         if all(v == 0 for v in col):
             return c

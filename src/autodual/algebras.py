@@ -365,9 +365,6 @@ def catalog(name: str, *params: int) -> AutomaticAlgebra:
     raise UnknownName(f"unknown catalog name {name!r}")
 
 
-CATALOG_NAMES = ("B", "L", "L3star", "R", "F", "N", "C", "chain")
-
-
 def standard_catalog() -> list:
     """The fixed desk-scale catalog sample used by test suites and reports."""
     algebras = [("B", catalog("B")), ("L", catalog("L")),

@@ -31,7 +31,8 @@ from typing import Optional
 from . import structure, terms
 from .abgroups import AbelianGroup
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
-from .errors import BadParams, CapExceeded, InternalInconsistency
+from .errors import (BadParams, CapExceeded, InternalInconsistency,
+                     InternalInvariantViolation, UnknownName)
 from .powers import constant_letter_values
 from .structure import (component_actions, component_letters, components,
                         difference_order, first_embedded, group_law_holds,
@@ -128,7 +129,7 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
         vec = {A.element_by_name(n): tuple(T.element_by_name(c)
                                            for T, c in zip(targets, emb[n]))
                for n in names}
-    except Exception as exc:
+    except UnknownName as exc:
         return f"embedding names invalid: {exc}"
     if len(set(vec.values())) != len(vec):
         return "embedding is not injective"
@@ -406,6 +407,8 @@ def verify_certificate(M: AutomaticAlgebra, verdict) -> tuple:
         if cert is None:
             return (False, "decided verdict without certificate")
         return _verify_cert(M, cert, outcome)
+    except (InternalInvariantViolation, CapExceeded):
+        raise     # a fault or an unfinished check, not an invalid certificate
     except Exception as exc:  # malformed certificates must not crash the verifier
         return (False, f"verification error: {exc}")
 

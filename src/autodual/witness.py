@@ -405,9 +405,6 @@ class KernelReport:
     block_multisets: list     # distinct sorted block-size tuples of ker(x|A0)
     violations: list          # A0-value profiles with two or more blocks > nu
 
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
                           max_elements: int = 64,

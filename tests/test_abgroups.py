@@ -98,6 +98,27 @@ def test_all_characters_oracle():
                 assert (ch[x] + ch[y]) % 4 == ch[H.op(x, y)]
 
 
+def test_basis_map_oracles_match_brute_force():
+    # every map G -> G (order <= 5) or G -> Z_m (order <= 4) that respects
+    # the table, found without any decomposition
+    def homs(G, codomain, op):
+        return sorted(f for f in iproduct(codomain, repeat=G.n)
+                      if all(f[G.op(x, y)] == op(f[x], f[y])
+                             for x in G.elements() for y in G.elements()))
+
+    for name, G in abelian_group_isomorphism_types(5):
+        endos = all_endomorphisms(G)
+        assert len(set(endos)) == len(endos), name
+        assert sorted(endos) == homs(G, G.elements(), G.op), name
+        if G.n > 4:
+            continue
+        for m in (G.exponent, 2 * G.exponent):
+            chars = all_characters(G, m)
+            assert len(set(chars)) == len(chars), (name, m)
+            assert sorted(chars) == homs(G, range(m),
+                                         lambda a, b: (a + b) % m), (name, m)
+
+
 def test_annihilator_examples():
     rows = annihilator_system(2, {(0, 0), (1, 1)})
     assert solve_system(2, 2, rows) == {(0, 0), (1, 1)}

@@ -8,7 +8,7 @@ import pytest
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (RULE_ORDER, classify, gen_chain,
                                normalize_algebra, verify_certificate)
-from autodual.errors import CapExceeded
+from autodual.errors import CapExceeded, InternalInconsistency
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
                                 rankill_check, whiskery_check)
 from autodual.terms import order_sensitivity
@@ -266,6 +266,27 @@ def test_verifier_bounds_letter_affine_table_before_building_group(monkeypatch):
         ok, reason = verify_certificate(M, verdict)
         assert not ok and "|C|" in reason
     assert sizes == [(3, {3})]
+
+
+def test_verifier_lets_faults_and_cap_hits_through(monkeypatch):
+    # a fault (exit 4) or a cap hit (exit 3) inside a verifier is not an
+    # invalid certificate (exit 1)
+    B = catalog("B")
+    unknown = {"verdict": "unknown", "rule": "unknown", "certificate": None,
+               "trace": []}
+    module = importlib.import_module("autodual.classify")
+    for error in (InternalInconsistency, CapExceeded):
+        def fail(*args):
+            raise error("raised inside the verifier")
+
+        monkeypatch.setattr(module, "whiskery_check", fail)
+        with pytest.raises(error):
+            verify_certificate(B, unknown)
+    monkeypatch.undo()
+    assert verify_certificate(B, unknown) == (False, "rule whiskery decides")
+    ok, reason = verify_certificate(B, {"verdict": "non_dualizable",
+                                        "certificate": {"kind": "rankill"}})
+    assert not ok and reason.startswith("verification error")
 
 
 def _every_algebra(n_states, n_letters):

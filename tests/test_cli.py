@@ -5,7 +5,7 @@ import pytest
 
 from autodual.algebras import catalog, standard_catalog
 from autodual.cli import main, parse_algebra_file
-from autodual.errors import InputParseError
+from autodual.errors import CapExceeded, InputParseError, InternalInconsistency
 
 
 def run(argv, capsys):
@@ -122,6 +122,25 @@ def test_verify_cert_command(tmp_path, capsys):
     bad_path.write_text(json.dumps(tampered))
     code, out, _ = run(["verify-cert", b, str(bad_path)], capsys)
     assert code == 1 and "INVALID" in out
+
+
+def test_verify_cert_reports_cap_hits_and_faults(tmp_path, capsys, monkeypatch):
+    b = _write(tmp_path, "B.alg", catalog("B"))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"verdict": "unknown", "rule": "unknown",
+                                   "certificate": None, "trace": []}))
+    code, out, _ = run(["verify-cert", b, str(unknown)], capsys)
+    assert code == 1 and "INVALID" in out        # B is decided by whiskery
+    # the package re-exports the function `classify`, so fetch the module itself
+    module = importlib.import_module("autodual.classify")
+    for error, exit_code in ((CapExceeded, 3), (InternalInconsistency, 4)):
+        def fail(*args):
+            raise error("raised inside the verifier")
+
+        monkeypatch.setattr(module, "whiskery_check", fail)
+        code, out, err = run(["verify-cert", b, str(unknown)], capsys)
+        assert code == exit_code and "INVALID" not in out
+        assert "raised inside the verifier" in err
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
