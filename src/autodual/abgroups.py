@@ -15,9 +15,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (CapExceeded, ConstructionFailed, ExponentMismatch,
-                     HypothesisFailed, InternalInconsistency, NotAbelian,
-                     NotSubgroup, PropositionViolated)
+from .errors import (BadParams, CapExceeded, ConstructionFailed, ExponentMismatch,
+                     HypothesisFailed, IndexOutOfRange, InternalInconsistency,
+                     NotAbelian, NotSubgroup, PropositionViolated)
 
 GROUP_CAP = 64
 
@@ -308,8 +308,14 @@ def all_endomorphisms(G: AbelianGroup) -> list:
                                       G.identity))
 
 
+def _check_modulus(m: int) -> None:
+    if m < 1:
+        raise BadParams(f"modulus m = {m} must be positive")
+
+
 def all_characters(G: AbelianGroup, m: int) -> list:
     """Every homomorphism G -> Z_m, as a tuple of values (oracle)."""
+    _check_modulus(m)
     return _basis_maps(G, lambda d: range(0, m, m // gcd(m, d)),
                        lambda images, coords: sum(map(mul, images, coords)) % m)
 
@@ -363,7 +369,10 @@ def huc_character(H: AbelianGroup, m: int, u: int) -> CharacterWitness:
     maximal-order component of u, project; the per-h endomorphisms come from
     the explicit two-coordinate formulas.  The result is self-verified.
     """
-    if H.exponent == 0 or m % H.exponent != 0:
+    if u not in H.elements():
+        raise IndexOutOfRange(f"u = {u} is not an element of H")
+    _check_modulus(m)
+    if m % H.exponent != 0:
         raise ExponentMismatch(f"exponent {H.exponent} does not divide m = {m}")
     basis = cyclic_decomposition(H)
     coords_of, _ = coordinate_maps(H, basis)

@@ -8,6 +8,7 @@ catalog algebras and for subalgebras of powers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import getitem
@@ -46,12 +47,14 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
 
     Elements come in the order of `generate_subuniverse`: generators first,
     then one round at a time, where round r multiplies every known u with
-    every v found in round r - 1, u·v before v·u.  Products are read from
-    the |M|×|M| table of M, and each product's index is written into the
-    groupoid table as it is found, so the table is complete when the
-    closure is.
+    every v found in round r - 1, u·v before v·u.  Since x·y is 0 unless x
+    is a state and y a letter, u·v is the zero tuple unless some coordinate
+    holds a state in u and a letter in v.  Only those products are computed,
+    from the |M|×|M| table of M; every other cell of the groupoid table is
+    the zero tuple's index.  The zero tuple is u0·u0, the first product of
+    round 1, so it is registered right after the generators.
     """
-    size = M.size()
+    size, n_states = M.size(), M.n_states
     mt = M.product_table()
     elems, index = [], {}
     for g in generators:
@@ -63,6 +66,7 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
             index[g] = len(elems)
             elems.append(g)
     mt_rows = []    # mt_rows[i][c] = mt[elems[i][c]], so u·v = map(getitem, mt_rows[u], v)
+    states, letters = [], []    # bitmasks of the coordinates of elems[i] in Q and in Σ
     table = []
 
     def index_of(w):
@@ -74,19 +78,28 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
                 raise CapExceeded(f"subuniverse exceeded {max_elements} elements")
         return k
 
+    zero = index_of((ZERO,) * n) if elems else 0
     start = 0       # the frontier is elems[start:known]
     while start < len(elems):
         known = len(elems)
         for row in table:
-            row.extend([0] * (known - len(row)))
-        table.extend([0] * known for _ in range(known - len(table)))
-        mt_rows.extend(tuple(map(mt.__getitem__, u)) for u in elems[len(mt_rows):])
+            row.extend([zero] * (known - len(row)))
+        table.extend([zero] * known for _ in range(known - len(table)))
+        for u in elems[len(mt_rows):]:
+            mt_rows.append(tuple(map(mt.__getitem__, u)))
+            states.append(sum(1 << c for c, x in enumerate(u) if 0 < x <= n_states))
+            letters.append(sum(1 << c for c, x in enumerate(u) if x > n_states))
+        # the only frontier elements that can stand right of a nonzero product
+        right = [j for j in range(start, known) if letters[j]]
         for i in range(known):
-            u, mt_u, row_u = elems[i], mt_rows[i], table[i]
+            u, mt_u, row_u, s_u, l_u = elems[i], mt_rows[i], table[i], states[i], letters[i]
             # a frontier u has already met, as v, every frontier element before it
-            for j in range(max(start, i), known):
-                row_u[j] = index_of(tuple(map(getitem, mt_u, elems[j])))
-                table[j][i] = index_of(tuple(map(getitem, mt_rows[j], u)))
+            lo = max(start, i)
+            for j in range(lo, known) if l_u else right[bisect_left(right, lo):]:
+                if s_u & letters[j]:
+                    row_u[j] = index_of(tuple(map(getitem, mt_u, elems[j])))
+                if states[j] & l_u:
+                    table[j][i] = index_of(tuple(map(getitem, mt_rows[j], u)))
         start = known
     return elems, Groupoid(table, labels=elems)
 
@@ -101,8 +114,8 @@ class Groupoid:
     def __init__(self, table: Sequence[Sequence[int]], labels=None):
         self.table = [list(row) for row in table]
         self.n = len(self.table)
-        for row in self.table:
-            if len(row) != self.n or any(not 0 <= x < self.n for x in row):
+        for row in self.table:    # a row of length n >= 1 is not empty
+            if len(row) != self.n or min(row) < 0 or max(row) >= self.n:
                 raise BadParams("malformed multiplication table")
         self.labels = list(labels) if labels is not None else list(range(self.n))
 

@@ -89,6 +89,8 @@ class RanKillWitness:
 def _bfs_to_targets(M: AutomaticAlgebra, sources, targets) -> Optional[tuple]:
     """Shortest (state, word) reaching a target set; sources in state order,
     letters in index order, so the result is deterministic."""
+    if not targets:
+        return None
     best = None
     for src in sorted(sources):
         if src in targets:

@@ -10,8 +10,8 @@ from autodual.abgroups import (AbelianGroup, CharacterWitness, MatrixZm,
                                cyclic_decomposition, every_row_has_zero,
                                find_zero_column, huc_character,
                                rows_form_subgroup, solve_system)
-from autodual.errors import (ExponentMismatch, HypothesisFailed, NotAbelian,
-                             NotSubgroup)
+from autodual.errors import (BadParams, ExponentMismatch, HypothesisFailed,
+                             IndexOutOfRange, NotAbelian, NotSubgroup)
 
 
 def test_group_table_validation():
@@ -70,6 +70,24 @@ def test_huc_character_examples():
 def test_huc_exponent_mismatch():
     with pytest.raises(ExponentMismatch):
         huc_character(AbelianGroup.cyclic(4), 6, 1)
+
+
+def test_huc_rejects_u_outside_the_group():
+    with pytest.raises(IndexOutOfRange) as err:
+        huc_character(AbelianGroup.cyclic(4), 4, 7)
+    assert err.value.exit_code == 3
+
+
+def test_huc_rejects_modulus_zero():
+    with pytest.raises(BadParams) as err:
+        huc_character(AbelianGroup.cyclic(4), 0, 1)
+    assert err.value.exit_code == 3
+
+
+def test_all_characters_rejects_modulus_zero():
+    with pytest.raises(BadParams) as err:
+        all_characters(AbelianGroup.cyclic(4), 0)
+    assert err.value.exit_code == 3
 
 
 def test_huc_against_oracle_sample():

@@ -47,6 +47,14 @@ def test_rankill_examples():
     assert rankill_check(catalog("C", 3)) is None
 
 
+def test_rankill_total_chain_6_returns_at_once():
+    # every letter of a chain stage is total, so no letter kills a state
+    # and no path search runs; stage 6 has 39 states and 609 letters
+    M = gen_chain(6)
+    assert all(not M.kills(j) for j in range(M.n_letters))
+    assert rankill_check(M) is None
+
+
 def test_whiskery_examples():
     B = catalog("B")
     wf = whiskery_check(B)
