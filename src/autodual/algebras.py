@@ -68,6 +68,7 @@ class AutomaticAlgebra:
             clean[(si, lj)] = ti
         self.delta = MappingProxyType(clean)
         self._products = None   # product_table(), built on first use
+        self._actions = None    # action(), all letters built on first use
 
     @classmethod
     def build(cls, states: Sequence[str], letters: Sequence[str],
@@ -177,8 +178,12 @@ class AutomaticAlgebra:
     # -- per-letter structure ---------------------------------------------
 
     def action(self, j: int) -> tuple:
-        """Image of each state under letter j (None where undefined)."""
-        return tuple(self.delta.get((i, j)) for i in range(self.n_states))
+        """Image of each state under letter j (None where undefined).  All
+        letters' actions are built on first use and kept, like `product_table`."""
+        if self._actions is None:
+            self._actions = tuple(tuple(self.delta.get((i, k)) for i in range(self.n_states))
+                                  for k in range(self.n_letters))
+        return self._actions[j]
 
     def dom(self, j: int) -> frozenset:
         return frozenset(i for i in range(self.n_states) if (i, j) in self.delta)

@@ -19,8 +19,8 @@ from .classify import (check_chain_cap, classify, gen_chain, normalize_algebra,
                        verify_certificate)
 from .errors import InputParseError, ToolError
 from .powers import Groupoid, find_embedding
-from .structure import (components, letter_affine_analysis, letter_sets,
-                        permutation_profile, whiskery_check)
+from .structure import (components, letter_affine_analysis, permutation_profile,
+                        whiskery_check)
 from .terms import (check_identity, check_quasi_identity, parse_equation,
                     parse_quasi_identity)
 
@@ -44,21 +44,21 @@ def parse_algebra_file(text: str) -> AutomaticAlgebra:
                 raise InputParseError("duplicate states line", line=lineno)
             if trans:
                 raise InputParseError("states must precede trans lines", line=lineno)
-            states = rest
+            states, state_set = rest, set(rest)
         elif head == "letters":
             if letters is not None:
                 raise InputParseError("duplicate letters line", line=lineno)
             if trans:
                 raise InputParseError("letters must precede trans lines", line=lineno)
-            letters = rest
+            letters, letter_set = rest, set(rest)
         elif head == "trans":
             if states is None or letters is None:
                 raise InputParseError("trans before states/letters", line=lineno)
             if len(rest) != 3:
                 raise InputParseError("trans needs: state letter state", line=lineno)
-            if rest[0] not in states or rest[2] not in states:
+            if rest[0] not in state_set or rest[2] not in state_set:
                 raise InputParseError(f"unknown state in {rest}", line=lineno)
-            if rest[1] not in letters:
+            if rest[1] not in letter_set:
                 raise InputParseError(f"unknown letter in {rest}", line=lineno)
             trans.append((lineno, tuple(rest)))
         else:
@@ -129,12 +129,11 @@ def cmd_analyze(args) -> int:
     print("== COMPONENTS ==")
     for comp in components(M):
         print("  {" + " ".join(M.state_names[i] for i in comp) + "}")
+    def fmt(ss):
+        return "{" + " ".join(M.state_names[i] for i in sorted(ss)) + "}"
     print("== LETTER SETS ==")
-    for j, ls in enumerate(letter_sets(M)):
-        def fmt(ss):
-            return "{" + " ".join(M.state_names[i] for i in sorted(ss)) + "}"
-        print(f"  {M.letter_names[j]}: dom {fmt(ls.dom)} ran {fmt(ls.ran)} "
-              f"ks {fmt(ls.ks)}")
+    for j, name in enumerate(M.letter_names):
+        print(f"  {name}: dom {fmt(M.dom(j))} ran {fmt(M.ran(j))} ks {fmt(M.kills(j))}")
     print("== WHISKERY ==")
     wf = whiskery_check(M)
     if wf is None:

@@ -2,13 +2,17 @@
 permutation profiles, per-component abelian groups, the letter-affine test,
 and the commuting-permutation non-dualizability conditions.
 
-The per-component group data has one home each: `component_letters` (the
-letters defined on a component), `component_actions` (their position
-permutations), `difference_order` (the order of ρ_b ρ_c⁻¹),
-`group_law_holds` (q·a = q * a_img) and `first_embedded` (the least
-catalog algebra of a family that embeds).  The detectors here and the
-certificate verifiers in `classify` both call them, and the Mal'cev and
-difference-subgroup computations live on `abgroups.AbelianGroup`.
+The per-component data has one home each.  `component_actions` maps each
+distinct action of the letters on a component to the ascending list of
+letters with that action, in least-letter order; every per-component
+letter scan runs over its keys and names least letters.  That finds what a
+scan over all letters finds, since a letter's failure and a pair's
+commuting depend only on their actions there.  `difference_order` (the
+order of ρ_b ρ_c⁻¹), `group_law_holds` (q·a = q * a_img) and
+`first_embedded` (the least catalog algebra of a family that embeds)
+complete it.  The detectors here and the certificate verifiers in
+`classify` both call them, and the Mal'cev and difference-subgroup
+computations live on `abgroups.AbelianGroup`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .terms import WHISKERY_QUASI, check_quasi_identity
 
 
 # ---------------------------------------------------------------------------
-# components and letter sets
+# components and the per-component action index
 # ---------------------------------------------------------------------------
 
 def components(M: AutomaticAlgebra) -> list:
@@ -58,20 +62,22 @@ def component_of(M: AutomaticAlgebra, state_index: int) -> list:
     raise InternalInconsistency("state not covered by components")
 
 
-def component_letters(M: AutomaticAlgebra, comp: Sequence[int]) -> list:
-    """Indices of the letters defined at some state of the component."""
-    return [j for j in range(M.n_letters) if any((s, j) in M.delta for s in comp)]
+def component_actions(M: AutomaticAlgebra, comp: Sequence[int]) -> dict:
+    """Each distinct action on the component of a letter defined there ->
+    the ascending list of letters with that action, in least-letter order.
+    An action is a tuple of positions in `comp`, None where undefined."""
+    pos = {s: k for k, s in enumerate(comp)}
+    index = {}
+    for j in range(M.n_letters):
+        act = M.action(j)
+        images = tuple(pos.get(act[s]) for s in comp)
+        if images.count(None) < len(comp):
+            index.setdefault(images, []).append(j)
+    return index
 
 
-@dataclass(frozen=True)
-class LetterSets:
-    dom: frozenset
-    ran: frozenset
-    ks: frozenset
-
-
-def letter_sets(M: AutomaticAlgebra) -> list:
-    return [LetterSets(M.dom(j), M.ran(j), M.kills(j)) for j in range(M.n_letters)]
+def _is_perm(images: tuple) -> bool:
+    return None not in images and len(set(images)) == len(images)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +225,17 @@ class PermProfile:
 
 
 def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
-    perms = tuple(M.action(j) for j in range(M.n_letters))
-    permutational = all(None not in p and len(set(p)) == M.n_states for p in perms)
-    commuting = all(M.word(q, (a, b)) == M.word(q, (b, a)) for q in M.states()
-                    for a, b in combinations(range(M.n_letters), 2))
-    status = []
+    commuting, status = True, []
     for comp in components(M):
-        on = component_letters(M, comp)
-        status.append(tuple("undefined" if j not in on else
-                            "partial" if _perm_on(M, comp, j) is None else "total"
-                            for j in range(M.n_letters)))
-    return PermProfile(permutational, commuting, perms if permutational else None,
-                       tuple(status))
+        index = component_actions(M, comp)
+        kind = {j: "total" if _is_perm(act) else "partial"
+                for act, letters in index.items() for j in letters}
+        status.append(tuple(kind.get(j, "undefined") for j in range(M.n_letters)))
+        commuting = commuting and all(_compose(x, y) == _compose(y, x)
+                                      for x, y in combinations(index, 2))
+    permutational = all(st == "total" for row in status for st in row)
+    perms = tuple(map(M.action, range(M.n_letters))) if permutational else None
+    return PermProfile(permutational, commuting, perms, tuple(status))
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +268,9 @@ class AbelianGroupData:
         return self.states[self.group.inv(self.group_index(s))]
 
 
-def _perm_on(M: AutomaticAlgebra, comp: list, j: int) -> Optional[tuple]:
-    """Letter j as a position permutation of the component, or None."""
-    pos = {s: k for k, s in enumerate(comp)}
-    images = tuple(pos.get(M.delta.get((s, j))) for s in comp)
-    if None in images or len(set(images)) != len(comp):
-        return None
-    return images
-
-
 def _compose(p: tuple, q: tuple) -> tuple:
-    return tuple(p[q[i]] for i in range(len(p)))
+    """The map q then p, None where either is undefined."""
+    return tuple(None if i is None else p[i] for i in q)
 
 
 def _perm_inverse(p: tuple) -> tuple:
@@ -303,13 +300,6 @@ def difference_order(perms: Sequence[tuple], b: int, c: int) -> int:
     return _perm_order(_compose(perms[b], _perm_inverse(perms[c])))
 
 
-def component_actions(comp: Sequence[int], perms: Sequence[tuple]) -> set:
-    """The distinct actions of the letters on a component, as permutations
-    of its positions."""
-    pos = {s: k for k, s in enumerate(comp)}
-    return {tuple(pos[p[s]] for s in comp) for p in perms}
-
-
 def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
                     images: dict) -> bool:
     """Whether q·a = q * a_img for every state q of the component and every
@@ -328,19 +318,16 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     law q·a = q * a_img is asserted before returning.
     """
     comp = sorted(comp)
-    letters = component_letters(M, comp)
-    perms = {}
-    for j in letters:
-        p = _perm_on(M, comp, j)
-        if p is None:
-            raise NotPermutational(
-                f"letter {M.letter_names[j]} is not a permutation of the component")
-        perms[j] = p
-    for j1, j2 in combinations(letters, 2):
-        if _compose(perms[j1], perms[j2]) != _compose(perms[j2], perms[j1]):
-            raise NotCommuting(
-                f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
-    group_elems = generated_group([perms[j] for j in letters], len(comp))
+    index = component_actions(M, comp)
+    for act, letters in index.items():
+        if not _is_perm(act):
+            raise NotPermutational(f"letter {M.letter_names[letters[0]]} "
+                                   "is not a permutation of the component")
+    for (p1, js1), (p2, js2) in combinations(index.items(), 2):
+        if _compose(p1, p2) != _compose(p2, p1):
+            raise NotCommuting(f"letters {M.letter_names[js1[0]]}, "
+                               f"{M.letter_names[js2[0]]} do not commute")
+    group_elems = generated_group(index, len(comp))
     orbit = {p[0] for p in group_elems}
     if len(orbit) != len(comp):
         raise NotTransitive("letters do not act transitively on the component")
@@ -351,7 +338,8 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     # of the table is φ_g itself, as g·h = (φ_g∘φ_h)(0) = φ_g(h); sorting
     # the φ orders them by φ(0), the first coordinate, which is distinct.
     group = AbelianGroup(sorted(group_elems), labels=[M.state_names[s] for s in comp])
-    letter_images = {j: perms[j][0] for j in letters}
+    letter_images = dict(sorted((j, p[0]) for p, letters in index.items()
+                                for j in letters))
     data = AbelianGroupData(tuple(comp), comp[0], group, letter_images,
                             group.difference_subgroup(letter_images.values()),
                             group.exponent, cyclic_decomposition(group))
@@ -390,11 +378,12 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
     """
     reports = []
     for comp in components(M):
-        sigma_c = component_letters(M, comp)
-        dropped = tuple(j for j in range(M.n_letters) if j not in sigma_c)
-        for j in sigma_c:
-            if _perm_on(M, comp, j) is None:
-                failure = (tuple(comp), "not-permutational", M.letter_names[j])
+        index = component_actions(M, comp)
+        sigma_c = sorted(j for letters in index.values() for j in letters)
+        dropped = tuple(sorted(set(range(M.n_letters)) - set(sigma_c)))
+        for act, letters in index.items():
+            if not _is_perm(act):
+                failure = (tuple(comp), "not-permutational", M.letter_names[letters[0]])
                 return LetterAffineReport(False, reports, failure)
         try:
             data = component_group(M, comp) if sigma_c else None
@@ -403,11 +392,12 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
                                       (tuple(comp), "not-commuting", str(exc)))
         reports.append(ComponentAffineReport(tuple(comp), tuple(sigma_c), dropped, data))
         if data is not None:
-            gap = data.group.malcev_gap([data.letter_images[j] for j in sigma_c])
+            least = [letters[0] for letters in index.values()]   # distinct images
+            gap = data.group.malcev_gap([data.letter_images[j] for j in least])
             if gap is not None:
                 return LetterAffineReport(False, reports,
                                           (tuple(comp), "malcev",
-                                           tuple(M.letter_names[sigma_c[i]] for i in gap)))
+                                           tuple(M.letter_names[least[i]] for i in gap)))
     return LetterAffineReport(True, reports)
 
 
@@ -466,7 +456,7 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
     if not profile.permutational or not profile.commuting:
         return None
     perms = profile.perms
-    comp_actions = [(tuple(comp), component_actions(comp, perms))
+    comp_actions = [(tuple(comp), component_actions(M, comp).keys())
                     for comp in components(M)]
     for b in range(M.n_letters):
         for c in range(M.n_letters):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from operator import getitem
 from typing import Optional, Union
 
@@ -405,21 +405,27 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
     it suffices to search for a state s and letters a, b such that some
     common suffix separates s·ab from s·ba; the suffix condition is a
     product-automaton reachability question.  Returns None when every
-    rearrangement of every word kills consistently.
+    rearrangement of every word kills consistently.  s·ab and s·ba depend
+    only on the actions of a and b on the component of s, so only pairs of
+    least letters of its distinct actions are tried.
     """
+    from .structure import component_actions, components   # structure imports terms
+    least = {}
+    for comp in components(M):
+        letters = [js[0] for js in component_actions(M, comp).values()]
+        least.update((si, letters) for si in comp)
     for si in range(M.n_states):
         s = M.state(si)
-        for a in range(M.n_letters):
-            for b in range(a + 1, M.n_letters):
-                xa = M.word(s, (a, b))
-                xb = M.word(s, (b, a))
-                if xa == xb:
-                    continue
-                v = _suffix_to_mixed(M, xa, xb)
-                if v is not None:
-                    if M.word(s, (a, b) + v) == ZERO:
-                        return OrderWitness(si, (a, b) + v, (b, a) + v)
-                    return OrderWitness(si, (b, a) + v, (a, b) + v)
+        for a, b in combinations(least[si], 2):
+            xa = M.word(s, (a, b))
+            xb = M.word(s, (b, a))
+            if xa == xb:
+                continue
+            v = _suffix_to_mixed(M, xa, xb)
+            if v is not None:
+                if M.word(s, (a, b) + v) == ZERO:
+                    return OrderWitness(si, (a, b) + v, (b, a) + v)
+                return OrderWitness(si, (b, a) + v, (a, b) + v)
     return None
 
 

@@ -33,6 +33,18 @@ def test_parse_comments_and_order():
         parse_algebra_file("states q r\nletters a\ntrans q b r\n")
 
 
+def test_parse_unknown_names_report_their_line():
+    head = "states q r\nletters a b\n# comment\ntrans q a r\n"
+    with pytest.raises(InputParseError) as info:
+        parse_algebra_file(head + "trans r a s\ntrans q c r\n")
+    assert str(info.value) == "line 5: unknown state in ['r', 'a', 's']"
+    assert info.value.line == 5
+    with pytest.raises(InputParseError) as info:
+        parse_algebra_file(head + "\ntrans r b q\ntrans q c r\ntrans s a r\n")
+    assert str(info.value) == "line 7: unknown letter in ['q', 'c', 'r']"
+    assert info.value.line == 7
+
+
 def _write(tmp_path, name, M):
     path = tmp_path / name
     path.write_text(M.emit())

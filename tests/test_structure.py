@@ -1,14 +1,19 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from action_algebras import shared_action_algebras
 from autodual.abgroups import AbelianGroup
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import gen_chain
-from autodual.errors import NotCommuting, NotPermutational
-from autodual.structure import (component_group, components, letter_affine_analysis,
-                                letter_sets, nondcomm_check, permutation_profile,
-                                rankill_check, whiskery_check)
+from autodual.errors import NotCommuting, NotPermutational, NotTransitive
+from autodual.structure import (_compose, _coset_inside, component_actions,
+                                component_group, components, difference_order,
+                                generated_group, letter_affine_analysis,
+                                nondcomm_check, permutation_profile, rankill_check,
+                                whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
 
 
@@ -25,9 +30,8 @@ def test_components_examples():
 
 def test_letter_sets():
     N1 = catalog("N", 1)
-    sets = letter_sets(N1)
-    assert sets[0].dom == {0, 1} and sets[0].ran == {1} and sets[0].ks == set()
-    assert sets[1].dom == {1} and sets[1].ks == {0}
+    assert N1.dom(0) == {0, 1} and N1.ran(0) == {1} and N1.kills(0) == set()
+    assert N1.dom(1) == {1} and N1.kills(1) == {0}
 
 
 def test_rankill_examples():
@@ -230,3 +234,131 @@ def test_letter_affine_coset_normal_form():
             least = data.letter_images[min(data.letter_images)]
             coset = {data.group.op(least, h) for h in data.subgroup_H}
             assert coset == set(data.letter_images.values())
+
+
+# -- reference oracles: the per-letter scans that the action index replaced --
+
+def letters_on(M, comp):
+    return [j for j in range(M.n_letters) if any((s, j) in M.delta for s in comp)]
+
+
+def perm_on(M, comp, j):
+    pos = {s: k for k, s in enumerate(comp)}
+    images = tuple(pos.get(M.delta.get((s, j))) for s in comp)
+    if None in images or len(set(images)) != len(comp):
+        return None
+    return images
+
+
+def profile_by_letters(M):
+    perms = tuple(M.action(j) for j in range(M.n_letters))
+    permutational = all(None not in p and len(set(p)) == M.n_states for p in perms)
+    commuting = all(M.word(q, (a, b)) == M.word(q, (b, a)) for q in M.states()
+                    for a, b in combinations(range(M.n_letters), 2))
+    status = []
+    for comp in components(M):
+        on = letters_on(M, comp)
+        status.append(tuple("undefined" if j not in on else
+                            "partial" if perm_on(M, comp, j) is None else "total"
+                            for j in range(M.n_letters)))
+    return permutational, commuting, perms if permutational else None, tuple(status)
+
+
+def group_by_letters(M, comp):
+    """component_group's letter images, or the (type, message) it raises."""
+    letters = letters_on(M, comp)
+    perms = {j: perm_on(M, comp, j) for j in letters}
+    for j in letters:
+        if perms[j] is None:
+            return (NotPermutational,
+                    f"letter {M.letter_names[j]} is not a permutation of the component")
+    for j1, j2 in combinations(letters, 2):
+        if _compose(perms[j1], perms[j2]) != _compose(perms[j2], perms[j1]):
+            return (NotCommuting,
+                    f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
+    group = generated_group(perms.values(), len(comp))
+    if len({p[0] for p in group}) != len(comp):
+        return (NotTransitive, "letters do not act transitively on the component")
+    if len(group) != len(comp):
+        return (NotCommuting, "transitive abelian action is not regular; "
+                              "letters cannot commute")
+    return {j: perms[j][0] for j in letters}
+
+
+def letter_affine_by_letters(M):
+    """(affine, failure, per component (states, letters, dropped)), with the
+    Mal'cev scan over every letter's image."""
+    reports = []
+    for comp in components(M):
+        sigma_c = letters_on(M, comp)
+        for j in sigma_c:
+            if perm_on(M, comp, j) is None:
+                return False, (tuple(comp), "not-permutational", M.letter_names[j]), reports
+        images = group_by_letters(M, comp) if sigma_c else None
+        if isinstance(images, tuple):
+            if images[0] is NotTransitive:
+                raise NotTransitive(images[1])
+            return False, (tuple(comp), "not-commuting", images[1]), reports
+        dropped = tuple(j for j in range(M.n_letters) if j not in sigma_c)
+        reports.append((tuple(comp), tuple(sigma_c), dropped))
+        if images is not None:
+            group = component_group(M, comp).group
+            gap = group.malcev_gap([images[j] for j in sigma_c])
+            if gap is not None:
+                return (False, (tuple(comp), "malcev",
+                                tuple(M.letter_names[sigma_c[i]] for i in gap)), reports)
+    return True, None, reports
+
+
+def nondcomm_by_letters(M):
+    permutational, commuting, perms, _ = profile_by_letters(M)
+    if not permutational or not commuting:
+        return None
+    actions = [{perm_on(M, comp, j) for j in range(M.n_letters)} for comp in components(M)]
+    for b in range(M.n_letters):
+        for c in range(M.n_letters):
+            m = difference_order(perms, b, c) if b != c else 1
+            if m > 1 and not any(_coset_inside(acts, m) for acts in actions):
+                return b, c, m, [len(acts) for acts in actions]
+    return None
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotPermutational, NotCommuting, NotTransitive) as exc:
+        return type(exc), str(exc)
+
+
+def test_component_actions_index():
+    # a and c act alike on {p, u}; on {v, w} a and b are undefined, c is not
+    M = AutomaticAlgebra.build(
+        ["p", "u", "v", "w"], ["a", "b", "c", "d"],
+        [("p", "a", "u"), ("u", "a", "p"), ("p", "b", "p"),
+         ("p", "c", "u"), ("u", "c", "p"), ("v", "c", "w"), ("w", "c", "v"),
+         ("v", "d", "v")])
+    assert component_actions(M, [0, 1]) == {(1, 0): [0, 2], (0, None): [1]}
+    assert list(component_actions(M, [0, 1])) == [(1, 0), (0, None)]
+    assert component_actions(M, [2, 3]) == {(1, 0): [2], (0, None): [3]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_action_algebras())
+def test_action_index_matches_letter_scans(M):
+    prof = permutation_profile(M)
+    assert (prof.permutational, prof.commuting, prof.perms,
+            prof.component_status) == profile_by_letters(M)
+    for comp in components(M):
+        got = outcome(component_group, M, comp)
+        assert (got if isinstance(got, tuple) else got.letter_images) == \
+            group_by_letters(M, comp)
+    report = outcome(letter_affine_analysis, M)
+    if isinstance(report, tuple):
+        assert report == outcome(letter_affine_by_letters, M)
+    else:
+        assert (report.affine, report.failure,
+                [(c.states, c.sigma_c, c.dropped) for c in report.components]) == \
+            letter_affine_by_letters(M)
+    nd = nondcomm_check(M)
+    assert (None if nd is None else
+            (nd.b, nd.c, nd.m, [n for _, n in nd.coset_report])) == nondcomm_by_letters(M)

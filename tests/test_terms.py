@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from action_algebras import shared_action_algebras
 from autodual.algebras import (ZERO, AutomaticAlgebra, catalog, random_algebra,
                                standard_catalog)
 from autodual.classify import EQ_WXYZ_WYXZ, EQ_XY_XYYY, gen_chain
@@ -13,7 +14,8 @@ from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
                             ZeroEquivalent, WHISKERY_QUASI, check_identity,
                             check_quasi_identity, normalize, order_sensitivity,
                             order_sensitivity_brute, parse_and_normalize,
-                            parse_equation, parse_quasi_identity, parse_term)
+                            parse_equation, parse_quasi_identity, parse_term,
+                            _suffix_to_mixed)
 
 
 # -- reference evaluators: one dict per assignment, one `mul` per product ----
@@ -214,3 +216,28 @@ def test_order_sensitivity_matches_brute_force():
     for _ in range(80):
         M = random_algebra(rng, 3, 2)
         assert (order_sensitivity(M) is not None) == order_sensitivity_brute(M, 6)
+
+
+def order_sensitivity_by_letters(M):
+    """Reference: the witness from a scan over every state and letter pair."""
+    for si in range(M.n_states):
+        s = M.state(si)
+        for a in range(M.n_letters):
+            for b in range(a + 1, M.n_letters):
+                xa, xb = M.word(s, (a, b)), M.word(s, (b, a))
+                if xa == xb:
+                    continue
+                v = _suffix_to_mixed(M, xa, xb)
+                if v is not None:
+                    if M.word(s, (a, b) + v) == ZERO:
+                        return (si, (a, b) + v, (b, a) + v)
+                    return (si, (b, a) + v, (a, b) + v)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_action_algebras())
+def test_order_sensitivity_matches_letter_pair_scan(M):
+    w = order_sensitivity(M)
+    assert (None if w is None else (w.state, w.w1, w.w2)) == \
+        order_sensitivity_by_letters(M)
