@@ -62,9 +62,6 @@ class AutomaticAlgebra:
             if not (0 <= si < self.n_states and 0 <= lj < self.n_letters
                     and 0 <= ti < self.n_states):
                 raise BadParams(f"transition out of range: {(si, lj, ti)}")
-            if clean.get((si, lj), ti) != ti:
-                raise ConflictingTransition(
-                    f"conflicting transitions for ({state_names[si]}, {letter_names[lj]})")
             clean[(si, lj)] = ti
         self.delta = MappingProxyType(clean)
         self._products = None   # product_table(), built on first use

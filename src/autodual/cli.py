@@ -223,29 +223,24 @@ def cmd_embed(args) -> int:
     return 0
 
 
-# the most positional parameters each construction accepts
-_WITNESS_ARITY = {name: 0 for name in witness_mod.CONSTRUCTION_NAMES} | {
-    "thm_wc": 1, "thm_pcomm_case1": 1, "thm_nondcomm": 3}
+def _witness_param(token: str, default):
+    """A witness parameter of its default's kind: integer, algebra or letter."""
+    if isinstance(default, AutomaticAlgebra):
+        return _algebra_by_token(token)
+    if isinstance(default, int):
+        try:
+            return int(token)
+        except ValueError:
+            raise UsageError(f"expected an integer parameter, not {token!r}")
+    return token
 
 
 def cmd_witness(args) -> int:
-    arity = _WITNESS_ARITY.get(args.name)
-    if arity is not None and len(args.params) > arity:
-        raise UsageError(f"{args.name} takes at most {arity} parameter(s), "
+    defaults = witness_mod.PARAM_DEFAULTS.get(args.name)
+    if defaults is not None and len(args.params) > len(defaults):
+        raise UsageError(f"{args.name} takes at most {len(defaults)} parameter(s), "
                          f"got {len(args.params)}")
-    params = ()
-    if args.name == "thm_wc":
-        try:
-            params = (int(args.params[0]),) if args.params else (0,)
-        except ValueError:
-            raise UsageError(f"thm_wc takes an integer m, not {args.params[0]!r}")
-    elif args.name == "thm_pcomm_case1":
-        params = (_algebra_by_token(args.params[0]),) if args.params else ()
-    elif args.name == "thm_nondcomm":
-        if args.params:
-            params = (_algebra_by_token(args.params[0]),
-                      args.params[1] if len(args.params) > 1 else "b",
-                      args.params[2] if len(args.params) > 2 else "c")
+    params = tuple(map(_witness_param, args.params, defaults or ()))
     trunc = witness_mod.build_truncation(args.name, params, args.size,
                                          max_elements=args.build_cap)
     report = witness_mod.verify_construction(trunc)

@@ -151,47 +151,16 @@ class Groupoid:
 def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                    max_elements: int = HOM_CAP_DEFAULT,
                    limit: Optional[int] = None,
-                   distinct_on: Optional[Sequence[int]] = None) -> list:
-    """All homomorphisms A -> M as tuples of element codes, indexed by A.
-
-    The search is `_hom_search`: one bitmask domain of candidate values per
-    element of A, narrowed as elements are decided.  The result is returned
+                   distinct_on: Optional[Sequence[int]] = None,
+                   preassigned: Optional[dict] = None) -> list:
+    """All homomorphisms A -> M as tuples of element codes, indexed by A,
     sorted, so the output order is canonical regardless of search order.
+
     With `limit`, enumeration aborts with CapExceeded once more than that
-    many homs exist.  With `distinct_on`, a sequence of elements of A, only
-    one hom is returned per distinct restriction to those elements.
-    """
-    for j in distinct_on or ():
-        _check_element(A, j, "distinct_on element")
-    return _hom_search(A, M, injective_only=injective_only,
-                       max_elements=max_elements, limit=limit,
-                       distinct_on=distinct_on)
+    many homs exist.  With `preassigned`, a map from elements of A to
+    element codes, only the homs that extend it are returned.
 
-
-def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
-               max_elements: int = 4096) -> bool:
-    """Is there a hom A -> M extending the partial element->code map?"""
-    size = M.size()
-    for j, v in (preassigned or {}).items():
-        _check_element(A, j, "preassigned element")
-        if not isinstance(v, int) or not 0 <= v < size:
-            raise BadParams(f"preassigned value {v!r} is not an element of M")
-    found = _hom_search(A, M, preassigned=preassigned, distinct_on=(),
-                        max_elements=max_elements)
-    return bool(found)
-
-
-def _check_element(A: Groupoid, j, what: str) -> None:
-    if not isinstance(j, int) or not 0 <= j < A.n:
-        raise IndexOutOfRange(f"{what} {j!r} not in 0..{A.n - 1}")
-
-
-def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
-                max_elements: int = HOM_CAP_DEFAULT, limit: Optional[int] = None,
-                preassigned: Optional[dict] = None,
-                distinct_on: Optional[Sequence[int]] = None) -> list:
-    """Depth-first hom search over bitmask domains (AC-3 style narrowing).
-
+    The search is depth-first over bitmask domains (AC-3 style narrowing).
     `dom[j]` is the set of values still possible for element j, as a bitmask
     over the element codes of M.  Deciding element i with value v
     propagates along every product that involves i:
@@ -205,16 +174,17 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     - i = k·j in A, through the preimage index of A built on entry
       (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
       k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
-      R[img j][v]; with k = j open, dom[k] keeps D[v], the c with c·c = v;
-    - with `injective_only`, v leaves every open domain.
+      R[img j][v]; with k = j open, dom[k] keeps D[v], the c with c·c = v.
 
-    A domain that empties is a contradiction; one that shrinks to a single
-    value decides its element.  Every domain change goes on `trail` as the
-    flat pair (element, previous domain), and every decision on `decided`,
-    so backtracking pops both back to a mark.  Branching takes the open
-    element with the smallest domain, lowest index first, and tries its
-    values in code order; the branch stack is explicit, so the depth of
-    the search is not bounded by Python's recursion limit.
+    Under `injective_only`, a value in `used` is refused where it is
+    chosen: when it is tried, and when a product or a singleton domain
+    forces it.  A domain that empties is a contradiction; one that shrinks
+    to a single value decides its element.  Every domain change goes on
+    `trail` as the flat pair (element, previous domain), and every decision
+    on `decided`, so backtracking pops both back to a mark.  Branching takes
+    the open element with the smallest domain, lowest index first, and
+    tries its values in code order; the branch stack is explicit, so the
+    depth of the search is not bounded by Python's recursion limit.
 
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
@@ -229,6 +199,14 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     in `_masks`, one `(M, L, R, D)` tuple for the last M searched, so a
     run of searches into one M builds them once and the next M drops them.
     """
+    size = M.size()
+    first = distinct_on or ()
+    for j in first:
+        _check_element(A, j, "distinct_on element")
+    for j, v in (preassigned or {}).items():
+        _check_element(A, j, "preassigned element")
+        if not isinstance(v, int) or not 0 <= v < size:
+            raise BadParams(f"preassigned value {v!r} is not an element of M")
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
     n, table = A.n, A.table
@@ -240,9 +218,7 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
             pre_left[t].append(k)
             pre_right[t].append(j)
     columns = list(zip(*table))     # columns[j][k] = k·j
-    first = distinct_on or ()
     keep = frozenset(first)     # frames on these survive a hom
-    size = M.size()
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, D = _search_masks(M)
@@ -332,11 +308,6 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                         return False
                 elif k == j and not narrow(k, D[v]):
                     return False
-            if injective_only:
-                keep = ~(1 << v)
-                for j in range(n):
-                    if img[j] < 0 and not narrow(j, keep):
-                        return False
         return True
 
     def try_value(i, v):
@@ -408,6 +379,11 @@ def _hom_search(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
     return out
 
 
+def _check_element(A: Groupoid, j, what: str) -> None:
+    if not isinstance(j, int) or not 0 <= j < A.n:
+        raise IndexOutOfRange(f"{what} {j!r} not in 0..{A.n - 1}")
+
+
 _masks = None   # (M, L, R, D) for the last target searched
 
 
@@ -442,6 +418,13 @@ def find_embedding(A: Groupoid, M: AutomaticAlgebra,
     """Least injective hom A -> M (as a tuple of codes), or None."""
     homs = enumerate_homs(A, M, injective_only=True, max_elements=max_elements)
     return homs[0] if homs else None
+
+
+def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
+               max_elements: int = 4096) -> bool:
+    """Is there a hom A -> M extending the partial element->code map?"""
+    return bool(enumerate_homs(A, M, distinct_on=(), preassigned=preassigned,
+                               max_elements=max_elements))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations, product
-from math import lcm
+from math import lcm, prod
+from operator import and_
 from typing import Callable, Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
@@ -34,6 +36,9 @@ SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
               "not finitely checkable")
 
 BUILD_CAP_DEFAULT = 4096
+SIZE_CAP = 16                   # the largest N; at 16 an index family holds 43,680 tuples
+PROBE_HOM_CAP = 256             # the most homs A -> M that local_eval_probe takes
+PROBE_WORK_CAP = 2 * 10 ** 7    # the most agreement-set intersections it takes
 
 
 @dataclass
@@ -89,8 +94,7 @@ def _mulchain(M, first, *rest):
 # the constructions
 # ---------------------------------------------------------------------------
 
-def _spec_thm_wc(params, N):
-    m = params[0] if params else 0
+def _spec_thm_wc(N, m):
     M = catalog("F", m)
     q, r, a = (M.element_by_name(x) for x in "qra")
     a0 = [_gen(M, N, ZERO, (1, r), (i, r)) for i in range(2, N + 1)]
@@ -120,7 +124,7 @@ def _spec_thm_wc(params, N):
                             identities, containment)
 
 
-def _spec_ex_all4_L(params, N):
+def _spec_ex_all4_L(N):
     M = AutomaticAlgebra.build(
         "qrs", "ac",
         [("q", "a", "q"), ("q", "c", "q"), ("r", "a", "q"), ("r", "c", "s"),
@@ -142,7 +146,7 @@ def _spec_ex_all4_L(params, N):
                             _gen(M, N, q), 1, identities)
 
 
-def _spec_lem_2state2(params, N):
+def _spec_lem_2state2(N):
     M = catalog("N", 4)
     q, r, a, b = (M.element_by_name(x) for x in "qrab")
     a0 = [_gen(M, N, q, (i, r)) for i in range(1, N + 1)]
@@ -161,7 +165,7 @@ def _spec_lem_2state2(params, N):
                             _gen(M, N, q), 1, identities)
 
 
-def _spec_lem_2state3(params, N):
+def _spec_lem_2state3(N):
     M = catalog("N", 5)
     q, r, a, b, c = (M.element_by_name(x) for x in "qrabc")
     a0 = [_gen(M, N, q, (i, r)) for i in range(1, N + 1)]
@@ -214,8 +218,7 @@ def _finish_pcomm(M, qi, aj, bj, cs):
     return None
 
 
-def _spec_thm_pcomm(params, N):
-    M = params[0] if params else catalog("N", 1)
+def _spec_thm_pcomm(N, M):
     qi, aj, bj, cs, p, si, t, ri = _derive_pcomm_params(M)
     q, s, r = M.state(qi), M.state(si), M.state(ri)
     a, b = M.letter(aj), M.letter(bj)
@@ -267,8 +270,7 @@ def _spec_thm_pcomm(params, N):
                             N, M, N, a0, gens, _gen(M, N, r), 1, identities)
 
 
-def _spec_thm_nondcomm(params, N):
-    M, bname, cname = params or (catalog("C", 3), "b", "c")
+def _spec_thm_nondcomm(N, M, bname, cname):
     for letter in (bname, cname):
         if letter not in M.letter_names:
             raise UnknownName(f"{letter!r} is not a letter of the algebra; "
@@ -329,26 +331,34 @@ def _spec_thm_nondcomm(params, N):
 
 
 _SPEC_BUILDERS = {
-    "thm_wc": _spec_thm_wc,
-    "thm_pcomm_case1": _spec_thm_pcomm,
-    "ex_all4_L": _spec_ex_all4_L,
-    "lem_2state2_N4": _spec_lem_2state2,
-    "lem_2state3_N5": _spec_lem_2state3,
-    "thm_nondcomm": _spec_thm_nondcomm,
+    "thm_wc": (_spec_thm_wc, (0,)),
+    "thm_pcomm_case1": (_spec_thm_pcomm, (catalog("N", 1),)),
+    "ex_all4_L": (_spec_ex_all4_L, ()),
+    "lem_2state2_N4": (_spec_lem_2state2, ()),
+    "lem_2state3_N5": (_spec_lem_2state3, ()),
+    "thm_nondcomm": (_spec_thm_nondcomm, (catalog("C", 3), "b", "c")),
 }
 
 CONSTRUCTION_NAMES = tuple(_SPEC_BUILDERS)
+PARAM_DEFAULTS = {name: defaults for name, (_, defaults) in _SPEC_BUILDERS.items()}
 
 
 def build_truncation(name: str, params=(), N: int = 4,
                      max_elements: int = BUILD_CAP_DEFAULT) -> Truncation:
-    """Materialize the generated subalgebra of the named construction."""
+    """Materialize the generated subalgebra of the named construction.  The
+    `params` must have the types of its `PARAM_DEFAULTS`, which fill the rest."""
     if name not in _SPEC_BUILDERS:
         raise UnknownName(f"unknown construction {name!r}; "
                           f"choose from {CONSTRUCTION_NAMES}")
     if N < 3:
         raise BadParams("truncation size must be at least 3")
-    spec = _SPEC_BUILDERS[name](params, N)
+    if N > SIZE_CAP:
+        raise CapExceeded(f"truncation size {N} exceeds size cap {SIZE_CAP}")
+    builder, defaults = _SPEC_BUILDERS[name]
+    if len(params) > len(defaults) or not all(map(isinstance, params, map(type, defaults))):
+        raise BadParams(f"{name} takes at most {len(defaults)} parameter(s), of types "
+                        f"({', '.join(type(d).__name__ for d in defaults)})")
+    spec = builder(N, *params, *defaults[len(params):])
     gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
     elements, groupoid = generate_power_groupoid(spec.algebra, spec.width, gens,
                                                  max_elements=max_elements)
@@ -452,75 +462,59 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
 # k-local evaluation probe
 # ---------------------------------------------------------------------------
 
-def local_eval_probe(M: AutomaticAlgebra, A: Groupoid, k: int,
-                     hom_cap: int = 64, node_cap: int = 10 ** 6) -> dict:
+def local_eval_probe(M: AutomaticAlgebra, A: Groupoid, k: int) -> dict:
     """Classify maps hom(A,M) -> M as evaluations / k-local / neither.
 
-    The k-local maps (k >= 2) are enumerated by depth-first search with
-    subset-witness pruning, which is complete for the k-local set without
-    enumerating all |M|^|hom| maps; "neither" is counted by arithmetic.
-    For k >= 3 the run asserts that every k-local map whose range contains
-    a letter is an evaluation, and aborts loudly otherwise.
+    A map f is k-local when any k homs x agree with f at some element a of
+    A, f(x) = x(a).  The k-local maps (k >= 2) are enumerated depth first,
+    one hom at a time: a value f(x) is kept only when every k - 1 earlier
+    homs leave an element in common, the bitmasks of the a with x(a) = f(x)
+    intersected.  This is complete for the k-local set without enumerating
+    all |M|^|hom| maps; "neither" is counted by arithmetic.  More than
+    PROBE_HOM_CAP homs, or more than PROBE_WORK_CAP intersections, raise
+    CapExceeded.  For k >= 3 the run asserts that every k-local map whose
+    range contains a letter is an evaluation, and aborts loudly otherwise.
     """
-    homs = enumerate_homs(A, M, max_elements=hom_cap)
+    if k < 1:
+        raise BadParams("locality k must be at least 1")
+    homs = enumerate_homs(A, M, limit=PROBE_HOM_CAP)
     H = len(homs)
-    evals = {tuple(h[a_idx] for h in homs) for a_idx in range(A.n)}
-    candidates = [sorted(set(homs[x])) for x in range(H)]
-    one_local = 1
-    for c in candidates:
-        one_local *= len(c)
+    evals = {tuple(h[a] for h in homs) for a in range(A.n)}
+    agree = [{} for _ in homs]      # agree[x][v]: the a with x(a) = v, a bitmask
+    for masks, h in zip(agree, homs):
+        for a, v in enumerate(h):
+            masks[v] = masks.get(v, 0) | 1 << a
+    one_local = prod(map(len, agree))
     total_maps = M.size() ** H
-    report = {"hom_count": H, "k": k, "evaluation_count": len(evals),
-              "one_local_count": one_local, "total_maps": total_maps}
     if k == 1:
-        report["k_local_count"] = one_local
-        report["k_local_non_eval"] = one_local - len(evals)
-        report["neither_count"] = total_maps - one_local
-        return report
-
-    agree = [{} for _ in range(H)]
-    for x in range(H):
-        for a_idx in range(A.n):
-            agree[x].setdefault(homs[x][a_idx], set()).add(a_idx)
-
-    found = []
-    assignment = [None] * H
-    nodes = 0
-
-    def extend(pos):
-        nonlocal nodes
-        if pos == H:
-            found.append(tuple(assignment))
-            return
-        for value in candidates[pos]:
-            nodes += 1
-            if nodes > node_cap:
-                raise CapExceeded("local evaluation search exceeded node cap")
-            base = agree[pos][value]
-            ok = True
-            for subset in combinations(range(pos), min(k, pos + 1) - 1):
-                wit = base
-                for x in subset:
-                    wit = wit & agree[x][assignment[x]]
-                    if not wit:
-                        ok = False
+        count, non_eval = one_local, one_local - len(evals)
+    else:
+        k_local, work = set(), 0
+        stack = [()]    # partial k-local maps: the values of the first homs
+        while stack:
+            f = stack.pop()
+            if len(f) == H:
+                k_local.add(f)
+                continue
+            chosen = [agree[x][v] for x, v in enumerate(f)]
+            for v, mask in agree[len(f)].items():
+                for subset in combinations(chosen, min(k - 1, len(f))):
+                    work += 1
+                    if work > PROBE_WORK_CAP:
+                        raise CapExceeded(f"local evaluation search exceeded "
+                                          f"{PROBE_WORK_CAP} intersections")
+                    if not reduce(and_, subset, mask):
                         break
-                if not ok:
-                    break
-            if ok:
-                assignment[pos] = value
-                extend(pos + 1)
-                assignment[pos] = None
-
-    extend(0)
-    k_local = set(found)
-    letters = set(M.letters())
-    bad = [f for f in k_local
-           if f not in evals and set(f) & letters]
-    report["k_local_count"] = len(k_local)
-    report["k_local_non_eval"] = len(k_local - evals)
-    report["neither_count"] = total_maps - len(k_local)
-    report["letter_range_non_eval"] = len(bad)
+                else:
+                    stack.append(f + (v,))
+        count, non_eval = len(k_local), len(k_local - evals)
+        bad = [f for f in k_local - evals if any(map(M.is_letter, f))]
+    report = {"hom_count": H, "k": k, "evaluation_count": len(evals),
+              "one_local_count": one_local, "total_maps": total_maps,
+              "k_local_count": count, "k_local_non_eval": non_eval,
+              "neither_count": total_maps - count}
+    if k >= 2:
+        report["letter_range_non_eval"] = len(bad)
     if k >= 3 and bad:
         raise InternalInconsistency(
             "a k-local map with a letter in its range is not an evaluation")

@@ -12,6 +12,7 @@ from autodual.errors import CapExceeded, InternalInconsistency
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
                                 rankill_check, whiskery_check)
 from autodual.terms import order_sensitivity
+from small_algebras import every_algebra
 
 
 def test_normalize_drops_undefined_letter():
@@ -289,21 +290,10 @@ def test_verifier_lets_faults_and_cap_hits_through(monkeypatch):
     assert not ok and reason.startswith("verification error")
 
 
-def _every_algebra(n_states, n_letters):
-    """Every algebra of this shape: each (state, letter) pair, states outer,
-    goes to a target in 0..n_states, where n_states means undefined."""
-    states = [f"q{i}" for i in range(n_states)]
-    letters = [f"a{j}" for j in range(n_letters)]
-    pairs = [(i, j) for i in range(n_states) for j in range(n_letters)]
-    for targets in itertools.product(range(n_states + 1), repeat=len(pairs)):
-        yield AutomaticAlgebra(states, letters, {p: t for p, t in zip(pairs, targets)
-                                                 if t < n_states})
-
-
 def test_unknown_verifier_agrees_with_classify():
-    algebras = [M for nq in range(3) for ns in range(3) for M in _every_algebra(nq, ns)]
-    algebras += list(_every_algebra(3, 1))
-    algebras += list(itertools.islice(_every_algebra(3, 2), 0, None, 5))
+    algebras = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
+    algebras += list(every_algebra(3, 1))
+    algebras += list(itertools.islice(every_algebra(3, 2), 0, None, 5))
     algebras += [M for _, M in standard_catalog()]
     algebras.append(AutomaticAlgebra.build(
         ["q", "r", "s"], ["a", "b", "c"],

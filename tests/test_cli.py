@@ -190,6 +190,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  ["lem_2state2_N4", "x"], ["thm_nondcomm", "C3", "b", "c", "d"]):
         code, _, err = run(["witness", *argv, "--size", "3"], capsys)
         assert code == 1 and "usage error" in err
+    code, out, err = run(["witness", "thm_wc", "--size", "17"], capsys)
+    assert code == 3 and "size cap" in err and out == ""
     b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables
     code, out, err = run(["check-eq", b_path, "abcdefghi = ihgfedcba"], capsys)
     assert code == 3 and "over the cap" in err and out == ""

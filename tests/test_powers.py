@@ -19,6 +19,7 @@ from autodual.powers import (Groupoid, enumerate_homs, find_embedding,
                              op_pbar, op_psi, op_quasi_meet, pointwise_mul)
 from autodual.structure import component_group, components
 from autodual.witness import CONSTRUCTION_NAMES, build_truncation
+from small_algebras import every_algebra
 
 
 def test_generate_subuniverse_examples():
@@ -194,7 +195,11 @@ def test_hom_search_matches_brute_force(target):
         assert find_embedding(A, M) == (embeddings[0] if embeddings else None)
         for i in range(A.n):
             for c in M.elements():
-                assert hom_exists(A, M, {i: c}) == any(h[i] == c for h in homs)
+                extending = [h for h in homs if h[i] == c]
+                assert enumerate_homs(A, M, preassigned={i: c}) == extending
+                assert enumerate_homs(A, M, injective_only=True, preassigned={i: c}) \
+                    == [h for h in embeddings if h[i] == c]
+                assert hom_exists(A, M, {i: c}) == bool(extending)
         assert_one_hom_per_restriction(A, M, homs, ())
         for S in ((0, A.n - 1), (A.n - 1, 1)):
             assert_one_hom_per_restriction(A, M, homs, S)
@@ -222,25 +227,14 @@ def test_distinct_on_validates_elements():
             enumerate_homs(A, catalog("B"), distinct_on=bad)
 
 
-def every_algebra(n_states, n_letters):
-    """Every algebra of this shape; target n_states means undefined."""
-    states = [f"q{i}" for i in range(n_states)]
-    letters = [f"a{j}" for j in range(n_letters)]
-    pairs = list(itertools.product(range(n_states), range(n_letters)))
-    for targets in itertools.product(range(n_states + 1), repeat=len(pairs)):
-        yield AutomaticAlgebra(states, letters, {p: t for p, t in zip(pairs, targets)
-                                                 if t < n_states})
-
-
-def test_injective_search_matches_permutation_oracle():
-    targets = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
-    three_states = [M for ns in (1, 2) for M in every_algebra(3, ns)]
-    targets += random.Random(7).sample(three_states, 24)
-    sources = small_sources()
+def assert_embeddings_match(targets, sources):
+    """Every injective search of a source into a target returns the
+    embeddings that a filter over all injective maps finds; returns how many
+    (source, target) pairs have one.  Each target is searched again after
+    its successor, so a search that read the masks of the previous target
+    would fail."""
     oracle = {}
     embedded = 0
-    # each target is searched again after its successor, so a search that
-    # read the masks of the previous target would fail
     for t1 in range(len(targets)):
         t2 = (t1 + 1) % len(targets)
         for t in (t1, t2, t1):
@@ -253,7 +247,14 @@ def test_injective_search_matches_permutation_oracle():
                 want = oracle[k, t]
                 assert enumerate_homs(A, M, injective_only=True) == want
                 assert find_embedding(A, M) == (want[0] if want else None)
-    assert embedded >= 100
+    return embedded
+
+
+def test_injective_search_matches_permutation_oracle():
+    targets = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
+    three_states = [M for ns in (1, 2) for M in every_algebra(3, ns)]
+    targets += random.Random(7).sample(three_states, 24)
+    assert assert_embeddings_match(targets, small_sources()) >= 100
 
 
 def test_search_masks_hold_one_target():
@@ -285,6 +286,8 @@ def test_hom_exists_validates_preassignment():
     for bad in ({0: B.size()}, {0: -1}, {0: "q"}):
         with pytest.raises(BadParams):
             hom_exists(A, B, bad)
+        with pytest.raises(BadParams):      # checked before the size cap
+            enumerate_homs(A, B, preassigned=bad, max_elements=1)
 
 
 def test_enumerate_homs_examples():

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
-from autodual.algebras import (ZERO, AutomaticAlgebra, catalog, random_algebra,
-                               standard_catalog)
+from autodual.algebras import ZERO, catalog, random_algebra, standard_catalog
 from autodual.classify import EQ_WXYZ_WYXZ, EQ_XY_XYYY, gen_chain
 from autodual.errors import CapExceeded, TermSyntaxError
 from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
@@ -16,6 +15,7 @@ from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
                             order_sensitivity_brute, parse_and_normalize,
                             parse_equation, parse_quasi_identity, parse_term,
                             _suffix_to_mixed)
+from small_algebras import every_algebra
 
 
 # -- reference evaluators: one dict per assignment, one `mul` per product ----
@@ -129,14 +129,6 @@ def test_check_quasi_identity_examples():
     assert check_quasi_identity(catalog("B"), trivial) is None
 
 
-def _every_algebra(n_states, n_letters):
-    pairs = [(i, j) for i in range(n_states) for j in range(n_letters)]
-    for targets in iproduct(range(n_states + 1), repeat=len(pairs)):
-        yield AutomaticAlgebra([f"q{i}" for i in range(n_states)],
-                               [f"a{j}" for j in range(n_letters)],
-                               {p: t for p, t in zip(pairs, targets) if t < n_states})
-
-
 _FIXED_QUASI = [WHISKERY_QUASI, QuasiIdentity((), EQ_XY_XYYY)] + [
     parse_quasi_identity(src) for src in (
         "x = y => x = y", "xy = yx => x = y", "ab = cd => ba = dc",
@@ -154,7 +146,7 @@ def _agrees(M, q):
 
 
 def test_join_matches_scan_on_small_and_chain_algebras():
-    algebras = [M for nq in range(3) for ns in range(3) for M in _every_algebra(nq, ns)]
+    algebras = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
     algebras += [M for _, M in standard_catalog()] + [gen_chain(n) for n in range(1, 5)]
     found = 0
     for M in algebras:

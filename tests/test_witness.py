@@ -1,5 +1,6 @@
 import pytest
 
+from autodual import witness
 from autodual.algebras import ZERO, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.powers import Groupoid, generate_subuniverse, pointwise_mul
@@ -37,6 +38,30 @@ def test_degenerate_minimum_size():
         build_truncation("thm_wc", (0,), 2)
     with pytest.raises(UnknownName):
         build_truncation("bogus", (), 4)
+
+
+def test_build_truncation_fills_and_checks_parameters():
+    # a short tuple takes the remaining defaults, here the letters b and c
+    partial = build_truncation("thm_nondcomm", (catalog("C", 5),), 4)
+    assert partial.spec.params[1:] == ("b", "c")
+    assert partial.elements == build_truncation(
+        "thm_nondcomm", (catalog("C", 5), "b", "c"), 4).elements
+    for name, params in (("thm_wc", ("x",)), ("thm_pcomm_case1", (catalog("N", 1), "extra")),
+                         ("ex_all4_L", (0,)), ("thm_nondcomm", ("C3",))):
+        with pytest.raises(BadParams):
+            build_truncation(name, params, 4)
+
+
+def test_build_truncation_caps_the_size_before_building(monkeypatch):
+    def spy(*args):
+        raise AssertionError("a builder ran")
+    for name in CONSTRUCTION_NAMES:
+        monkeypatch.setitem(witness._SPEC_BUILDERS, name,
+                            (spy, witness._SPEC_BUILDERS[name][1]))
+    for name in CONSTRUCTION_NAMES:
+        for N in (witness.SIZE_CAP + 1, 100):
+            with pytest.raises(CapExceeded):
+                build_truncation(name, (), N)
 
 
 def test_thm_wc_containment():
@@ -240,3 +265,15 @@ def test_local_eval_probe_n0_square():
     assert rep["letter_range_non_eval"] == 0
     # every evaluation is k-local for every k
     assert rep["k_local_count"] >= rep["evaluation_count"]
+
+
+def test_local_eval_probe_caps_homs_and_work(monkeypatch):
+    B = catalog("B")        # 1,282 endomorphisms
+    with pytest.raises(CapExceeded):
+        local_eval_probe(B, Groupoid.from_algebra(B), 2)
+    with pytest.raises(BadParams):
+        local_eval_probe(B, Groupoid.from_algebra(B), 0)
+    F0 = catalog("F", 0)
+    monkeypatch.setattr(witness, "PROBE_WORK_CAP", 100)
+    with pytest.raises(CapExceeded):
+        local_eval_probe(F0, Groupoid.from_algebra(F0), 3)
