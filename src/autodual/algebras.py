@@ -22,9 +22,11 @@ import random
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .errors import BadParams, ConflictingTransition, ReservedName, UnknownName
+from .errors import (BadParams, CapExceeded, ConflictingTransition, ReservedName,
+                     UnknownName)
 
 ZERO = 0
+CATALOG_STATE_CAP = 1024    # the most states `catalog F m` and `catalog C p` build
 
 _NAME_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -305,6 +307,9 @@ def _cat_R():
 def _cat_F(m: int):
     if m < 0:
         raise BadParams("F takes m >= 0")
+    if m + 2 > CATALOG_STATE_CAP:
+        raise CapExceeded(f"F_{m} has {m + 2} states, over the catalog state cap "
+                          f"{CATALOG_STATE_CAP}")
     states = ["q", "r"] + [f"s{i}" for i in range(1, m + 1)]
     edges = [("q", "a", "r")]
     if m >= 1:
@@ -334,6 +339,9 @@ def _cat_N(k: int):
 
 
 def _cat_C(p: int):
+    if p > CATALOG_STATE_CAP:
+        raise CapExceeded(f"C_{p} has {p} states, over the catalog state cap "
+                          f"{CATALOG_STATE_CAP}")
     if not _is_odd_prime(p):
         raise BadParams(f"C takes an odd prime, got {p}")
     states = [str(i) for i in range(1, p + 1)]

@@ -162,15 +162,22 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
 
     The search is depth-first over bitmask domains (AC-3 style narrowing).
     `dom[j]` is the set of values still possible for element j, as a bitmask
-    over the element codes of M.  Deciding element i with value v
-    propagates along every product that involves i:
+    over the element codes of M.  An absorbing element z of A, if there is
+    one, is decided at the root, before `preassigned`, as the idempotent e
+    of M read off the masks D: 0, the only one in an automatic algebra.
+    The partners of i are the j with i·j ≠ z or j·i ≠ z, every j if there
+    is no z; in thm_nondcomm at N = 4 an element has about 11 among 88.
+    Deciding element i with value v propagates along every product that
+    involves i:
 
-    - i·j and j·i with j decided: the product's image is forced;
-    - j open, the image z of i·j (or j·i) decided: dom[j] keeps the c with
-      v·c = z (or c·v = z), the precomputed masks L[v][z] and R[v][z];
-    - j open and i·j (or j·i) open, under `injective_only`: that product
-      can take no value another element already has, so dom[j] loses
-      L[v][z] (or R[v][z]) for every z in `used`;
+    - j not a partner: both products go to e, so dom[j] keeps one mask,
+      Z[v] = L[v][e] & R[v][e], and none is visited when Z[v] is full;
+    - i·j and j·i with j a decided partner: the product's image is forced;
+    - j an open partner, i·j (or j·i) decided as w: dom[j] keeps the c
+      with v·c = w (or c·v = w), the precomputed masks L[v][w] and R[v][w];
+    - j an open partner and i·j (or j·i) open, under `injective_only`:
+      that product can take no value another element already has, so
+      dom[j] loses L[v][u] (or R[v][u]) for every u in `used`;
     - i = k·j in A, through the preimage index of A built on entry
       (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
       k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
@@ -181,10 +188,10 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     forces it.  A domain that empties is a contradiction; one that shrinks
     to a single value decides its element.  Every domain change goes on
     `trail` as the flat pair (element, previous domain), and every decision
-    on `decided`, so backtracking pops both back to a mark.  Branching takes
-    the open element with the smallest domain, lowest index first, and
-    tries its values in code order; the branch stack is explicit, so the
-    depth of the search is not bounded by Python's recursion limit.
+    on `decided`, whose length alone tells a leaf.  Branching takes the
+    open element with the smallest domain, lowest index first, and tries
+    its values in code order; the branch stack is explicit, so the depth
+    of the search is not bounded by Python's recursion limit.
 
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
@@ -217,11 +224,19 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         for j, t in zip(ids, row):
             pre_left[t].append(k)
             pre_right[t].append(j)
-    columns = list(zip(*table))     # columns[j][k] = k·j
     keep = frozenset(first)     # frames on these survive a hom
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, D = _search_masks(M)
+    (e,) = [c for c in range(size) if D[c] >> c & 1]     # the one idempotent
+    zero = next((k for k in ids if table[k].count(k) == n
+                 and all(row[k] == k for row in table)), -1)
+    partners, zeros = [], []
+    for row, col in zip(table, zip(*table)):
+        # (j, i·j, j·i) for each partner j of i
+        partners.append([(j, t, s) for j, t, s in zip(ids, row, col) if t != zero or s != zero])
+        zeros.append([j for j, t, s in zip(ids, row, col) if t == s == zero])
+    Z = [L_v[e] & R_v[e] for L_v, R_v in zip(L, R)]
 
     img = [-1] * n
     dom = [full] * n
@@ -264,13 +279,14 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         while queue:
             i = queue.pop()
             v = img[i]
-            row_v, L_v, R_v = mt[v], L[v], R[v]
+            row_v, L_v, R_v, Z_v = mt[v], L[v], R[v], Z[v]
             # what an injective search adds for an open product: no c whose
             # product with v is in `seen`, the values of `used` folded in so
             # far; `used` only grows while propagating, so each is folded once
             open_l = open_r = full
             seen = 0
-            for j, t, s, y in zip(range(n), table[i], columns[i], img):
+            for j, t, s in partners[i]:
+                y = img[j]
                 if y >= 0:      # t = i·j and s = j·i are forced
                     w = row_v[y]
                     z = img[t]
@@ -297,6 +313,11 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                             mask &= open_r
                     d = dom[j]
                     if d & mask != d and not narrow(j, mask):
+                        return False
+            if Z_v != full:     # a decided zero partner outside Z_v fails
+                for j in zeros[i]:
+                    d = dom[j]
+                    if d & Z_v != d and not narrow(j, Z_v):
                         return False
             for k, j in zip(pre_left[i], pre_right[i]):
                 x, y = img[k], img[j]
@@ -329,7 +350,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
 
     def branch_element():
         """The first open element of `distinct_on`, else the open element
-        with the smallest domain, lowest index first."""
+        with the smallest domain, lowest index first; -1 at a leaf."""
+        if len(decided) == n:
+            return -1
         for j in first:
             if img[j] < 0:
                 return j
@@ -343,6 +366,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                         break
         return best
 
+    if zero >= 0 and not try_value(zero, e):
+        return []
     for j, v in (preassigned or {}).items():
         if img[j] < 0:
             if not try_value(j, v):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from autodual.algebras import (ZERO, AutomaticAlgebra, apply_word, catalog,
-                               product, random_algebra, standard_catalog)
-from autodual.errors import (BadParams, ConflictingTransition, ReservedName,
-                             UnknownName)
+from autodual.algebras import (CATALOG_STATE_CAP, ZERO, AutomaticAlgebra, _is_odd_prime,
+                               apply_word, catalog, product, random_algebra,
+                               standard_catalog)
+from autodual.errors import (BadParams, CapExceeded, ConflictingTransition,
+                             ReservedName, UnknownName)
 
 GOLDEN_TABLES = {
     "B": "states q r s\nletters a b c\ntrans q a r\ntrans r b r\ntrans r c s\n",
@@ -120,6 +121,12 @@ def test_catalog_param_validation():
         catalog("F", -1)
     with pytest.raises(BadParams):
         catalog("B", 1)
+    assert catalog("F", CATALOG_STATE_CAP - 2).n_states == CATALOG_STATE_CAP
+    prime = next(p for p in range(CATALOG_STATE_CAP + 1, 2 * CATALOG_STATE_CAP)
+                 if _is_odd_prime(p))
+    for name, param in (("F", CATALOG_STATE_CAP - 1), ("C", prime)):
+        with pytest.raises(CapExceeded, match="catalog state cap"):
+            catalog(name, param)
 
 
 def test_catalog_F0_and_C3_shapes():

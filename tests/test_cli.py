@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from autodual.algebras import catalog, standard_catalog
+from autodual.algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog, standard_catalog
 from autodual.cli import main, parse_algebra_file
 from autodual.errors import CapExceeded, InputParseError, InternalInconsistency
 
@@ -164,7 +164,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 3
 
     def build_nothing(*args):
-        raise AssertionError("no chain stage may be built past the cap")
+        raise AssertionError("nothing may be built past a cap")
 
     # the package re-exports the function `classify`, so fetch the module itself
     monkeypatch.setattr(importlib.import_module("autodual.classify"), "catalog",
@@ -175,6 +175,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     for argv in (["chain", "0"], ["chain", "-3"], ["catalog", "chain", "0"]):
         code, out, err = run(argv, capsys)
         assert code == 3 and ">= 1" in err and out == ""
+    monkeypatch.setattr(AutomaticAlgebra, "build", build_nothing)
+    over = str(CATALOG_STATE_CAP - 1)       # F_m has m + 2 states
+    for argv in (["catalog", "F", over], ["catalog", "C", str(CATALOG_STATE_CAP + 1)],
+                 ["witness", "thm_wc", over, "--size", "3"]):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and "catalog state cap" in err and out == ""
     monkeypatch.undo()
     code, _, err = run(["nonsense"], capsys)
     assert code == 1

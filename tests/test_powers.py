@@ -220,6 +220,54 @@ def assert_one_hom_per_restriction(A, M, homs, S):
     assert set(restrict) == {tuple(h[i] for i in S) for h in homs}
 
 
+@st.composite
+def groupoid_tables(draw):
+    """Groupoids on 1-4 elements with random tables: some with an absorbing
+    element, some without, some with extra idempotents i·i = i."""
+    n = draw(st.integers(1, 4))
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        for k in range(n):
+            table[z][k] = table[k][z] = z
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        table[i][i] = i
+    return Groupoid(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groupoid_tables(),
+       st.one_of(st.sampled_from([catalog("B"), catalog("F", 0), catalog("N", 1)]),
+                 partial_algebras()),
+       st.data())
+def test_hom_search_matches_brute_force_on_random_tables(A, M, data):
+    homs = brute_force_homs(A, M)
+    assert enumerate_homs(A, M) == homs
+    assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
+                                                         if len(set(h)) == A.n]
+    i = data.draw(st.integers(0, A.n - 1))
+    c = data.draw(st.sampled_from(M.elements()))
+    assert enumerate_homs(A, M, preassigned={i: c}) == [h for h in homs if h[i] == c]
+    S = data.draw(st.lists(st.integers(0, A.n - 1), max_size=3, unique=True))
+    assert_one_hom_per_restriction(A, M, homs, tuple(S))
+    if homs:
+        with pytest.raises(CapExceeded):
+            enumerate_homs(A, M, limit=len(homs) - 1)
+    assert enumerate_homs(A, M, limit=len(homs)) == homs
+
+
+def test_absorbing_element_preassigned_nonzero_has_no_hom():
+    A, B = Groupoid.from_algebra(catalog("F", 0)), catalog("B")
+    z = A.labels.index("0")
+    homs = enumerate_homs(A, B)
+    assert enumerate_homs(A, B, preassigned={z: ZERO}) == homs
+    for c in B.elements():
+        if c != ZERO:
+            assert enumerate_homs(A, B, preassigned={z: c}) == []
+            assert enumerate_homs(A, B, injective_only=True, preassigned={z: c}) == []
+            assert not hom_exists(A, B, {z: c})
+
+
 def test_distinct_on_validates_elements():
     A = Groupoid.from_algebra(catalog("F", 0))
     for bad in ((A.n,), (0, -1), ("q",)):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from autodual import witness
@@ -141,6 +145,28 @@ def test_kernel_analysis_restriction_mode():
     kr = kernel_block_analysis(tr, max_elements=64, hom_budget=50)
     assert kr.mode == "restrictions" and kr.hom_count is None
     assert not kr.violations
+
+
+def kernel_report_digest(name, params, N):
+    """sha256 of the JSON of the kernel report at N with at most 512 elements,
+    the witness benchmark's setting."""
+    kr = kernel_block_analysis(build_truncation(name, params, N), max_elements=512)
+    return hashlib.sha256(json.dumps(dataclasses.asdict(kr)).encode()).hexdigest()
+
+
+# recorded before the hom search propagated along nonzero products only;
+# the three "756dcc13..." reports are restriction-mode reports that agree
+@pytest.mark.parametrize("name, params, digest", [
+    ("thm_wc", (0,), "4a5870bf26f0390ce51ae6829ee5f245190b5f0ec9a7f2d7caab0b808b15963a"),
+    ("thm_wc", (1,), "329ce3c0ab59982ef823897ca08b9a296f0ee1361c5ee172047180acba743bb5"),
+    ("thm_pcomm_case1", (), "756dcc1339c46b4140a405a4a8da572c9a23fb91adf52b85ac92fcfb54dde8a0"),
+    ("ex_all4_L", (), "756dcc1339c46b4140a405a4a8da572c9a23fb91adf52b85ac92fcfb54dde8a0"),
+    ("lem_2state2_N4", (), "91bfca97f56d0ec89e1dbc11bcb209e32ec0657ef6ffd63c2c02cb97ededdb2b"),
+    ("lem_2state3_N5", (), "756dcc1339c46b4140a405a4a8da572c9a23fb91adf52b85ac92fcfb54dde8a0"),
+    ("thm_nondcomm", (), "ce2140f85dd747072fdabc26503abfff19219d333dd826a5b4a68597c1aef297"),
+])
+def test_kernel_reports_at_4_match_goldens(name, params, digest):
+    assert kernel_report_digest(name, params, 4) == digest
 
 
 @pytest.mark.parametrize("name, params", [("thm_wc", (0,)), ("thm_wc", (1,)),
