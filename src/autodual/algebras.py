@@ -26,7 +26,9 @@ from .errors import (BadParams, CapExceeded, ConflictingTransition, ReservedName
                      UnknownName)
 
 ZERO = 0
-CATALOG_STATE_CAP = 1024    # the most states `catalog F m` and `catalog C p` build
+# the most states `catalog F m` and `catalog C p` build, and the most states
+# or letters an algebra file may name
+CATALOG_STATE_CAP = 1024
 
 _NAME_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 

@@ -14,10 +14,10 @@ import re
 import sys
 
 from . import witness as witness_mod
-from .algebras import AutomaticAlgebra, catalog
+from .algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog
 from .classify import (check_chain_cap, classify, gen_chain, normalize_algebra,
                        verify_certificate)
-from .errors import InputParseError, ToolError
+from .errors import CapExceeded, InputParseError, ToolError
 from .powers import Groupoid, find_embedding
 from .structure import (components, letter_affine_analysis, permutation_profile,
                         whiskery_check)
@@ -39,6 +39,9 @@ def parse_algebra_file(text: str) -> AutomaticAlgebra:
             continue
         tokens = line.split()
         head, rest = tokens[0], tokens[1:]
+        if head in ("states", "letters") and len(rest) > CATALOG_STATE_CAP:
+            raise CapExceeded(f"line {lineno} names {len(rest)} {head}, over the "
+                              f"cap {CATALOG_STATE_CAP}")
         if head == "states":
             if states is not None:
                 raise InputParseError("duplicate states line", line=lineno)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from operator import getitem
+from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
@@ -193,6 +193,15 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     its values in code order; the branch stack is explicit, so the depth
     of the search is not bounded by Python's recursion limit.
 
+    When one element j is left open, each c in dom[j], not in `used`, is
+    a hom's value at j if c·img k = c for j·k = j, img k·c = c for k·j = j
+    and c·c = c for j·j = j (under `distinct_on` without j, the first c
+    only).  These are the pairs of `pre_left[j]`, `pre_right[j]`: a pair
+    of two decided elements would have decided j.  The masks FR and FL of
+    M hold the c that pass.  dom[j] holds every other product of j: one
+    whose other factor and value are decided through the partner, zero or
+    preimage rules, j·j = t with t decided through D.
+
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
     the open ones among them first, in the order given, and after each hom
@@ -203,8 +212,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     at the first hom.
 
     The masks depend on M alone.  They are built once per target and kept
-    in `_masks`, one `(M, L, R, D)` tuple for the last M searched, so a
-    run of searches into one M builds them once and the next M drops them.
+    in `_masks`, one `(M, L, R, D, FL, FR)` tuple for the last M searched,
+    so a run of searches into one M builds them once and the next M drops
+    them.
     """
     size = M.size()
     first = distinct_on or ()
@@ -227,7 +237,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     keep = frozenset(first)     # frames on these survive a hom
     mt = M.product_table()
     full = (1 << size) - 1
-    L, R, D = _search_masks(M)
+    L, R, D, FL, FR = _search_masks(M)
     (e,) = [c for c in range(size) if D[c] >> c & 1]     # the one idempotent
     zero = next((k for k in ids if table[k].count(k) == n
                  and all(row[k] == k for row in table)), -1)
@@ -350,9 +360,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
 
     def branch_element():
         """The first open element of `distinct_on`, else the open element
-        with the smallest domain, lowest index first; -1 at a leaf."""
-        if len(decided) == n:
-            return -1
+        with the smallest domain, lowest index first."""
         for j in first:
             if img[j] < 0:
                 return j
@@ -366,6 +374,25 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                         break
         return best
 
+    def emit_last(j):
+        """Emit the homs of a frame where j is the one open element."""
+        values = dom[j] & ~used
+        for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
+            if k == j:
+                values &= FR[img[l]]    # c·img l = c; l = j reads FR[-1]: c·c = c
+            else:
+                values &= FL[img[k]]    # img k·c = c
+        while values:
+            low = values & -values
+            values ^= low
+            img[j] = low.bit_length() - 1
+            out.append(tuple(img))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} homomorphisms")
+            if distinct_on is not None and j not in keep:
+                break
+        img[j] = -1
+
     if zero >= 0 and not try_value(zero, e):
         return []
     for j, v in (preassigned or {}).items():
@@ -378,14 +405,18 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     # untried values, and the trail and decided marks that undo its choice
     frames = []
     while True:
-        best = branch_element()
-        if best >= 0:
+        if len(decided) < n - 1:
+            best = branch_element()
             frames += (best, dom[best], len(trail), len(decided))
         else:
-            out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
-            if distinct_on is not None:
+            found = len(out)
+            if len(decided) < n:
+                emit_last(img.index(-1))
+            else:
+                out.append(tuple(img))
+                if limit is not None and len(out) > limit:
+                    raise CapExceeded(f"more than {limit} homomorphisms")
+            if distinct_on is not None and len(out) > found:
                 while frames and frames[-4] not in keep:
                     del frames[-4:]
         while frames:       # the next value that propagates, backtracking
@@ -409,13 +440,14 @@ def _check_element(A: Groupoid, j, what: str) -> None:
         raise IndexOutOfRange(f"{what} {j!r} not in 0..{A.n - 1}")
 
 
-_masks = None   # (M, L, R, D) for the last target searched
+_masks = None   # (M, L, R, D, FL, FR) for the last target searched
 
 
 def _search_masks(M: AutomaticAlgebra) -> tuple:
-    """(L, R, D) of M: L[x][z] is the mask of the c with x·c = z, R[x][z]
-    of the c with c·x = z, D[z] of the c with c·c = z.  L[x][-1] and
-    R[x][-1] are full, for an open z.
+    """(L, R, D, FL, FR) of M: L[x][z] is the mask of the c with x·c = z,
+    R[x][z] of the c with c·x = z, D[z] of the c with c·c = z, FL[x] of the
+    c with x·c = c, FR[x] of the c with c·x = c.  L[x][-1] and R[x][-1] are
+    full, for an open z; FL[-1] and FR[-1] are the c with c·c = c.
 
     Kept for the last M only; the slot is rebound as one tuple and read
     once, so a search never mixes the masks of two targets.
@@ -434,7 +466,11 @@ def _search_masks(M: AutomaticAlgebra) -> tuple:
                 L[x][mt[x][c]] |= 1 << c
                 R[x][mt[c][x]] |= 1 << c
             D[mt[x][x]] |= 1 << x
-        slot = _masks = (M, L, R, D)
+        bits = [1 << c for c in range(size)]     # map(and_, X, bits): bit z of X[z]
+        idempotents = sum(map(and_, D, bits))
+        FL = [sum(map(and_, L_x, bits)) for L_x in L] + [idempotents]
+        FR = [sum(map(and_, R_x, bits)) for R_x in R] + [idempotents]
+        slot = _masks = (M, L, R, D, FL, FR)
     return slot[1:]
 
 

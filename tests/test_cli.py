@@ -181,7 +181,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  ["witness", "thm_wc", over, "--size", "3"]):
         code, out, err = run(argv, capsys)
         assert code == 3 and "catalog state cap" in err and out == ""
+    names = [f"x{i}" for i in range(CATALOG_STATE_CAP + 1)]
+    for head in ("states", "letters"):
+        lines = {"states": "states q r", "letters": "letters a"}
+        lines[head] = " ".join([head] + names)
+        wide = tmp_path / f"wide_{head}.alg"
+        wide.write_text("\n".join(lines.values()) + "\ntrans q a r\n")
+        code, out, err = run(["classify", str(wide)], capsys)
+        assert code == 3 and f"{CATALOG_STATE_CAP + 1} {head}, over the cap" in err
+        assert out == ""
     monkeypatch.undo()
+    chain7 = parse_algebra_file(" ".join(["states"] + names[:652]) + "\nletters "
+                                + " ".join(f"a{i}" for i in range(611)) + "\n")
+    assert (chain7.n_states, chain7.n_letters) == (652, 611)      # gen_chain(7)'s shape
     code, _, err = run(["nonsense"], capsys)
     assert code == 1
     code, _, err = run(["classify", str(tmp_path / "missing.alg")], capsys)

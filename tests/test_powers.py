@@ -180,34 +180,41 @@ def small_sources():
     return sources
 
 
+def small_pairs(targets):
+    """The (source, target) pairs small enough to check by brute force."""
+    sources = small_sources()
+    return [(A, M) for M in targets for A in sources if M.size() ** A.n <= 10 ** 5]
+
+
+def assert_homs_match(A, M):
+    """Every kind of search of A -> M returns what brute force finds."""
+    homs = brute_force_homs(A, M)
+    embeddings = [h for h in homs if len(set(h)) == A.n]
+    assert enumerate_homs(A, M) == homs
+    assert enumerate_homs(A, M, injective_only=True) == embeddings
+    assert find_embedding(A, M) == (embeddings[0] if embeddings else None)
+    for i in range(A.n):
+        for c in M.elements():
+            extending = [h for h in homs if h[i] == c]
+            assert enumerate_homs(A, M, preassigned={i: c}) == extending
+            assert enumerate_homs(A, M, injective_only=True, preassigned={i: c}) \
+                == [h for h in embeddings if h[i] == c]
+            assert hom_exists(A, M, {i: c}) == bool(extending)
+    assert_one_hom_per_restriction(A, M, homs, ())
+    for S in ((0, A.n - 1), (A.n - 1, 1)):
+        assert_one_hom_per_restriction(A, M, homs, S)
+    if homs:
+        with pytest.raises(CapExceeded):
+            enumerate_homs(A, M, limit=len(homs) - 1)
+    assert enumerate_homs(A, M, limit=len(homs)) == homs
+
+
 @pytest.mark.parametrize("target", [("F", 0), ("N", 1), ("R",), ("B",)])
 def test_hom_search_matches_brute_force(target):
-    M = catalog(*target)
-    checked = 0
-    for A in small_sources():
-        if M.size() ** A.n > 10 ** 5:
-            continue
-        checked += 1
-        homs = brute_force_homs(A, M)
-        embeddings = [h for h in homs if len(set(h)) == A.n]
-        assert enumerate_homs(A, M) == homs
-        assert enumerate_homs(A, M, injective_only=True) == embeddings
-        assert find_embedding(A, M) == (embeddings[0] if embeddings else None)
-        for i in range(A.n):
-            for c in M.elements():
-                extending = [h for h in homs if h[i] == c]
-                assert enumerate_homs(A, M, preassigned={i: c}) == extending
-                assert enumerate_homs(A, M, injective_only=True, preassigned={i: c}) \
-                    == [h for h in embeddings if h[i] == c]
-                assert hom_exists(A, M, {i: c}) == bool(extending)
-        assert_one_hom_per_restriction(A, M, homs, ())
-        for S in ((0, A.n - 1), (A.n - 1, 1)):
-            assert_one_hom_per_restriction(A, M, homs, S)
-        if homs:
-            with pytest.raises(CapExceeded):
-                enumerate_homs(A, M, limit=len(homs) - 1)
-        assert enumerate_homs(A, M, limit=len(homs)) == homs
-    assert checked >= 3
+    pairs = small_pairs([catalog(*target)])
+    for A, M in pairs:
+        assert_homs_match(A, M)
+    assert len(pairs) >= 3
 
 
 def assert_one_hom_per_restriction(A, M, homs, S):
@@ -266,6 +273,51 @@ def test_absorbing_element_preassigned_nonzero_has_no_hom():
             assert enumerate_homs(A, B, preassigned={z: c}) == []
             assert enumerate_homs(A, B, injective_only=True, preassigned={z: c}) == []
             assert not hom_exists(A, B, {z: c})
+
+
+def groupoid(n, products):
+    """The groupoid on 0..n-1 with the given products, 0 elsewhere."""
+    return Groupoid([[products.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+# Groupoids whose last element j is the last one the search leaves open, each
+# with one kind of product of j that no domain enforces, or none.  0 absorbs
+# but in "no-zero", where 0·0 = 2 and 0 and 2 both go to 0 in M.
+# distinct_on=(1,) leaves j out of the restriction, (1, j) puts it in.
+LAST_OPEN = {
+    "jk=j": groupoid(3, {(2, 1): 2}),
+    "kj=j": groupoid(3, {(1, 2): 2}),
+    "jj=j": groupoid(3, {(2, 2): 2}),
+    "none": groupoid(4, {(3, 1): 2, (1, 3): 2}),
+    "no-zero": groupoid(4, {(0, 0): 2, (3, 1): 3}),
+}
+
+
+@pytest.mark.parametrize("name", LAST_OPEN)
+def test_last_open_element_values_are_homs(name):
+    A = LAST_OPEN[name]
+    j = A.n - 1
+    emitted_several = 0
+    for M in (catalog("R"), catalog("B"), catalog("F", 0)):
+        homs = brute_force_homs(A, M)
+        assert enumerate_homs(A, M) == homs
+        assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
+                                                             if len(set(h)) == A.n]
+        for S in ((1,), (1, j), ()):
+            assert_one_hom_per_restriction(A, M, homs, S)
+        # with every other element preassigned, j's values are the whole search
+        for rest in sorted({h[:j] for h in homs}):
+            extending = [h for h in homs if h[:j] == rest]
+            pre = dict(enumerate(rest))
+            assert enumerate_homs(A, M, preassigned=pre) == extending
+            assert enumerate_homs(A, M, preassigned=pre, limit=len(extending)) == extending
+            if len(extending) > 1:      # j was left open, so this path raises
+                emitted_several += 1
+                with pytest.raises(CapExceeded):
+                    enumerate_homs(A, M, preassigned=pre, limit=len(extending) - 1)
+    # in an automatic algebra x·c = c and c·c = c hold only for c = 0, so j
+    # keeps several values only in the cases without k·j = j or j·j = j
+    assert bool(emitted_several) == (name in ("jk=j", "none", "no-zero"))
 
 
 def test_distinct_on_validates_elements():
