@@ -70,6 +70,7 @@ class AutomaticAlgebra:
         self.delta = MappingProxyType(clean)
         self._products = None   # product_table(), built on first use
         self._actions = None    # action(), all letters built on first use
+        self._masks = None      # the hom-search masks of powers._search_masks
 
     @classmethod
     def build(cls, states: Sequence[str], letters: Sequence[str],

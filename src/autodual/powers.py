@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
-from operator import and_, getitem
+from itertools import compress, product
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
@@ -118,9 +118,39 @@ class Groupoid:
             if len(row) != self.n or min(row) < 0 or max(row) >= self.n:
                 raise BadParams("malformed multiplication table")
         self.labels = list(labels) if labels is not None else list(range(self.n))
+        self._index = None      # search_index(), built on first use
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
+
+    def search_index(self) -> tuple:
+        """(pre_left, pre_right, zero, partners, zeros), the source side of
+        `enumerate_homs`, built on first use and kept, since it depends on
+        the table alone.
+
+        pre_left[t], pre_right[t] list the pairs (k, j) with k·j = t; zero
+        is the absorbing element, -1 if there is none; partners[i] holds
+        (j, i·j, j·i) for each j with i·j or j·i not the zero, every j if
+        there is none, and zeros[i] the other j.
+        """
+        if self._index is None:
+            n, table = self.n, self.table
+            ids = list(range(n))    # one int object per element, shared
+            pre_left = [[] for _ in ids]
+            pre_right = [[] for _ in ids]
+            for k, row in zip(ids, table):
+                for j, t in zip(ids, row):
+                    pre_left[t].append(k)
+                    pre_right[t].append(j)
+            zero = next((k for k in ids if table[k].count(k) == n
+                         and all(row[k] == k for row in table)), -1)
+            partners, zeros = [], []
+            for row, col in zip(table, zip(*table)):
+                partners.append([(j, t, s) for j, t, s in zip(ids, row, col)
+                                 if t != zero or s != zero])
+                zeros.append([j for j, t, s in zip(ids, row, col) if t == s == zero])
+            self._index = (pre_left, pre_right, zero, partners, zeros)
+        return self._index
 
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
@@ -157,8 +187,11 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     sorted, so the output order is canonical regardless of search order.
 
     With `limit`, enumeration aborts with CapExceeded once more than that
-    many homs exist.  With `preassigned`, a map from elements of A to
-    element codes, only the homs that extend it are returned.
+    many homs exist.  With `preassigned`, a map from elements of A to sets
+    of element codes, only the homs whose value at each such element lies
+    in its set are returned.  Each set narrows its element's domain at the
+    root, after the absorbing element; a set of one code decides the
+    element there, a larger one leaves it to the branching below.
 
     The search is depth-first over bitmask domains (AC-3 style narrowing).
     `dom[j]` is the set of values still possible for element j, as a bitmask
@@ -178,7 +211,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     - j an open partner and i·j (or j·i) open, under `injective_only`:
       that product can take no value another element already has, so
       dom[j] loses L[v][u] (or R[v][u]) for every u in `used`;
-    - i = k·j in A, through the preimage index of A built on entry
+    - i = k·j in A, through the preimage index of A
       (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
       k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
       R[img j][v]; with k = j open, dom[k] keeps D[v], the c with c·c = v.
@@ -211,41 +244,33 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     search below the last such branch is complete.  `distinct_on=()` stops
     at the first hom.
 
-    The masks depend on M alone.  They are built once per target and kept
-    in `_masks`, one `(M, L, R, D, FL, FR)` tuple for the last M searched,
-    so a run of searches into one M builds them once and the next M drops
-    them.
+    The masks depend on M alone and are kept with M; the preimage index,
+    the absorbing element, the partners and the zeros depend on A alone and
+    are kept with A (`Groupoid.search_index`).  So a run of searches into
+    one M, or from one A, builds each side once.
     """
     size = M.size()
     first = distinct_on or ()
     for j in first:
         _check_element(A, j, "distinct_on element")
-    for j, v in (preassigned or {}).items():
+    allowed = []    # (element, mask of its allowed values)
+    for j, values in (preassigned or {}).items():
         _check_element(A, j, "preassigned element")
-        if not isinstance(v, int) or not 0 <= v < size:
-            raise BadParams(f"preassigned value {v!r} is not an element of M")
+        if not isinstance(values, (set, frozenset)):
+            raise BadParams(f"preassigned values {values!r} are not a set of codes")
+        for v in values:
+            if not isinstance(v, int) or not 0 <= v < size:
+                raise BadParams(f"preassigned value {v!r} is not an element of M")
+        allowed.append((j, sum(1 << v for v in values)))
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
-    n, table = A.n, A.table
-    ids = list(range(n))    # one int object per element, shared
-    pre_left = [[] for _ in ids]
-    pre_right = [[] for _ in ids]
-    for k, row in zip(ids, table):
-        for j, t in zip(ids, row):
-            pre_left[t].append(k)
-            pre_right[t].append(j)
+    n = A.n
+    pre_left, pre_right, zero, partners, zeros = A.search_index()
     keep = frozenset(first)     # frames on these survive a hom
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, D, FL, FR = _search_masks(M)
     (e,) = [c for c in range(size) if D[c] >> c & 1]     # the one idempotent
-    zero = next((k for k in ids if table[k].count(k) == n
-                 and all(row[k] == k for row in table)), -1)
-    partners, zeros = [], []
-    for row, col in zip(table, zip(*table)):
-        # (j, i·j, j·i) for each partner j of i
-        partners.append([(j, t, s) for j, t, s in zip(ids, row, col) if t != zero or s != zero])
-        zeros.append([j for j, t, s in zip(ids, row, col) if t == s == zero])
     Z = [L_v[e] & R_v[e] for L_v, R_v in zip(L, R)]
 
     img = [-1] * n
@@ -395,11 +420,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
 
     if zero >= 0 and not try_value(zero, e):
         return []
-    for j, v in (preassigned or {}).items():
-        if img[j] < 0:
-            if not try_value(j, v):
-                return []
-        elif img[j] != v:
+    for j, mask in allowed:
+        if not narrow(j, mask) or not propagate():
             return []
     # one frame per branching element, four flat ints: the element, its
     # untried values, and the trail and decided marks that undo its choice
@@ -440,50 +462,55 @@ def _check_element(A: Groupoid, j, what: str) -> None:
         raise IndexOutOfRange(f"{what} {j!r} not in 0..{A.n - 1}")
 
 
-_masks = None   # (M, L, R, D, FL, FR) for the last target searched
-
-
 def _search_masks(M: AutomaticAlgebra) -> tuple:
     """(L, R, D, FL, FR) of M: L[x][z] is the mask of the c with x·c = z,
     R[x][z] of the c with c·x = z, D[z] of the c with c·c = z, FL[x] of the
     c with x·c = c, FR[x] of the c with c·x = c.  L[x][-1] and R[x][-1] are
     full, for an open z; FL[-1] and FR[-1] are the c with c·c = c.
 
-    Kept for the last M only; the slot is rebound as one tuple and read
-    once, so a search never mixes the masks of two targets.
+    Built on first use from the rows of `M.product_table()` and kept on M,
+    like the table.  Only a state times a letter is not 0, so every list
+    starts as `blank`, each c at z = 0, shared by the rows of letters and 0
+    and the columns of states and 0; c·c = 0 for every c, and x·c = c only
+    for c = 0.
     """
-    global _masks
-    slot = _masks
-    if slot is None or slot[0] is not M:
+    if M._masks is None:
         size = M.size()
-        mt = M.product_table()
         full = (1 << size) - 1
-        L = [[0] * size + [full] for _ in range(size)]
-        R = [[0] * size + [full] for _ in range(size)]
-        D = [0] * size
-        for x in range(size):
-            for c in range(size):
-                L[x][mt[x][c]] |= 1 << c
-                R[x][mt[c][x]] |= 1 << c
-            D[mt[x][x]] |= 1 << x
-        bits = [1 << c for c in range(size)]     # map(and_, X, bits): bit z of X[z]
-        idempotents = sum(map(and_, D, bits))
-        FL = [sum(map(and_, L_x, bits)) for L_x in L] + [idempotents]
-        FR = [sum(map(and_, R_x, bits)) for R_x in R] + [idempotents]
-        slot = _masks = (M, L, R, D, FL, FR)
-    return slot[1:]
+        bits = [1 << c for c in range(size)]
+        blank = [full] + [0] * (size - 1) + [full]
+        L, R, FR = [], [blank] * size, [1] * size
+        for x, row in enumerate(M.product_table()):
+            L_x = blank[:] if any(row) else blank
+            L.append(L_x)
+            for c in compress(range(size), row):    # x·c = z ≠ 0
+                z = row[c]
+                if R[c] is blank:
+                    R[c] = blank[:]
+                L_x[z] |= bits[c]
+                L_x[0] ^= bits[c]
+                R[c][z] |= bits[x]
+                R[c][0] ^= bits[x]
+                if z == x:
+                    FR[c] |= bits[x]
+        M._masks = (L, R, [full] + [0] * (size - 1), [1] * (size + 1), FR + [1])
+    return M._masks
 
 
 def find_embedding(A: Groupoid, M: AutomaticAlgebra,
-                   max_elements: int = HOM_CAP_DEFAULT) -> Optional[tuple]:
-    """Least injective hom A -> M (as a tuple of codes), or None."""
-    homs = enumerate_homs(A, M, injective_only=True, max_elements=max_elements)
+                   max_elements: int = HOM_CAP_DEFAULT,
+                   preassigned: Optional[dict] = None) -> Optional[tuple]:
+    """Least injective hom A -> M (as a tuple of codes) whose values lie in
+    the `preassigned` sets, as in `enumerate_homs`, or None."""
+    homs = enumerate_homs(A, M, injective_only=True, max_elements=max_elements,
+                          preassigned=preassigned)
     return homs[0] if homs else None
 
 
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
                max_elements: int = 4096) -> bool:
-    """Is there a hom A -> M extending the partial element->code map?"""
+    """Is there a hom A -> M with its value at each element of
+    `preassigned` in that element's set of codes?"""
     return bool(enumerate_homs(A, M, distinct_on=(), preassigned=preassigned,
                                max_elements=max_elements))
 

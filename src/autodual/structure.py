@@ -13,6 +13,15 @@ order of ρ_b ρ_c⁻¹), `group_law_holds` (q·a = q * a_img) and
 complete it.  The detectors here and the certificate verifiers in
 `classify` both call them, and the Mal'cev and difference-subgroup
 computations live on `abgroups.AbelianGroup`.
+
+`first_embedded` breaks symmetry (Gent, Petrie and Puget, "Symmetry in
+constraint programming", 2006): an automorphism of M that fixes every
+letter and 0 maps embeddings to embeddings, so the first element of each
+source needs only the least state of each orbit, besides the letters and
+0.  `state_orbit_roots` finds the orbits one component at a time, from the
+maps that its least state's image determines, each checked directly to be
+an automorphism before it merges anything.  The small catalog sources are
+built once and kept, with their search index.
 """
 
 from __future__ import annotations
@@ -20,13 +29,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .abgroups import AbelianGroup, closure, cyclic_decomposition
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (InternalInconsistency, NotCommuting, NotPermutational,
                      NotTransitive)
-from .powers import Groupoid, find_embedding
+from .powers import HOM_CAP_DEFAULT, Groupoid, find_embedding
 from .terms import WHISKERY_QUASI, check_quasi_identity
 
 
@@ -34,24 +44,26 @@ from .terms import WHISKERY_QUASI, check_quasi_identity
 # components and the per-component action index
 # ---------------------------------------------------------------------------
 
+def _find(parent: list, x: int) -> int:
+    """The root of x in the union-find forest `parent`, halving its path.
+    Every union links the greater root to the lesser, so a root is the
+    least member of its class."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def components(M: AutomaticAlgebra) -> list:
     """Connected components of the underlying undirected graph, as sorted
     lists of state indices, ordered by least member."""
     parent = list(range(M.n_states))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (si, _), ti in M.delta.items():
-        a, b = find(si), find(ti)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        a, b = _find(parent, si), _find(parent, ti)
+        parent[max(a, b)] = min(a, b)
     blocks = {}
     for i in range(M.n_states):
-        blocks.setdefault(find(i), []).append(i)
+        blocks.setdefault(_find(parent, i), []).append(i)
     return [sorted(v) for _, v in sorted(blocks.items())]
 
 
@@ -175,13 +187,89 @@ def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
     return None
 
 
+def state_orbit_roots(M: AutomaticAlgebra) -> list:
+    """The least state index of each state's orbit, indexed by state index.
+
+    The orbits are those of the automorphisms of M that fix every letter
+    and 0 and map a component C onto itself, for each C whose least state
+    q0 reaches all of C by letter edges; the other states are orbits of
+    their own.  Such a σ is fixed by s = σ(q0), as σ(q0·w) = s·w for every
+    word w.  For each s not yet merged with q0, that propagation along a
+    spanning tree of C gives a candidate σ, used only if it is a bijection
+    of C that commutes with every action on C, definedness included: then
+    it is an automorphism, and x is merged with σ(x) for every x of C.
+    Every automorphism of C takes q0 into its class, so the classes are the
+    orbits of all of them.
+    """
+    parent = list(range(M.n_states))
+    for comp in components(M):
+        n, q0 = len(comp), comp[0]
+        acts = list(component_actions(M, comp))     # positions in comp
+        # a breadth-first spanning tree from q0 (position 0): (x, act, act[x])
+        order, tree, seen = [0], [], [True] + [False] * (n - 1)
+        for x in order:
+            for act in acts:
+                y = act[x]
+                if y is not None and not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+                    tree.append((x, act, y))
+        if len(order) < n:
+            continue
+        for s in range(1, n):
+            if _find(parent, comp[s]) == q0:
+                continue
+            sigma = [s] * n
+            for x, act, y in tree:
+                sigma[y] = act[sigma[x]]
+                if sigma[y] is None:
+                    break
+            else:
+                if len(set(sigma)) == n and all(
+                        [act[t] for t in sigma] == [None if y is None else sigma[y] for y in act]
+                        for act in acts):
+                    for x, t in zip(comp, sigma):
+                        a, b = _find(parent, x), _find(parent, comp[t])
+                        parent[max(a, b)] = min(a, b)
+    return [_find(parent, i) for i in range(M.n_states)]
+
+
+_sources = {}   # (name, p) -> Groupoid of catalog(name, p), if small
+
+
+def _catalog_source(name: str, p) -> Groupoid:
+    """Groupoid.from_algebra(catalog(name, p)), kept when it has at most
+    HOM_CAP_DEFAULT elements, so a family scan over many targets builds
+    each small source and its search index once; larger ones are built
+    each time, so their tables and indexes are not held."""
+    A = _sources.get((name, p))
+    if A is None:
+        A = Groupoid.from_algebra(catalog(name, p))
+        if A.n <= HOM_CAP_DEFAULT:
+            _sources[name, p] = A
+    return A
+
+
 def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional[tuple]:
     """(p, element-name map) for the first p in `params` with catalog(name, p)
-    embeddable in M, else None.  The catalog algebras are built here, not
-    read from input, so each search is capped at its own algebra's size."""
+    embeddable in M, with its least embedding, else None.  The catalog
+    algebras are built here, not read from input, so each search is capped
+    at its own algebra's size.
+
+    Each search tries for the first element of the source only the states
+    least in their `state_orbit_roots` orbit, the letters and 0.  That
+    keeps the least embedding h*: an automorphism σ of M that fixes every
+    letter and 0 makes σ∘h* an embedding too, so if σ(h*(0)) < h*(0) then
+    σ∘h* would be less than h*.  Hence h*(0) is least in its orbit, and
+    whether a source embeds, the least p and its embedding are those of
+    the search without the restriction.
+    """
+    roots = state_orbit_roots(M)
+    first = {M.state(i) for i, r in enumerate(roots) if r == i}
+    first.update(M.letters(), (ZERO,))
     for p in params:
-        A = Groupoid.from_algebra(catalog(name, p))
-        hom = find_embedding(A, M, max_elements=A.n)
+        A = _catalog_source(name, p)
+        hom = find_embedding(A, M, max_elements=A.n, preassigned={0: first})
         if hom is not None:
             return p, {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
     return None
@@ -287,12 +375,17 @@ def generated_group(gens, n: int) -> set:
 
 
 def _perm_order(p: tuple) -> int:
-    ident = tuple(range(len(p)))
-    acc, k = p, 1
-    while acc != ident:
-        acc = _compose(acc, p)
-        k += 1
-    return k
+    """The order of the permutation p: the lcm of its cycle lengths."""
+    order, seen = 1, [False] * len(p)
+    for start in range(len(p)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 def difference_order(perms: Sequence[tuple], b: int, c: int) -> int:

@@ -12,7 +12,7 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
-from autodual.powers import (Groupoid, enumerate_homs, find_embedding,
+from autodual.powers import (Groupoid, _search_masks, enumerate_homs, find_embedding,
                              generate_power_groupoid, generate_subuniverse,
                              hom_exists, is_compatible, op_chain_meet,
                              op_diamond, op_g_uv, op_h, op_join, op_lambda,
@@ -196,10 +196,13 @@ def assert_homs_match(A, M):
     for i in range(A.n):
         for c in M.elements():
             extending = [h for h in homs if h[i] == c]
-            assert enumerate_homs(A, M, preassigned={i: c}) == extending
-            assert enumerate_homs(A, M, injective_only=True, preassigned={i: c}) \
+            assert enumerate_homs(A, M, preassigned={i: {c}}) == extending
+            assert enumerate_homs(A, M, injective_only=True, preassigned={i: {c}}) \
                 == [h for h in embeddings if h[i] == c]
-            assert hom_exists(A, M, {i: c}) == bool(extending)
+            assert hom_exists(A, M, {i: {c}}) == bool(extending)
+        states = set(M.states())
+        assert enumerate_homs(A, M, preassigned={i: states}) \
+            == [h for h in homs if h[i] in states]
     assert_one_hom_per_restriction(A, M, homs, ())
     for S in ((0, A.n - 1), (A.n - 1, 1)):
         assert_one_hom_per_restriction(A, M, homs, S)
@@ -254,7 +257,13 @@ def test_hom_search_matches_brute_force_on_random_tables(A, M, data):
                                                          if len(set(h)) == A.n]
     i = data.draw(st.integers(0, A.n - 1))
     c = data.draw(st.sampled_from(M.elements()))
-    assert enumerate_homs(A, M, preassigned={i: c}) == [h for h in homs if h[i] == c]
+    assert enumerate_homs(A, M, preassigned={i: {c}}) == [h for h in homs if h[i] == c]
+    # a set of several codes leaves i open at the root
+    values = data.draw(st.sets(st.sampled_from(M.elements())))
+    within = [h for h in homs if h[i] in values]
+    assert enumerate_homs(A, M, preassigned={i: values}) == within
+    assert enumerate_homs(A, M, injective_only=True, preassigned={i: values}) \
+        == [h for h in within if len(set(h)) == A.n]
     S = data.draw(st.lists(st.integers(0, A.n - 1), max_size=3, unique=True))
     assert_one_hom_per_restriction(A, M, homs, tuple(S))
     if homs:
@@ -267,12 +276,12 @@ def test_absorbing_element_preassigned_nonzero_has_no_hom():
     A, B = Groupoid.from_algebra(catalog("F", 0)), catalog("B")
     z = A.labels.index("0")
     homs = enumerate_homs(A, B)
-    assert enumerate_homs(A, B, preassigned={z: ZERO}) == homs
+    assert enumerate_homs(A, B, preassigned={z: {ZERO}}) == homs
     for c in B.elements():
         if c != ZERO:
-            assert enumerate_homs(A, B, preassigned={z: c}) == []
-            assert enumerate_homs(A, B, injective_only=True, preassigned={z: c}) == []
-            assert not hom_exists(A, B, {z: c})
+            assert enumerate_homs(A, B, preassigned={z: {c}}) == []
+            assert enumerate_homs(A, B, injective_only=True, preassigned={z: {c}}) == []
+            assert not hom_exists(A, B, {z: {c}})
 
 
 def groupoid(n, products):
@@ -308,7 +317,7 @@ def test_last_open_element_values_are_homs(name):
         # with every other element preassigned, j's values are the whole search
         for rest in sorted({h[:j] for h in homs}):
             extending = [h for h in homs if h[:j] == rest]
-            pre = dict(enumerate(rest))
+            pre = {k: {v} for k, v in enumerate(rest)}
             assert enumerate_homs(A, M, preassigned=pre) == extending
             assert enumerate_homs(A, M, preassigned=pre, limit=len(extending)) == extending
             if len(extending) > 1:      # j was left open, so this path raises
@@ -369,6 +378,33 @@ def test_search_masks_hold_one_target():
     assert ref() is None
 
 
+def masks_by_product_loop(M):
+    """The reference for `_search_masks`: every product of M, one at a time."""
+    size = M.size()
+    full = (1 << size) - 1
+    L = [[0] * size + [full] for _ in range(size)]
+    R = [[0] * size + [full] for _ in range(size)]
+    D = [0] * size
+    for x, c in itertools.product(range(size), repeat=2):
+        L[x][M.mul(x, c)] |= 1 << c
+        R[x][M.mul(c, x)] |= 1 << c
+    for c in range(size):
+        D[M.mul(c, c)] |= 1 << c
+    idempotents = sum(1 << c for c in range(size) if M.mul(c, c) == c)
+    FL = [sum(1 << c for c in range(size) if M.mul(x, c) == c) for x in range(size)]
+    FR = [sum(1 << c for c in range(size) if M.mul(c, x) == c) for x in range(size)]
+    return L, R, D, FL + [idempotents], FR + [idempotents]
+
+
+def test_search_masks_match_the_product_loop():
+    targets = [M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)]
+    targets += [gen_chain(3), catalog("L"), catalog("F", 4)]
+    for M in targets:
+        masks = _search_masks(M)
+        assert masks == masks_by_product_loop(M)
+        assert _search_masks(M) is masks        # kept with M
+
+
 def test_hom_search_deeper_than_recursion_limit():
     # a zero semigroup leaves every element but its zero to its own branch,
     # so the search goes deeper than CPython's default recursion limit, 1000
@@ -380,10 +416,10 @@ def test_hom_search_deeper_than_recursion_limit():
 def test_hom_exists_validates_preassignment():
     F0, B = catalog("F", 0), catalog("B")
     A = Groupoid.from_algebra(F0)
-    for bad in ({A.n: ZERO}, {-1: ZERO}, {"q": ZERO}):
+    for bad in ({A.n: {ZERO}}, {-1: {ZERO}}, {"q": {ZERO}}):
         with pytest.raises(IndexOutOfRange):
             hom_exists(A, B, bad)
-    for bad in ({0: B.size()}, {0: -1}, {0: "q"}):
+    for bad in ({0: {B.size()}}, {0: {-1}}, {0: {"q"}}, {0: ZERO}, {0: [ZERO]}):
         with pytest.raises(BadParams):
             hom_exists(A, B, bad)
         with pytest.raises(BadParams):      # checked before the size cap
@@ -429,11 +465,11 @@ def test_hom_exists_with_preassignment():
     B = catalog("B")
     A = Groupoid.from_algebra(F0)
     qpos = A.labels.index("q")
-    assert hom_exists(A, B, {qpos: B.element_by_name("q")})
+    assert hom_exists(A, B, {qpos: {B.element_by_name("q")}})
     # r = q·a, but no letter of B sends q to s, so this pair is impossible
     rpos = A.labels.index("r")
-    assert not hom_exists(A, B, {qpos: B.element_by_name("q"),
-                                 rpos: B.element_by_name("s")})
+    assert not hom_exists(A, B, {qpos: {B.element_by_name("q")},
+                                 rpos: {B.element_by_name("s")}})
 
 
 def test_is_compatible_examples():

@@ -1,19 +1,24 @@
+import itertools
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
+from small_algebras import every_algebra
 from autodual.abgroups import AbelianGroup
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import NotCommuting, NotPermutational, NotTransitive
-from autodual.structure import (_compose, _coset_inside, component_actions,
+from autodual.powers import Groupoid, find_embedding
+from autodual.structure import (_compose, _coset_inside, _perm_order, component_actions,
                                 component_group, components, difference_order,
-                                generated_group, letter_affine_analysis,
+                                first_embedded, generated_group, letter_affine_analysis,
                                 nondcomm_check, permutation_profile, rankill_check,
-                                whiskery_check)
+                                state_orbit_roots, whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
 
 
@@ -362,3 +367,141 @@ def test_action_index_matches_letter_scans(M):
     nd = nondcomm_check(M)
     assert (None if nd is None else
             (nd.b, nd.c, nd.m, [n for _, n in nd.coset_report])) == nondcomm_by_letters(M)
+
+
+# ---------------------------------------------------------------------------
+# first_embedded with its orbit pruning, against the unpruned loop
+# ---------------------------------------------------------------------------
+
+def unpruned_first_embedded(M, name, params):
+    """The reference: every catalog source searched without restriction."""
+    for p in params:
+        A = Groupoid.from_algebra(catalog(name, p))
+        hom = find_embedding(A, M, max_elements=A.n)
+        if hom is not None:
+            return p, {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
+    return None
+
+
+def assert_first_embedded_matches(M):
+    for name, params in (("F", range(max(0, M.n_states - 1))), ("N", range(6))):
+        assert first_embedded(M, name, params) == unpruned_first_embedded(M, name, params)
+
+
+def letter_fixing_automorphisms(M):
+    """Every permutation of Q that commutes with every letter, definedness
+    included, by brute force."""
+    acts = [M.action(j) for j in range(M.n_letters)]
+    return [pi for pi in itertools.permutations(range(M.n_states))
+            if all(act[pi[x]] == (None if act[x] is None else pi[act[x]])
+                   for act in acts for x in range(M.n_states))]
+
+
+def assert_merged_pairs_are_related(M):
+    """Each state and the least state of its class are related by a
+    letter-fixing automorphism of M, and that least state is the least."""
+    roots = state_orbit_roots(M)
+    related = {(x, pi[x]) for pi in letter_fixing_automorphisms(M) for x in range(M.n_states)}
+    for i, r in enumerate(roots):
+        assert r <= i and (r, i) in related
+
+
+def translation_actions():
+    """Z_a and Z_a × Z_2 acting on themselves by seeded random shifts, on one
+    component or on two."""
+    rng = random.Random(16)
+    groups = [(a,) for a in range(2, 8)] + [(a, 2) for a in range(2, 7)]
+    shapes = [(g,) for g in groups] + [(g, h) for g in groups for h in groups
+                                       if g <= h and prod(g) + prod(h) <= 8]
+    out = []
+    for comps in shapes:
+        states = [(c, e) for c, orders in enumerate(comps)
+                  for e in itertools.product(*map(range, orders))]
+        index = {s: k for k, s in enumerate(states)}
+        delta, n_letters = {}, rng.randint(1, 3)
+        for j in range(n_letters):
+            shifts = [tuple(rng.randrange(o) for o in orders) for orders in comps]
+            for c, e in states:
+                t = tuple((x + s) % o for x, s, o in zip(e, shifts[c], comps[c]))
+                delta[(index[(c, e)], j)] = index[(c, t)]
+        out.append(AutomaticAlgebra([f"q{i}" for i in range(len(states))],
+                                    [f"a{j}" for j in range(n_letters)], delta))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_action_algebras())
+def test_first_embedded_matches_unpruned_on_shared_actions(M):
+    assert_first_embedded_matches(M)
+    if M.n_states <= 6:
+        assert_merged_pairs_are_related(M)
+
+
+def test_first_embedded_matches_unpruned_on_every_small_algebra():
+    for M in (M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)):
+        assert_first_embedded_matches(M)
+        assert_merged_pairs_are_related(M)
+
+
+def test_first_embedded_matches_unpruned_on_translation_actions():
+    pruned = 0
+    for M in translation_actions():
+        assert_first_embedded_matches(M)
+        roots = state_orbit_roots(M)
+        if M.n_states <= 7:
+            assert_merged_pairs_are_related(M)
+        for comp in components(M):
+            # a translation commutes with every translation, so the whole
+            # component of a transitive action is one orbit
+            if len(generated_group(component_actions(M, comp), len(comp))) == len(comp):
+                assert {roots[i] for i in comp} == {comp[0]}
+        pruned += len(roots) - len(set(roots))
+    assert pruned > 0
+
+
+def test_orbit_roots_refuse_a_propagated_map_that_is_no_automorphism():
+    # from q0 = p, s = u propagates a along the tree to σ = (p u): a bijection
+    # that commutes with a, but p·b is defined and σ(p)·b = u·b is not
+    swap = AutomaticAlgebra.build("pu", "ab", [("p", "a", "u"), ("u", "a", "p"),
+                                               ("p", "b", "p")])
+    # from s = u, σ(u) = u·a = u: defined everywhere, but not a bijection
+    path = AutomaticAlgebra.build("pu", "a", [("p", "a", "u"), ("u", "a", "u")])
+    for M in (swap, path):
+        assert letter_fixing_automorphisms(M) == [(0, 1)]
+        assert state_orbit_roots(M) == [0, 1]
+        assert_first_embedded_matches(M)
+    # without b the swap is an automorphism, and the two states are one orbit
+    assert state_orbit_roots(swap.drop_letter(1)) == [0, 0]
+
+
+def test_pruning_keeps_a_least_embedding_off_the_orbit_minima():
+    # σ = (w x)(y z) fixes a and b, so the orbits are {w, x} and {y, z}; the
+    # least embedding of F_0 sends q to w, the least in its orbit, and r to
+    # z, which is not
+    M = AutomaticAlgebra.build("wxyz", "ab", [("w", "a", "x"), ("x", "a", "w"),
+                                              ("w", "b", "z"), ("x", "b", "y")])
+    assert state_orbit_roots(M) == [0, 0, 2, 2]
+    assert first_embedded(M, "F", range(3)) == (0, {"q": "w", "r": "z", "a": "b", "0": "0"})
+    assert_first_embedded_matches(M)
+    assert_merged_pairs_are_related(M)
+
+
+def test_orbit_roots_of_chain_3():
+    M = gen_chain(3)        # a 3-cycle and a 7-cycle component, both translations
+    assert state_orbit_roots(M) == [0] * 3 + [3] * 7
+    assert first_embedded(M, "F", range(M.n_states - 1)) is None
+
+
+def compose_until_identity(p):
+    ident = tuple(range(len(p)))
+    acc, k = p, 1
+    while acc != ident:
+        acc = _compose(acc, p)
+        k += 1
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_order_is_the_lcm_of_cycle_lengths(p):
+    assert _perm_order(tuple(p)) == compose_until_identity(tuple(p))
