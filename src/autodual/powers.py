@@ -156,7 +156,8 @@ class Groupoid:
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
         elems = M.elements()
         pos = {x: i for i, x in enumerate(elems)}
-        table = [[pos[M.mul(x, y)] for y in elems] for x in elems]
+        mt = M.product_table()
+        table = [[pos[mt[x][y]] for y in elems] for x in elems]
         return cls(table, labels=[M.name(x) for x in elems])
 
     @classmethod
@@ -192,6 +193,16 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     in its set are returned.  Each set narrows its element's domain at the
     root, after the absorbing element; a set of one code decides the
     element there, a larger one leaves it to the branching below.
+
+    A `limit` is first checked against a lower bound on |hom(A, M)|, before
+    any search, when the call has no `injective_only`, no `distinct_on` and
+    no `preassigned`, since each of those changes what is counted.  Only a
+    state times a letter is nonzero in M, so T·T = {0} for T = Q ∪ {0} and
+    for T = Σ ∪ {0}.  Let S be the elements of A that are no product, the t
+    with an empty `pre_left[t]`.  Every map that sends each product of A to
+    0 and each element of S into T is a hom, so there are at least
+    (max(|Q|, |Σ|) + 1)^|S| homs; when that exceeds `limit`, the call raises
+    the CapExceeded that listing limit + 1 homs would raise.
 
     The search is depth-first over bitmask domains (AC-3 style narrowing).
     `dom[j]` is the set of values still possible for element j, as a bitmask
@@ -266,6 +277,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
     n = A.n
     pre_left, pre_right, zero, partners, zeros = A.search_index()
+    if (limit is not None and not injective_only and distinct_on is None and not allowed
+            and (max(M.n_states, M.n_letters) + 1) ** pre_left.count([]) > limit):
+        raise CapExceeded(f"more than {limit} homomorphisms")
     keep = frozenset(first)     # frames on these survive a hom
     mt = M.product_table()
     full = (1 << size) - 1

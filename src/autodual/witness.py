@@ -425,7 +425,10 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     hom enumeration is attempted first, capped at `hom_budget` homs.  When
     that cap is hit (degenerate collapse maps can make the hom set
     exponential even for small A), the analysis switches to restriction
-    mode: one search with `distinct_on` set to A0 returns one hom per
+    mode.  The listing is skipped when the lower bound on |hom(A, M)| that
+    `enumerate_homs` checks a `limit` against already exceeds `hom_budget`,
+    so no homs are listed and thrown away in that case.  In restriction
+    mode, one search with `distinct_on` set to A0 returns one hom per
     achievable restriction x|A0, which is its extension witness, and the
     profiles are listed in canonical element order (states, letters, then
     0).  The flagged condition -- some hom whose kernel on A0 has two blocks

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autodual.algebras import ZERO, AutomaticAlgebra, catalog
+from autodual.algebras import ZERO, AutomaticAlgebra, catalog, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
@@ -458,6 +458,77 @@ def test_hom_cap():
         enumerate_homs(Groupoid.from_algebra(M2), M2, max_elements=3)
     with pytest.raises(CapExceeded):
         enumerate_homs(Groupoid.from_algebra(catalog("F", 0)), catalog("B"), limit=2)
+
+
+def hom_lower_bound(A, M):
+    """(max(|Q|, |Σ|) + 1)^|S|, S the elements of A that are no product: the
+    homs that send every product to 0 and S into Q ∪ {0}, or into Σ ∪ {0}."""
+    products = {t for row in A.table for t in row}
+    return (max(M.n_states, M.n_letters) + 1) ** (A.n - len(products))
+
+
+def assert_limit_decided_like_listing(A, M):
+    """The bound is at most the number of homs, and a `limit` around either
+    raises exactly when the full listing holds more, with the listing's
+    message."""
+    homs = enumerate_homs(A, M)
+    bound = hom_lower_bound(A, M)
+    assert bound <= len(homs)
+    for k in {bound - 1, bound, len(homs) - 1, len(homs)}:
+        if len(homs) > k:
+            with pytest.raises(CapExceeded) as err:
+                enumerate_homs(A, M, limit=k)
+            assert str(err.value) == f"more than {k} homomorphisms"
+        else:
+            assert enumerate_homs(A, M, limit=k) == homs
+
+
+def test_hom_lower_bound_on_small_sources():
+    targets = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
+    three_states = [M for ns in (1, 2) for M in every_algebra(3, ns)]
+    targets += random.Random(17).sample(three_states, 24)
+    sources = small_sources()
+    for M in targets:
+        for A in sources:
+            assert_limit_decided_like_listing(A, M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groupoid_tables(),
+       st.sampled_from([catalog("B"), catalog("F", 0), catalog("N", 1), catalog("R"),
+                        catalog("L")]))
+def test_hom_lower_bound_on_random_tables(A, M):
+    assert_limit_decided_like_listing(A, M)
+
+
+def test_hom_lower_bound_leaves_other_searches_alone():
+    # 4^16 homs by the bound, but each of these searches counts fewer
+    tr = build_truncation("ex_all4_L", (), 4)
+    A, M, a0 = tr.groupoid, tr.spec.algebra, tr.a0_indices
+    assert hom_lower_bound(A, M) == 4 ** 16
+    embeddings = enumerate_homs(A, M, injective_only=True)
+    assert enumerate_homs(A, M, injective_only=True, limit=len(embeddings)) == embeddings
+    (first,) = enumerate_homs(A, M, distinct_on=())
+    assert enumerate_homs(A, M, distinct_on=(), limit=1) == [first]
+    restricted = enumerate_homs(A, M, distinct_on=a0)
+    assert 1 < len(restricted) < 4 ** 16
+    assert enumerate_homs(A, M, distinct_on=a0, limit=len(restricted)) == restricted
+    with pytest.raises(CapExceeded):
+        enumerate_homs(A, M, distinct_on=a0, limit=len(restricted) - 1)
+    pinned = {i: {v} for i, v in enumerate(first)}
+    assert enumerate_homs(A, M, preassigned=pinned, limit=1) == [first]
+    pinned = {i: {v} for i, v in enumerate(restricted[-1]) if i in a0}
+    extending = enumerate_homs(A, M, preassigned=pinned)
+    assert enumerate_homs(A, M, preassigned=pinned, limit=len(extending)) == extending
+
+
+def test_from_algebra_matches_mul():
+    for _, M in standard_catalog():
+        elems = M.elements()
+        A = Groupoid.from_algebra(M)
+        assert A.table == [[elems.index(M.mul(x, y)) for y in elems] for x in elems]
+        assert A.labels == [M.name(x) for x in elems]
+        assert all(type(t) is int for row in A.table for t in row)
 
 
 def test_hom_exists_with_preassignment():

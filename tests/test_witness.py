@@ -7,10 +7,11 @@ import pytest
 from autodual import witness
 from autodual.algebras import ZERO, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
-from autodual.powers import Groupoid, generate_subuniverse, pointwise_mul
+from autodual.powers import Groupoid, enumerate_homs, generate_subuniverse, pointwise_mul
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, build_truncation,
                               kernel_block_analysis, local_eval_probe,
                               verify_construction, _derive_pcomm_params)
+from test_powers import hom_lower_bound
 
 
 def test_build_truncation_thm_wc_sets():
@@ -141,10 +142,23 @@ def test_kernel_analysis_projection_shape():
 
 
 def test_kernel_analysis_restriction_mode():
+    # decided by the hom count's lower bound, 4^16, before any listing
     tr = build_truncation("ex_all4_L", (), 4)
     kr = kernel_block_analysis(tr, max_elements=64, hom_budget=50)
     assert kr.mode == "restrictions" and kr.hom_count is None
     assert not kr.violations
+
+
+def test_kernel_analysis_restriction_mode_after_a_capped_listing():
+    # the bound, 4^6 = 4,096, is within the budget and the 4,854 homs are
+    # not, so the listing itself hits the cap
+    tr = build_truncation("thm_nondcomm", (), 4)
+    A, M = tr.groupoid, tr.spec.algebra
+    assert hom_lower_bound(A, M) == 4096 <= 4500
+    assert len(enumerate_homs(A, M, max_elements=A.n)) == 4854
+    capped = kernel_block_analysis(tr, max_elements=A.n, hom_budget=4500)
+    assert capped.mode == "restrictions"
+    assert capped == kernel_block_analysis(tr, max_elements=A.n, hom_budget=0)
 
 
 def kernel_report_digest(name, params, N):
