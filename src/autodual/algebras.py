@@ -26,8 +26,9 @@ from .errors import (BadParams, CapExceeded, ConflictingTransition, ReservedName
                      UnknownName)
 
 ZERO = 0
-# the most states `catalog F m` and `catalog C p` build, and the most states
-# or letters an algebra file may name
+# the most states `catalog F m` and `catalog C p` build, the most states or
+# letters an algebra file may name, and the largest group
+# `abgroups.cyclic_decomposition` decomposes
 CATALOG_STATE_CAP = 1024
 
 _NAME_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")

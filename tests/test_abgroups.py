@@ -22,6 +22,76 @@ def test_group_table_validation():
     assert G.exponent == 5
 
 
+def associative_by_triples(table) -> bool:
+    """The reference associativity check: (x·y)·z = x·(y·z) on all n³ triples."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def passes_associativity_check(table) -> bool:
+    """Whether `AbelianGroup` passes a commutative table's associativity
+    check; a table refused later, for its identity or inverses, passed it."""
+    try:
+        AbelianGroup(table)
+    except NotAbelian as exc:
+        return not str(exc).startswith("not associative")
+    return True
+
+
+def commutative_tables():
+    """Every commutative table on at most 3 elements, then seeded random
+    ones on 4 to 8 elements: arbitrary, with an identity adjoined, relabelled
+    abelian groups, and groups with one symmetric pair of cells changed."""
+    def symmetric(n, values):
+        table = [[0] * n for _ in range(n)]
+        for (x, y), v in zip([(x, y) for x in range(n) for y in range(x, n)], values):
+            table[x][y] = table[y][x] = v
+        return table
+
+    for n in range(1, 4):
+        for values in iproduct(range(n), repeat=n * (n + 1) // 2):
+            yield symmetric(n, values)
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        table = symmetric(n, [rng.randrange(n) for _ in range(n * (n + 1) // 2)])
+        if rng.random() < 0.5:
+            e = rng.randrange(n)
+            table[e] = list(range(n))
+            for x in range(n):
+                table[x][e] = x
+        yield table
+    for _, G in abelian_group_isomorphism_types(8):
+        for _ in range(10):
+            relabel = rng.sample(range(G.n), G.n)
+            back = {v: k for k, v in enumerate(relabel)}
+            table = [[relabel[G.op(back[x], back[y])] for y in range(G.n)]
+                     for x in range(G.n)]
+            yield table
+            if G.n > 1:
+                x, y = rng.randrange(G.n), rng.randrange(G.n)
+                table = [row[:] for row in table]
+                table[x][y] = table[y][x] = (table[x][y] + 1) % G.n
+                yield table
+
+
+def test_light_associativity_test_matches_triples():
+    outcomes, with_identity = set(), set()
+    for table in commutative_tables():
+        expected = associative_by_triples(table)
+        assert passes_associativity_check(table) == expected, table
+        outcomes.add(expected)
+        n = len(table)
+        if any(table[e] == list(range(n)) for e in range(n)):
+            with_identity.add(expected)
+    assert outcomes == with_identity == {True, False}
+    # commutative, with no identity, and not associative:
+    # (0·0)·1 = 0 but 0·(0·1) = 1
+    with pytest.raises(NotAbelian, match=r"not associative at \("):
+        AbelianGroup([[1, 0], [0, 0]])
+
+
 def test_cyclic_decomposition_examples():
     assert [d for _, d in cyclic_decomposition(AbelianGroup.cyclic(6))] == [2, 3]
     assert cyclic_decomposition(AbelianGroup.trivial()) == []
@@ -31,17 +101,21 @@ def test_cyclic_decomposition_examples():
     assert [d for _, d in cyclic_decomposition(G)] == [2, 2, 3]
 
 
+def assert_basis_reconstructs(G: AbelianGroup, basis: list) -> None:
+    """Check that coordinatewise addition over `basis` rebuilds G's table."""
+    coords_of, elem_of = coordinate_maps(G, basis)
+    assert len(coords_of) == G.n and len(elem_of) == G.n
+    for x in G.elements():
+        for y in G.elements():
+            cx, cy = coords_of[x], coords_of[y]
+            cz = tuple((a + b) % d for (a, b), (_, d) in
+                       zip(zip(cx, cy), basis))
+            assert elem_of[cz] == G.op(x, y)
+
+
 def test_decomposition_reconstructs_table():
     for _, G in abelian_group_isomorphism_types(12):
-        basis = cyclic_decomposition(G)
-        coords_of, elem_of = coordinate_maps(G, basis)
-        assert len(coords_of) == G.n and len(elem_of) == G.n
-        for x in G.elements():
-            for y in G.elements():
-                cx, cy = coords_of[x], coords_of[y]
-                cz = tuple((a + b) % d for (a, b), (_, d) in
-                           zip(zip(cx, cy), basis))
-                assert elem_of[cz] == G.op(x, y)
+        assert_basis_reconstructs(G, cyclic_decomposition(G))
 
 
 def test_isomorphism_types_census():

@@ -153,6 +153,48 @@ def test_whiskery_refutations_past_the_hom_cap():
     assert verify_certificate(M, v) == (True, "")
 
 
+def translation_action(n: int, shifts) -> AutomaticAlgebra:
+    """Z_n on states q0..q{n-1}, with one letter a{k} per shift k acting as
+    q_i -> q_{i+k}."""
+    return AutomaticAlgebra([f"q{i}" for i in range(n)], [f"a{k}" for k in shifts],
+                            {(i, j): (i + k) % n for i in range(n)
+                             for j, k in enumerate(shifts)})
+
+
+def test_groups_past_64_elements_are_decided():
+    # the letter images {+1, +n/2 + 1} are a coset of the order-2 subgroup
+    for n in (66, 128):
+        M = translation_action(n, (1, n // 2 + 1))
+        v = classify(M)
+        assert (v.outcome, v.rule) == ("dualizable", "letter_affine"), n
+        assert verify_certificate(M, json.loads(json.dumps(v.to_json()))) == (True, "")
+    C67 = catalog("C", 67)
+    v = classify(C67)
+    assert (v.outcome, v.rule) == ("non_dualizable", "commuting_permutations")
+    assert v.trace[-1]["detail"] == "pair (b, c), m = 67"
+    assert verify_certificate(C67, json.loads(json.dumps(v.to_json()))) == (True, "")
+
+
+def hostile_letter_affine_certificate(p: int):
+    """`catalog C p` and a letter_affine verdict that states Z_p as its
+    group: the table is a group and its law holds, but the letter images
+    {+1, -1} are no coset."""
+    M = catalog("C", p)
+    names = list(M.state_names)
+    cert = {"kind": "letter_affine", "components": [{
+        "states": names, "letters": ["b", "c"], "dropped": [], "e": names[0],
+        "op": [[names[(i + k) % p] for k in range(p)] for i in range(p)],
+        "letter_images": {"b": names[1], "c": names[-1]},
+        "H": names, "exponent": p, "decomposition": [[names[1], p]]}]}
+    return M, {"verdict": "dualizable", "rule": "letter_affine",
+               "certificate": cert, "trace": []}
+
+
+def test_verifier_refuses_a_group_table_whose_letter_images_are_no_coset():
+    M, verdict = hostile_letter_affine_certificate(101)
+    assert verify_certificate(M, verdict) == (False, "letter images are not Mal'cev closed")
+
+
 def test_reduction_chain_certificate_verifies():
     M = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
     v = classify(M)

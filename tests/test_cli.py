@@ -78,6 +78,17 @@ def test_chain_command(capsys):
                         "non_dualizable", "dualizable"]
 
 
+def test_classify_decides_c67(capsys, tmp_path):
+    # one component of 67 states: the letter-affine test builds and
+    # decomposes its 67-element group before commuting_permutations fires
+    code, out, _ = run(["catalog", "C", "67", "--emit"], capsys)
+    assert code == 0
+    path = tmp_path / "C67.alg"
+    path.write_text(out)
+    code, out, _ = run(["classify", str(path)], capsys)
+    assert code == 0 and "commuting_permutations" in out
+
+
 def test_catalog_emit_roundtrip(capsys, tmp_path):
     code, out, _ = run(["catalog", "C", "3", "--emit"], capsys)
     assert code == 0
