@@ -77,7 +77,9 @@ class AbelianGroup:
         # Light's test: in a commutative magma the g with (x·g)·y = x·(g·y)
         # for all x, y are closed under the product, so it is enough to check
         # the g of a generating set, chosen greedily; a group's has at most
-        # log₂ n + 1 elements, so a group table costs O(n² log n)
+        # log₂ n + 1 elements, so a group table costs O(n² log n).  The span
+        # is the left-normed closure of the chosen g; a new g adds itself and
+        # the old span times g, and only what is new is multiplied further
         table, chosen, span = self.table, [], set()
         for g in range(n):
             if g in span:
@@ -89,7 +91,10 @@ class AbelianGroup:
                 if list(map(row.__getitem__, g_row)) != xg_row:
                     y = next(y for y in range(n) if xg_row[y] != row[g_row[y]])
                     raise NotAbelian(f"not associative at ({x}, {g}, {y})")
-            span = closure(chosen, chosen, self.op)
+            fresh = {g, *(table[x][g] for x in span)} - span
+            while fresh:
+                span |= fresh
+                fresh = {table[x][c] for x in fresh for c in chosen} - span
 
     def _find_identity(self) -> int:
         for e in range(self.n):
@@ -148,6 +153,13 @@ class AbelianGroup:
         """The first index triple (i, j, k), in nested-loop order, with
         xs[i]·xs[j]⁻¹·xs[k] outside xs, or None when xs is closed under
         x·y⁻¹·z; a nonempty xs is closed exactly when it is a coset."""
+        if xs:
+            # coset test in O(k²): x₀⁻¹·xs is closed under the product; the k³
+            # scan below runs only to name the first gap
+            shifted = set(map(self.table[self._inv[xs[0]]].__getitem__, xs))
+            if all(shifted.issuperset(map(self.table[d].__getitem__, shifted))
+                   for d in shifted):
+                return None
         inside = set(xs)
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):

@@ -4,6 +4,11 @@ Subcommands: classify, analyze, normalize, catalog, chain, check-eq, embed,
 witness, verify-cert.  Exit codes: 0 success, 1 usage (also: a query that
 answers "no"), 2 parse error, 3 precondition violated, 4 internal-invariant
 violation.
+
+Each process pays for compiling what it imports, so at module level this
+imports only `algebras` and `errors`; each `cmd_*` imports the modules it
+runs when it runs.  `catalog` loads nothing more, `check-eq` loads `terms`,
+`embed` loads `powers`, and only `witness` loads `witness`.
 """
 
 from __future__ import annotations
@@ -13,16 +18,8 @@ import json
 import re
 import sys
 
-from . import witness as witness_mod
 from .algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog
-from .classify import (check_chain_cap, classify, gen_chain, normalize_algebra,
-                       verify_certificate)
 from .errors import CapExceeded, InputParseError, ToolError
-from .powers import Groupoid, find_embedding
-from .structure import (components, letter_affine_analysis, permutation_profile,
-                        whiskery_check)
-from .terms import (check_identity, check_quasi_identity, parse_equation,
-                    parse_quasi_identity)
 
 
 class UsageError(ToolError):
@@ -106,6 +103,7 @@ def _algebra_by_token(token: str) -> AutomaticAlgebra:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    from .classify import classify
     M = _load(args.file)
     verdict = classify(M)
     if args.json:
@@ -128,6 +126,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .structure import (components, letter_affine_analysis, permutation_profile,
+                            whiskery_check)
     M = _load(args.file)
     print("== COMPONENTS ==")
     for comp in components(M):
@@ -168,6 +168,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .classify import normalize_algebra
     M = _load(args.file)
     N, steps = normalize_algebra(M)
     for step in steps:
@@ -188,6 +189,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .classify import check_chain_cap, classify, gen_chain
     check_chain_cap(args.n)
     for n in range(1, args.n + 1):
         M = gen_chain(n)
@@ -198,6 +200,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_check_eq(args) -> int:
+    from .terms import (check_identity, check_quasi_identity, parse_equation,
+                        parse_quasi_identity)
     M = _load(args.file)
     if "=>" in args.expr:
         q = parse_quasi_identity(args.expr)
@@ -214,6 +218,7 @@ def cmd_check_eq(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .powers import Groupoid, find_embedding
     A = _load(args.file1)
     B = _load(args.file2)
     G = Groupoid.from_algebra(A)
@@ -239,18 +244,19 @@ def _witness_param(token: str, default):
 
 
 def cmd_witness(args) -> int:
-    defaults = witness_mod.PARAM_DEFAULTS.get(args.name)
+    from .witness import (BUILD_CAP_DEFAULT, PARAM_DEFAULTS, build_truncation,
+                          format_report, kernel_block_analysis, verify_construction)
+    defaults = PARAM_DEFAULTS.get(args.name)
     if defaults is not None and len(args.params) > len(defaults):
         raise UsageError(f"{args.name} takes at most {len(defaults)} parameter(s), "
                          f"got {len(args.params)}")
     params = tuple(map(_witness_param, args.params, defaults or ()))
-    trunc = witness_mod.build_truncation(args.name, params, args.size,
-                                         max_elements=args.build_cap)
-    report = witness_mod.verify_construction(trunc)
-    print(witness_mod.format_report(report))
+    build_cap = BUILD_CAP_DEFAULT if args.build_cap is None else args.build_cap
+    trunc = build_truncation(args.name, params, args.size, max_elements=build_cap)
+    report = verify_construction(trunc)
+    print(format_report(report))
     if len(trunc.elements) <= args.max_elements:
-        kr = witness_mod.kernel_block_analysis(trunc, nu=args.nu,
-                                               max_elements=args.max_elements)
+        kr = kernel_block_analysis(trunc, nu=args.nu, max_elements=args.max_elements)
         counted = kr.hom_count if kr.hom_count is not None else "not enumerated"
         print(f"kernel analysis [{kr.mode}]: nu = {kr.nu}, homs = {counted}, "
               f"block patterns = {kr.block_multisets}, "
@@ -262,6 +268,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
+    from .classify import verify_certificate
     M = _load(args.file)
     with open(args.cert_file, "r", encoding="utf-8") as fh:
         try:
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--build-cap", type=int, default=witness_mod.BUILD_CAP_DEFAULT)
+    p.add_argument("--build-cap", type=int)   # None: witness.BUILD_CAP_DEFAULT
     p.add_argument("--max-elements", type=int, default=64, help="hom-enumeration cap")
     p.set_defaults(func=cmd_witness)
 

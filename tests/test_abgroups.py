@@ -29,14 +29,26 @@ def associative_by_triples(table) -> bool:
                for x in range(n) for y in range(n) for z in range(n))
 
 
-def passes_associativity_check(table) -> bool:
-    """Whether `AbelianGroup` passes a commutative table's associativity
-    check; a table refused later, for its identity or inverses, passed it."""
+def associativity_failure(table):
+    """The message of `AbelianGroup`'s associativity check on a commutative
+    table, or None when it passes; a table refused later, for its identity
+    or inverses, passed it."""
     try:
         AbelianGroup(table)
     except NotAbelian as exc:
-        return not str(exc).startswith("not associative")
-    return True
+        return str(exc) if str(exc).startswith("not associative") else None
+    return None
+
+
+def first_light_failure(table):
+    """The message the associativity check must raise, or None.  Every g in
+    the span of the chosen ones passes Light's test, so a failing g is never
+    skipped: the check names the least failing g, then the least x, then y."""
+    n = len(table)
+    for g, x, y in iproduct(range(n), repeat=3):
+        if table[table[x][g]][y] != table[x][table[g][y]]:
+            return f"not associative at ({x}, {g}, {y})"
+    return None
 
 
 def commutative_tables():
@@ -77,15 +89,20 @@ def commutative_tables():
 
 
 def test_light_associativity_test_matches_triples():
-    outcomes, with_identity = set(), set()
+    outcomes, with_identity, failing_g = set(), set(), set()
     for table in commutative_tables():
         expected = associative_by_triples(table)
-        assert passes_associativity_check(table) == expected, table
+        failure = associativity_failure(table)
+        assert (failure is None) == expected, table
+        assert failure == first_light_failure(table), table
+        if failure is not None:
+            failing_g.add(failure.split(", ")[1])
         outcomes.add(expected)
         n = len(table)
         if any(table[e] == list(range(n)) for e in range(n)):
             with_identity.add(expected)
     assert outcomes == with_identity == {True, False}
+    assert len(failing_g) > 2
     # commutative, with no identity, and not associative:
     # (0·0)·1 = 0 but 0·(0·1) = 1
     with pytest.raises(NotAbelian, match=r"not associative at \("):
@@ -283,6 +300,37 @@ def test_malcev_closure_characterizes_cosets():
         if S in cosets:
             x = min(S)
             assert G.difference_subgroup(sorted(S)) == {(s - x) % 6 for s in S}, S
+
+
+def malcev_gap_by_triples(G, xs):
+    """The reference scan over all k³ triples of xs."""
+    inside = set(xs)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            for k, z in enumerate(xs):
+                if G.op(G.op(x, G.inv(y)), z) not in inside:
+                    return (i, j, k)
+    return None
+
+
+def test_malcev_gap_matches_triple_scan():
+    rng = random.Random(19)
+    outcomes = set()
+    for _, G in abelian_group_isomorphism_types(12):
+        for _ in range(40):
+            if rng.random() < 0.5:
+                xs = [rng.randrange(G.n) for _ in range(rng.randint(0, G.n))]
+            else:   # a coset, shuffled, with repeats and sometimes one stray element
+                H = G.subgroup_generated([rng.randrange(G.n) for _ in range(rng.randint(0, 2))])
+                shift = rng.randrange(G.n)
+                xs = [G.op(shift, h) for h in H] * rng.randint(1, 2)
+                if rng.random() < 0.3:
+                    xs.append(rng.randrange(G.n))
+                rng.shuffle(xs)
+            expected = malcev_gap_by_triples(G, xs)
+            assert G.malcev_gap(xs) == expected, (G.n, xs)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_zero_column_exhaustive_z2():

@@ -277,7 +277,7 @@ def test_verifier_bounds_whiskery_m_before_building_F_m(monkeypatch):
         calls.append(args)
         raise AssertionError("catalog must not be called for an out-of-range m")
 
-    # the package re-exports the function `classify`, so fetch the module itself
+    # `autodual.classify` may be the package's function, so fetch the module itself
     monkeypatch.setattr(importlib.import_module("autodual.classify"), "catalog", spy)
     for m in (10 ** 9, B.n_states, -1, "0", 0.0):
         verdict = json.loads(json.dumps(good))
