@@ -20,19 +20,21 @@ order: `classify` runs it, `RULE_ORDER` is read off it, and the verifier of
 an `unknown` verdict replays it.  Rules 1, 2 and 12 frame it in `classify`.
 
 Certificates are JSON-shaped dicts tagged by "kind"; `verify_certificate`
-re-derives every claim from the algebra alone.
+re-derives every claim from the algebra alone.  It reads each field through
+one typed accessor, `_field`, and the `_CERT_KINDS` table gives each kind's
+rule, verdict and checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from math import prod
+from typing import Optional, Sequence
 
 from . import structure, terms
 from .abgroups import AbelianGroup
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
-from .errors import (BadParams, CapExceeded, InternalInconsistency,
-                     InternalInvariantViolation, UnknownName)
+from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian, UnknownName
 from .powers import constant_letter_values
 from .structure import (component_actions, components, difference_order,
                         first_embedded, group_law_holds, letter_affine_analysis,
@@ -41,6 +43,9 @@ from .terms import LeftChain, check_identity
 
 EQ_XY_XYYY = (LeftChain("x", ("y",)), LeftChain("x", ("y", "y", "y")))
 EQ_WXYZ_WYXZ = (LeftChain("w", ("x", "y", "z")), LeftChain("w", ("y", "x", "z")))
+_TWO_STATE_EQUATIONS = (EQ_XY_XYYY, EQ_WXYZ_WYXZ)
+_TWO_STATE_IDENTITIES = tuple(f"{lhs} = {rhs}" for lhs, rhs in _TWO_STATE_EQUATIONS)
+_FORBIDDEN_N = range(6)     # the forbidden two-state subalgebras N0..N5
 
 
 @dataclass
@@ -122,8 +127,8 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
     names = _names(A)
     if set(emb) != set(names):
         return "embedding domain does not match the algebra's elements"
-    if any(len(emb[n]) != len(targets) for n in names):
-        return "embedding images have the wrong width"
+    if any(type(emb[n]) is not list or len(emb[n]) != len(targets) for n in names):
+        return "embedding images are not lists of one name per target"
     try:
         vec = {A.element_by_name(n): tuple(T.element_by_name(c)
                                            for T, c in zip(targets, emb[n]))
@@ -140,24 +145,6 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
                 return (f"embedding is not a homomorphism at "
                         f"({A.name(x)}, {A.name(y)})")
     return None
-
-
-def _replay_steps(M: AutomaticAlgebra, steps: list) -> tuple:
-    """(reduced algebra, None) after checking every stated step, or (None, reason)."""
-    cur = M
-    for step in steps:
-        kind, removed = step["kind"], step["removed"]
-        if kind not in _REDUCTIONS:
-            return None, f"unknown reduction step kind {kind!r}"
-        names = cur.letter_names if kind.endswith("letter") else cur.state_names
-        found = _reduce(cur, kind, names.index(removed))
-        if found is None:
-            return None, f"{kind} does not apply to {removed}"
-        reason = check_embedding(cur, [found[0], found[0]], step["embedding"])
-        if reason is not None:
-            return None, reason
-        cur = found[0]
-    return cur, None
 
 
 def normalize_algebra(M: AutomaticAlgebra):
@@ -230,16 +217,13 @@ def _detect_two_state(N: AutomaticAlgebra):
     """The equational test, cross-asserted against the forbidden subalgebras."""
     if N.n_states != 2:
         return None
-    cex1 = check_identity(N, *EQ_XY_XYYY)
-    cex2 = check_identity(N, *EQ_WXYZ_WYXZ)
-    holds = cex1 is None and cex2 is None
-    forbidden = first_embedded(N, "N", range(6))
+    holds = [check_identity(N, *eq) for eq in _TWO_STATE_EQUATIONS] == [None, None]
+    forbidden = first_embedded(N, "N", _FORBIDDEN_N)
     if holds != (forbidden is None):
         raise InternalInconsistency(
             "two-state equations and forbidden-subalgebra tests disagree")
     if holds:
-        cert = {"kind": "two_state_equations",
-                "identities": ["x*y = x*y*y*y", "w*x*y*z = w*y*x*z"]}
+        cert = {"kind": "two_state_equations", "identities": list(_TWO_STATE_IDENTITIES)}
         return ("dualizable", cert, "both equations hold")
     cert = {"kind": "two_state_forbidden", "which": f"N{forbidden[0]}",
             "embedding": forbidden[1]}
@@ -391,259 +375,320 @@ def classify(M: AutomaticAlgebra) -> Verdict:
 # ---------------------------------------------------------------------------
 # certificate verification (independent re-derivation)
 # ---------------------------------------------------------------------------
+#
+# Checkers read a certificate only through `_field`, which checks each field
+# before anything is built from it.  A failed check raises `_Invalid`, which
+# `verify_certificate` alone turns into its reason.  CapExceeded and
+# InternalInvariantViolation propagate: neither says the certificate is wrong.
+
+class _Invalid(Exception):
+    """A certificate claim that does not check; the message is the reason."""
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list",
+               dict: "an object", type(None): "null"}
+
+
+def _field(obj, key: str, kind: type = str, names: Optional[Sequence[str]] = None):
+    """obj[key], which must be present and of the JSON type `kind` (a bool
+    is no integer); what is no object has no fields.  With `names`, the
+    field holds one of `names`, read as its index, or a list of them, read
+    as a tuple of indices: a letter, a state or a word."""
+    if type(obj) is not dict or key not in obj:
+        raise _Invalid(f"missing field {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise _Invalid(f"field {key!r} is not {_JSON_TYPES[kind]}")
+    if names is None:
+        return value
+    stated = value if kind is list else [value]
+    if any(type(x) is not str or x not in names for x in stated):
+        raise _Invalid(f"field {key!r} holds an unknown name")
+    indices = tuple(map(names.index, stated))
+    return indices if kind is list else indices[0]
+
 
 def verify_certificate(M: AutomaticAlgebra, verdict) -> tuple:
-    """(ok, reason). Re-derives every claim in the certificate from M alone."""
+    """(ok, reason). Re-derives every claim of the verdict from M alone: the
+    certificate of a decided outcome, or that no rule decides an unknown
+    one.  A stated rule must be the one the certificate's kind comes from."""
+    if isinstance(verdict, Verdict):
+        verdict = verdict.to_json()
     try:
-        if isinstance(verdict, Verdict):
-            outcome, cert = verdict.outcome, verdict.certificate
-        else:
-            outcome, cert = verdict["verdict"], verdict.get("certificate")
+        outcome = _field(verdict, "verdict")
+        rule = _field(verdict, "rule") if "rule" in verdict else None
+        cert = verdict.get("certificate")
         if outcome not in ("dualizable", "non_dualizable", "unknown"):
-            return (False, f"unrecognized verdict {outcome!r}")
+            raise _Invalid(f"unrecognized verdict {outcome!r}")
         if outcome == "unknown":
-            return _verify_unknown(M)
-        if cert is None:
-            return (False, "decided verdict without certificate")
-        return _verify_cert(M, cert, outcome)
-    except (InternalInvariantViolation, CapExceeded):
-        raise     # a fault or an unfinished check, not an invalid certificate
-    except Exception as exc:  # malformed certificates must not crash the verifier
-        return (False, f"verification error: {exc}")
+            if rule not in (None, "unknown") or cert is not None:
+                raise _Invalid("an unknown verdict states a rule or a certificate")
+            _verify_unknown(M)
+        elif cert is None:
+            raise _Invalid("decided verdict without certificate")
+        else:
+            _verify_cert(M, _field(verdict, "certificate", dict), outcome, rule)
+    except _Invalid as exc:
+        return (False, str(exc))
+    return (True, "")
 
 
-def _verify_cert(M: AutomaticAlgebra, cert: dict, outcome: str) -> tuple:
-    kind = cert.get("kind")
-    if kind == "reduction_chain":
-        cur, reason = _replay_steps(M, cert["steps"])
-        if reason is not None:
-            return (False, reason)
-        return _verify_cert(cur, cert["inner"], outcome)
+def _verify_cert(M: AutomaticAlgebra, cert: dict, outcome: str, rule) -> None:
+    kind = _field(cert, "kind")
+    while kind == "reduction_chain":
+        if not _field(cert, "steps", list):
+            raise _Invalid("a reduction chain states no step")
+        M, cert = _replay_steps(M, cert), _field(cert, "inner", dict)
+        kind = _field(cert, "kind")
     if kind not in _CERT_KINDS:
-        return (False, f"unknown certificate kind {kind!r}")
-    witnesses, checker = _CERT_KINDS[kind]
+        raise _Invalid(f"unknown certificate kind {kind!r}")
+    kind_rule, witnesses, checker = _CERT_KINDS[kind]
     if outcome != witnesses:
-        return (False, f"{kind} cannot witness the verdict {outcome}")
-    return checker(M, cert)
+        raise _Invalid(f"{kind} cannot witness the verdict {outcome}")
+    if rule not in (None, kind_rule):
+        raise _Invalid(f"{kind} cannot come from the rule {rule}")
+    checker(M, cert)
+
+
+def _replay_steps(M: AutomaticAlgebra, obj: dict) -> AutomaticAlgebra:
+    """The algebra that obj["steps"] reduce M to, each step checked."""
+    for step in _field(obj, "steps", list):
+        kind = _field(step, "kind")
+        if kind not in _REDUCTIONS:
+            raise _Invalid(f"unknown reduction step kind {kind!r}")
+        names = M.letter_names if kind.endswith("letter") else M.state_names
+        found = _reduce(M, kind, _field(step, "removed", names=names))
+        if found is None:
+            raise _Invalid(f"{kind} does not apply to {step['removed']}")
+        _verify_embedding(M, [found[0], found[0]], step)
+        M = found[0]
+    return M
+
+
+def _verify_embedding(A: AutomaticAlgebra, targets: list, obj: dict) -> None:
+    """Check obj["embedding"], an injective hom A -> Π targets; into a single
+    target it maps each element name to a name, not a list of one."""
+    emb = _field(obj, "embedding", dict)
+    if len(targets) == 1:
+        emb = {name: [image] for name, image in emb.items()}
+    reason = check_embedding(A, targets, emb)
+    if reason is not None:
+        raise _Invalid(reason)
+
+
+def _stated_components(M: AutomaticAlgebra, cert: dict, comps: list) -> list:
+    """cert["components"], one object per component, stating its states."""
+    stated = _field(cert, "components", list)
+    if [_field(e, "states", list) for e in stated] != \
+            [[M.state_names[s] for s in c] for c in comps]:
+        raise _Invalid("stated components do not match")
+    return stated
 
 
 def _verify_zero(M, cert):
-    if M.n_states == 0 or M.n_letters == 0:
-        return (True, "")
-    return (False, "both Q and Σ are nonempty")
-
-
-def _verify_embeds(A: AutomaticAlgebra, M: AutomaticAlgebra, emb: dict) -> tuple:
-    """Check an element-name embedding A -> M."""
-    reason = check_embedding(A, [M], {name: [img] for name, img in emb.items()})
-    return (reason is None, reason or "")
+    if M.n_states > 0 and M.n_letters > 0:
+        raise _Invalid("both Q and Σ are nonempty")
 
 
 def _verify_whiskery_failure(M, cert):
-    j = M.letter_names.index(cert["letter"])
-    i = M.state_names.index(cert["state"])
-    if structure._whiskery_at(M, i, j):
-        return (False, "the letter passes at the state; no failure")
-    m = cert["m"]
+    j = _field(cert, "letter", names=M.letter_names)
+    if structure._whiskery_at(M, _field(cert, "state", names=M.state_names), j):
+        raise _Invalid("the letter passes at the state; no failure")
+    m = _field(cert, "m", int)
     # an embedded F_m has m + 2 distinct states, so m < |Q|; bound it before
     # building F_m
-    if type(m) is not int or not 0 <= m < M.n_states:
-        return (False, "stated m is not an integer in 0..|Q|-1")
-    return _verify_embeds(catalog("F", m), M, cert["embedding"])
+    if not 0 <= m < M.n_states:
+        raise _Invalid("stated m is not an integer in 0..|Q|-1")
+    _verify_embedding(catalog("F", m), [M], cert)
 
 
 def _verify_rankill(M, cert):
-    j = M.letter_names.index(cert["letter"])
-    i = M.state_names.index(cert["state"])
-    word = tuple(M.letter_names.index(a) for a in cert["word"])
-    end = M.word(M.state(i), word)
+    case = _field(cert, "case", int)
+    if case not in (1, 2):
+        raise _Invalid("unknown case")
+    j = _field(cert, "letter", names=M.letter_names)
+    i = _field(cert, "state", names=M.state_names)
+    end = M.word(M.state(i), _field(cert, "word", list, names=M.letter_names))
     if end == ZERO:
-        return (False, "witness word dies")
+        raise _Invalid("witness word dies")
     ti = M.state_index(end)
-    if cert["case"] == 1:
-        if i in M.kills(j) and ti in M.dom(j):
-            return (True, "")
-        return (False, "case-1 conditions fail")
-    if cert["case"] == 2:
-        if i in M.ran(j) and ti in M.kills(j):
-            return (True, "")
-        return (False, "case-2 conditions fail")
-    return (False, "unknown case")
+    if (case == 1 and not (i in M.kills(j) and ti in M.dom(j))
+            or case == 2 and not (i in M.ran(j) and ti in M.kills(j))):
+        raise _Invalid(f"case-{case} conditions fail")
 
 
 def _verify_order_sensitive(M, cert):
-    i = M.state_names.index(cert["state"])
-    w1 = tuple(M.letter_names.index(a) for a in cert["w1"])
-    w2 = tuple(M.letter_names.index(a) for a in cert["w2"])
+    s = M.state(_field(cert, "state", names=M.state_names))
+    w1, w2 = (_field(cert, key, list, names=M.letter_names) for key in ("w1", "w2"))
     if sorted(w1) != sorted(w2):
-        return (False, "words are not rearrangements of each other")
-    if M.word(M.state(i), w1) != ZERO:
-        return (False, "first word does not die")
-    if M.word(M.state(i), w2) == ZERO:
-        return (False, "second word dies too")
-    return (True, "")
+        raise _Invalid("words are not rearrangements of each other")
+    if M.word(s, w1) != ZERO:
+        raise _Invalid("first word does not die")
+    if M.word(s, w2) == ZERO:
+        raise _Invalid("second word dies too")
 
 
 def _verify_single_letter(M, cert):
     if M.n_letters != 1:
-        return (False, "more than one letter")
+        raise _Invalid("more than one letter")
     if structure._whiskery_direct(M) is not None:
-        return (False, "the letter does not act as whiskery cycles")
-    return (True, "")
+        raise _Invalid("the letter does not act as whiskery cycles")
 
 
 def _verify_two_state_equations(M, cert):
     if M.n_states != 2:
-        return (False, "not a two-state algebra")
-    if check_identity(M, *EQ_XY_XYYY) is not None:
-        return (False, "xy = xyyy fails")
-    if check_identity(M, *EQ_WXYZ_WYXZ) is not None:
-        return (False, "wxyz = wyxz fails")
-    return (True, "")
+        raise _Invalid("not a two-state algebra")
+    if _field(cert, "identities", list) != list(_TWO_STATE_IDENTITIES):
+        raise _Invalid("stated identities are not the two-state equations")
+    for equation, text in zip(_TWO_STATE_EQUATIONS, _TWO_STATE_IDENTITIES):
+        if check_identity(M, *equation) is not None:
+            raise _Invalid(f"{text} fails")
 
 
 def _verify_two_state_forbidden(M, cert):
-    which = cert["which"]
-    if not which.startswith("N") or not which[1:].isdigit():
-        return (False, "unknown forbidden algebra")
-    return _verify_embeds(catalog("N", int(which[1:])), M, cert["embedding"])
+    k = _field(cert, "which", names=[f"N{k}" for k in _FORBIDDEN_N])
+    _verify_embedding(catalog("N", _FORBIDDEN_N[k]), [M], cert)
 
 
 def _verify_constant_letters(M, cert):
     found = _detect_constant_letters(M)
     if found is None:
-        return (False, "not a total constant-letter algebra")
-    if found[1]["values"] != cert["values"]:
-        return (False, "stated constants disagree with the table")
-    return (True, "")
+        raise _Invalid("not a total constant-letter algebra")
+    if _field(cert, "values", dict) != found[1]["values"]:
+        raise _Invalid("stated constants disagree with the table")
 
 
 def _verify_all_loops(M, cert):
     if not _all_loops(M):
-        return (False, "some edge is not a loop")
+        raise _Invalid("some edge is not a loop")
     comps = components(M)
-    stated = cert.get("components", [])
-    if [e["states"] for e in stated] != [[M.state_names[s] for s in c] for c in comps]:
-        return (False, "stated components do not match")
-    split = cert.get("split")
-    if len(comps) > 1:
-        if split is None:
-            return (False, "missing component split")
-        subs = [M.component_subalgebra(c) for c in comps]
-        reason = check_embedding(M, subs, split["embedding"])
-        if reason is not None:
-            return (False, reason)
+    stated = _stated_components(M, cert, comps)
+    if len(comps) == 1:
+        _field(cert, "split", type(None))
+    else:
+        split = _field(cert, "split", dict)
+        if _field(split, "kind") != "component_split" or \
+                _field(split, "components", list) != [e["states"] for e in stated]:
+            raise _Invalid("the split is not the component split")
+        _verify_embedding(M, [M.component_subalgebra(c) for c in comps], split)
     for comp, entry in zip(comps, stated):
-        cur, reason = _replay_steps(M.component_subalgebra(comp), entry["steps"])
-        if reason is not None:
-            return (False, reason)
+        cur = _replay_steps(M.component_subalgebra(comp), entry)
         if cur.n_states != 1 or cur.n_letters != 1 or constant_letter_values(cur) is None:
-            return (False, "component does not reduce to the constant-letter case")
-        if entry["final"] != {"state": cur.state_names[0],
-                              "letter": cur.letter_names[0]}:
-            return (False, "stated final algebra disagrees")
-    return (True, "")
+            raise _Invalid("component does not reduce to the constant-letter case")
+        if _field(entry, "final", dict) != {"state": cur.state_names[0],
+                                            "letter": cur.letter_names[0]}:
+            raise _Invalid("stated final algebra disagrees")
 
 
 def _verify_letter_affine(M, cert):
     comps = components(M)
-    stated = cert.get("components", [])
-    if [e["states"] for e in stated] != [[M.state_names[s] for s in c] for c in comps]:
-        return (False, "stated components do not match")
-    for comp, entry in zip(comps, stated):
+    for comp, entry in zip(comps, _stated_components(M, cert, comps)):
         sigma_c = sorted(j for js in component_actions(M, comp).values() for j in js)
-        if entry["letters"] != [M.letter_names[j] for j in sigma_c]:
-            return (False, "stated component letters do not match")
-        if not sigma_c:
-            continue
-        names = entry["states"]
-        pos = {n: k for k, n in enumerate(names)}
-        op = entry["op"]
-        if len(op) != len(names) or any(len(row) != len(names) for row in op):
-            return (False, "stated table is not |C|×|C|")
-        try:
-            table = [[pos[v] for v in row] for row in op]
-            G = AbelianGroup(table, labels=names)
-        except Exception as exc:
-            return (False, f"stated table is not an abelian group: {exc}")
-        if names[G.identity] != entry["e"]:
-            return (False, "stated identity disagrees with the table")
-        images = {}
-        for j in sigma_c:
-            img_name = entry["letter_images"].get(M.letter_names[j])
-            if img_name not in pos:
-                return (False, f"no stated image for letter {M.letter_names[j]}")
-            images[j] = pos[img_name]
-        if not group_law_holds(M, comp, G, images):
-            return (False, "table law q·a = q * a_img fails")
-        H = G.difference_subgroup(images.values())
-        if sorted(names[g] for g in H) != sorted(entry["H"]):
-            return (False, "stated H is not the difference subgroup")
-        image_set = set(images.values())
-        if G.malcev_gap(sorted(image_set)) is not None:
-            return (False, "letter images are not Mal'cev closed")
-        least = images[sigma_c[0]]
-        coset = {G.op(least, h) for h in H}
-        if coset != image_set:
-            return (False, "letter images are not a coset of H")
-        if entry.get("exponent") != G.exponent:
-            return (False, "stated exponent disagrees")
-        total = 1
-        for gen_name, order in entry.get("decomposition", []):
-            if gen_name not in pos or G.order_of(pos[gen_name]) != order:
-                return (False, "stated decomposition generator order is wrong")
-            total *= order
-        if total != G.n:
-            return (False, "stated decomposition orders do not multiply to |C|")
-    return (True, "")
+        if _field(entry, "letters", list) != [M.letter_names[j] for j in sigma_c]:
+            raise _Invalid("stated component letters do not match")
+        acting = {M.letter_names[j] for j in sigma_c}
+        if _field(entry, "dropped", list) != [a for a in M.letter_names if a not in acting]:
+            raise _Invalid("stated dropped letters do not match")
+        if sigma_c:
+            _verify_component_group(M, comp, sigma_c, entry)
+
+
+def _verify_component_group(M, comp, sigma_c, entry):
+    """A letter-affine component's group, its law, the coset of the letter
+    images and the decomposition; the states and letters are checked."""
+    names = entry["states"]
+    pos = {name: k for k, name in enumerate(names)}
+    op = _field(entry, "op", list)
+    if len(op) != len(names) or any(type(row) is not list or len(row) != len(names)
+                                    for row in op):
+        raise _Invalid("stated table is not |C|×|C|")
+    # a cell naming no state of the component reads -1: a malformed table
+    table = [[pos.get(v, -1) if type(v) is str else -1 for v in row] for row in op]
+    try:
+        G = AbelianGroup(table, labels=names)
+    except NotAbelian as exc:
+        raise _Invalid(f"stated table is not an abelian group: {exc}")
+    if _field(entry, "e", names=names) != G.identity:
+        raise _Invalid("stated identity disagrees with the table")
+    stated = _field(entry, "letter_images", dict)
+    if len(stated) != len(sigma_c):
+        raise _Invalid("stated letter images do not match the component letters")
+    images = {j: _field(stated, M.letter_names[j], names=names) for j in sigma_c}
+    if not group_law_holds(M, comp, G, images):
+        raise _Invalid("table law q·a = q * a_img fails")
+    H = G.difference_subgroup(images.values())
+    if sorted(_field(entry, "H", list, names=names)) != sorted(H):
+        raise _Invalid("stated H is not the difference subgroup")
+    image_set = set(images.values())
+    if G.malcev_gap(sorted(image_set)) is not None:
+        raise _Invalid("letter images are not Mal'cev closed")
+    least = images[sigma_c[0]]
+    if {G.op(least, h) for h in H} != image_set:
+        raise _Invalid("letter images are not a coset of H")
+    if _field(entry, "exponent", int) != G.exponent:
+        raise _Invalid("stated exponent disagrees")
+    # cyclic factors whose orders multiply to |C| and that generate the group
+    pairs = _field(entry, "decomposition", list)
+    if any(type(p) is not list or len(p) != 2 or p[0] not in names or type(p[1]) is not int
+           for p in pairs):
+        raise _Invalid("field 'decomposition' holds no [generator, order] pair")
+    gens = [names.index(g) for g, _ in pairs]
+    if [G.order_of(g) for g in gens] != [d for _, d in pairs]:
+        raise _Invalid("stated decomposition generator order is wrong")
+    if prod(d for _, d in pairs) != G.n or len(G.subgroup_generated(gens)) != G.n:
+        raise _Invalid("stated decomposition is not a direct sum of cyclic groups")
 
 
 def _verify_commuting_permutations(M, cert):
     profile = structure.permutation_profile(M)
     if not profile.permutational:
-        return (False, "not permutational")
+        raise _Invalid("not permutational")
     if not profile.commuting:
-        return (False, "letters do not commute")
-    b = M.letter_names.index(cert["b"])
-    c = M.letter_names.index(cert["c"])
-    perms = profile.perms
-    m = difference_order(perms, b, c)
-    if m != cert["m"] or m <= 1:
-        return (False, f"stated order m = {cert['m']} is wrong (actual {m})")
+        raise _Invalid("letters do not commute")
+    b, c = (_field(cert, key, names=M.letter_names) for key in ("b", "c"))
+    m, stated = difference_order(profile.perms, b, c), _field(cert, "m", int)
+    if m != stated or m <= 1:
+        raise _Invalid(f"stated order m = {stated} is wrong (actual {m})")
+    report = []
     for comp in components(M):
-        if structure._coset_inside(component_actions(M, comp).keys(), m):
-            return (False, "a component action set contains a qualifying coset")
-    return (True, "")
+        actions = component_actions(M, comp).keys()
+        if structure._coset_inside(actions, m):
+            raise _Invalid("a component action set contains a qualifying coset")
+        report.append(([M.state_names[s] for s in comp], len(actions)))
+    if [(_field(e, "states", list), _field(e, "actions", int))
+            for e in _field(cert, "report", list)] != report:
+        raise _Invalid("stated coset report disagrees")
 
 
-# certificate kind -> (the verdict it witnesses, its checker)
+# certificate kind -> (the rule that emits it, the verdict it witnesses,
+# its checker); a reduction_chain wraps one of these
 _CERT_KINDS = {
-    "zero_semigroup": ("dualizable", _verify_zero),
-    "whiskery_failure": ("non_dualizable", _verify_whiskery_failure),
-    "rankill": ("non_dualizable", _verify_rankill),
-    "order_sensitive": ("non_dualizable", _verify_order_sensitive),
-    "single_letter_whiskery": ("dualizable", _verify_single_letter),
-    "two_state_equations": ("dualizable", _verify_two_state_equations),
-    "two_state_forbidden": ("non_dualizable", _verify_two_state_forbidden),
-    "constant_letters": ("dualizable", _verify_constant_letters),
-    "all_loops": ("dualizable", _verify_all_loops),
-    "letter_affine": ("dualizable", _verify_letter_affine),
-    "commuting_permutations": ("non_dualizable", _verify_commuting_permutations),
+    "zero_semigroup": ("zero_semigroup", "dualizable", _verify_zero),
+    "whiskery_failure": ("whiskery", "non_dualizable", _verify_whiskery_failure),
+    "rankill": ("rankill", "non_dualizable", _verify_rankill),
+    "order_sensitive": ("order_sensitivity", "non_dualizable", _verify_order_sensitive),
+    "single_letter_whiskery": ("single_letter", "dualizable", _verify_single_letter),
+    "two_state_equations": ("two_state", "dualizable", _verify_two_state_equations),
+    "two_state_forbidden": ("two_state", "non_dualizable", _verify_two_state_forbidden),
+    "constant_letters": ("constant_letters", "dualizable", _verify_constant_letters),
+    "all_loops": ("all_loops", "dualizable", _verify_all_loops),
+    "letter_affine": ("letter_affine", "dualizable", _verify_letter_affine),
+    "commuting_permutations": ("commuting_permutations", "non_dualizable",
+                               _verify_commuting_permutations),
 }
 
 
-def _verify_unknown(M: AutomaticAlgebra) -> tuple:
+def _verify_unknown(M: AutomaticAlgebra) -> None:
     """An unknown verdict claims no rule decides: replay the pipeline."""
     if M.n_states == 0 or M.n_letters == 0:
-        return (False, "zero semigroup decides")
+        raise _Invalid("zero semigroup decides")
     N, _ = normalize_algebra(M)
     if N.n_states == 0 or N.n_letters == 0:
-        return (False, "normalizes to a zero semigroup")
+        raise _Invalid("normalizes to a zero semigroup")
     for name, detect in RULES:
         found = detect(N)
         if found is not None and found[0] is not None:
-            return (False, f"rule {name} decides")
-    return (True, "")
+            raise _Invalid(f"rule {name} decides")
 
 
 # ---------------------------------------------------------------------------

@@ -292,58 +292,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_FILE = ("file", {})
+_MAX_ELEMENTS = ("--max-elements", {"type": int, "default": 64, "help": "hom-enumeration cap"})
+
+# (name, handler, help, arguments): each argument is (name, add_argument options)
+_SUBCOMMANDS = (
+    ("classify", cmd_classify, "classify an algebra file",
+     (_FILE, ("--json", {"action": "store_true"}))),
+    ("analyze", cmd_analyze, "structural report", (_FILE,)),
+    ("normalize", cmd_normalize, "apply quasi-variety-preserving reductions", (_FILE,)),
+    ("catalog", cmd_catalog, "emit a named algebra",
+     (("name", {}), ("params", {"nargs": "*", "type": int}),
+      ("--emit", {"action": "store_true"}))),
+    ("chain", cmd_chain, "classify the alternating chain M_1..M_N, N <= 7",
+     (("n", {"type": int}),)),
+    ("check-eq", cmd_check_eq, "check an identity or quasi-identity",
+     (_FILE, ("expr", {}))),
+    ("embed", cmd_embed, "search an embedding FILE1 -> FILE2",
+     (("file1", {}), ("file2", {}), _MAX_ELEMENTS)),
+    ("witness", cmd_witness, "build and verify a truncated construction",
+     (("name", {}), ("params", {"nargs": "*"}), ("--size", {"type": int, "required": True}),
+      ("--nu", {"type": int, "default": None}),
+      ("--build-cap", {"type": int}),         # None: witness.BUILD_CAP_DEFAULT
+      _MAX_ELEMENTS)),
+    ("verify-cert", cmd_verify_cert, "re-check a verdict JSON against an algebra",
+     (_FILE, ("cert_file", {}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="autodual",
                      description="Dualizability toolkit for finite automatic algebras")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("classify", help="classify an algebra file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = commands.add_parser("analyze", help="structural report")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
-
-    p = commands.add_parser("normalize", help="apply quasi-variety-preserving reductions")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_normalize)
-
-    p = commands.add_parser("catalog", help="emit a named algebra")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--emit", action="store_true")
-    p.set_defaults(func=cmd_catalog)
-
-    p = commands.add_parser("chain", help="classify the alternating chain M_1..M_N, N <= 7")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_chain)
-
-    p = commands.add_parser("check-eq", help="check an identity or quasi-identity")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_check_eq)
-
-    p = commands.add_parser("embed", help="search an embedding FILE1 -> FILE2")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--max-elements", type=int, default=64, help="hom-enumeration cap")
-    p.set_defaults(func=cmd_embed)
-
-    p = commands.add_parser("witness", help="build and verify a truncated construction")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--build-cap", type=int)   # None: witness.BUILD_CAP_DEFAULT
-    p.add_argument("--max-elements", type=int, default=64, help="hom-enumeration cap")
-    p.set_defaults(func=cmd_witness)
-
-    p = commands.add_parser("verify-cert", help="re-check a verdict JSON against an algebra")
-    p.add_argument("file")
-    p.add_argument("cert_file")
-    p.set_defaults(func=cmd_verify_cert)
+    for name, handler, help_text, arguments in _SUBCOMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            sub.add_argument(arg, **options)
+        sub.set_defaults(func=handler)
     return parser
 
 

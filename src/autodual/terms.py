@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product as iproduct
 from operator import getitem
 from typing import Optional, Union
@@ -74,15 +75,15 @@ NormalTerm = Union[ZeroEquivalent, LeftChain]
 
 
 def normalize(term: GroupoidTerm) -> NormalTerm:
-    """Flatten to a left chain, or detect constant-zero shape."""
-    if isinstance(term, Var):
-        return LeftChain(term.name, ())
-    if not isinstance(term.right, Var):
-        return ZeroEquivalent()
-    left = normalize(term.left)
-    if isinstance(left, ZeroEquivalent):
-        return ZeroEquivalent()
-    return LeftChain(left.head, left.tail + (term.right.name,))
+    """Flatten to a left chain, or detect constant-zero shape.  The left
+    spine is walked in a loop, so a long product costs no recursion."""
+    tail = []
+    while isinstance(term, Prod):
+        if not isinstance(term.right, Var):
+            return ZeroEquivalent()
+        tail.append(term.right.name)
+        term = term.left
+    return LeftChain(term.name, tuple(reversed(tail)))
 
 
 def _tokenize(src: str):
@@ -106,72 +107,38 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, variables=None):
-        # An identifier run is one variable if declared, else it explodes
-        # into single-character variables (juxtaposition).
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise TermSyntaxError("unexpected end of input", pos=None)
-        self.pos += 1
-        return tok
-
-    def atoms_from_ident(self, tok):
-        text = tok[2]
-        if self.variables is not None and text in self.variables:
-            return [Var(text)]
-        if len(text) == 1:
-            return [Var(text)]
-        if self.variables is not None and not all(c in self.variables for c in text):
-            raise TermSyntaxError(f"unknown variable {text!r}", pos=tok[1])
-        return [Var(c) for c in text]
-
-    def parse_atom(self):
-        tok = self.next()
-        if tok[0] == "(":
-            inner = self.parse_term()
-            closing = self.next()
-            if closing[0] != ")":
-                raise TermSyntaxError("expected ')'", pos=closing[1])
-            return [inner]
-        if tok[0] == "ident":
-            return self.atoms_from_ident(tok)
-        raise TermSyntaxError(f"expected a variable or '('", pos=tok[1])
-
-    def parse_term(self):
-        parts = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] == ")":
-                break
-            if tok[0] == "*":
-                self.next()
-                parts.extend(self.parse_atom())
-            elif tok[0] in ("(", "ident"):
-                parts.extend(self.parse_atom())
-            else:
-                break
-        term = parts[0]
-        for part in parts[1:]:
-            term = Prod(term, part)
-        return term
+def _variables(text: str, pos: int, variables) -> list:
+    """An identifier run is one variable if declared or one character long,
+    else it explodes into single-character variables (juxtaposition)."""
+    if len(text) == 1 or (variables is not None and text in variables):
+        return [Var(text)]
+    if variables is not None and not all(c in variables for c in text):
+        raise TermSyntaxError(f"unknown variable {text!r}", pos=pos)
+    return [Var(c) for c in text]
 
 
 def parse_term(src: str, variables=None) -> GroupoidTerm:
-    tokens = _tokenize(src)
-    parser = _Parser(tokens, variables)
-    term = parser.parse_term()
-    if parser.peek() is not None:
-        raise TermSyntaxError("trailing input", pos=parser.peek()[1])
-    return term
+    """Parse a term.  Open parentheses are kept on an explicit stack, each
+    with the factors read inside it so far, so deep nesting costs no
+    recursion; each closed group of factors is multiplied from the left."""
+    stack, last = [[]], "("       # the kind of the previous token; "(" at the start
+    for tok in _tokenize(src):
+        kind = tok[0]
+        if kind in (")", "*") and last in ("(", "*"):
+            raise TermSyntaxError("expected a variable or '('", pos=tok[1])
+        if kind == "(":
+            stack.append([])
+        elif kind == ")":
+            if len(stack) == 1:
+                raise TermSyntaxError("trailing input", pos=tok[1])
+            factors = stack.pop()
+            stack[-1].append(reduce(Prod, factors))
+        elif kind == "ident":
+            stack[-1].extend(_variables(tok[2], tok[1], variables))
+        last = kind
+    if len(stack) > 1 or last in ("(", "*"):
+        raise TermSyntaxError("unexpected end of input", pos=None)
+    return reduce(Prod, stack[0])
 
 
 def parse_and_normalize(src: str, variables=None) -> NormalTerm:

@@ -1,14 +1,18 @@
+import functools
 import importlib
 import itertools
 import json
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (RULE_ORDER, classify, gen_chain,
                                normalize_algebra, verify_certificate)
-from autodual.errors import CapExceeded, InternalInconsistency
+from autodual.errors import CapExceeded, InternalInconsistency, ToolError
 from autodual.structure import (letter_affine_analysis, nondcomm_check,
                                 rankill_check, whiskery_check)
 from autodual.terms import order_sensitivity
@@ -327,9 +331,9 @@ def test_verifier_lets_faults_and_cap_hits_through(monkeypatch):
             verify_certificate(B, unknown)
     monkeypatch.undo()
     assert verify_certificate(B, unknown) == (False, "rule whiskery decides")
-    ok, reason = verify_certificate(B, {"verdict": "non_dualizable",
-                                        "certificate": {"kind": "rankill"}})
-    assert not ok and reason.startswith("verification error")
+    assert verify_certificate(B, {"verdict": "non_dualizable",
+                                  "certificate": {"kind": "rankill"}}) == \
+        (False, "missing field 'case'")
 
 
 def test_unknown_verifier_agrees_with_classify():
@@ -351,3 +355,142 @@ def test_unknown_verifier_agrees_with_classify():
             ok, reason = verify_certificate(M, v)
             assert ok, (M.table_key(), v.rule, reason)
     assert reached == set(RULE_ORDER) - {"normalize"}
+
+
+# ---------------------------------------------------------------------------
+# certificate field mutations
+# ---------------------------------------------------------------------------
+
+JUNK = (None, True, -1, 1.5, "zz", [], {})
+CERTIFICATE_KINDS = {
+    "zero_semigroup", "reduction_chain", "whiskery_failure", "rankill",
+    "order_sensitive", "single_letter_whiskery", "two_state_equations",
+    "two_state_forbidden", "constant_letters", "all_loops", "letter_affine",
+    "commuting_permutations"}
+
+
+def certificate_kind_examples():
+    """Algebras whose certificates, with the catalog's and chains 1-4's,
+    reach every certificate kind."""
+    build = AutomaticAlgebra.build
+    return [
+        build("q", [], []),                                     # zero_semigroup
+        build("q", "a", []),                                    # ... after a reduction
+        build("q", "a", [("q", "a", "q")]),                     # single_letter_whiskery
+        build("qr", "ab", [("q", "a", "r")]),                   # reduction_chain
+        build("qr", "ab", [("q", "a", "q"), ("q", "b", "q"), ("r", "a", "q"),
+                           ("r", "b", "r")]),                   # two_state_equations
+        build("qrs", "ab", [("q", "a", "q"), ("r", "a", "q"), ("r", "b", "s"),
+                            ("s", "a", "s"), ("s", "b", "s")]),  # order_sensitive
+        build("qrs", "abc", [(x, a, t) for a, t in zip("abc", "qrs")
+                             for x in "qrs"]),                  # constant_letters
+        build("qrs", "ab", [("q", "a", "q"), ("r", "a", "r"), ("s", "a", "s"),
+                            ("q", "b", "q")]),                  # all_loops
+    ]
+
+
+def _subtrees(node, path=()):
+    """The path of a JSON value and of every value inside it."""
+    yield path
+    inside = (node.items() if isinstance(node, dict) else
+              enumerate(node) if isinstance(node, list) else ())
+    for key, child in inside:
+        yield from _subtrees(child, path + (key,))
+
+
+def certificate_mutations(verdict: dict):
+    """Copies of a JSON verdict with its rule, or its certificate or one
+    value at any depth inside it, replaced by a junk value that differs."""
+    text = json.dumps(verdict)
+    paths = [("rule",)] + [("certificate",) + p for p in _subtrees(verdict["certificate"])]
+    for *parents, key in paths:
+        for junk in JUNK:
+            mutated = json.loads(text)
+            holder = functools.reduce(operator.getitem, parents, mutated)
+            if json.dumps(holder[key]) != json.dumps(junk):
+                holder[key] = junk
+                yield mutated
+
+
+def sweep_certificate_mutations(algebras):
+    """(mutations tried, certificate kinds reached, failures) over the
+    classify verdicts of `algebras`; a failure is a mutation that
+    verify_certificate accepts, or one that makes it raise."""
+    count, kinds, failures = 0, set(), []
+    for M in algebras:
+        verdict = json.loads(json.dumps(classify(M).to_json()))
+        cert = verdict["certificate"]
+        while cert is not None:
+            kinds.add(cert["kind"])
+            cert = cert.get("inner")
+        for mutated in certificate_mutations(verdict):
+            count += 1
+            try:
+                result = verify_certificate(M, mutated)
+            except Exception as exc:        # any escape is a failure of the sweep
+                result = exc
+            if not (isinstance(result, tuple) and result[0] is False):
+                failures.append((M.table_key(), mutated, result))
+    return count, kinds, failures
+
+
+def test_no_certificate_field_mutation_verifies():
+    algebras = [M for _, M in standard_catalog()] + [gen_chain(n) for n in range(1, 5)]
+    count, kinds, failures = sweep_certificate_mutations(
+        algebras + certificate_kind_examples())
+    assert kinds == CERTIFICATE_KINDS
+    assert failures == []
+    assert count > 3000
+
+
+def test_verifier_checks_the_stated_rule():
+    B = catalog("B")
+    verdict = classify(B).to_json()
+    verdict["rule"] = "rankill"
+    assert verify_certificate(B, verdict) == \
+        (False, "whiskery_failure cannot come from the rule rankill")
+    del verdict["rule"]     # a verdict that states no rule stands on its certificate
+    assert verify_certificate(B, verdict) == (True, "")
+    M = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
+    verdict = classify(M).to_json()     # a reduction chain takes its inner rule
+    assert (verdict["rule"], verdict["certificate"]["kind"]) == ("whiskery", "reduction_chain")
+    assert verify_certificate(M, verdict) == (True, "")
+    verdict["rule"] = "normalize"
+    assert not verify_certificate(M, verdict)[0]
+    L = catalog("L")
+    assert verify_certificate(L, {"verdict": "unknown"}) == (True, "")
+    assert not verify_certificate(L, {"verdict": "unknown", "rule": "whiskery"})[0]
+
+
+_FIELDS = ("kind", "letter", "state", "m", "embedding", "case", "word", "w1", "w2",
+           "identities", "which", "values", "split", "components", "states", "letters",
+           "dropped", "e", "op", "letter_images", "H", "exponent", "decomposition", "b",
+           "c", "report", "actions", "steps", "inner", "removed", "final", "q", "a", "0")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.just(1.5)
+    | st.sampled_from(("q", "r", "a", "b", "0", "1", "2", "N4", "zz")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=4),
+    max_leaves=12)
+
+
+_FUZZED = {"B": catalog("B"), "C3": catalog("C", 3), "chain2": gen_chain(2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("dualizable", "non_dualizable", "unknown")),
+       st.none() | st.sampled_from(sorted(RULE_ORDER)),
+       st.sampled_from(sorted(CERTIFICATE_KINDS)),
+       st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=6),
+       st.sampled_from(sorted(_FUZZED)))
+def test_verifier_raises_only_tool_errors_on_fuzzed_certificates(outcome, rule, kind,
+                                                                  fields, name):
+    verdict = {"verdict": outcome, "certificate": dict(fields, kind=kind)}
+    if rule is not None:
+        verdict["rule"] = rule
+    try:
+        ok, reason = verify_certificate(_FUZZED[name], verdict)
+    except ToolError as exc:
+        assert 1 <= exc.exit_code <= 3
+    else:
+        assert type(ok) is bool and type(reason) is str

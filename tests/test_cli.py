@@ -2,10 +2,12 @@ import importlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autodual.algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog, standard_catalog
 from autodual.cli import main, parse_algebra_file
-from autodual.errors import CapExceeded, InputParseError, InternalInconsistency
+from autodual.errors import CapExceeded, InputParseError, InternalInconsistency, ToolError
 
 
 def run(argv, capsys):
@@ -43,6 +45,21 @@ def test_parse_unknown_names_report_their_line():
         parse_algebra_file(head + "\ntrans r b q\ntrans q c r\ntrans s a r\n")
     assert str(info.value) == "line 7: unknown letter in ['q', 'c', 'r']"
     assert info.value.line == 7
+
+
+_ALGEBRA_TOKENS = ("states", "letters", "trans", "q", "r", "a", "b", "0", "q-r", "#", "\u00e9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.lists(st.sampled_from(_ALGEBRA_TOKENS), max_size=5), max_size=8).map(
+        lambda lines: "\n".join(map(" ".join, lines))),
+    st.text(max_size=60)))
+def test_parse_algebra_file_raises_only_input_errors(text):
+    try:
+        parse_algebra_file(text)
+    except ToolError as exc:
+        assert 1 <= exc.exit_code <= 3
 
 
 def _write(tmp_path, name, M):
@@ -130,6 +147,14 @@ def test_witness_command(capsys):
     code, out, _ = run(["witness", "thm_wc", "0", "--size", "4"], capsys)
     assert code == 0
     assert "[PASS]" in out and "not in A" in out
+
+
+def test_check_eq_takes_long_and_deeply_nested_terms(tmp_path, capsys):
+    path = _write(tmp_path, "F.alg", catalog("F", 1))
+    for expr in ("x" + "a" * 1200 + " = x", "(" * 500 + "x" + ")" * 500 + " = x",
+                 "(" * 500 + "x = x"):
+        code, _, err = run(["check-eq", path, expr], capsys)
+        assert code in (0, 2) and "Traceback" not in err
 
 
 def test_verify_cert_command(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from action_algebras import shared_action_algebras
 from autodual.algebras import ZERO, catalog, random_algebra, standard_catalog
 from autodual.classify import EQ_WXYZ_WYXZ, EQ_XY_XYYY, gen_chain
-from autodual.errors import CapExceeded, TermSyntaxError
+from autodual.errors import CapExceeded, TermSyntaxError, ToolError
 from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
                             ZeroEquivalent, WHISKERY_QUASI, check_identity,
                             check_quasi_identity, normalize, order_sensitivity,
@@ -74,6 +74,24 @@ def test_parse_errors_have_positions():
         parse_term("x?y")
     with pytest.raises(TermSyntaxError):
         parse_term("")
+
+
+def test_deep_terms_parse_and_normalize_without_recursion():
+    assert parse_and_normalize("x" + "a" * 5000) == LeftChain("x", ("a",) * 5000)
+    assert parse_and_normalize("(" * 5000 + "x" + ")" * 5000) == LeftChain("x", ())
+    assert parse_and_normalize("x" + "(a" * 5000 + ")" * 5000) == ZeroEquivalent()
+    with pytest.raises(TermSyntaxError, match="unexpected end of input"):
+        parse_term("(" * 5000 + "x")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(alphabet="xyab()*=>& ?", max_size=40), st.text(max_size=40)))
+def test_parse_quasi_identity_raises_only_input_errors(src):
+    for variables in (None, {"x", "ab"}):
+        try:
+            parse_quasi_identity(src, variables)
+        except ToolError as exc:
+            assert 1 <= exc.exit_code <= 3
 
 
 def test_normalization_idempotent():
