@@ -660,8 +660,8 @@ def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
 
 def op_lambda(M: AutomaticAlgebra, g: int) -> PartialOperation:
     """Unary total translation by g on g's component, identity elsewhere."""
-    from .structure import component_of, component_group
-    comp = component_of(M, M.state_index(g))
+    from .structure import component_group, components
+    comp = next(c for c in components(M) if M.state_index(g) in c)
     data = component_group(M, comp)
     table = {(x,): x for x in M.elements()}
     for s in comp:

@@ -22,6 +22,13 @@ source needs only the least state of each orbit, besides the letters and
 maps that its least state's image determines, each checked directly to be
 an automorphism before it merges anything.  The small catalog sources are
 built once and kept, with their search index.
+
+Whiskery's F_m family searches only the m in `cycle_lengths(M)`.  An
+embedding h of F_m (m ≥ 1) sends a to a letter b and s1, …, s_m to distinct
+states with h(s_i)·b = h(s_{i+1}) and h(s_m)·b = h(s1), so b has a cycle
+of length exactly m; F_0 needs h(r)·b = 0, so b is undefined somewhere.
+Every m skipped does not embed, so the least m and its least embedding
+stay those of the full family.
 """
 
 from __future__ import annotations
@@ -65,13 +72,6 @@ def components(M: AutomaticAlgebra) -> list:
     for i in range(M.n_states):
         blocks.setdefault(_find(parent, i), []).append(i)
     return [sorted(v) for _, v in sorted(blocks.items())]
-
-
-def component_of(M: AutomaticAlgebra, state_index: int) -> list:
-    for comp in components(M):
-        if state_index in comp:
-            return comp
-    raise InternalInconsistency("state not covered by components")
 
 
 def component_actions(M: AutomaticAlgebra, comp: Sequence[int]) -> dict:
@@ -275,9 +275,29 @@ def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional
     return None
 
 
+def cycle_lengths(M: AutomaticAlgebra) -> set:
+    """The lengths of the cycles of the letters' actions, with 0 when some
+    letter is undefined somewhere: the only m for which F_m can embed."""
+    lengths = set()
+    for act in set(map(M.action, range(M.n_letters))):
+        if None in act:
+            lengths.add(0)
+        seen = [False] * M.n_states
+        for x in range(M.n_states):
+            path = {}                   # state -> its position on this walk
+            while x is not None and not seen[x]:
+                seen[x] = True
+                path[x] = len(path)
+                x = act[x]
+            if x in path:
+                lengths.add(len(path) - path[x])
+    return lengths
+
+
 def _whiskery_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
-    """(m, embedding dict) for the least m with F_m embeddable, else None."""
-    return first_embedded(M, "F", range(max(0, M.n_states - 1)))
+    """(m, embedding dict) for the least m < |Q| - 1 with F_m embeddable,
+    else None; only the m in `cycle_lengths(M)` are searched."""
+    return first_embedded(M, "F", sorted(m for m in cycle_lengths(M) if m < M.n_states - 1))
 
 
 def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
@@ -551,18 +571,15 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
     perms = profile.perms
     comp_actions = [(tuple(comp), component_actions(M, comp).keys())
                     for comp in components(M)]
+    coset = {}      # m -> whether some component's action set holds a coset
     for b in range(M.n_letters):
         for c in range(M.n_letters):
-            if b == c:
-                continue
             m = difference_order(perms, b, c)
-            if m <= 1:
+            if m <= 1:              # b and c act alike, b = c included
                 continue
-            report = []
-            for comp, actions in comp_actions:
-                if _coset_inside(actions, m):
-                    break
-                report.append((comp, len(actions)))
-            else:
-                return NondcommWitness(b, c, m, report)
+            if m not in coset:
+                coset[m] = any(_coset_inside(actions, m) for _, actions in comp_actions)
+            if not coset[m]:
+                return NondcommWitness(b, c, m, [(comp, len(actions))
+                                                 for comp, actions in comp_actions])
     return None

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
 from small_algebras import every_algebra
+from test_classify import translation_action
 from autodual.abgroups import AbelianGroup
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import NotCommuting, NotPermutational, NotTransitive
 from autodual.powers import Groupoid, find_embedding
-from autodual.structure import (_compose, _coset_inside, _perm_order, component_actions,
-                                component_group, components, difference_order,
+from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_embedding,
+                                component_actions, component_group, components,
+                                cycle_lengths, difference_order,
                                 first_embedded, generated_group, letter_affine_analysis,
                                 nondcomm_check, permutation_profile, rankill_check,
                                 state_orbit_roots, whiskery_check)
@@ -490,6 +492,73 @@ def test_orbit_roots_of_chain_3():
     M = gen_chain(3)        # a 3-cycle and a 7-cycle component, both translations
     assert state_orbit_roots(M) == [0] * 3 + [3] * 7
     assert first_embedded(M, "F", range(M.n_states - 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# whiskery's F_m family, filtered by the letters' cycle lengths
+# ---------------------------------------------------------------------------
+
+def assert_whiskery_filter_matches(M):
+    found = _whiskery_embedding(M)
+    assert found == unpruned_first_embedded(M, "F", range(max(0, M.n_states - 1)))
+    return found
+
+
+def test_cycle_lengths_examples():
+    assert cycle_lengths(catalog("F", 0)) == {0}
+    for m in range(1, 6):
+        assert cycle_lengths(catalog("F", m)) == {m}
+    # a 2-cycle, a fixed point, and a partial letter
+    M = AutomaticAlgebra.build("pqr", "ab", [("p", "a", "q"), ("q", "a", "p"),
+                                             ("r", "a", "r"), ("p", "b", "r")])
+    assert cycle_lengths(M) == {0, 1, 2}
+    assert cycle_lengths(M.drop_letter(1)) == {1, 2}
+    assert cycle_lengths(gen_chain(3)) == {1, 3, 7}
+
+
+def test_a_single_long_cycle_leaves_no_m_to_search():
+    # Z_1024 under +1 and +513: every letter is one 1,024-cycle, and F_m
+    # is searched only for m < |Q| - 1 = 1,023
+    M = translation_action(1024, (1, 513))
+    assert cycle_lengths(M) == {1024}
+    assert _whiskery_embedding(M) is None
+
+
+def test_whiskery_filter_matches_the_full_family_on_every_small_algebra():
+    shapes = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 1))
+    least = set()
+    for M in (M for shape in shapes for M in every_algebra(*shape)):
+        found = assert_whiskery_filter_matches(M)
+        least.add(found and found[0])
+    assert least == {None, 0, 1, 2}
+
+
+def test_whiskery_filter_matches_the_full_family_on_translation_actions():
+    for M in translation_actions():
+        assert_whiskery_filter_matches(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_action_algebras())
+def test_whiskery_filter_matches_the_full_family_on_shared_actions(M):
+    assert_whiskery_filter_matches(M)
+
+
+def test_nondcomm_tests_cosets_once_per_m():
+    # whether a component holds a coset depends on m alone, so testing it
+    # once per m finds the per-pair loop's first witness, with every
+    # component in its report
+    fired = 0
+    for M in translation_actions() + [gen_chain(n) for n in range(2, 6)]:
+        nd = nondcomm_check(M)
+        assert (None if nd is None else (nd.b, nd.c, nd.m, [n for _, n in nd.coset_report])) \
+            == nondcomm_by_letters(M)
+        if nd is not None:
+            fired += 1
+            assert [states for states, _ in nd.coset_report] == list(map(tuple, components(M)))
+    assert fired > 0
+    w = nondcomm_check(gen_chain(5))
+    assert (w.b, w.c, w.m) == (2, 21, 29)
 
 
 def compose_until_identity(p):
