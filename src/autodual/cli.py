@@ -19,7 +19,7 @@ import re
 import sys
 
 from .algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog
-from .errors import CapExceeded, InputParseError, ToolError
+from .errors import BadParams, CapExceeded, InputParseError, ToolError
 
 
 class UsageError(ToolError):
@@ -244,6 +244,10 @@ def _witness_param(token: str, default):
 
 
 def cmd_witness(args) -> int:
+    for flag, value, least in (("--build-cap", args.build_cap, 1),
+                               ("--max-elements", args.max_elements, 0), ("--nu", args.nu, 0)):
+        if value is not None and value < least:
+            raise BadParams(f"{flag} must be at least {least}, not {value}")
     from .witness import (BUILD_CAP_DEFAULT, PARAM_DEFAULTS, build_truncation,
                           format_report, kernel_block_analysis, verify_construction)
     defaults = PARAM_DEFAULTS.get(args.name)

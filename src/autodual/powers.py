@@ -1,9 +1,9 @@
 """Finite powers, subuniverse generation, hom enumeration, compatibility.
 
 Power elements are plain tuples of element codes over the index set
-{0, …, n−1}.  Generated subalgebras are materialized as `Groupoid` tables
-(opaque finite groupoids) so that hom enumeration works uniformly for
-catalog algebras and for subalgebras of powers.
+{0, …, n−1}.  Generated subalgebras are materialized as `Groupoid`s
+(opaque finite groupoids kept by their nonzero products) so that hom search
+works uniformly for catalog algebras and for subalgebras of powers.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
     every v found in round r - 1, u·v before v·u.  Since x·y is 0 unless x
     is a state and y a letter, u·v is the zero tuple unless some coordinate
     holds a state in u and a letter in v.  Only those products are computed,
-    from the |M|×|M| table of M; every other cell of the groupoid table is
-    the zero tuple's index.  The zero tuple is u0·u0, the first product of
-    round 1, so it is registered right after the generators.
+    from the |M|×|M| table of M, and only those not the zero tuple are kept,
+    as the groupoid's partners, in ascending order; no |A|×|A| table is
+    built.  The zero tuple u0·u0, the first product, follows the generators.
     """
     size, n_states = M.size(), M.n_states
     mt = M.product_table()
@@ -67,7 +67,7 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
             elems.append(g)
     mt_rows = []    # mt_rows[i][c] = mt[elems[i][c]], so u·v = map(getitem, mt_rows[u], v)
     states, letters = [], []    # bitmasks of the coordinates of elems[i] in Q and in Σ
-    table = []
+    partners = []
 
     def index_of(w):
         k = index.get(w)
@@ -78,78 +78,78 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
                 raise CapExceeded(f"subuniverse exceeded {max_elements} elements")
         return k
 
-    zero = index_of((ZERO,) * n) if elems else 0
+    zero = index_of((ZERO,) * n) if elems else -1
     start = 0       # the frontier is elems[start:known]
     while start < len(elems):
         known = len(elems)
-        for row in table:
-            row.extend([zero] * (known - len(row)))
-        table.extend([zero] * known for _ in range(known - len(table)))
         for u in elems[len(mt_rows):]:
             mt_rows.append(tuple(map(mt.__getitem__, u)))
             states.append(sum(1 << c for c, x in enumerate(u) if 0 < x <= n_states))
             letters.append(sum(1 << c for c, x in enumerate(u) if x > n_states))
+            partners.append([])
         # the only frontier elements that can stand right of a nonzero product
         right = [j for j in range(start, known) if letters[j]]
         for i in range(known):
-            u, mt_u, row_u, s_u, l_u = elems[i], mt_rows[i], table[i], states[i], letters[i]
+            u, mt_u, row_u, s_u, l_u = elems[i], mt_rows[i], partners[i], states[i], letters[i]
             # a frontier u has already met, as v, every frontier element before it
             lo = max(start, i)
             for j in range(lo, known) if l_u else right[bisect_left(right, lo):]:
-                if s_u & letters[j]:
-                    row_u[j] = index_of(tuple(map(getitem, mt_u, elems[j])))
-                if states[j] & l_u:
-                    table[j][i] = index_of(tuple(map(getitem, mt_rows[j], u)))
+                t = index_of(tuple(map(getitem, mt_u, elems[j]))) if s_u & letters[j] else zero
+                s = index_of(tuple(map(getitem, mt_rows[j], u))) if states[j] & l_u else zero
+                if t != zero or s != zero:      # so j != i: u·u is the zero tuple
+                    row_u.append((j, t, s))
+                    partners[j].append((i, s, t))
         start = known
-    return elems, Groupoid(table, labels=elems)
+    return elems, Groupoid(labels=elems, partners=partners, zero=zero)
 
 
 # ---------------------------------------------------------------------------
-# finite groupoids as explicit tables
+# finite groupoids
 # ---------------------------------------------------------------------------
 
 class Groupoid:
-    """Finite groupoid by multiplication table; elements are 0..n-1."""
+    """Finite groupoid on 0..n-1, kept by its products that are not the zero:
+    `zero` is the absorbing element, -1 if there is none, and `partners[i]`
+    lists (j, i·j, j·i), ascending in j, for each j with i·j or j·i not the
+    zero, every j if there is none.  `Groupoid(table)` keeps those of a table."""
 
-    def __init__(self, table: Sequence[Sequence[int]], labels=None):
-        self.table = [list(row) for row in table]
-        self.n = len(self.table)
-        for row in self.table:    # a row of length n >= 1 is not empty
-            if len(row) != self.n or min(row) < 0 or max(row) >= self.n:
+    def __init__(self, table: Sequence[Sequence[int]] = (), labels=None, *,
+                 partners: Optional[list] = None, zero: int = -1):
+        if partners is None:
+            n = len(table)      # a row of length n >= 1 is not empty, for min() and max()
+            if any(len(row) != n or min(row) < 0 or max(row) >= n for row in table):
                 raise BadParams("malformed multiplication table")
+            ids = list(range(n))    # one int object per element, shared
+            zero = next((k for k in ids if table[k].count(k) == n
+                         and all(row[k] == k for row in table)), -1)
+            partners = [[(j, t, s) for j, t, s in zip(ids, row, col) if t != zero or s != zero]
+                        for row, col in zip(table, zip(*table))]
+        self.partners, self.zero, self.n = partners, zero, len(partners)
         self.labels = list(labels) if labels is not None else list(range(self.n))
         self._index = None      # search_index(), built on first use
 
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        row = self.partners[i]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else self.zero
 
     def search_index(self) -> tuple:
-        """(pre_left, pre_right, zero, partners, zeros), the source side of
-        `enumerate_homs`, built on first use and kept, since it depends on
-        the table alone.
-
-        pre_left[t], pre_right[t] list the pairs (k, j) with k·j = t; zero
-        is the absorbing element, -1 if there is none; partners[i] holds
-        (j, i·j, j·i) for each j with i·j or j·i not the zero, every j if
-        there is none, and zeros[i] the other j.
-        """
+        """(pre_left, pre_right, zero, partners, zeros) for `enumerate_homs`,
+        built on first use and kept: pre_left[t], pre_right[t] list the pairs
+        (k, j) with k·j = t in row order, and zeros[i] the j that are no
+        partners of i.  O(n²) space, but only an A under the cap is indexed."""
         if self._index is None:
-            n, table = self.n, self.table
-            ids = list(range(n))    # one int object per element, shared
-            pre_left = [[] for _ in ids]
-            pre_right = [[] for _ in ids]
-            for k, row in zip(ids, table):
-                for j, t in zip(ids, row):
+            ids, zeros = list(range(self.n)), []
+            pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
+            for k, row in zip(ids, self.partners):
+                cells = dict.fromkeys(ids, self.zero)   # row k in full, in order
+                cells.update((j, t) for j, t, _ in row)
+                for j, t in cells.items():
                     pre_left[t].append(k)
                     pre_right[t].append(j)
-            zero = next((k for k in ids if table[k].count(k) == n
-                         and all(row[k] == k for row in table)), -1)
-            partners, zeros = [], []
-            for row, col in zip(table, zip(*table)):
-                partners.append([(j, t, s) for j, t, s in zip(ids, row, col)
-                                 if t != zero or s != zero])
-                zeros.append([j for j, t, s in zip(ids, row, col) if t == s == zero])
-            self._index = (pre_left, pre_right, zero, partners, zeros)
+                near = {j for j, _, _ in row}
+                zeros.append([j for j in ids if j not in near])
+            self._index = (pre_left, pre_right, self.zero, self.partners, zeros)
         return self._index
 
     @classmethod
@@ -209,10 +209,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     over the element codes of M.  An absorbing element z of A, if there is
     one, is decided at the root, before `preassigned`, as the idempotent e
     of M read off the masks D: 0, the only one in an automatic algebra.
-    The partners of i are the j with i·j ≠ z or j·i ≠ z, every j if there
-    is no z; in thm_nondcomm at N = 4 an element has about 11 among 88.
-    Deciding element i with value v propagates along every product that
-    involves i:
+    The partners of i (`Groupoid.partners`) are about 11 of the 88 elements
+    of thm_nondcomm at N = 4.  Deciding element i with value v propagates
+    along every product that involves i:
 
     - j not a partner: both products go to e, so dom[j] keeps one mask,
       Z[v] = L[v][e] & R[v][e], and none is visited when Z[v] is full;
@@ -255,10 +254,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     search below the last such branch is complete.  `distinct_on=()` stops
     at the first hom.
 
-    The masks depend on M alone and are kept with M; the preimage index,
-    the absorbing element, the partners and the zeros depend on A alone and
-    are kept with A (`Groupoid.search_index`).  So a run of searches into
-    one M, or from one A, builds each side once.
+    The masks depend on M alone and are kept with M, the index of A on A
+    alone and kept with A (`Groupoid.search_index`), so a run of searches
+    into one M, or from one A, builds each side once.
     """
     size = M.size()
     first = distinct_on or ()

@@ -179,10 +179,25 @@ def _whiskery_at(M: AutomaticAlgebra, i: int, j: int) -> bool:
 
 
 def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
-    """(letter, state) of the first failure, scanning letters then states."""
+    """(letter, state) of the first failure, scanning letters then states:
+    letter a fails at q when q·a is a state on no cycle of a.  One O(|Q|)
+    pass per letter marks a's cycles: each walk stops at a state walked
+    before, and closes a cycle when that state is on the walk itself."""
     for j in range(M.n_letters):
-        for i in range(M.n_states):
-            if not _whiskery_at(M, i, j):
+        act = M.action(j)
+        on_cycle = [False] * M.n_states
+        walked = [-1] * M.n_states      # the start of the walk that reached a state
+        for start in range(M.n_states):
+            x, path = start, []
+            while x is not None and walked[x] < 0:
+                walked[x] = start
+                path.append(x)
+                x = act[x]
+            if x is not None and walked[x] == start:
+                for y in path[path.index(x):]:
+                    on_cycle[y] = True
+        for i, x in enumerate(act):
+            if x is not None and not on_cycle[x]:
                 return (j, i)
     return None
 

@@ -35,7 +35,7 @@ SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
               "only; congruence-index conditions over infinite algebras are "
               "not finitely checkable")
 
-BUILD_CAP_DEFAULT = 4096
+BUILD_CAP_DEFAULT = 2 ** 17     # the most elements; no default-parameter run tops 1 GB RSS
 SIZE_CAP = 16                   # the largest N; at 16 an index family holds 43,680 tuples
 PROBE_HOM_CAP = 256             # the most homs A -> M that local_eval_probe takes
 PROBE_WORK_CAP = 2 * 10 ** 7    # the most agreement-set intersections it takes

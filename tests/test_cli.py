@@ -202,6 +202,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     def build_nothing(*args):
         raise AssertionError("nothing may be built past a cap")
 
+    # imported here, so its default parameters are built before `build` is
+    # patched, also when this test runs alone
+    witness = importlib.import_module("autodual.witness")
+
     # `autodual.classify` may be the package's function, so fetch the module itself
     monkeypatch.setattr(importlib.import_module("autodual.classify"), "catalog",
                         build_nothing)
@@ -246,6 +250,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert code == 1 and "usage error" in err
     code, out, err = run(["witness", "thm_wc", "--size", "17"], capsys)
     assert code == 3 and "size cap" in err and out == ""
+    monkeypatch.setattr(witness, "build_truncation", build_nothing)
+    for flag, value in (("--build-cap", "0"), ("--build-cap", "-1"),
+                        ("--max-elements", "-1"), ("--nu", "-1")):
+        code, out, err = run(["witness", "thm_wc", "--size", "4", flag, value], capsys)
+        assert code == 3 and f"{flag} must be at least" in err and out == ""
+    monkeypatch.undo()
     b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables
     code, out, err = run(["check-eq", b_path, "abcdefghi = ihgfedcba"], capsys)
     assert code == 3 and "over the cap" in err and out == ""

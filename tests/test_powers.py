@@ -73,11 +73,40 @@ def naive_power_groupoid(M, n, generators, max_elements=None):
     return elems, Groupoid.from_power(M, elems)
 
 
+def dense_table(A):
+    """The full multiplication table of A, read back product by product."""
+    return [[A.mul(i, j) for j in range(A.n)] for i in range(A.n)]
+
+
+def index_from_table(table):
+    """What `Groupoid.search_index` returns, worked out cell by cell from a
+    full table: the pairs of each product in row order, the absorbing
+    element or -1, and each element's partners and zeros."""
+    n = len(table)
+    ids = range(n)
+    pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
+    for k in ids:
+        for j in ids:
+            pre_left[table[k][j]].append(k)
+            pre_right[table[k][j]].append(j)
+    zero = next((z for z in ids if all(table[z][j] == table[j][z] == z for j in ids)), -1)
+    partners = [[(j, table[i][j], table[j][i]) for j in ids
+                 if table[i][j] != zero or table[j][i] != zero] for i in ids]
+    zeros = [[j for j in ids if table[i][j] == table[j][i] == zero] for i in ids]
+    return pre_left, pre_right, zero, partners, zeros
+
+
 def assert_closure_matches(M, n, gens):
+    """The sparse closure against the naive one: the same elements, every
+    product u·v the one pointwise_mul gives, and the same search index as a
+    full table of those products."""
     elems, G = generate_power_groupoid(M, n, gens)
     ref_elems, ref = naive_power_groupoid(M, n, gens)
-    assert elems == ref_elems
-    assert G.table == ref.table and G.labels == ref.labels
+    assert elems == ref_elems and G.labels == ref.labels
+    pos = {u: i for i, u in enumerate(elems)}
+    table = [[pos[pointwise_mul(M, u, v)] for v in elems] for u in elems]
+    assert dense_table(G) == dense_table(ref) == table
+    assert G.search_index() == ref.search_index() == index_from_table(table)
     assert generate_subuniverse(M, n, gens) == ref_elems
     # the cap applies to the elements products add, not to the generators
     cap = len(ref_elems) - 1
@@ -111,15 +140,15 @@ def test_truncation_at_6_is_byte_identical_to_golden(name, size, digest):
     # where no state meets a letter were skipped
     trunc = build_truncation(name, (), 6)
     assert len(trunc.elements) == size
-    got = repr((trunc.elements, trunc.groupoid.table)).encode()
+    got = repr((trunc.elements, dense_table(trunc.groupoid))).encode()
     assert hashlib.sha256(got).hexdigest() == digest
 
 
 @st.composite
-def partial_algebras(draw):
-    """Automatic algebras with 1-4 states and 1-3 letters, each transition
-    undefined or any state."""
-    nq, ns = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+def partial_algebras(draw, max_states=4):
+    """Automatic algebras with 1 to `max_states` states and 1-3 letters, each
+    transition undefined or any state."""
+    nq, ns = draw(st.integers(1, max_states)), draw(st.integers(1, 3))
     pairs = list(itertools.product(range(nq), range(ns)))
     targets = draw(st.lists(st.integers(0, nq), min_size=len(pairs), max_size=len(pairs)))
     return AutomaticAlgebra([f"q{i}" for i in range(nq)], [f"a{j}" for j in range(ns)],
@@ -142,7 +171,7 @@ def test_power_groupoid_order_puts_uv_before_vu():
     q, r, a = (B.element_by_name(x) for x in "qra")
     elems, G = generate_power_groupoid(B, 2, [(q, a), (a, q)])
     assert elems == [(q, a), (a, q), (ZERO, ZERO), (r, ZERO), (ZERO, r)]
-    assert G.table[0][1] == 3 and G.table[1][0] == 4
+    assert G.mul(0, 1) == 3 and G.mul(1, 0) == 4
     assert_closure_matches(B, 3, [(q, a, r), (a, q, q), (r, a, a)])
 
 
@@ -158,7 +187,7 @@ def preserving(A, M, maps):
     """The maps A -> M (tuples indexed by A) that preserve every product of A,
     sorted."""
     mt = [[M.mul(x, y) for y in range(M.size())] for x in range(M.size())]
-    triples = [(i, j, A.table[i][j]) for i in range(A.n) for j in range(A.n)]
+    triples = [(i, j, A.mul(i, j)) for i in range(A.n) for j in range(A.n)]
     return sorted(h for h in maps
                   if all(h[t] == mt[h[i]][h[j]] for i, j, t in triples))
 
@@ -231,9 +260,9 @@ def assert_one_hom_per_restriction(A, M, homs, S):
 
 
 @st.composite
-def groupoid_tables(draw):
-    """Groupoids on 1-4 elements with random tables: some with an absorbing
-    element, some without, some with extra idempotents i·i = i."""
+def tables(draw):
+    """Tables on 1-4 elements: some with an absorbing element, some
+    without, some with extra idempotents i·i = i."""
     n = draw(st.integers(1, 4))
     table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
@@ -242,11 +271,25 @@ def groupoid_tables(draw):
             table[z][k] = table[k][z] = z
     for i in draw(st.sets(st.integers(0, n - 1))):
         table[i][i] = i
-    return Groupoid(table)
+    return table
+
+
+groupoid_tables = tables().map(Groupoid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_groupoid_keeps_every_product_of_a_table(table):
+    A = Groupoid(table)
+    assert dense_table(A) == table
+    assert A.search_index() == index_from_table(table)
+    # without an absorbing element every product is kept
+    assert (A.zero < 0) == (A.partners == [[(j, t, s) for j, (t, s) in enumerate(zip(row, col))]
+                                           for row, col in zip(table, zip(*table))])
 
 
 @settings(max_examples=300, deadline=None)
-@given(groupoid_tables(),
+@given(groupoid_tables,
        st.one_of(st.sampled_from([catalog("B"), catalog("F", 0), catalog("N", 1)]),
                  partial_algebras()),
        st.data())
@@ -463,7 +506,7 @@ def test_hom_cap():
 def hom_lower_bound(A, M):
     """(max(|Q|, |Σ|) + 1)^|S|, S the elements of A that are no product: the
     homs that send every product to 0 and S into Q ∪ {0}, or into Σ ∪ {0}."""
-    products = {t for row in A.table for t in row}
+    products = {t for row in dense_table(A) for t in row}
     return (max(M.n_states, M.n_letters) + 1) ** (A.n - len(products))
 
 
@@ -494,7 +537,7 @@ def test_hom_lower_bound_on_small_sources():
 
 
 @settings(max_examples=200, deadline=None)
-@given(groupoid_tables(),
+@given(groupoid_tables,
        st.sampled_from([catalog("B"), catalog("F", 0), catalog("N", 1), catalog("R"),
                         catalog("L")]))
 def test_hom_lower_bound_on_random_tables(A, M):
@@ -526,9 +569,9 @@ def test_from_algebra_matches_mul():
     for _, M in standard_catalog():
         elems = M.elements()
         A = Groupoid.from_algebra(M)
-        assert A.table == [[elems.index(M.mul(x, y)) for y in elems] for x in elems]
+        assert dense_table(A) == [[elems.index(M.mul(x, y)) for y in elems] for x in elems]
         assert A.labels == [M.name(x) for x in elems]
-        assert all(type(t) is int for row in A.table for t in row)
+        assert all(type(x) is int for row in A.partners for p in row for x in p)
 
 
 def test_hom_exists_with_preassignment():

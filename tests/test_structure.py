@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from action_algebras import shared_action_algebras
 from small_algebras import every_algebra
 from test_classify import translation_action
+from test_powers import partial_algebras
 from autodual.abgroups import AbelianGroup
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import NotCommuting, NotPermutational, NotTransitive
 from autodual.powers import Groupoid, find_embedding
-from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_embedding,
+from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_at,
+                                _whiskery_direct, _whiskery_embedding,
                                 component_actions, component_group, components,
                                 cycle_lengths, difference_order,
                                 first_embedded, generated_group, letter_affine_analysis,
@@ -77,6 +79,28 @@ def test_whiskery_examples():
     R = catalog("R")
     wf = whiskery_check(R)
     assert (R.letter_names[wf.letter], R.state_names[wf.state]) == ("a", "r")
+
+
+def whiskery_direct_by_pairs(M):
+    """The first failing (letter, state), one walk from every pair: the
+    reference `_whiskery_direct` is checked against."""
+    return next(((j, i) for j in range(M.n_letters) for i in range(M.n_states)
+                 if not _whiskery_at(M, i, j)), None)
+
+
+def test_whiskery_direct_matches_the_per_pair_walks_on_every_small_algebra():
+    found = set()
+    for M in (M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)):
+        direct = _whiskery_direct(M)
+        assert direct == whiskery_direct_by_pairs(M)
+        found.add(direct)
+    assert None in found and len(found) > 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(partial_algebras(max_states=9), shared_action_algebras()))
+def test_whiskery_direct_matches_the_per_pair_walks_on_random_algebras(M):
+    assert _whiskery_direct(M) == whiskery_direct_by_pairs(M)
 
 
 def test_whiskery_three_way_agreement_on_randoms():
