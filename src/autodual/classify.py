@@ -15,21 +15,21 @@ The rule pipeline (order is part of the external contract):
  11  commuting_permutations  coset-free commuting permutations   -> non-dualizable
  12  unknown                 honest fall-through
 
-Rules 3-11 are the ordered `RULES` table, the single source of the pipeline
-order: `classify` runs it, `RULE_ORDER` is read off it, and the verifier of
-an `unknown` verdict replays it.  Rules 1, 2 and 12 frame it in `classify`.
+Rules 3-11 are the ordered `RULES` table, one `Rule` record each: its
+detector, and each certificate kind it emits with the verdict that kind
+witnesses and its checker.  `classify` frames the table with rules 1, 2 and
+12 (rule 1 has a record for its kind); `RULE_ORDER` and the verifier's kind
+lookup are read off the records, and the check of `unknown` replays `classify`.
 
 Certificates are JSON-shaped dicts tagged by "kind"; `verify_certificate`
-re-derives every claim from the algebra alone.  It reads each field through
-one typed accessor, `_field`, and the `_CERT_KINDS` table gives each kind's
-rule, verdict and checker.
+re-derives every claim from the algebra alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import structure, terms
 from .abgroups import AbelianGroup
@@ -165,12 +165,12 @@ def normalize_algebra(M: AutomaticAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# the rule table
+# detectors
 # ---------------------------------------------------------------------------
 #
 # Each detector takes the normalized algebra N and returns None when its
-# rule does not fire, or (outcome, certificate, trace detail) when it does.
-# A rule that does not fire may still report a detail as (None, None, detail).
+# rule does not fire, or (certificate, trace detail) when it does.  A rule
+# that does not fire may still report a detail as (None, detail).
 # Detectors call the structure/terms predicates through module globals, so
 # wrappers installed on those names see every call.
 
@@ -182,8 +182,7 @@ def _detect_whiskery(N: AutomaticAlgebra):
             "letter": N.letter_names[wf.letter],
             "state": N.state_names[wf.state],
             "m": wf.forbidden_m, "embedding": wf.embedding}
-    return ("non_dualizable", cert,
-            f"letter {cert['letter']} fails at {cert['state']}")
+    return cert, f"letter {cert['letter']} fails at {cert['state']}"
 
 
 def _detect_rankill(N: AutomaticAlgebra):
@@ -194,7 +193,7 @@ def _detect_rankill(N: AutomaticAlgebra):
             "letter": N.letter_names[rk.letter],
             "state": N.state_names[rk.state],
             "word": [N.letter_names[j] for j in rk.word]}
-    return ("non_dualizable", cert, f"case {rk.case} at letter {cert['letter']}")
+    return cert, f"case {rk.case} at letter {cert['letter']}"
 
 
 def _detect_order_sensitivity(N: AutomaticAlgebra):
@@ -204,13 +203,13 @@ def _detect_order_sensitivity(N: AutomaticAlgebra):
     cert = {"kind": "order_sensitive", "state": N.state_names[ow.state],
             "w1": [N.letter_names[j] for j in ow.w1],
             "w2": [N.letter_names[j] for j in ow.w2]}
-    return ("non_dualizable", cert, f"state {cert['state']}")
+    return cert, f"state {cert['state']}"
 
 
 def _detect_single_letter(N: AutomaticAlgebra):
     if N.n_letters != 1:
         return None
-    return ("dualizable", {"kind": "single_letter_whiskery"}, "single whiskery letter")
+    return {"kind": "single_letter_whiskery"}, "single whiskery letter"
 
 
 def _detect_two_state(N: AutomaticAlgebra):
@@ -224,10 +223,10 @@ def _detect_two_state(N: AutomaticAlgebra):
             "two-state equations and forbidden-subalgebra tests disagree")
     if holds:
         cert = {"kind": "two_state_equations", "identities": list(_TWO_STATE_IDENTITIES)}
-        return ("dualizable", cert, "both equations hold")
+        return cert, "both equations hold"
     cert = {"kind": "two_state_forbidden", "which": f"N{forbidden[0]}",
             "embedding": forbidden[1]}
-    return ("non_dualizable", cert, f"forbidden subalgebra {cert['which']}")
+    return cert, f"forbidden subalgebra {cert['which']}"
 
 
 def _detect_constant_letters(N: AutomaticAlgebra):
@@ -236,7 +235,7 @@ def _detect_constant_letters(N: AutomaticAlgebra):
         return None
     cert = {"kind": "constant_letters",
             "values": {N.letter_names[j]: N.state_names[v] for j, v in enumerate(values)}}
-    return ("dualizable", cert, "")
+    return cert, ""
 
 
 def _all_loops(M: AutomaticAlgebra) -> bool:
@@ -276,7 +275,7 @@ def _detect_all_loops(N: AutomaticAlgebra):
                         "steps": steps,
                         "final": {"state": final.state_names[0],
                                   "letter": final.letter_names[0]}})
-    return ("dualizable", {"kind": "all_loops", "split": split, "components": entries}, "")
+    return {"kind": "all_loops", "split": split, "components": entries}, ""
 
 
 def _detect_letter_affine(N: AutomaticAlgebra):
@@ -285,7 +284,7 @@ def _detect_letter_affine(N: AutomaticAlgebra):
         if report.failure is None:
             return None
         comp_names = " ".join(N.state_names[i] for i in report.failure[0])
-        return (None, None, f"failure {report.failure[1]} on component {{{comp_names}}}")
+        return None, f"failure {report.failure[1]} on component {{{comp_names}}}"
     comps = []
     for cr in report.components:
         entry = {"states": [N.state_names[s] for s in cr.states],
@@ -305,7 +304,7 @@ def _detect_letter_affine(N: AutomaticAlgebra):
                 "decomposition": [[names[g], d] for g, d in data.decomposition],
             })
         comps.append(entry)
-    return ("dualizable", {"kind": "letter_affine", "components": comps}, "")
+    return {"kind": "letter_affine", "components": comps}, ""
 
 
 def _detect_commuting_permutations(N: AutomaticAlgebra):
@@ -316,60 +315,7 @@ def _detect_commuting_permutations(N: AutomaticAlgebra):
             "b": N.letter_names[nd.b], "c": N.letter_names[nd.c], "m": nd.m,
             "report": [{"states": [N.state_names[s] for s in comp],
                         "actions": count} for comp, count in nd.coset_report]}
-    return ("non_dualizable", cert, f"pair ({cert['b']}, {cert['c']}), m = {nd.m}")
-
-
-RULES = (
-    ("whiskery", _detect_whiskery),
-    ("rankill", _detect_rankill),
-    ("order_sensitivity", _detect_order_sensitivity),
-    ("single_letter", _detect_single_letter),
-    ("two_state", _detect_two_state),
-    ("constant_letters", _detect_constant_letters),
-    ("all_loops", _detect_all_loops),
-    ("letter_affine", _detect_letter_affine),
-    ("commuting_permutations", _detect_commuting_permutations),
-)
-
-RULE_ORDER = (("zero_semigroup", "normalize") + tuple(name for name, _ in RULES)
-              + ("unknown",))
-
-
-def classify(M: AutomaticAlgebra) -> Verdict:
-    """Run the rule pipeline and return a self-contained verdict."""
-    trace = []
-
-    def entry(rule, fired, detail=""):
-        trace.append({"rule": rule, "fired": fired, "detail": detail})
-
-    if M.n_states == 0 or M.n_letters == 0:
-        entry("zero_semigroup", True, "empty state or letter set")
-        return Verdict("dualizable", "zero_semigroup",
-                       {"kind": "zero_semigroup"}, trace)
-    entry("zero_semigroup", False)
-
-    N, steps = normalize_algebra(M)
-    entry("normalize", bool(steps),
-          ", ".join(f"{s['kind']}:{s['removed']}" for s in steps) or "already normal")
-
-    def wrap(cert):
-        if steps:
-            return {"kind": "reduction_chain", "steps": steps, "inner": cert}
-        return cert
-
-    if N.n_states == 0 or N.n_letters == 0:
-        entry("zero_semigroup", True, "empty after normalization")
-        return Verdict("dualizable", "zero_semigroup",
-                       wrap({"kind": "zero_semigroup"}), trace)
-
-    for name, detect in RULES:
-        outcome, cert, detail = detect(N) or (None, None, "")
-        entry(name, outcome is not None, detail)
-        if outcome is not None:
-            return Verdict(outcome, name, wrap(cert), trace)
-
-    entry("unknown", True, "no rule applies; the problem is open here")
-    return Verdict("unknown", "unknown", None, trace)
+    return cert, f"pair ({cert['b']}, {cert['c']}), m = {nd.m}"
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +386,9 @@ def _verify_cert(M: AutomaticAlgebra, cert: dict, outcome: str, rule) -> None:
             raise _Invalid("a reduction chain states no step")
         M, cert = _replay_steps(M, cert), _field(cert, "inner", dict)
         kind = _field(cert, "kind")
-    if kind not in _CERT_KINDS:
+    if kind not in _KINDS:
         raise _Invalid(f"unknown certificate kind {kind!r}")
-    kind_rule, witnesses, checker = _CERT_KINDS[kind]
+    kind_rule, witnesses, checker = _KINDS[kind]
     if outcome != witnesses:
         raise _Invalid(f"{kind} cannot witness the verdict {outcome}")
     if rule not in (None, kind_rule):
@@ -554,7 +500,7 @@ def _verify_constant_letters(M, cert):
     found = _detect_constant_letters(M)
     if found is None:
         raise _Invalid("not a total constant-letter algebra")
-    if _field(cert, "values", dict) != found[1]["values"]:
+    if _field(cert, "values", dict) != found[0]["values"]:
         raise _Invalid("stated constants disagree with the table")
 
 
@@ -660,35 +606,91 @@ def _verify_commuting_permutations(M, cert):
         raise _Invalid("stated coset report disagrees")
 
 
-# certificate kind -> (the rule that emits it, the verdict it witnesses,
-# its checker); a reduction_chain wraps one of these
-_CERT_KINDS = {
-    "zero_semigroup": ("zero_semigroup", "dualizable", _verify_zero),
-    "whiskery_failure": ("whiskery", "non_dualizable", _verify_whiskery_failure),
-    "rankill": ("rankill", "non_dualizable", _verify_rankill),
-    "order_sensitive": ("order_sensitivity", "non_dualizable", _verify_order_sensitive),
-    "single_letter_whiskery": ("single_letter", "dualizable", _verify_single_letter),
-    "two_state_equations": ("two_state", "dualizable", _verify_two_state_equations),
-    "two_state_forbidden": ("two_state", "non_dualizable", _verify_two_state_forbidden),
-    "constant_letters": ("constant_letters", "dualizable", _verify_constant_letters),
-    "all_loops": ("all_loops", "dualizable", _verify_all_loops),
-    "letter_affine": ("letter_affine", "dualizable", _verify_letter_affine),
-    "commuting_permutations": ("commuting_permutations", "non_dualizable",
-                               _verify_commuting_permutations),
-}
+# ---------------------------------------------------------------------------
+# the rule table and the pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    detect: Optional[Callable]  # None: decided in the frame of `classify`
+    kinds: dict                 # certificate kind -> (verdict it witnesses, checker)
+
+
+_ZERO_RULE = Rule("zero_semigroup", None, {"zero_semigroup": ("dualizable", _verify_zero)})
+
+RULES = (
+    Rule("whiskery", _detect_whiskery,
+         {"whiskery_failure": ("non_dualizable", _verify_whiskery_failure)}),
+    Rule("rankill", _detect_rankill, {"rankill": ("non_dualizable", _verify_rankill)}),
+    Rule("order_sensitivity", _detect_order_sensitivity,
+         {"order_sensitive": ("non_dualizable", _verify_order_sensitive)}),
+    Rule("single_letter", _detect_single_letter,
+         {"single_letter_whiskery": ("dualizable", _verify_single_letter)}),
+    Rule("two_state", _detect_two_state,
+         {"two_state_equations": ("dualizable", _verify_two_state_equations),
+          "two_state_forbidden": ("non_dualizable", _verify_two_state_forbidden)}),
+    Rule("constant_letters", _detect_constant_letters,
+         {"constant_letters": ("dualizable", _verify_constant_letters)}),
+    Rule("all_loops", _detect_all_loops, {"all_loops": ("dualizable", _verify_all_loops)}),
+    Rule("letter_affine", _detect_letter_affine,
+         {"letter_affine": ("dualizable", _verify_letter_affine)}),
+    Rule("commuting_permutations", _detect_commuting_permutations,
+         {"commuting_permutations": ("non_dualizable", _verify_commuting_permutations)}),
+)
+
+RULE_ORDER = (_ZERO_RULE.name, "normalize", *(rule.name for rule in RULES), "unknown")
+
+# certificate kind -> (rule, verdict, checker); a reduction_chain wraps one of these
+_KINDS = {kind: (rule.name, outcome, checker) for rule in (_ZERO_RULE, *RULES)
+          for kind, (outcome, checker) in rule.kinds.items()}
+
+
+def classify(M: AutomaticAlgebra) -> Verdict:
+    """Run the rule pipeline and return a self-contained verdict."""
+    return _classify(M)
+
+
+def _classify(M: AutomaticAlgebra) -> Verdict:
+    """`classify`, replayed by the unknown check under a name no wrapper sees."""
+    trace, steps = [], []
+
+    def entry(rule, fired, detail=""):
+        trace.append({"rule": rule, "fired": fired, "detail": detail})
+
+    def decide(rule, cert, detail):
+        entry(rule.name, True, detail)
+        outcome = rule.kinds[cert["kind"]][0]
+        chain = {"kind": "reduction_chain", "steps": steps, "inner": cert}
+        return Verdict(outcome, rule.name, chain if steps else cert, trace)
+
+    if M.n_states == 0 or M.n_letters == 0:
+        return decide(_ZERO_RULE, {"kind": "zero_semigroup"}, "empty state or letter set")
+    entry("zero_semigroup", False)
+
+    N, steps = normalize_algebra(M)
+    entry("normalize", bool(steps),
+          ", ".join(f"{s['kind']}:{s['removed']}" for s in steps) or "already normal")
+    if N.n_states == 0 or N.n_letters == 0:
+        return decide(_ZERO_RULE, {"kind": "zero_semigroup"}, "empty after normalization")
+
+    for rule in RULES:
+        cert, detail = rule.detect(N) or (None, "")
+        if cert is not None:
+            return decide(rule, cert, detail)
+        entry(rule.name, False, detail)
+
+    entry("unknown", True, "no rule applies; the problem is open here")
+    return Verdict("unknown", "unknown", None, trace)
 
 
 def _verify_unknown(M: AutomaticAlgebra) -> None:
-    """An unknown verdict claims no rule decides: replay the pipeline."""
-    if M.n_states == 0 or M.n_letters == 0:
-        raise _Invalid("zero semigroup decides")
-    N, _ = normalize_algebra(M)
-    if N.n_states == 0 or N.n_letters == 0:
-        raise _Invalid("normalizes to a zero semigroup")
-    for name, detect in RULES:
-        found = detect(N)
-        if found is not None and found[0] is not None:
-            raise _Invalid(f"rule {name} decides")
+    """An unknown verdict claims that no rule decides: replay `classify`."""
+    v = _classify(M)
+    if v.outcome != "unknown":
+        raise _Invalid(f"rule {v.rule} decides" if v.rule != "zero_semigroup" else
+                       "normalizes to a zero semigroup" if "inner" in v.certificate else
+                       "zero semigroup decides")
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +750,6 @@ def gen_chain(n: int) -> AutomaticAlgebra:
             actions[f"b_{stage}"] = ident_old + fwd
             actions[f"c_{stage}"] = ident_old + back
             letters += [f"b_{stage}", f"c_{stage}"]
-        delta = {}
-        for j, name in enumerate(letters):
-            for i, t in enumerate(actions[name]):
-                delta[(i, j)] = t
-        M = AutomaticAlgebra(states, letters, delta)
+        M = AutomaticAlgebra(states, letters, {(i, j): t for j, name in enumerate(letters)
+                                               for i, t in enumerate(actions[name])})
     return M

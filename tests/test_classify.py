@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import itertools
 import json
@@ -61,10 +62,16 @@ def test_normalize_already_normal():
         assert steps == [] and N == M
 
 
+def test_rule_order_is_the_contract():
+    assert RULE_ORDER == (
+        "zero_semigroup", "normalize", "whiskery", "rankill", "order_sensitivity",
+        "single_letter", "two_state", "constant_letters", "all_loops", "letter_affine",
+        "commuting_permutations", "unknown")
+
+
 def test_trace_follows_rule_order():
     v = classify(catalog("L"))
     rules = [e["rule"] for e in v.trace]
-    normalized = [r for r in rules if r != "zero_semigroup" or rules.count(r) == 1]
     positions = [RULE_ORDER.index(r) for r in rules]
     assert positions == sorted(positions)
     assert v.outcome == "unknown"
@@ -336,6 +343,9 @@ def test_verifier_lets_faults_and_cap_hits_through(monkeypatch):
         (False, "missing field 'case'")
 
 
+GOLDEN_UNKNOWN_DIGEST = "a0dd63df0d48a49b4bd7067648841b1dc91e6bb80f6ee4d5fe1d291b832994e3"
+
+
 def test_unknown_verifier_agrees_with_classify():
     algebras = [M for nq in range(3) for ns in range(3) for M in every_algebra(nq, ns)]
     algebras += list(every_algebra(3, 1))
@@ -345,16 +355,19 @@ def test_unknown_verifier_agrees_with_classify():
         ["q", "r", "s"], ["a", "b", "c"],
         [(x, "a", "q") for x in "qrs"] + [(x, "b", "r") for x in "qrs"]
         + [(x, "c", "s") for x in "qrs"]))
-    reached = set()
+    reached, digest = set(), hashlib.sha256()
     for M in algebras:
         v = classify(M)
         reached.add(v.rule)
-        claims_unknown = verify_certificate(M, {"verdict": "unknown"})[0]
-        assert claims_unknown == (v.outcome == "unknown"), (M.table_key(), v.rule)
-        if v.outcome != "unknown":
-            ok, reason = verify_certificate(M, v)
-            assert ok, (M.table_key(), v.rule, reason)
+        checked = verify_certificate(M, v)
+        claimed_unknown = verify_certificate(M, {"verdict": "unknown"})
+        assert claimed_unknown[0] == (v.outcome == "unknown"), (M.table_key(), v.rule)
+        assert checked == (True, ""), (M.table_key(), v.rule)
+        digest.update(json.dumps([v.to_json(), checked, claimed_unknown]).encode() + b"\n")
     assert reached == set(RULE_ORDER) - {"normalize"}
+    # pins every verdict and each reason an unknown claim is refused for, the
+    # two zero-semigroup reasons among them
+    assert digest.hexdigest() == GOLDEN_UNKNOWN_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +457,36 @@ def test_no_certificate_field_mutation_verifies():
 
 
 def test_verifier_checks_the_stated_rule():
+    module = importlib.import_module("autodual.classify")
+    owners = {}
+    for rule in (module._ZERO_RULE, *module.RULES):
+        for kind in rule.kinds:
+            owners.setdefault(kind, []).append(rule.name)
+    assert set(owners) == CERTIFICATE_KINDS - {"reduction_chain"}
+    assert all(len(rules) == 1 for rules in owners.values()), owners
+    opposite = {"dualizable": "non_dualizable", "non_dualizable": "dualizable"}
+    algebras = [M for _, M in standard_catalog()] + [gen_chain(n) for n in range(1, 5)]
+    refused = set()
+    for M in algebras + certificate_kind_examples():
+        verdict = classify(M).to_json()
+        if verdict["verdict"] == "unknown":
+            continue
+        cert = verdict["certificate"]       # a reduction chain takes its inner rule
+        kind = cert["inner"]["kind"] if cert["kind"] == "reduction_chain" else cert["kind"]
+        assert owners[kind] == [verdict["rule"]]
+        for rule in RULE_ORDER:
+            expected = ((True, "") if rule == verdict["rule"] else
+                        (False, f"{kind} cannot come from the rule {rule}"))
+            assert verify_certificate(M, dict(verdict, rule=rule)) == expected
+        outcome = opposite[verdict["verdict"]]
+        assert verify_certificate(M, dict(verdict, verdict=outcome)) == \
+            (False, f"{kind} cannot witness the verdict {outcome}")
+        refused |= {cert["kind"], kind}
+    assert refused == CERTIFICATE_KINDS
     B = catalog("B")
     verdict = classify(B).to_json()
-    verdict["rule"] = "rankill"
-    assert verify_certificate(B, verdict) == \
-        (False, "whiskery_failure cannot come from the rule rankill")
     del verdict["rule"]     # a verdict that states no rule stands on its certificate
     assert verify_certificate(B, verdict) == (True, "")
-    M = AutomaticAlgebra.build("qr", "ab", [("q", "a", "r")])
-    verdict = classify(M).to_json()     # a reduction chain takes its inner rule
-    assert (verdict["rule"], verdict["certificate"]["kind"]) == ("whiskery", "reduction_chain")
-    assert verify_certificate(M, verdict) == (True, "")
-    verdict["rule"] = "normalize"
-    assert not verify_certificate(M, verdict)[0]
     L = catalog("L")
     assert verify_certificate(L, {"verdict": "unknown"}) == (True, "")
     assert not verify_certificate(L, {"verdict": "unknown", "rule": "whiskery"})[0]
