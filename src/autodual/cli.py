@@ -244,10 +244,6 @@ def _witness_param(token: str, default):
 
 
 def cmd_witness(args) -> int:
-    for flag, value, least in (("--build-cap", args.build_cap, 1),
-                               ("--max-elements", args.max_elements, 0), ("--nu", args.nu, 0)):
-        if value is not None and value < least:
-            raise BadParams(f"{flag} must be at least {least}, not {value}")
     from .witness import (BUILD_CAP_DEFAULT, PARAM_DEFAULTS, build_truncation,
                           format_report, kernel_block_analysis, verify_construction)
     defaults = PARAM_DEFAULTS.get(args.name)
@@ -297,7 +293,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FILE = ("file", {})
+# 64 is powers.HOM_CAP_DEFAULT, which this module does not import at load
 _MAX_ELEMENTS = ("--max-elements", {"type": int, "default": 64, "help": "hom-enumeration cap"})
+_LEAST = {"--max-elements": 0, "--nu": 0, "--build-cap": 1}     # checked in `main`
 
 # (name, handler, help, arguments): each argument is (name, add_argument options)
 _SUBCOMMANDS = (
@@ -340,6 +338,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, least in _LEAST.items():      # before any file is read
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < least:
+                raise BadParams(f"{flag} must be at least {least}, not {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -134,45 +134,41 @@ class Groupoid:
         return row[k][1] if k < len(row) and row[k][0] == j else self.zero
 
     def search_index(self) -> tuple:
-        """(pre_left, pre_right, zero, partners, zeros) for `enumerate_homs`,
-        built on first use and kept: pre_left[t], pre_right[t] list the pairs
-        (k, j) with k·j = t in row order, and zeros[i] the j that are no
-        partners of i.  O(n²) space, but only an A under the cap is indexed."""
+        """(pre_left, pre_right, zeros) for `enumerate_homs`, built on first
+        use and kept: pre_left[t], pre_right[t] list the pairs (k, j) with
+        k·j = t not the zero, in row order, and zeros[i] the j that are no
+        partners of i: O(n²), but only an A under the cap is indexed."""
         if self._index is None:
-            ids, zeros = list(range(self.n)), []
+            ids, zeros = list(range(self.n)), []    # one int object per element, shared
             pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
-            for k, row in zip(ids, self.partners):
-                cells = dict.fromkeys(ids, self.zero)   # row k in full, in order
-                cells.update((j, t) for j, t, _ in row)
-                for j, t in cells.items():
-                    pre_left[t].append(k)
-                    pre_right[t].append(j)
+            for k, row in enumerate(self.partners):
+                for j, t, _ in row:
+                    if t != self.zero:
+                        pre_left[t].append(k)
+                        pre_right[t].append(j)
                 near = {j for j, _, _ in row}
                 zeros.append([j for j in ids if j not in near])
-            self._index = (pre_left, pre_right, self.zero, self.partners, zeros)
+            self._index = (pre_left, pre_right, zeros)
         return self._index
 
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
-        elems = M.elements()
-        pos = {x: i for i, x in enumerate(elems)}
-        mt = M.product_table()
-        table = [[pos[mt[x][y]] for y in elems] for x in elems]
-        return cls(table, labels=[M.name(x) for x in elems])
+        elems, G = generate_power_groupoid(M, 1, [(x,) for x in M.elements()])
+        G.labels = [M.name(x) for (x,) in elems]
+        return G
 
     @classmethod
     def from_power(cls, M: AutomaticAlgebra, elements: Sequence[tuple]) -> "Groupoid":
-        pos = {u: i for i, u in enumerate(elements)}
-        table = []
-        for u in elements:
-            row = []
-            for v in elements:
-                w = pointwise_mul(M, u, v)
-                if w not in pos:
-                    raise BadParams("element list is not closed under product")
-                row.append(pos[w])
-            table.append(row)
-        return cls(table, labels=list(elements))
+        """The groupoid on `elements`: distinct tuples of one width, closed
+        under the product."""
+        n = len(elements[0]) if elements else 0
+        try:
+            elems, G = generate_power_groupoid(M, n, elements, max_elements=len(elements))
+        except CapExceeded:
+            elems = None
+        if elems != list(elements):
+            raise BadParams("element list is not closed under product")
+        return G
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +195,23 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     no `preassigned`, since each of those changes what is counted.  Only a
     state times a letter is nonzero in M, so T·T = {0} for T = Q ∪ {0} and
     for T = Σ ∪ {0}.  Let S be the elements of A that are no product, the t
-    with an empty `pre_left[t]`.  Every map that sends each product of A to
-    0 and each element of S into T is a hom, so there are at least
-    (max(|Q|, |Σ|) + 1)^|S| homs; when that exceeds `limit`, the call raises
-    the CapExceeded that listing limit + 1 homs would raise.
+    but the zero with an empty `pre_left[t]`.  Every map that sends each
+    product of A to 0 and each element of S into T is a hom, so there are at
+    least (max(|Q|, |Σ|) + 1)^|S| homs; when that exceeds `limit`, the call
+    raises the CapExceeded that listing limit + 1 homs would raise.
 
     The search is depth-first over bitmask domains (AC-3 style narrowing).
     `dom[j]` is the set of values still possible for element j, as a bitmask
     over the element codes of M.  An absorbing element z of A, if there is
-    one, is decided at the root, before `preassigned`, as the idempotent e
-    of M read off the masks D: 0, the only one in an automatic algebra.
-    The partners of i (`Groupoid.partners`) are about 11 of the 88 elements
-    of thm_nondcomm at N = 4.  Deciding element i with value v propagates
-    along every product that involves i:
+    one, is decided at the root, before `preassigned`, as 0, the one
+    idempotent of M; its preimage pairs, which would narrow nothing there
+    (0·c = c·0 = c·c = 0 in M), are left out of the index.  The partners of
+    i (`Groupoid.partners`) are about 11 of the 88 elements of thm_nondcomm
+    at N = 4.  Deciding element i with value v propagates along every
+    product that involves i:
 
-    - j not a partner: both products go to e, so dom[j] keeps one mask,
-      Z[v] = L[v][e] & R[v][e], and none is visited when Z[v] is full;
+    - j not a partner: both products go to 0, so dom[j] keeps one mask,
+      Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
     - i·j and j·i with j a decided partner: the product's image is forced;
     - j an open partner, i·j (or j·i) decided as w: dom[j] keeps the c
       with v·c = w (or c·v = w), the precomputed masks L[v][w] and R[v][w];
@@ -224,7 +221,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     - i = k·j in A, through the preimage index of A
       (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
       k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
-      R[img j][v]; with k = j open, dom[k] keeps D[v], the c with c·c = v.
+      R[img j][v]; with k = j open, v must be 0, as c·c = 0 for every c.
 
     Under `injective_only`, a value in `used` is refused where it is
     chosen: when it is tried, and when a product or a singleton domain
@@ -240,10 +237,11 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     a hom's value at j if c·img k = c for j·k = j, img k·c = c for k·j = j
     and c·c = c for j·j = j (under `distinct_on` without j, the first c
     only).  These are the pairs of `pre_left[j]`, `pre_right[j]`: a pair
-    of two decided elements would have decided j.  The masks FR and FL of
-    M hold the c that pass.  dom[j] holds every other product of j: one
-    whose other factor and value are decided through the partner, zero or
-    preimage rules, j·j = t with t decided through D.
+    of two decided elements would have decided j.  The masks FR of M hold
+    the c that pass the first and, at FR[-1], the last; only c = 0 passes
+    the second.  dom[j] holds every other product of j: one whose other
+    factor and value are decided through the partner, zero or preimage
+    rules, j·j = t with t decided as 0.
 
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
@@ -274,16 +272,16 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
     n = A.n
-    pre_left, pre_right, zero, partners, zeros = A.search_index()
+    zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index()
+    free = pre_left.count([]) - (zero >= 0)     # |S|: the zero is 0·0, yet has no pairs
     if (limit is not None and not injective_only and distinct_on is None and not allowed
-            and (max(M.n_states, M.n_letters) + 1) ** pre_left.count([]) > limit):
+            and (max(M.n_states, M.n_letters) + 1) ** free > limit):
         raise CapExceeded(f"more than {limit} homomorphisms")
     keep = frozenset(first)     # frames on these survive a hom
     mt = M.product_table()
     full = (1 << size) - 1
-    L, R, D, FL, FR = _search_masks(M)
-    (e,) = [c for c in range(size) if D[c] >> c & 1]     # the one idempotent
-    Z = [L_v[e] & R_v[e] for L_v, R_v in zip(L, R)]
+    L, R, FR = _search_masks(M)
+    Z = [L_v[ZERO] & R_v[ZERO] for L_v, R_v in zip(L, R)]
 
     img = [-1] * n
     dom = [full] * n
@@ -374,7 +372,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                 elif y >= 0:
                     if not narrow(k, R[y][v]):
                         return False
-                elif k == j and not narrow(k, D[v]):
+                elif k == j and v != ZERO:      # c·c = 0 for every c of M
                     return False
         return True
 
@@ -415,10 +413,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         """Emit the homs of a frame where j is the one open element."""
         values = dom[j] & ~used
         for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
-            if k == j:
-                values &= FR[img[l]]    # c·img l = c; l = j reads FR[-1]: c·c = c
-            else:
-                values &= FL[img[k]]    # img k·c = c
+            # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
+            values &= FR[img[l]] if k == j else 1 << ZERO
         while values:
             low = values & -values
             values ^= low
@@ -430,7 +426,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                 break
         img[j] = -1
 
-    if zero >= 0 and not try_value(zero, e):
+    if zero >= 0 and not try_value(zero, ZERO):
         return []
     for j, mask in allowed:
         if not narrow(j, mask) or not propagate():
@@ -475,16 +471,15 @@ def _check_element(A: Groupoid, j, what: str) -> None:
 
 
 def _search_masks(M: AutomaticAlgebra) -> tuple:
-    """(L, R, D, FL, FR) of M: L[x][z] is the mask of the c with x·c = z,
-    R[x][z] of the c with c·x = z, D[z] of the c with c·c = z, FL[x] of the
-    c with x·c = c, FR[x] of the c with c·x = c.  L[x][-1] and R[x][-1] are
-    full, for an open z; FL[-1] and FR[-1] are the c with c·c = c.
+    """(L, R, FR) of M: L[x][z] is the mask of the c with x·c = z, R[x][z]
+    of the c with c·x = z, FR[x] of the c with c·x = c.  L[x][-1] and
+    R[x][-1] are full, for an open z; FR[-1] holds the c with c·c = c.
 
     Built on first use from the rows of `M.product_table()` and kept on M,
     like the table.  Only a state times a letter is not 0, so every list
     starts as `blank`, each c at z = 0, shared by the rows of letters and 0
-    and the columns of states and 0; c·c = 0 for every c, and x·c = c only
-    for c = 0.
+    and the columns of states and 0.  So c·c = 0 for every c, x·c = c only
+    for c = 0, and 0 is the one idempotent, which the search uses unmasked.
     """
     if M._masks is None:
         size = M.size()
@@ -505,7 +500,7 @@ def _search_masks(M: AutomaticAlgebra) -> tuple:
                 R[c][0] ^= bits[x]
                 if z == x:
                     FR[c] |= bits[x]
-        M._masks = (L, R, [full] + [0] * (size - 1), [1] * (size + 1), FR + [1])
+        M._masks = (L, R, FR + [1])
     return M._masks
 
 
@@ -520,7 +515,7 @@ def find_embedding(A: Groupoid, M: AutomaticAlgebra,
 
 
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
-               max_elements: int = 4096) -> bool:
+               max_elements: int = HOM_CAP_DEFAULT) -> bool:
     """Is there a hom A -> M with its value at each element of
     `preassigned` in that element's set of codes?"""
     return bool(enumerate_homs(A, M, distinct_on=(), preassigned=preassigned,

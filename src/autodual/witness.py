@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (Groupoid, enumerate_homs, generate_power_groupoid,
+from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_power_groupoid,
                      pointwise_mul)
 from .structure import difference_order, permutation_profile, _perm_order
 
@@ -39,6 +39,7 @@ BUILD_CAP_DEFAULT = 2 ** 17     # the most elements; no default-parameter run to
 SIZE_CAP = 16                   # the largest N; at 16 an index family holds 43,680 tuples
 PROBE_HOM_CAP = 256             # the most homs A -> M that local_eval_probe takes
 PROBE_WORK_CAP = 2 * 10 ** 7    # the most agreement-set intersections it takes
+PCOMM_WORD_CAP = 10 ** 6        # the most words the thm_pcomm_case1 parameter search tries
 
 
 @dataclass
@@ -184,21 +185,19 @@ def _spec_lem_2state3(N):
 
 
 def _derive_pcomm_params(M: AutomaticAlgebra):
-    """Search the case-1 parameters (q, a, b, c…, p, s, t) in a failing algebra."""
-    n = M.n_states
-    for m in range(0, n + 2):
-        for qi in range(n):
-            q = M.state(qi)
-            for aj in range(M.n_letters):
-                for bj in range(M.n_letters):
-                    if aj == bj:
-                        continue
-                    for cs in product(range(M.n_letters), repeat=m):
-                        if M.word(q, (aj, bj) + cs) == ZERO and \
-                                M.word(q, (bj, aj) + cs) != ZERO:
-                            got = _finish_pcomm(M, qi, aj, bj, cs)
-                            if got is not None:
-                                return got
+    """Search the case-1 parameters (q, a, b, c…, p, s, t) in a failing algebra,
+    trying at most PCOMM_WORD_CAP words q·a·b·c…"""
+    n, k = M.n_states, M.n_letters
+    words = ((qi, aj, bj, cs) for m in range(n + 2) for qi in range(n)
+             for aj, bj in permutations(range(k), 2) for cs in product(range(k), repeat=m))
+    for tried, (qi, aj, bj, cs) in enumerate(words, 1):
+        if tried > PCOMM_WORD_CAP:
+            raise CapExceeded(f"case-1 parameter search exceeded {PCOMM_WORD_CAP} words")
+        q = M.state(qi)
+        if M.word(q, (aj, bj) + cs) == ZERO and M.word(q, (bj, aj) + cs) != ZERO:
+            got = _finish_pcomm(M, qi, aj, bj, cs)
+            if got is not None:
+                return got
     raise BadParams("algebra does not fail the transposition quasi-equation")
 
 
@@ -417,7 +416,7 @@ class KernelReport:
 
 
 def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
-                          max_elements: int = 64,
+                          max_elements: int = HOM_CAP_DEFAULT,
                           hom_budget: int = 20000) -> KernelReport:
     """Block structure of ker(x|A0) over all homs x: A -> M.
 

@@ -143,6 +143,13 @@ def test_normalize_command(tmp_path, capsys):
     assert "letters a" in out
 
 
+def test_max_elements_default_is_the_hom_cap():
+    # the CLI states the default as a literal, so that it need not import powers
+    from autodual.cli import _MAX_ELEMENTS
+    from autodual.powers import HOM_CAP_DEFAULT
+    assert _MAX_ELEMENTS[1]["default"] == HOM_CAP_DEFAULT
+
+
 def test_witness_command(capsys):
     code, out, _ = run(["witness", "thm_wc", "0", "--size", "4"], capsys)
     assert code == 0
@@ -251,9 +258,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, out, err = run(["witness", "thm_wc", "--size", "17"], capsys)
     assert code == 3 and "size cap" in err and out == ""
     monkeypatch.setattr(witness, "build_truncation", build_nothing)
-    for flag, value in (("--build-cap", "0"), ("--build-cap", "-1"),
-                        ("--max-elements", "-1"), ("--nu", "-1")):
-        code, out, err = run(["witness", "thm_wc", "--size", "4", flag, value], capsys)
+    # embed's files do not exist, so a check after reading them would exit 1
+    witness_argv = ["witness", "thm_wc", "--size", "4"]
+    embed_argv = ["embed", str(tmp_path / "missing.alg"), str(tmp_path / "missing.alg")]
+    for argv, flag, value in ((witness_argv, "--build-cap", "0"),
+                              (witness_argv, "--build-cap", "-1"),
+                              (witness_argv, "--max-elements", "-1"),
+                              (witness_argv, "--nu", "-1"),
+                              (embed_argv, "--max-elements", "-1")):
+        code, out, err = run([*argv, flag, value], capsys)
         assert code == 3 and f"{flag} must be at least" in err and out == ""
     monkeypatch.undo()
     b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables

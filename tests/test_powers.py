@@ -50,8 +50,8 @@ def test_subuniverse_monotone_idempotent(xs, ys):
 
 
 def naive_power_groupoid(M, n, generators, max_elements=None):
-    """Reference closure: products through pointwise_mul, then the table
-    worked out again through Groupoid.from_power."""
+    """Reference closure: products through pointwise_mul, then the full
+    table of the elements, kept by Groupoid(table)."""
     elems, index = [], {}
     for g in generators:
         if g not in index:
@@ -70,7 +70,9 @@ def naive_power_groupoid(M, n, generators, max_elements=None):
                         if max_elements is not None and len(elems) > max_elements:
                             raise CapExceeded("reference closure over cap")
         frontier = new
-    return elems, Groupoid.from_power(M, elems)
+    pos = {u: i for i, u in enumerate(elems)}
+    table = [[pos[pointwise_mul(M, u, v)] for v in elems] for u in elems]
+    return elems, Groupoid(table, labels=elems)
 
 
 def dense_table(A):
@@ -78,22 +80,27 @@ def dense_table(A):
     return [[A.mul(i, j) for j in range(A.n)] for i in range(A.n)]
 
 
+def zero_of(table):
+    """The absorbing element of a full table, or -1."""
+    ids = range(len(table))
+    return next((z for z in ids if all(table[z][j] == table[j][z] == z for j in ids)), -1)
+
+
 def index_from_table(table):
     """What `Groupoid.search_index` returns, worked out cell by cell from a
-    full table: the pairs of each product in row order, the absorbing
-    element or -1, and each element's partners and zeros."""
-    n = len(table)
-    ids = range(n)
+    full table: the pairs (k, j) of each product k·j but the zero, in row
+    order, and each element's zeros."""
+    ids = range(len(table))
+    zero = zero_of(table)
     pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
     for k in ids:
         for j in ids:
-            pre_left[table[k][j]].append(k)
-            pre_right[table[k][j]].append(j)
-    zero = next((z for z in ids if all(table[z][j] == table[j][z] == z for j in ids)), -1)
-    partners = [[(j, table[i][j], table[j][i]) for j in ids
-                 if table[i][j] != zero or table[j][i] != zero] for i in ids]
+            if table[k][j] != zero:
+                pre_left[table[k][j]].append(k)
+                pre_right[table[k][j]].append(j)
+    assert zero < 0 or pre_left[zero] == []
     zeros = [[j for j in ids if table[i][j] == table[j][i] == zero] for i in ids]
-    return pre_left, pre_right, zero, partners, zeros
+    return pre_left, pre_right, zeros
 
 
 def assert_closure_matches(M, n, gens):
@@ -106,6 +113,7 @@ def assert_closure_matches(M, n, gens):
     pos = {u: i for i, u in enumerate(elems)}
     table = [[pos[pointwise_mul(M, u, v)] for v in elems] for u in elems]
     assert dense_table(G) == dense_table(ref) == table
+    assert (G.zero, G.partners) == (ref.zero, ref.partners)
     assert G.search_index() == ref.search_index() == index_from_table(table)
     assert generate_subuniverse(M, n, gens) == ref_elems
     # the cap applies to the elements products add, not to the generators
@@ -282,6 +290,7 @@ groupoid_tables = tables().map(Groupoid)
 def test_groupoid_keeps_every_product_of_a_table(table):
     A = Groupoid(table)
     assert dense_table(A) == table
+    assert A.zero == zero_of(table)
     assert A.search_index() == index_from_table(table)
     # without an absorbing element every product is kept
     assert (A.zero < 0) == (A.partners == [[(j, t, s) for j, (t, s) in enumerate(zip(row, col))]
@@ -422,7 +431,9 @@ def test_search_masks_hold_one_target():
 
 
 def masks_by_product_loop(M):
-    """The reference for `_search_masks`: every product of M, one at a time."""
+    """The reference for `_search_masks`: every product of M, one at a time.
+    Asserts the facts the search takes without a mask: c·c = 0 for every c,
+    x·c = c only for c = 0, and 0 is the one idempotent."""
     size = M.size()
     full = (1 << size) - 1
     L = [[0] * size + [full] for _ in range(size)]
@@ -433,10 +444,13 @@ def masks_by_product_loop(M):
         R[x][M.mul(c, x)] |= 1 << c
     for c in range(size):
         D[M.mul(c, c)] |= 1 << c
+    assert D == [full] + [0] * (size - 1)
     idempotents = sum(1 << c for c in range(size) if M.mul(c, c) == c)
+    assert idempotents == 1 << ZERO
     FL = [sum(1 << c for c in range(size) if M.mul(x, c) == c) for x in range(size)]
+    assert FL == [1 << ZERO] * size
     FR = [sum(1 << c for c in range(size) if M.mul(c, x) == c) for x in range(size)]
-    return L, R, D, FL + [idempotents], FR + [idempotents]
+    return L, R, FR + [idempotents]
 
 
 def test_search_masks_match_the_product_loop():
@@ -572,6 +586,32 @@ def test_from_algebra_matches_mul():
         assert dense_table(A) == [[elems.index(M.mul(x, y)) for y in elems] for x in elems]
         assert A.labels == [M.name(x) for x in elems]
         assert all(type(x) is int for row in A.partners for p in row for x in p)
+
+
+def test_from_power_refuses_a_list_that_is_no_subalgebra():
+    F0 = catalog("F", 0)
+    q, a = F0.element_by_name("q"), F0.element_by_name("a")
+    elems = generate_subuniverse(F0, 2, [(q, q), (a, a)])
+    A = Groupoid.from_power(F0, elems)
+    assert A.labels == elems
+    assert dense_table(A) == [[elems.index(pointwise_mul(F0, u, v)) for v in elems]
+                              for u in elems]
+    # not closed: the last element is a product, and so is (r, r) = (q, q)·(a, a);
+    # then tuples of two widths
+    for bad in (elems[:-1], [(q, q), (a, a)], elems + [(q,)], [(q, q), (a,)]):
+        with pytest.raises(BadParams):
+            Groupoid.from_power(F0, bad)
+
+
+def test_hom_lower_bound_leaves_out_the_zero():
+    # the zero semigroup on 0, 1, 2 has S = {1, 2}: at least 3² = 9 homs into
+    # F_0 (|Q| = 2), and 14 in all; counting the zero too, the bound would
+    # be 3³ = 27 and refuse limit=14
+    A, F0 = Groupoid([[0] * 3 for _ in range(3)]), catalog("F", 0)
+    assert hom_lower_bound(A, F0) == 9
+    assert len(enumerate_homs(A, F0, limit=14)) == 14
+    with pytest.raises(CapExceeded, match="more than 13 homomorphisms"):
+        enumerate_homs(A, F0, limit=13)
 
 
 def test_hom_exists_with_preassignment():

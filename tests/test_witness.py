@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,15 @@ def test_pcomm_parameter_derivation_for_N1():
 def test_pcomm_rejects_non_failing_algebra():
     with pytest.raises(BadParams):
         build_truncation("thm_pcomm_case1", (catalog("L"),), 4)
+
+
+def test_pcomm_parameter_search_is_capped():
+    # C_17 passes the quasi-equation, and its search space holds far more
+    # than PCOMM_WORD_CAP words; the cap stops it after a few seconds
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"exceeded {witness.PCOMM_WORD_CAP} words"):
+        build_truncation("thm_pcomm_case1", (catalog("C", 17),), 4)
+    assert time.perf_counter() - start < 30
 
 
 def test_kernel_analysis_projection_shape():
