@@ -281,8 +281,6 @@ def _detect_all_loops(N: AutomaticAlgebra):
 def _detect_letter_affine(N: AutomaticAlgebra):
     report = letter_affine_analysis(N)
     if not report.affine:
-        if report.failure is None:
-            return None
         comp_names = " ".join(N.state_names[i] for i in report.failure[0])
         return None, f"failure {report.failure[1]} on component {{{comp_names}}}"
     comps = []

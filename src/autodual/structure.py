@@ -33,7 +33,6 @@ stay those of the full family.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
@@ -44,7 +43,7 @@ from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (InternalInconsistency, NotCommuting, NotPermutational,
                      NotTransitive)
 from .powers import HOM_CAP_DEFAULT, Groupoid, find_embedding
-from .terms import WHISKERY_QUASI, check_quasi_identity
+from .terms import WHISKERY_QUASI, check_quasi_identity, shortest_word
 
 
 # ---------------------------------------------------------------------------
@@ -104,50 +103,19 @@ class RanKillWitness:
     word: tuple          # letter-index word
 
 
-def _bfs_to_targets(M: AutomaticAlgebra, sources, targets) -> Optional[tuple]:
-    """Shortest (state, word) reaching a target set; sources in state order,
-    letters in index order, so the result is deterministic."""
-    if not targets:
-        return None
-    best = None
-    for src in sorted(sources):
-        if src in targets:
-            cand = (src, ())
-        else:
-            cand = None
-            seen = {src}
-            queue = deque([(src, ())])
-            while queue:
-                cur, word = queue.popleft()
-                for j in range(M.n_letters):
-                    t = M.delta.get((cur, j))
-                    if t is None or t in seen:
-                        continue
-                    if t in targets:
-                        cand = (src, word + (j,))
-                        queue.clear()
-                        break
-                    seen.add(t)
-                    queue.append((t, word + (j,)))
-        if cand is not None and (best is None or len(cand[1]) < len(best[1])):
-            best = cand
-    return best
-
-
 def rankill_check(M: AutomaticAlgebra) -> Optional[RanKillWitness]:
     """Path witness from ran a to ks a (case 2) or from ks a to dom a (case 1).
 
     Case 2 is searched first across all letters, then case 1; within a case,
-    letters in index order and breadth-first shortest words.
+    the letters with targets in index order, each by `shortest_word`.
     """
-    for j in range(M.n_letters):
-        hit = _bfs_to_targets(M, M.ran(j), M.kills(j))
-        if hit is not None:
-            return RanKillWitness(2, j, hit[0], hit[1])
-    for j in range(M.n_letters):
-        hit = _bfs_to_targets(M, M.kills(j), M.dom(j))
-        if hit is not None:
-            return RanKillWitness(1, j, hit[0], hit[1])
+    for case, sources, targets in ((2, M.ran, M.kills), (1, M.kills, M.dom)):
+        for j in range(M.n_letters):
+            goal = targets(j)
+            hit = shortest_word(sorted(sources(j)), M.n_letters, M.delta.get,
+                                goal.__contains__) if goal else None
+            if hit is not None:
+                return RanKillWitness(case, j, *hit)
     return None
 
 

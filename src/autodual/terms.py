@@ -339,28 +339,31 @@ class OrderWitness:
     w2: tuple            # rearrangement with q·w2 != 0
 
 
-def _suffix_to_mixed(M: AutomaticAlgebra, xa: int, xb: int) -> Optional[tuple]:
-    """Shortest word v with exactly one of xa·v, xb·v equal to 0, or None.
+def shortest_word(starts, n_letters: int, step, goal) -> Optional[tuple]:
+    """The least (start, word) whose word leads from start to a goal, or None.
 
-    BFS on the product automaton over (Q ∪ {0})².  Letters are explored in
-    index order, so the returned word is the lexicographically least of
-    minimal length.
+    `step((node, j))` is the node after letter j, or None where the word
+    dies, so a partial transition map's `get` is a step.  One breadth-first
+    search runs from all the starts (a sequence), in order, with letters in
+    index order, so the first path to reach a node is its least in (length,
+    start, word) order: a shortest word, the earlier start on a tie, then the
+    lexicographically least word, as one search per start would find.
     """
-    start = (xa, xb)
-    if (xa == ZERO) != (xb == ZERO):
-        return ()
-    seen = {start}
-    queue = deque([(start, ())])
+    for s in starts:
+        if goal(s):
+            return s, ()
+    seen = set(starts)
+    queue = deque((s, s, ()) for s in starts)
     while queue:
-        (u, v), word = queue.popleft()
-        for j in range(M.n_letters):
-            nu, nv = M.mul(u, M.letter(j)), M.mul(v, M.letter(j))
-            if (nu == ZERO) != (nv == ZERO):
-                return word + (j,)
-            pair = (nu, nv)
-            if pair not in seen and pair != (ZERO, ZERO):
-                seen.add(pair)
-                queue.append((pair, word + (j,)))
+        start, node, word = queue.popleft()
+        for j in range(n_letters):
+            t = step((node, j))
+            if t is None or t in seen:
+                continue
+            if goal(t):
+                return start, word + (j,)
+            seen.add(t)
+            queue.append((start, t, word + (j,)))
     return None
 
 
@@ -371,12 +374,22 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
     iff a single adjacent transposition does, somewhere along the word.  So
     it suffices to search for a state s and letters a, b such that some
     common suffix separates s·ab from s·ba; the suffix condition is a
-    product-automaton reachability question.  Returns None when every
+    reachability question on pairs of elements, where (0, 0) is a dead end,
+    and `shortest_word` answers it.  Returns None when every
     rearrangement of every word kills consistently.  s·ab and s·ba depend
     only on the actions of a and b on the component of s, so only pairs of
     least letters of its distinct actions are tried.
     """
     from .structure import component_actions, components   # structure imports terms
+
+    def step(key):
+        (u, v), j = key
+        after = (M.mul(u, M.letter(j)), M.mul(v, M.letter(j)))
+        return None if after == (ZERO, ZERO) else after
+
+    def mixed(pair):
+        return (pair[0] == ZERO) != (pair[1] == ZERO)
+
     least = {}
     for comp in components(M):
         letters = [js[0] for js in component_actions(M, comp).values()]
@@ -388,8 +401,9 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
             xb = M.word(s, (b, a))
             if xa == xb:
                 continue
-            v = _suffix_to_mixed(M, xa, xb)
-            if v is not None:
+            hit = shortest_word([(xa, xb)], M.n_letters, step, mixed)
+            if hit is not None:
+                _, v = hit
                 if M.word(s, (a, b) + v) == ZERO:
                     return OrderWitness(si, (a, b) + v, (b, a) + v)
                 return OrderWitness(si, (b, a) + v, (a, b) + v)

@@ -30,6 +30,7 @@ from .errors import (BadParams, CapExceeded, InternalInconsistency,
 from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_power_groupoid,
                      pointwise_mul)
 from .structure import difference_order, permutation_profile, _perm_order
+from .terms import order_sensitivity
 
 SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
               "only; congruence-index conditions over infinite algebras are "
@@ -186,7 +187,10 @@ def _spec_lem_2state3(N):
 
 def _derive_pcomm_params(M: AutomaticAlgebra):
     """Search the case-1 parameters (q, a, b, c…, p, s, t) in a failing algebra,
-    trying at most PCOMM_WORD_CAP words q·a·b·c…"""
+    trying at most PCOMM_WORD_CAP words q·a·b·c…  The failing algebras are
+    exactly the order-sensitive ones, so the others are refused at once."""
+    if order_sensitivity(M) is None:
+        raise BadParams("algebra does not fail the transposition quasi-equation")
     n, k = M.n_states, M.n_letters
     words = ((qi, aj, bj, cs) for m in range(n + 2) for qi in range(n)
              for aj, bj in permutations(range(k), 2) for cs in product(range(k), repeat=m))
@@ -198,7 +202,8 @@ def _derive_pcomm_params(M: AutomaticAlgebra):
             got = _finish_pcomm(M, qi, aj, bj, cs)
             if got is not None:
                 return got
-    raise BadParams("algebra does not fail the transposition quasi-equation")
+    raise BadParams("algebra fails the transposition quasi-equation but has no "
+                    "case-1 parameters with |c...| <= |Q| + 1")
 
 
 def _finish_pcomm(M, qi, aj, bj, cs):

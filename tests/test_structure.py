@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 from itertools import combinations
 from math import prod
 
@@ -58,6 +59,54 @@ def test_rankill_examples():
             [L3.letter_names[j] for j in w.word]) == (2, "b", "s", ["a", "c"])
     assert rankill_check(catalog("L")) is None  # total algebra
     assert rankill_check(catalog("C", 3)) is None
+
+
+def rankill_by_sources(M):
+    """Reference: rankill's witness from one breadth-first search per source
+    in state order, keeping the first of the shortest words."""
+    def search(sources, targets):
+        best = None
+        for src in sorted(sources):
+            seen, queue, found = {src}, deque([(src, ())]), None
+            if src in targets:
+                found = ()
+            while queue and found is None:
+                cur, word = queue.popleft()
+                for j in range(M.n_letters):
+                    t = M.delta.get((cur, j))
+                    if t is not None and t in targets:
+                        found = word + (j,)
+                        break
+                    if t is not None and t not in seen:
+                        seen.add(t)
+                        queue.append((t, word + (j,)))
+            if found is not None and (best is None or len(found) < len(best[1])):
+                best = (src, found)
+        return best
+
+    for case, sources, targets in ((2, M.ran, M.kills), (1, M.kills, M.dom)):
+        for j in range(M.n_letters):
+            hit = search(sources(j), targets(j))
+            if hit is not None:
+                return (case, j) + hit
+    return None
+
+
+def assert_rankill_matches(M):
+    w = rankill_check(M)
+    assert (None if w is None else (w.case, w.letter, w.state, w.word)) == \
+        rankill_by_sources(M), M.emit()
+
+
+def test_rankill_matches_the_per_source_search_on_random_algebras():
+    rng = random.Random(2025)
+    for _ in range(1000):
+        assert_rankill_matches(random_algebra(rng, 8, 3))
+
+
+def test_rankill_matches_the_per_source_search_on_every_small_algebra():
+    for M in (M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)):
+        assert_rankill_matches(M)
 
 
 def test_rankill_total_chain_6_returns_at_once():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import product as iproduct
 
 import pytest
@@ -14,7 +15,7 @@ from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
                             check_quasi_identity, normalize, order_sensitivity,
                             order_sensitivity_brute, parse_and_normalize,
                             parse_equation, parse_quasi_identity, parse_term,
-                            _suffix_to_mixed)
+                            shortest_word)
 from small_algebras import every_algebra
 
 
@@ -228,6 +229,28 @@ def test_order_sensitivity_matches_brute_force():
         assert (order_sensitivity(M) is not None) == order_sensitivity_brute(M, 6)
 
 
+def suffix_to_mixed(M, xa, xb):
+    """Reference: the shortest word v with exactly one of xa·v, xb·v equal to
+    0, or None, by its own breadth-first search over pairs of elements,
+    letters in index order."""
+    start = (xa, xb)
+    if (xa == ZERO) != (xb == ZERO):
+        return ()
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        (u, v), word = queue.popleft()
+        for j in range(M.n_letters):
+            nu, nv = M.mul(u, M.letter(j)), M.mul(v, M.letter(j))
+            if (nu == ZERO) != (nv == ZERO):
+                return word + (j,)
+            pair = (nu, nv)
+            if pair not in seen and pair != (ZERO, ZERO):
+                seen.add(pair)
+                queue.append((pair, word + (j,)))
+    return None
+
+
 def order_sensitivity_by_letters(M):
     """Reference: the witness from a scan over every state and letter pair."""
     for si in range(M.n_states):
@@ -237,7 +260,7 @@ def order_sensitivity_by_letters(M):
                 xa, xb = M.word(s, (a, b)), M.word(s, (b, a))
                 if xa == xb:
                     continue
-                v = _suffix_to_mixed(M, xa, xb)
+                v = suffix_to_mixed(M, xa, xb)
                 if v is not None:
                     if M.word(s, (a, b) + v) == ZERO:
                         return (si, (a, b) + v, (b, a) + v)
@@ -245,9 +268,47 @@ def order_sensitivity_by_letters(M):
     return None
 
 
+def assert_order_sensitivity_matches(M):
+    w = order_sensitivity(M)
+    assert (None if w is None else (w.state, w.w1, w.w2)) == \
+        order_sensitivity_by_letters(M), M.emit()
+
+
 @settings(max_examples=300, deadline=None)
 @given(shared_action_algebras())
 def test_order_sensitivity_matches_letter_pair_scan(M):
-    w = order_sensitivity(M)
-    assert (None if w is None else (w.state, w.w1, w.w2)) == \
-        order_sensitivity_by_letters(M)
+    assert_order_sensitivity_matches(M)
+
+
+def test_order_sensitivity_matches_letter_pair_scan_on_every_small_algebra():
+    for M in (M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)):
+        assert_order_sensitivity_matches(M)
+
+
+# a graph on 0..5 over two letters; None is a dead step
+_EDGES = {0: (None, 2), 1: (3, 4), 2: (5, 3), 3: (None, None), 4: (None, 5), 5: (0, None)}
+
+
+def _graph_step(key):
+    node, j = key
+    return _EDGES[node][j]
+
+
+def test_shortest_word_returns_the_empty_word_at_a_goal_start():
+    assert shortest_word([1, 4, 3], 2, _graph_step, {3, 4}.__contains__) == (4, ())
+    assert shortest_word([], 2, _graph_step, {3}.__contains__) is None
+
+
+def test_shortest_word_breaks_a_tie_by_the_earlier_start():
+    # 2 and 1 each reach 3 in one letter; the earlier start wins, not the least
+    assert shortest_word([2, 1], 2, _graph_step, {3}.__contains__) == (2, (1,))
+    assert shortest_word([1, 2], 2, _graph_step, {3}.__contains__) == (1, (0,))
+    # 0·b·b = 3 and 0·b·a = 5 tie in length; the least word is b·a
+    assert shortest_word([0], 2, _graph_step, {3, 5}.__contains__) == (0, (1, 0))
+
+
+def test_shortest_word_skips_dead_steps():
+    # 0·a dies, so the shortest way from 0 to 5 is b·a; 3 is a dead end
+    assert shortest_word([0], 2, _graph_step, {5}.__contains__) == (0, (1, 0))
+    assert shortest_word([3], 2, _graph_step, {0}.__contains__) is None
+    assert shortest_word([4], 2, _graph_step, {1}.__contains__) is None

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import re
 import time
 
 import pytest
 
 from autodual import witness
-from autodual.algebras import ZERO, catalog
+from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.powers import Groupoid, enumerate_homs, generate_subuniverse, pointwise_mul
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, build_truncation,
@@ -133,13 +134,34 @@ def test_pcomm_rejects_non_failing_algebra():
         build_truncation("thm_pcomm_case1", (catalog("L"),), 4)
 
 
-def test_pcomm_parameter_search_is_capped():
-    # C_17 passes the quasi-equation, and its search space holds far more
-    # than PCOMM_WORD_CAP words; the cap stops it after a few seconds
+@pytest.mark.parametrize("p", [13, 17])
+def test_pcomm_refuses_an_order_insensitive_algebra_before_any_word(p):
+    # C_13 took seconds of word search to refuse, and C_17 stopped at the
+    # word cap; order sensitivity decides both at once
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=f"exceeded {witness.PCOMM_WORD_CAP} words"):
-        build_truncation("thm_pcomm_case1", (catalog("C", 17),), 4)
-    assert time.perf_counter() - start < 30
+    with pytest.raises(BadParams, match="does not fail the transposition quasi-equation"):
+        build_truncation("thm_pcomm_case1", (catalog("C", p),), 4)
+    assert time.perf_counter() - start < 1
+
+
+# q1·a1·a0 = 0 while q1·a0·a1 = q1, so it fails the quasi-equation, but no
+# (p, s) completes case 1; its search space holds 60 words q·a·b·c…
+NO_CASE_1 = AutomaticAlgebra.build(["q0", "q1"], ["a0", "a1"],
+                                   [("q0", "a0", "q0"), ("q0", "a1", "q1"),
+                                    ("q1", "a0", "q0")])
+
+
+def test_pcomm_names_a_failing_algebra_without_case_1_parameters():
+    message = ("algebra fails the transposition quasi-equation but has no "
+               "case-1 parameters with |c...| <= |Q| + 1")
+    with pytest.raises(BadParams, match=re.escape(message)):
+        build_truncation("thm_pcomm_case1", (NO_CASE_1,), 4)
+
+
+def test_pcomm_parameter_search_is_capped(monkeypatch):
+    monkeypatch.setattr(witness, "PCOMM_WORD_CAP", 10)
+    with pytest.raises(CapExceeded, match="exceeded 10 words"):
+        build_truncation("thm_pcomm_case1", (NO_CASE_1,), 4)
 
 
 def test_kernel_analysis_projection_shape():
