@@ -90,12 +90,14 @@ def _reported_note(M: AutomaticAlgebra) -> str:
 
 
 def _algebra_by_token(token: str) -> AutomaticAlgebra:
+    """A catalog token, B, L, L3star, R or a name with its parameter (C5),
+    else an algebra file."""
     match = re.fullmatch(r"([A-Za-z_]+?)(\d+)", token)
     if token in ("B", "L", "L3star", "R"):
         return catalog(token)
     if match:
         return catalog(match.group(1), int(match.group(2)))
-    raise UsageError(f"cannot resolve algebra token {token!r}")
+    return _load(token)
 
 
 # ---------------------------------------------------------------------------

@@ -31,29 +31,22 @@ def pointwise_mul(M: AutomaticAlgebra, u: tuple, v: tuple) -> tuple:
 def generate_subuniverse(M: AutomaticAlgebra, n: int,
                          generators: Sequence[tuple],
                          max_elements: Optional[int] = None) -> list:
-    """Closure under pointwise product, in deterministic generation order.
+    """The elements of the subalgebra of M^n the generators generate, in
+    generation order: the generators, first occurrences only, then one round
+    at a time, where round r multiplies every known u with every v found in
+    round r - 1, u·v before v·u.  Past `max_elements` elements it raises
+    CapExceeded."""
+    return _closure(M, n, generators, max_elements)[0]
 
-    Generators come first (duplicates removed, first occurrence kept); each
-    round then multiplies all known pairs in index order and appends new
-    elements in discovery order.
-    """
-    return generate_power_groupoid(M, n, generators, max_elements)[0]
 
-
-def generate_power_groupoid(M: AutomaticAlgebra, n: int,
-                            generators: Sequence[tuple],
-                            max_elements: Optional[int] = None) -> tuple:
-    """(elements, Groupoid) of the subalgebra of M^n the generators generate.
-
-    Elements come in the order of `generate_subuniverse`: generators first,
-    then one round at a time, where round r multiplies every known u with
-    every v found in round r - 1, u·v before v·u.  Since x·y is 0 unless x
-    is a state and y a letter, u·v is the zero tuple unless some coordinate
-    holds a state in u and a letter in v.  Only those products are computed,
-    from the |M|×|M| table of M, and only those not the zero tuple are kept,
-    as the groupoid's partners, in ascending order; no |A|×|A| table is
-    built.  The zero tuple u0·u0, the first product, follows the generators.
-    """
+def _closure(M: AutomaticAlgebra, n: int, generators: Sequence[tuple],
+             max_elements: Optional[int], partners: Optional[list] = None) -> tuple:
+    """(elements, index of the zero tuple) as in `generate_subuniverse`, and
+    into `partners`, if it is a list, the `Groupoid.partners` of them.  As
+    x·y is 0 unless x is a state and y a letter, u·v is the zero tuple unless
+    some coordinate holds a state in u and a letter in v.  Only those
+    products are computed, from the table of M; no |A|×|A| table is built.
+    The zero tuple u0·u0, the first product, follows the generators."""
     size, n_states = M.size(), M.n_states
     mt = M.product_table()
     elems, index = [], {}
@@ -67,7 +60,6 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
             elems.append(g)
     mt_rows = []    # mt_rows[i][c] = mt[elems[i][c]], so u·v = map(getitem, mt_rows[u], v)
     states, letters = [], []    # bitmasks of the coordinates of elems[i] in Q and in Σ
-    partners = []
 
     def index_of(w):
         k = index.get(w)
@@ -86,21 +78,22 @@ def generate_power_groupoid(M: AutomaticAlgebra, n: int,
             mt_rows.append(tuple(map(mt.__getitem__, u)))
             states.append(sum(1 << c for c, x in enumerate(u) if 0 < x <= n_states))
             letters.append(sum(1 << c for c, x in enumerate(u) if x > n_states))
-            partners.append([])
+            if partners is not None:
+                partners.append([])
         # the only frontier elements that can stand right of a nonzero product
         right = [j for j in range(start, known) if letters[j]]
         for i in range(known):
-            u, mt_u, row_u, s_u, l_u = elems[i], mt_rows[i], partners[i], states[i], letters[i]
+            u, mt_u, s_u, l_u = elems[i], mt_rows[i], states[i], letters[i]
             # a frontier u has already met, as v, every frontier element before it
             lo = max(start, i)
             for j in range(lo, known) if l_u else right[bisect_left(right, lo):]:
                 t = index_of(tuple(map(getitem, mt_u, elems[j]))) if s_u & letters[j] else zero
                 s = index_of(tuple(map(getitem, mt_rows[j], u))) if states[j] & l_u else zero
-                if t != zero or s != zero:      # so j != i: u·u is the zero tuple
-                    row_u.append((j, t, s))
+                if partners is not None and (t != zero or s != zero):
+                    partners[i].append((j, t, s))   # j != i: u·u is the zero tuple
                     partners[j].append((i, s, t))
         start = known
-    return elems, Groupoid(labels=elems, partners=partners, zero=zero)
+    return elems, zero
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +146,8 @@ class Groupoid:
 
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
-        elems, G = generate_power_groupoid(M, 1, [(x,) for x in M.elements()])
-        G.labels = [M.name(x) for (x,) in elems]
+        G = cls.from_power(M, [(x,) for x in M.elements()])
+        G.labels = [M.name(x) for x in M.elements()]
         return G
 
     @classmethod
@@ -162,13 +155,14 @@ class Groupoid:
         """The groupoid on `elements`: distinct tuples of one width, closed
         under the product."""
         n = len(elements[0]) if elements else 0
+        partners = []
         try:
-            elems, G = generate_power_groupoid(M, n, elements, max_elements=len(elements))
+            elems, zero = _closure(M, n, elements, len(elements), partners)
         except CapExceeded:
             elems = None
         if elems != list(elements):
             raise BadParams("element list is not closed under product")
-        return G
+        return cls(labels=elems, partners=partners, zero=zero)
 
 
 # ---------------------------------------------------------------------------

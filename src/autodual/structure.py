@@ -506,7 +506,7 @@ class NondcommWitness:
     b: int                   # letter index
     c: int                   # letter index
     m: int                   # order of ρ_b ρ_c⁻¹
-    coset_report: list       # per component: (states, action count, checked)
+    coset_report: list       # per component: (states, action count)
 
 
 def _coset_inside(actions: set, m: int) -> bool:

@@ -376,16 +376,29 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
     common suffix separates s·ab from s·ba; the suffix condition is a
     reachability question on pairs of elements, where (0, 0) is a dead end,
     and `shortest_word` answers it.  Returns None when every
-    rearrangement of every word kills consistently.  s·ab and s·ba depend
-    only on the actions of a and b on the component of s, so only pairs of
-    least letters of its distinct actions are tried.
+    rearrangement of every word kills consistently, at once when every
+    letter is total, since then no word takes a state to 0.  s·ab and s·ba
+    depend only on the actions of a and b on the component of s, so only
+    pairs of least letters of its distinct actions are tried.
+
+    Every pair that a failed search reaches is dead: no mixed pair is
+    reachable from it.  Later starts that are dead are skipped, and every
+    search treats a dead pair as a dead end.  A least path to a mixed pair
+    passes through no dead pair, so the witness is the same.
     """
     from .structure import component_actions, components   # structure imports terms
+
+    if M.is_total():
+        return None
+    dead = set()
 
     def step(key):
         (u, v), j = key
         after = (M.mul(u, M.letter(j)), M.mul(v, M.letter(j)))
-        return None if after == (ZERO, ZERO) else after
+        if after == (ZERO, ZERO) or after in dead:
+            return None
+        reached.add(after)
+        return after
 
     def mixed(pair):
         return (pair[0] == ZERO) != (pair[1] == ZERO)
@@ -399,10 +412,13 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
         for a, b in combinations(least[si], 2):
             xa = M.word(s, (a, b))
             xb = M.word(s, (b, a))
-            if xa == xb:
+            if xa == xb or (xa, xb) in dead:
                 continue
+            reached = {(xa, xb)}
             hit = shortest_word([(xa, xb)], M.n_letters, step, mixed)
-            if hit is not None:
+            if hit is None:
+                dead |= reached
+            else:
                 _, v = hit
                 if M.word(s, (a, b) + v) == ZERO:
                     return OrderWitness(si, (a, b) + v, (b, a) + v)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_power_groupoid,
+from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_subuniverse,
                      pointwise_mul)
 from .structure import difference_order, permutation_profile, _perm_order
 from .terms import order_sensitivity
@@ -36,7 +36,7 @@ SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
               "only; congruence-index conditions over infinite algebras are "
               "not finitely checkable")
 
-BUILD_CAP_DEFAULT = 2 ** 17     # the most elements; no default-parameter run tops 1 GB RSS
+BUILD_CAP_DEFAULT = 2 ** 18     # the most elements; no default-parameter run tops 1 GB RSS
 SIZE_CAP = 16                   # the largest N; at 16 an index family holds 43,680 tuples
 PROBE_HOM_CAP = 256             # the most homs A -> M that local_eval_probe takes
 PROBE_WORK_CAP = 2 * 10 ** 7    # the most agreement-set intersections it takes
@@ -62,7 +62,6 @@ class ConstructionSpec:
 class Truncation:
     spec: ConstructionSpec
     elements: list            # generated subuniverse, deterministic order
-    groupoid: Groupoid
     a0_indices: list          # positions of the A0 elements in `elements`
 
 
@@ -364,11 +363,10 @@ def build_truncation(name: str, params=(), N: int = 4,
                         f"({', '.join(type(d).__name__ for d in defaults)})")
     spec = builder(N, *params, *defaults[len(params):])
     gens = [t for _, t in spec.a0] + [t for _, t in spec.b]
-    elements, groupoid = generate_power_groupoid(spec.algebra, spec.width, gens,
-                                                 max_elements=max_elements)
+    elements = generate_subuniverse(spec.algebra, spec.width, gens, max_elements=max_elements)
     pos = {t: i for i, t in enumerate(elements)}
     a0_indices = [pos[t] for _, t in spec.a0]
-    return Truncation(spec, elements, groupoid, a0_indices)
+    return Truncation(spec, elements, a0_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +423,8 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
                           hom_budget: int = 20000) -> KernelReport:
     """Block structure of ker(x|A0) over all homs x: A -> M.
 
-    An A with more than `max_elements` elements raises CapExceeded.  Full
+    An A with more than `max_elements` elements raises CapExceeded before
+    its groupoid is built from the elements (`Groupoid.from_power`).  Full
     hom enumeration is attempted first, capped at `hom_budget` homs.  When
     that cap is hit (degenerate collapse maps can make the hom set
     exponential even for small A), the analysis switches to restriction
@@ -442,13 +441,15 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     M = spec.algebra
     if nu is None:
         nu = spec.nu
+    if len(trunc.elements) > max_elements:
+        raise CapExceeded(f"|A| = {len(trunc.elements)} exceeds hom-enumeration cap "
+                          f"{max_elements}")
+    A = Groupoid.from_power(M, trunc.elements)
     try:
-        homs = enumerate_homs(trunc.groupoid, M,
-                              max_elements=max_elements, limit=hom_budget)
+        homs = enumerate_homs(A, M, max_elements=max_elements, limit=hom_budget)
         count, mode, key = len(homs), "homs", None
     except CapExceeded:
-        homs = enumerate_homs(trunc.groupoid, M, max_elements=max_elements,
-                              distinct_on=trunc.a0_indices)
+        homs = enumerate_homs(A, M, max_elements=max_elements, distinct_on=trunc.a0_indices)
         rank = {x: k for k, x in enumerate(M.elements())}
         count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
     profiles = sorted({tuple(h[p] for p in trunc.a0_indices) for h in homs}, key=key)

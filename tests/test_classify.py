@@ -5,6 +5,7 @@ import itertools
 import json
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,33 @@ def test_groups_past_64_elements_are_decided():
     assert (v.outcome, v.rule) == ("non_dualizable", "commuting_permutations")
     assert v.trace[-1]["detail"] == "pair (b, c), m = 67"
     assert verify_certificate(C67, json.loads(json.dumps(v.to_json()))) == (True, "")
+
+
+def shuffled_permutations(n: int, n_letters: int, idle: bool = False) -> AutomaticAlgebra:
+    """States q0..q{n-1} and letters a0.., each a permutation of the states
+    shuffled by one random.Random(1), in letter order; with `idle`, one more
+    state z with no transitions."""
+    rng = random.Random(1)
+    delta = {}
+    for j in range(n_letters):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        delta.update(((i, j), p) for i, p in enumerate(perm))
+    return AutomaticAlgebra([f"q{i}" for i in range(n)] + ["z"] * idle,
+                            [f"a{j}" for j in range(n_letters)], delta)
+
+
+@pytest.mark.parametrize("idle", [False, True])
+def test_large_permutation_algebras_classify_quickly(idle):
+    # order sensitivity ran one exhausting pair search per start here, 8-10 s;
+    # with z the algebra is partial, so the searches share their dead pairs
+    M = shuffled_permutations(64, 4, idle)
+    start = time.perf_counter()
+    assert order_sensitivity(M) is None
+    v = classify(M)
+    assert time.perf_counter() - start < 2
+    assert (v.outcome, v.rule) == ("unknown", "unknown")
+    assert verify_certificate(M, json.loads(json.dumps(v.to_json()))) == (True, "")
 
 
 def hostile_letter_affine_certificate(p: int):

@@ -156,6 +156,24 @@ def test_witness_command(capsys):
     assert "[PASS]" in out and "not in A" in out
 
 
+def test_witness_reads_an_algebra_file_where_a_token_goes(tmp_path, capsys):
+    from test_witness import NO_CASE_1
+    path = _write(tmp_path, "no_case_1.alg", NO_CASE_1)
+    code, out, err = run(["witness", "thm_pcomm_case1", path, "--size", "4"], capsys)
+    assert code == 3 and "no case-1 parameters" in err and out == ""
+    path = _write(tmp_path, "C5.alg", catalog("C", 5))
+    by_file = run(["witness", "thm_nondcomm", path, "b", "c", "--size", "4"], capsys)
+    assert by_file == run(["witness", "thm_nondcomm", "C5", "b", "c", "--size", "4"], capsys)
+    assert by_file[0] == 0 and "[PASS]" in by_file[1]
+    code, out, _ = run(["witness", "thm_nondcomm", str(tmp_path / "missing.alg"),
+                        "--size", "4"], capsys)
+    assert code == 1 and out == ""
+    bad = tmp_path / "bad.alg"
+    bad.write_text("states q r\nletters a\ntrans q a r\ntrans q a q\n")
+    code, out, err = run(["witness", "thm_pcomm_case1", str(bad), "--size", "4"], capsys)
+    assert code == 2 and "parse error" in err and out == ""
+
+
 def test_check_eq_takes_long_and_deeply_nested_terms(tmp_path, capsys):
     path = _write(tmp_path, "F.alg", catalog("F", 1))
     for expr in ("x" + "a" * 1200 + " = x", "(" * 500 + "x" + ")" * 500 + " = x",

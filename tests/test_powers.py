@@ -13,8 +13,7 @@ from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
 from autodual.powers import (Groupoid, _search_masks, enumerate_homs, find_embedding,
-                             generate_power_groupoid, generate_subuniverse,
-                             hom_exists, is_compatible, op_chain_meet,
+                             generate_subuniverse, hom_exists, is_compatible, op_chain_meet,
                              op_diamond, op_g_uv, op_h, op_join, op_lambda,
                              op_pbar, op_psi, op_quasi_meet, pointwise_mul)
 from autodual.structure import component_group, components
@@ -104,10 +103,12 @@ def index_from_table(table):
 
 
 def assert_closure_matches(M, n, gens):
-    """The sparse closure against the naive one: the same elements, every
-    product u·v the one pointwise_mul gives, and the same search index as a
-    full table of those products."""
-    elems, G = generate_power_groupoid(M, n, gens)
+    """Both entry points of the sparse closure against the naive one:
+    `generate_subuniverse` gives the same elements, and `Groupoid.from_power`
+    on them every product u·v the one pointwise_mul gives and the same search
+    index as a full table of those products."""
+    elems = generate_subuniverse(M, n, gens)
+    G = Groupoid.from_power(M, elems)
     ref_elems, ref = naive_power_groupoid(M, n, gens)
     assert elems == ref_elems and G.labels == ref.labels
     pos = {u: i for i, u in enumerate(elems)}
@@ -115,18 +116,17 @@ def assert_closure_matches(M, n, gens):
     assert dense_table(G) == dense_table(ref) == table
     assert (G.zero, G.partners) == (ref.zero, ref.partners)
     assert G.search_index() == ref.search_index() == index_from_table(table)
-    assert generate_subuniverse(M, n, gens) == ref_elems
     # the cap applies to the elements products add, not to the generators
     cap = len(ref_elems) - 1
-    got = closure_or_cap(generate_power_groupoid, M, n, gens, cap)
-    assert got == closure_or_cap(naive_power_groupoid, M, n, gens, cap)
+    got = closure_or_cap(generate_subuniverse, M, n, gens, cap)
+    assert got == closure_or_cap(lambda *args: naive_power_groupoid(*args)[0], M, n, gens, cap)
     assert (got == "cap") == (len(ref_elems) > len(set(gens)))
-    assert generate_power_groupoid(M, n, gens, len(ref_elems))[0] == ref_elems
+    assert generate_subuniverse(M, n, gens, len(ref_elems)) == ref_elems
 
 
 def closure_or_cap(build, M, n, gens, cap):
     try:
-        return build(M, n, gens, max_elements=cap)[0]
+        return build(M, n, gens, cap)
     except CapExceeded:
         return "cap"
 
@@ -148,7 +148,8 @@ def test_truncation_at_6_is_byte_identical_to_golden(name, size, digest):
     # where no state meets a letter were skipped
     trunc = build_truncation(name, (), 6)
     assert len(trunc.elements) == size
-    got = repr((trunc.elements, dense_table(trunc.groupoid))).encode()
+    A = Groupoid.from_power(trunc.spec.algebra, trunc.elements)
+    got = repr((trunc.elements, dense_table(A))).encode()
     assert hashlib.sha256(got).hexdigest() == digest
 
 
@@ -177,7 +178,8 @@ def test_power_groupoid_matches_reference_on_random_generators(M, n, data):
 def test_power_groupoid_order_puts_uv_before_vu():
     B = catalog("B")
     q, r, a = (B.element_by_name(x) for x in "qra")
-    elems, G = generate_power_groupoid(B, 2, [(q, a), (a, q)])
+    elems = generate_subuniverse(B, 2, [(q, a), (a, q)])
+    G = Groupoid.from_power(B, elems)
     assert elems == [(q, a), (a, q), (ZERO, ZERO), (r, ZERO), (ZERO, r)]
     assert G.mul(0, 1) == 3 and G.mul(1, 0) == 4
     assert_closure_matches(B, 3, [(q, a, r), (a, q, q), (r, a, a)])
@@ -186,9 +188,11 @@ def test_power_groupoid_order_puts_uv_before_vu():
 def test_power_groupoid_rejects_bad_generators():
     B = catalog("B")
     with pytest.raises(BadParams):
-        generate_power_groupoid(B, 2, [(ZERO,)])
-    with pytest.raises(BadParams):
-        generate_power_groupoid(B, 1, [(B.size(),)])
+        generate_subuniverse(B, 2, [(ZERO,)])
+    for build in (lambda gens: generate_subuniverse(B, 1, gens),
+                  lambda gens: Groupoid.from_power(B, gens)):
+        with pytest.raises(BadParams):
+            build([(B.size(),)])
 
 
 def preserving(A, M, maps):
@@ -561,7 +565,8 @@ def test_hom_lower_bound_on_random_tables(A, M):
 def test_hom_lower_bound_leaves_other_searches_alone():
     # 4^16 homs by the bound, but each of these searches counts fewer
     tr = build_truncation("ex_all4_L", (), 4)
-    A, M, a0 = tr.groupoid, tr.spec.algebra, tr.a0_indices
+    M, a0 = tr.spec.algebra, tr.a0_indices
+    A = Groupoid.from_power(M, tr.elements)
     assert hom_lower_bound(A, M) == 4 ** 16
     embeddings = enumerate_homs(A, M, injective_only=True)
     assert enumerate_homs(A, M, injective_only=True, limit=len(embeddings)) == embeddings

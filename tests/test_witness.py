@@ -185,7 +185,8 @@ def test_kernel_analysis_restriction_mode_after_a_capped_listing():
     # the bound, 4^6 = 4,096, is within the budget and the 4,854 homs are
     # not, so the listing itself hits the cap
     tr = build_truncation("thm_nondcomm", (), 4)
-    A, M = tr.groupoid, tr.spec.algebra
+    M = tr.spec.algebra
+    A = Groupoid.from_power(M, tr.elements)
     assert hom_lower_bound(A, M) == 4096 <= 4500
     assert len(enumerate_homs(A, M, max_elements=A.n)) == 4854
     capped = kernel_block_analysis(tr, max_elements=A.n, hom_budget=4500)
@@ -219,7 +220,7 @@ def test_kernel_reports_at_4_match_goldens(name, params, digest):
                                           ("lem_2state2_N4", ()), ("thm_nondcomm", ())])
 def test_restriction_mode_matches_hom_mode(name, params):
     tr = build_truncation(name, params, 4)
-    M, n = tr.spec.algebra, tr.groupoid.n
+    M, n = tr.spec.algebra, len(tr.elements)
     rank = {M.name(x): k for k, x in enumerate(M.elements())}
     for nu in (0, None):
         full = kernel_block_analysis(tr, nu=nu, max_elements=n)
@@ -234,11 +235,21 @@ def test_restriction_mode_matches_hom_mode(name, params):
     assert restricted.violations == [] and full.violations == []   # default nu
 
 
-def test_kernel_analysis_caps_A_in_both_modes():
+def test_kernel_analysis_caps_A_in_both_modes(monkeypatch):
+    def build_nothing(*args):
+        raise AssertionError("a groupoid was built past the cap")
+
     tr = build_truncation("thm_pcomm_case1", (), 4)
-    assert tr.groupoid.n == 53
-    with pytest.raises(CapExceeded):
+    assert len(tr.elements) == 53
+    # the cap is checked before A's groupoid is built
+    monkeypatch.setattr(Groupoid, "from_power", build_nothing)
+    with pytest.raises(CapExceeded, match="53 exceeds hom-enumeration cap 52"):
         kernel_block_analysis(tr, max_elements=52)
+
+
+def test_truncation_keeps_its_elements_and_no_groupoid():
+    assert [f.name for f in dataclasses.fields(Truncation)] == ["spec", "elements",
+                                                                 "a0_indices"]
 
 
 def test_kernel_nu_vacuous():
