@@ -79,7 +79,10 @@ class AbelianGroup:
         # the g of a generating set, chosen greedily; a group's has at most
         # log₂ n + 1 elements, so a group table costs O(n² log n).  The span
         # is the left-normed closure of the chosen g; a new g adds itself and
-        # the old span times g, and only what is new is multiplied further
+        # the old span times g, and only what is new is multiplied further.
+        # In a group the span is the subgroup the chosen g generate, so each
+        # new g at least doubles it (Lagrange); a table refused where one does
+        # not costs O(n² log n) too
         table, chosen, span = self.table, [], set()
         for g in range(n):
             if g in span:
@@ -91,10 +94,14 @@ class AbelianGroup:
                 if list(map(row.__getitem__, g_row)) != xg_row:
                     y = next(y for y in range(n) if xg_row[y] != row[g_row[y]])
                     raise NotAbelian(f"not associative at ({x}, {g}, {y})")
+            before = len(span)
             fresh = {g, *(table[x][g] for x in span)} - span
             while fresh:
                 span |= fresh
                 fresh = {table[x][c] for x in fresh for c in chosen} - span
+            if len(span) < 2 * before:
+                raise NotAbelian(f"not a group: adding {g} grows the span of the chosen "
+                                 f"elements from {before} to {len(span)}, less than double")
 
     def _find_identity(self) -> int:
         for e in range(self.n):

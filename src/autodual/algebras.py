@@ -189,11 +189,10 @@ class AutomaticAlgebra:
         return self._actions[j]
 
     def dom(self, j: int) -> frozenset:
-        return frozenset(i for i in range(self.n_states) if (i, j) in self.delta)
+        return frozenset(i for i, t in enumerate(self.action(j)) if t is not None)
 
     def ran(self, j: int) -> frozenset:
-        return frozenset(self.delta[(i, j)] for i in range(self.n_states)
-                         if (i, j) in self.delta)
+        return frozenset(self.action(j)) - {None}
 
     def kills(self, j: int) -> frozenset:
         return frozenset(range(self.n_states)) - self.dom(j)

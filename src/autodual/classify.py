@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from . import structure, terms
 from .abgroups import AbelianGroup
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
-from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian, UnknownName
+from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian
 from .powers import constant_letter_values
 from .structure import (component_actions, components, difference_order,
                         first_embedded, group_law_holds, letter_affine_analysis,
@@ -78,15 +79,17 @@ def _reduction_image(M: AutomaticAlgebra, kind: str, k: int) -> Optional[list]:
         for j1 in range(k):
             if M.action(j1) == M.action(k):
                 return [M.letter_names[j1]] * 2
-    elif kind == "drop_isolated_state":
-        if M.n_letters > 0 and all(k not in M.dom(j) and k not in M.ran(j)
-                                   for j in range(M.n_letters)):
-            return ["0", M.letter_names[0]]
-    elif not any(k in M.ran(j) for j in range(M.n_letters)):   # drop_redundant_state
-        for r in range(M.n_states):
-            if r != k and all(M.delta.get((k, j)) == M.delta.get((r, j))
-                              for j in range(M.n_letters)):
-                return [M.state_names[r]] * 2
+    else:
+        actions = list(map(M.action, range(M.n_letters)))
+        if any(k in act for act in actions):        # k is in some range
+            return None
+        if kind == "drop_isolated_state":
+            if actions and all(act[k] is None for act in actions):
+                return ["0", M.letter_names[0]]
+        else:                                       # drop_redundant_state
+            for r in range(M.n_states):
+                if r != k and all(act[k] == act[r] for act in actions):
+                    return [M.state_names[r]] * 2
     return None
 
 
@@ -122,28 +125,38 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
     """None if `emb` is an injective hom A -> Π targets, else a reason.
 
     `emb` maps every element name of A, and nothing else, to a list of one
-    element name per target.
+    element name per target.  A failed hom is named by its least pair in
+    the canonical order.  Only state·letter is ever nonzero, so a pair that
+    is no transition of A, and whose images in no target are a state and a
+    letter with a transition, compares the image of 0 with the all-zero
+    tuple; (first, first) is the least such pair, and only it and the
+    others are compared.
     """
     names = _names(A)
     if set(emb) != set(names):
         return "embedding domain does not match the algebra's elements"
     if any(type(emb[n]) is not list or len(emb[n]) != len(targets) for n in names):
         return "embedding images are not lists of one name per target"
+    codes = [dict(zip(_names(T), T.elements())) for T in targets]
     try:
-        vec = {A.element_by_name(n): tuple(T.element_by_name(c)
-                                           for T, c in zip(targets, emb[n]))
-               for n in names}
-    except UnknownName as exc:
-        return f"embedding names invalid: {exc}"
+        vec = {x: tuple(map(getitem, codes, emb[n])) for x, n in zip(A.elements(), names)}
+    except (KeyError, TypeError):       # a name no target has, or no string
+        c = next(c for n in names for code, c in zip(codes, emb[n])
+                 if not isinstance(c, str) or c not in code)
+        return f"embedding names invalid: no element named {c!r}"
     if len(set(vec.values())) != len(vec):
         return "embedding is not injective"
-    for x in A.elements():
-        for y in A.elements():
-            lhs = vec[A.mul(x, y)]
-            rhs = tuple(T.mul(a, b) for T, a, b in zip(targets, vec[x], vec[y]))
-            if lhs != rhs:
-                return (f"embedding is not a homomorphism at "
-                        f"({A.name(x)}, {A.name(y)})")
+    first = A.elements()[0]
+    if any(vec[ZERO]):
+        return f"embedding is not a homomorphism at ({A.name(first)}, {A.name(first)})"
+    pairs = {(A.state(si), A.letter(lj)) for si, lj in A.delta}
+    for k, T in enumerate(targets):
+        xs = [(x, T.state_index(v[k])) for x, v in vec.items() if T.is_state(v[k])]
+        ys = [(y, T.letter_index(v[k])) for y, v in vec.items() if T.is_letter(v[k])]
+        pairs.update((x, y) for x, si in xs for y, lj in ys if (si, lj) in T.delta)
+    for x, y in sorted(pairs):      # no pair holds 0, so code order is canonical
+        if vec[A.mul(x, y)] != tuple(map(AutomaticAlgebra.mul, targets, vec[x], vec[y])):
+            return f"embedding is not a homomorphism at ({A.name(x)}, {A.name(y)})"
     return None
 
 

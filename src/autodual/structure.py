@@ -245,12 +245,14 @@ def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional
     letter and 0 makes σ∘h* an embedding too, so if σ(h*(0)) < h*(0) then
     σ∘h* would be less than h*.  Hence h*(0) is least in its orbit, and
     whether a source embeds, the least p and its embedding are those of
-    the search without the restriction.
+    the search without the restriction.  The orbits are found only once
+    some source is searched.
     """
-    roots = state_orbit_roots(M)
-    first = {M.state(i) for i, r in enumerate(roots) if r == i}
-    first.update(M.letters(), (ZERO,))
+    first = None
     for p in params:
+        if first is None:
+            first = {M.state(i) for i, r in enumerate(state_orbit_roots(M)) if r == i}
+            first.update(M.letters(), (ZERO,))
         A = _catalog_source(name, p)
         hom = find_embedding(A, M, max_elements=A.n, preassigned={0: first})
         if hom is not None:

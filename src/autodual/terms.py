@@ -229,6 +229,31 @@ def _least_two(keys, values):
     return out
 
 
+def _value_ranges(M: AutomaticAlgebra, equations, variables) -> dict:
+    """Per variable, the values the walk gives it, in element order.
+
+    Only state·letter is ever nonzero, so a chain is 0 unless its head is a
+    state if it has a tail, each tail position is a letter, and a lone
+    variable is not 0.  At a value of v that fits none of v's positions,
+    every chain holding v is 0 and the other chains do not read v, so all
+    such values satisfy the same equations.  v takes the values that fit
+    some position and the least other value, which stands in for the rest
+    and is less than each of them; it is left out when every chain holds v
+    and some value fits, since it then satisfies every equation.
+    """
+    chains = [side for eq in equations for side in eq if isinstance(side, LeftChain)]
+    elems = M.elements()
+    ranges = {}
+    for v in variables:
+        as_state = any(c.head == v for c in chains)
+        as_letter = any(v in c.tail or c.head == v and not c.tail for c in chains)
+        kept = set(M.states() if as_state else ()) | set(M.letters() if as_letter else ())
+        if not kept or not all(v in c.variables() for c in chains):
+            kept.add(next(x for x in elems if x not in kept))
+        ranges[v] = [x for x in elems if x in kept]
+    return ranges
+
+
 def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional[dict]:
     """The hash join behind `check_identity` and `check_quasi_identity`."""
     equations = tuple(premises) + (conclusion,)
@@ -243,29 +268,31 @@ def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional
         terms = [eq[pick] if isinstance(eq[pick], ZeroEquivalent) else
                  (pos[eq[pick].head], tuple(pos[v] for v in eq[pick].tail))
                  for eq in equations]
-        sides.append((only, terms, size ** len(only)))
-    work = size * size + size ** len(joined) * (sides[0][2] + sides[1][2])
+        sides.append((only, terms))
+    (l_only, l_terms), (r_only, r_terms) = sides
+    work = size * size + size ** len(joined) * (size ** len(l_only) + size ** len(r_only))
     if work > JOIN_CAP:
         raise CapExceeded(f"checking this over {size} elements takes {work} steps, "
                           f"over the cap {JOIN_CAP}")
     table = M.product_table()
     elems = M.elements()
-    (l_only, l_terms, _), (r_only, r_terms, _) = sides
+    ranges = _value_ranges(M, equations, variables)
     if not (l_only or r_only):      # every variable joined: the plain scan
-        for jv in iproduct(elems, repeat=len(joined)):
+        for jv in iproduct(*map(ranges.get, joined)):
             lv = [_value(table, t, jv) for t in l_terms]
             rv = [_value(table, t, jv) for t in r_terms]
             if lv[:-1] == rv[:-1] and lv[-1] != rv[-1]:
                 return dict(zip(joined, jv))
         return None
-    columns = [list(zip(*iproduct(elems, repeat=len(only)))) for only in (l_only, r_only)]
+    assignments = [list(iproduct(*map(ranges.get, only))) for only in (l_only, r_only)]
+    columns = [list(zip(*side)) for side in assignments]
     rank = {x: k for k, x in enumerate(elems)}
     # J sorting first makes the first J value with a counterexample the least
     stop_early = variables[:len(joined)] == joined
     best = None
-    for jv in iproduct(elems, repeat=len(joined)):
+    for jv in iproduct(*map(ranges.get, joined)):
         buckets = []
-        for (_, terms, n), cols in zip(sides, columns):
+        for (_, terms), cols, n in zip(sides, columns, map(len, assignments)):
             values = [_column(table, t, jv, cols, n) for t in terms]
             buckets.append(_least_two(list(zip(*values[:-1])) or [()] * n, values[-1]))
         for key, (a1, ca, a2) in buckets[0].items():
@@ -313,11 +340,13 @@ def check_quasi_identity(M: AutomaticAlgebra, q: QuasiIdentity) -> Optional[dict
     the least assignment of one side with the least of the other side that
     disagrees with it, so at most two candidates per bucket are compared.
 
-    The walk takes |M|^|J|·(|M|^|L| + |M|^|R|) steps for J join, L
-    left-only and R right-only variables: 2·|M|² for `WHISKERY_QUASI`
-    (J = {x}).  With every variable joined it is the plain scan over all
-    assignments.  Raises CapExceeded before any work when that count plus
-    the |M|² table exceeds `JOIN_CAP`.
+    Each variable v takes only the r_v values `_value_ranges` keeps, among
+    which the first counterexample lies.  The walk takes
+    Π_J r_v·(Π_L r_v + Π_R r_v) steps for J join, L left-only and R
+    right-only variables: 2·|Σ|·(|Q| + 1) for `WHISKERY_QUASI`, and |Q|·|Σ|³
+    for `wxyz = wyxz`, the plain scan that runs when every variable is
+    joined.  Raises CapExceeded before any work when the full walk,
+    |M|^|J|·(|M|^|L| + |M|^|R|), plus the |M|² table exceeds `JOIN_CAP`.
     """
     return _first_counterexample(M, q.premises, q.conclusion)
 

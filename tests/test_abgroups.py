@@ -29,14 +29,14 @@ def associative_by_triples(table) -> bool:
                for x in range(n) for y in range(n) for z in range(n))
 
 
-def associativity_failure(table):
-    """The message of `AbelianGroup`'s associativity check on a commutative
-    table, or None when it passes; a table refused later, for its identity
-    or inverses, passed it."""
+def light_failure(table):
+    """The message of `AbelianGroup`'s Light's test on a commutative table,
+    or None when it passes; a table refused later, for its identity or
+    inverses, passed it."""
     try:
         AbelianGroup(table)
     except NotAbelian as exc:
-        return str(exc) if str(exc).startswith("not associative") else None
+        return str(exc) if str(exc).startswith(("not associative", "not a group")) else None
     return None
 
 
@@ -49,6 +49,39 @@ def first_light_failure(table):
         if table[table[x][g]][y] != table[x][table[g][y]]:
             return f"not associative at ({x}, {g}, {y})"
     return None
+
+
+def light_reference(table):
+    """The reference for Light's test with its doubling check.  It chooses
+    each g least outside the span, checks g on every (x, y), and recomputes
+    the span anew as every left-normed product of the chosen g; a
+    group's grows at least twofold with each g, by Lagrange."""
+    n = len(table)
+    chosen, span = [], set()
+    for g in range(n):
+        if g in span:
+            continue
+        chosen.append(g)
+        for x, y in iproduct(range(n), repeat=2):
+            if table[table[x][g]][y] != table[x][table[g][y]]:
+                return f"not associative at ({x}, {g}, {y})"
+        grown, frontier = set(chosen), list(chosen)
+        while frontier:
+            frontier = [z for z in {table[x][c] for x in frontier for c in chosen}
+                        if z not in grown]
+            grown.update(frontier)
+        if len(grown) < 2 * len(span):
+            return (f"not a group: adding {g} grows the span of the chosen elements "
+                    f"from {len(span)} to {len(grown)}, less than double")
+        span = grown
+    return None
+
+
+def is_group(table) -> bool:
+    n = len(table)
+    identities = [e for e in range(n) if table[e] == list(range(n))]
+    return (associative_by_triples(table) and bool(identities)
+            and all(identities[0] in row for row in table))
 
 
 def commutative_tables():
@@ -89,19 +122,26 @@ def commutative_tables():
 
 
 def test_light_associativity_test_matches_triples():
-    outcomes, with_identity, failing_g = set(), set(), set()
+    outcomes, with_identity, failing_g, refused = set(), set(), set(), set()
     for table in commutative_tables():
         expected = associative_by_triples(table)
-        failure = associativity_failure(table)
-        assert (failure is None) == expected, table
-        assert failure == first_light_failure(table), table
-        if failure is not None:
+        failure = light_failure(table)
+        assert failure == light_reference(table), table
+        if failure is None:
+            assert expected, table
+        elif failure.startswith("not associative"):
+            assert failure == first_light_failure(table), table
             failing_g.add(failure.split(", ")[1])
+        else:
+            assert not is_group(table), table
+            refused.add(expected)
+        if is_group(table):
+            AbelianGroup(table)
         outcomes.add(expected)
         n = len(table)
         if any(table[e] == list(range(n)) for e in range(n)):
             with_identity.add(expected)
-    assert outcomes == with_identity == {True, False}
+    assert outcomes == with_identity == refused == {True, False}
     assert len(failing_g) > 2
     # commutative, with no identity, and not associative:
     # (0·0)·1 = 0 but 0·(0·1) = 1

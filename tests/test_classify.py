@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import (RULE_ORDER, classify, gen_chain,
+from autodual.classify import (RULE_ORDER, _all_loops, _detect_all_loops, _find_reduction,
+                               _names, check_embedding, classify, gen_chain,
                                normalize_algebra, verify_certificate)
-from autodual.errors import CapExceeded, InternalInconsistency, ToolError
-from autodual.structure import (letter_affine_analysis, nondcomm_check,
-                                rankill_check, whiskery_check)
+from autodual.errors import CapExceeded, InternalInconsistency, ToolError, UnknownName
+from autodual.structure import (_whiskery_embedding, components, first_embedded,
+                                letter_affine_analysis, nondcomm_check, rankill_check,
+                                whiskery_check)
 from autodual.terms import order_sensitivity
 from small_algebras import every_algebra
 
@@ -54,6 +56,103 @@ def test_normalize_drops_isolated_and_redundant():
     assert steps and steps[0]["kind"] == "drop_redundant_state"
     assert steps[0]["removed"] == "q"
     assert N.state_names == ("r",)
+
+
+def check_embedding_reference(A, targets, emb):
+    """`check_embedding` as an all-pairs loop: each name resolved by
+    `element_by_name`, then every pair of A's elements compared in the
+    canonical order."""
+    names = _names(A)
+    if set(emb) != set(names):
+        return "embedding domain does not match the algebra's elements"
+    if any(type(emb[n]) is not list or len(emb[n]) != len(targets) for n in names):
+        return "embedding images are not lists of one name per target"
+    try:
+        vec = {A.element_by_name(n): tuple(T.element_by_name(c)
+                                           for T, c in zip(targets, emb[n]))
+               for n in names}
+    except UnknownName as exc:
+        return f"embedding names invalid: {exc}"
+    if len(set(vec.values())) != len(vec):
+        return "embedding is not injective"
+    for x in A.elements():
+        for y in A.elements():
+            lhs = vec[A.mul(x, y)]
+            rhs = tuple(T.mul(a, b) for T, a, b in zip(targets, vec[x], vec[y]))
+            if lhs != rhs:
+                return (f"embedding is not a homomorphism at "
+                        f"({A.name(x)}, {A.name(y)})")
+    return None
+
+
+def embedding_cases(M, normal_forms):
+    """(A, targets, embedding) for each normalization step of M, and, if its
+    normal form N is not in the set `normal_forms` yet, for each embedding a
+    certificate states on N: whiskery's F_m, the two-state rule's N_k, and
+    the component split when every edge is a loop."""
+    cur = M
+    while (found := _find_reduction(cur)) is not None:
+        yield cur, [found[0]] * 2, found[1]["embedding"]
+        cur = found[0]
+    if cur in normal_forms:
+        return
+    normal_forms.add(cur)
+    for name, hit in (("F", _whiskery_embedding(cur)),
+                      ("N", cur.n_states == 2 and first_embedded(cur, "N", range(6)))):
+        if hit:
+            yield catalog(name, hit[0]), [cur], {n: [c] for n, c in hit[1].items()}
+    comps = components(cur)
+    if len(comps) > 1 and _all_loops(cur):
+        split = _detect_all_loops(cur)[0]["split"]
+        yield cur, [cur.component_subalgebra(c) for c in comps], split["embedding"]
+
+
+def mutated_embeddings(rng, A, targets, emb):
+    """Seeded copies of emb with one fault each: an unknown name, names that
+    are no strings, two elements with one image, two images swapped, one
+    image coordinate redrawn, and 0 sent to a name that is not 0."""
+    names = sorted(emb)
+
+    def changed(name, k, value):
+        out = {n: list(v) for n, v in emb.items()}
+        out[name][k] = value
+        return out
+
+    k = rng.randrange(len(targets))
+    others = _names(targets[k])
+    for junk in ("nope", [others[0]], 7, None):
+        yield changed(rng.choice(names), k, junk)
+    if len(names) > 1:
+        a, b = rng.sample(names, 2)
+        yield {**emb, a: emb[b]}
+        yield {**emb, a: emb[b], b: emb[a]}
+    yield changed(rng.choice(names), k, rng.choice(others))
+    if len(others) > 1:
+        yield changed("0", k, rng.choice(others[:-1]))
+
+
+def assert_embedding_checks_match(algebras, rng):
+    """`check_embedding` accepts every embedding of `embedding_cases` and
+    gives the reason of its all-pairs reference on each seeded mutation.
+    Returns the number of embeddings and the kinds of reasons seen."""
+    count, reasons, normal_forms = 0, set(), set()
+    for M in algebras:
+        for A, targets, emb in embedding_cases(M, normal_forms):
+            assert check_embedding(A, targets, emb) is None, (M.emit(), emb)
+            count += 1
+            for bad in mutated_embeddings(rng, A, targets, emb):
+                reason = check_embedding(A, targets, bad)
+                assert reason == check_embedding_reference(A, targets, bad), (M.emit(), bad)
+                reasons.add(reason and reason.split(":")[0].split(" at ")[0])
+    return count, reasons
+
+
+def test_check_embedding_matches_the_all_pairs_reference():
+    algebras = [M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)]
+    _, reasons = assert_embedding_checks_match(
+        algebras + [M for _, M in standard_catalog()], random.Random(27))
+    assert reasons == {None, "embedding names invalid", "embedding is not injective",
+                       "embedding is not a homomorphism"}, reasons
 
 
 def test_normalize_already_normal():
@@ -232,6 +331,27 @@ def hostile_letter_affine_certificate(p: int):
 def test_verifier_refuses_a_group_table_whose_letter_images_are_no_coset():
     M, verdict = hostile_letter_affine_certificate(101)
     assert verify_certificate(M, verdict) == (False, "letter images are not Mal'cev closed")
+
+
+def all_e_letter_affine_certificate(p: int):
+    """The verdict of `hostile_letter_affine_certificate` with a table whose
+    every product is e: commutative and associative, and no group."""
+    M, verdict = hostile_letter_affine_certificate(p)
+    entry = verdict["certificate"]["components"][0]
+    entry["op"] = [[entry["e"]] * p for _ in range(p)]
+    return M, verdict
+
+
+def test_verifier_refuses_a_constant_table_quickly():
+    # Light's test chooses 0, 1 and 2; the span then grows from 2 to 3, which
+    # no group allows, so the check stops there and not after every g
+    M, verdict = all_e_letter_affine_certificate(257)
+    start = time.perf_counter()
+    result = verify_certificate(M, verdict)
+    wall = time.perf_counter() - start
+    assert result == (False, "stated table is not an abelian group: not a group: adding 2 "
+                             "grows the span of the chosen elements from 2 to 3, less than double")
+    assert wall < 0.5, wall
 
 
 def test_reduction_chain_certificate_verifies():

@@ -192,6 +192,11 @@ _EQUATION = st.tuples(_TERM, _TERM)
          (LeftChain("a", ("b",)), LeftChain("c", ())))
 @example(2, (), (ZeroEquivalent(), LeftChain("c", ("a",))))
 @example(0, (), (LeftChain("b", ("d", "e")), LeftChain("e", ("d",))))   # head is the 2nd join variable
+@example(0, (), (LeftChain("a", ()), LeftChain("a", ("b",))))   # x = xy: a lone a is nonzero at letters
+@example(2, ((ZeroEquivalent(), ZeroEquivalent()),), (ZeroEquivalent(), ZeroEquivalent()))
+@example(3, (), (LeftChain("a", ("a",)), LeftChain("b", ("a",))))   # xx = yx: a is head and tail
+@example(1, ((LeftChain("b", ("a",)), LeftChain("c", ("a",))),),   # a is in no chain of the
+         (LeftChain("b", ()), LeftChain("c", ())))                 # conclusion; a = q stands in
 def test_join_matches_scan_on_drawn_quasi_identities(k, premises, conclusion):
     _agrees(_ALGEBRAS[k], QuasiIdentity(premises, conclusion))
 
