@@ -64,16 +64,14 @@ class AbelianGroup:
         self._order = [self._order_of(x) for x in range(self.n)]
 
     def _validate(self):
-        n = self.n
+        n, table = self.n, self.table
         if n == 0:
             raise NotAbelian("empty table")
-        for row in self.table:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise NotAbelian("malformed table")
-        for x in range(n):
-            for y in range(n):
-                if self.table[x][y] != self.table[y][x]:
-                    raise NotAbelian(f"not commutative at ({x}, {y})")
+        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in table):
+            raise NotAbelian("malformed table")
+        if list(map(list, zip(*table))) != table:
+            x, y = next((x, y) for x in range(n) for y in range(n) if table[x][y] != table[y][x])
+            raise NotAbelian(f"not commutative at ({x}, {y})")
         # Light's test: in a commutative magma the g with (x·g)·y = x·(g·y)
         # for all x, y are closed under the product, so it is enough to check
         # the g of a generating set, chosen greedily; a group's has at most
@@ -83,7 +81,7 @@ class AbelianGroup:
         # In a group the span is the subgroup the chosen g generate, so each
         # new g at least doubles it (Lagrange); a table refused where one does
         # not costs O(n² log n) too
-        table, chosen, span = self.table, [], set()
+        chosen, span = [], set()
         for g in range(n):
             if g in span:
                 continue
@@ -104,16 +102,16 @@ class AbelianGroup:
                                  f"elements from {before} to {len(span)}, less than double")
 
     def _find_identity(self) -> int:
-        for e in range(self.n):
-            if all(self.table[e][x] == x for x in range(self.n)):
-                return e
-        raise NotAbelian("no identity element")
+        try:
+            return self.table.index(list(range(self.n)))
+        except ValueError:
+            raise NotAbelian("no identity element") from None
 
     def _find_inverse(self, x: int) -> int:
-        for y in range(self.n):
-            if self.table[x][y] == self.identity:
-                return y
-        raise NotAbelian(f"no inverse for {x}")
+        try:
+            return self.table[x].index(self.identity)
+        except ValueError:
+            raise NotAbelian(f"no inverse for {x}") from None
 
     def _order_of(self, x: int) -> int:
         acc, k = x, 1
@@ -140,10 +138,7 @@ class AbelianGroup:
 
     @property
     def exponent(self) -> int:
-        out = 1
-        for x in range(self.n):
-            out = lcm(out, self._order[x])
-        return out
+        return lcm(*self._order)
 
     def elements(self):
         return range(self.n)

@@ -198,8 +198,8 @@ class AutomaticAlgebra:
         return frozenset(range(self.n_states)) - self.dom(j)
 
     def is_total(self) -> bool:
-        return all((i, j) in self.delta
-                   for i in range(self.n_states) for j in range(self.n_letters))
+        # the keys of delta are distinct in-range (state, letter) pairs
+        return len(self.delta) == self.n_states * self.n_letters
 
     def transitions(self):
         """Sorted (state_index, letter_index, target_index) triples."""

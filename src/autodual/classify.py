@@ -33,7 +33,7 @@ from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from . import structure, terms
-from .abgroups import AbelianGroup
+from .abgroups import AbelianGroup, cyclic_decomposition
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
 from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian
 from .powers import constant_letter_values
@@ -311,8 +311,8 @@ def _detect_letter_affine(N: AutomaticAlgebra):
                 "letter_images": {N.letter_names[j]: names[g]
                                   for j, g in sorted(data.letter_images.items())},
                 "H": [names[g] for g in sorted(data.subgroup_H)],
-                "exponent": data.exponent,
-                "decomposition": [[names[g], d] for g, d in data.decomposition],
+                "exponent": data.group.exponent,
+                "decomposition": [[names[g], d] for g, d in cyclic_decomposition(data.group)],
             })
         comps.append(entry)
     return {"kind": "letter_affine", "components": comps}, ""

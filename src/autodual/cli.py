@@ -90,9 +90,9 @@ def _reported_note(M: AutomaticAlgebra) -> str:
 
 
 def _algebra_by_token(token: str) -> AutomaticAlgebra:
-    """A catalog token, B, L, L3star, R or a name with its parameter (C5),
-    else an algebra file."""
-    match = re.fullmatch(r"([A-Za-z_]+?)(\d+)", token)
+    """A catalog token, B, L, L3star, R or a catalog name with its parameter
+    (C5), else an algebra file."""
+    match = re.fullmatch(r"(B|L|R|F|N|C|chain)(\d+)", token)
     if token in ("B", "L", "L3star", "R"):
         return catalog(token)
     if match:

@@ -38,7 +38,7 @@ from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
 
-from .abgroups import AbelianGroup, closure, cyclic_decomposition
+from .abgroups import AbelianGroup, closure
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (InternalInconsistency, NotCommuting, NotPermutational,
                      NotTransitive)
@@ -315,12 +315,14 @@ class PermProfile:
     commuting: bool
     perms: Optional[tuple]        # per letter: tuple state->state, when permutational
     component_status: tuple       # per component: per letter 'total'/'undefined'/'partial'
+    component_actions: tuple      # per component: (states, its `component_actions` index)
 
 
 def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
-    commuting, status = True, []
+    commuting, status, indexes = True, [], []
     for comp in components(M):
         index = component_actions(M, comp)
+        indexes.append((tuple(comp), index))
         kind = {j: "total" if _is_perm(act) else "partial"
                 for act, letters in index.items() for j in letters}
         status.append(tuple(kind.get(j, "undefined") for j in range(M.n_letters)))
@@ -328,7 +330,7 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
                                       for x, y in combinations(index, 2))
     permutational = all(st == "total" for row in status for st in row)
     perms = tuple(map(M.action, range(M.n_letters))) if permutational else None
-    return PermProfile(permutational, commuting, perms, tuple(status))
+    return PermProfile(permutational, commuting, perms, tuple(status), tuple(indexes))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +347,6 @@ class AbelianGroupData:
     group: AbelianGroup    # op table on positions 0..|C|-1
     letter_images: dict    # letter index -> group index of its image
     subgroup_H: frozenset  # group indices: ⟨g⁻¹h : g,h letter images⟩
-    exponent: int
-    decomposition: list    # (generator group index, prime-power order)
 
     def group_index(self, state_index: int) -> int:
         return self.states.index(state_index)
@@ -430,8 +430,8 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     if len(orbit) != len(comp):
         raise NotTransitive("letters do not act transitively on the component")
     if len(group_elems) != len(comp):
-        raise NotCommuting("transitive abelian action is not regular; "
-                           "letters cannot commute")
+        # a transitive abelian permutation group is regular
+        raise InternalInconsistency("transitive abelian action is not regular")
     # e sits at position 0 (least state) and g is the φ with φ(0) = g.  Row g
     # of the table is φ_g itself, as g·h = (φ_g∘φ_h)(0) = φ_g(h); sorting
     # the φ orders them by φ(0), the first coordinate, which is distinct.
@@ -439,8 +439,7 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     letter_images = dict(sorted((j, p[0]) for p, letters in index.items()
                                 for j in letters))
     data = AbelianGroupData(tuple(comp), comp[0], group, letter_images,
-                            group.difference_subgroup(letter_images.values()),
-                            group.exponent, cyclic_decomposition(group))
+                            group.difference_subgroup(letter_images.values()))
     if not group_law_holds(M, comp, group, letter_images):
         raise InternalInconsistency("component group law q·a = q * a_img failed")
     return data
@@ -548,23 +547,22 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
 
     Requires: all letters act as permutations of Q, the permutations
     commute, some ρ_b ρ_c⁻¹ has order m > 1, and no component's action set
-    contains a coset of a nontrivial subgroup of order dividing m.
+    contains a coset of a nontrivial subgroup of order dividing m.  Only the
+    pairs b < c are tried: ρ_c ρ_b⁻¹ is the inverse of ρ_b ρ_c⁻¹, of the
+    same order, so the first ordered pair that qualifies has b < c.
     """
     profile = permutation_profile(M)
     if not profile.permutational or not profile.commuting:
         return None
-    perms = profile.perms
-    comp_actions = [(tuple(comp), component_actions(M, comp).keys())
-                    for comp in components(M)]
+    perms, comp_actions = profile.perms, profile.component_actions
     coset = {}      # m -> whether some component's action set holds a coset
-    for b in range(M.n_letters):
-        for c in range(M.n_letters):
-            m = difference_order(perms, b, c)
-            if m <= 1:              # b and c act alike, b = c included
-                continue
-            if m not in coset:
-                coset[m] = any(_coset_inside(actions, m) for _, actions in comp_actions)
-            if not coset[m]:
-                return NondcommWitness(b, c, m, [(comp, len(actions))
-                                                 for comp, actions in comp_actions])
+    for b, c in combinations(range(M.n_letters), 2):
+        m = difference_order(perms, b, c)
+        if m <= 1:              # b and c act alike
+            continue
+        if m not in coset:
+            coset[m] = any(_coset_inside(index, m) for _, index in comp_actions)
+        if not coset[m]:
+            return NondcommWitness(b, c, m, [(comp, len(index))
+                                             for comp, index in comp_actions])
     return None

@@ -29,7 +29,7 @@ from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
 from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_subuniverse,
                      pointwise_mul)
-from .structure import difference_order, permutation_profile, _perm_order
+from .structure import permutation_profile, _perm_order
 from .terms import order_sensitivity
 
 SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
@@ -284,7 +284,7 @@ def _spec_thm_nondcomm(N, M, bname, cname):
     bj = M.letter_names.index(bname)
     cj = M.letter_names.index(cname)
     perms = profile.perms
-    if difference_order(perms, bj, cj) <= 1:
+    if perms[bj] == perms[cj]:
         raise BadParams("chosen letters have equal action")
     lam = lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
     s_idx = None

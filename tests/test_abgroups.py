@@ -77,6 +77,50 @@ def light_reference(table):
     return None
 
 
+def refusal_reference(table):
+    """The reason `AbelianGroup` must refuse `table` with, or None: its
+    checks made cell by cell, in the same order."""
+    n = len(table)
+    if n == 0:
+        return "empty table"
+    if any(len(row) != n or any(not 0 <= v < n for v in row) for row in table):
+        return "malformed table"
+    for x, y in iproduct(range(n), repeat=2):
+        if table[x][y] != table[y][x]:
+            return f"not commutative at ({x}, {y})"
+    light = light_reference(table)
+    if light is not None:
+        return light
+    identities = [e for e in range(n) if all(table[e][x] == x for x in range(n))]
+    if not identities:
+        return "no identity element"
+    for x in range(n):
+        if all(table[x][y] != identities[0] for y in range(n)):
+            return f"no inverse for {x}"
+    return None
+
+
+def test_refusal_reasons_match_the_cell_by_cell_checks():
+    tables = [[], [[]], [[0, 1]], [[0], [0]], [[0, 1], [1]], [[0, 1], [1, 0, 0]],
+              [[0, 2], [2, 0]], [[-1, 0], [0, 1]], [[0, 1, 2], [1, 2], [2, 0, 1]]]
+    for n in range(1, 4):
+        tables += [[list(cells[x * n:(x + 1) * n]) for x in range(n)]
+                   for cells in iproduct(range(n), repeat=n * n)]
+    reasons = set()
+    for table in tables:
+        try:
+            AbelianGroup(table)
+            reason = ""
+        except NotAbelian as exc:
+            reason = str(exc)
+        assert reason == (refusal_reference(table) or ""), table
+        reasons.add(reason)
+    assert "" in reasons        # some tables are groups
+    for kind in ("empty table", "malformed table", "not commutative", "not associative",
+                 "not a group", "no identity element", "no inverse"):
+        assert any(reason.startswith(kind) for reason in reasons), kind
+
+
 def is_group(table) -> bool:
     n = len(table)
     identities = [e for e in range(n) if table[e] == list(range(n))]

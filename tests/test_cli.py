@@ -174,6 +174,24 @@ def test_witness_reads_an_algebra_file_where_a_token_goes(tmp_path, capsys):
     assert code == 2 and "parse error" in err and out == ""
 
 
+def test_witness_reads_a_file_whose_name_is_letters_then_digits(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a name of letters then digits is a catalog token only for a catalog name
+    from test_witness import NO_CASE_1
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "alg1", NO_CASE_1)
+    code, out, err = run(["witness", "thm_pcomm_case1", "alg1", "--size", "3"], capsys)
+    assert code == 3 and "no case-1 parameters" in err and out == ""
+    _write(tmp_path, "c5", catalog("C", 5))
+    _write(tmp_path, "C5", NO_CASE_1)       # the catalog token wins over a file
+    by_file = run(["witness", "thm_nondcomm", "c5", "b", "c", "--size", "4"], capsys)
+    assert by_file == run(["witness", "thm_nondcomm", "C5", "b", "c", "--size", "4"], capsys)
+    assert by_file[0] == 0 and "[PASS]" in by_file[1]
+    _write(tmp_path, "B5", catalog("C", 5))
+    code, out, err = run(["witness", "thm_nondcomm", "B5", "--size", "4"], capsys)
+    assert code == 3 and "B takes no parameters" in err and out == ""
+
+
 def test_check_eq_takes_long_and_deeply_nested_terms(tmp_path, capsys):
     path = _write(tmp_path, "F.alg", catalog("F", 1))
     for expr in ("x" + "a" * 1200 + " = x", "(" * 500 + "x" + ")" * 500 + " = x",

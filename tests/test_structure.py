@@ -12,10 +12,11 @@ from action_algebras import shared_action_algebras
 from small_algebras import every_algebra
 from test_classify import translation_action
 from test_powers import partial_algebras
-from autodual.abgroups import AbelianGroup
+from autodual.abgroups import AbelianGroup, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import gen_chain
-from autodual.errors import NotCommuting, NotPermutational, NotTransitive
+from autodual.errors import (InternalInconsistency, NotCommuting, NotPermutational,
+                             NotTransitive)
 from autodual.powers import Groupoid, find_embedding
 from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_at,
                                 _whiskery_direct, _whiskery_embedding,
@@ -179,8 +180,8 @@ def test_component_group_c3():
     # both letter images generate; H is the whole group
     assert data.subgroup_H == frozenset(range(3))
     assert sorted(data.letter_images.values()) == [1, 2]
-    assert data.exponent == 3
-    assert [d for _, d in data.decomposition] == [3]
+    assert data.group.exponent == 3
+    assert [d for _, d in cyclic_decomposition(data.group)] == [3]
 
 
 def test_component_group_trivial_and_cycle():
@@ -193,7 +194,7 @@ def test_component_group_trivial_and_cycle():
     data = component_group(cyc, [0, 1, 2, 3])
     assert data.group.n == 4
     assert data.subgroup_H == frozenset({data.group.identity})
-    assert [d for _, d in data.decomposition] == [4]
+    assert [d for _, d in cyclic_decomposition(data.group)] == [4]
 
 
 def test_component_group_errors():
@@ -360,8 +361,7 @@ def group_by_letters(M, comp):
     if len({p[0] for p in group}) != len(comp):
         return (NotTransitive, "letters do not act transitively on the component")
     if len(group) != len(comp):
-        return (NotCommuting, "transitive abelian action is not regular; "
-                              "letters cannot commute")
+        return (InternalInconsistency, "transitive abelian action is not regular")
     return {j: perms[j][0] for j in letters}
 
 
@@ -376,8 +376,8 @@ def letter_affine_by_letters(M):
                 return False, (tuple(comp), "not-permutational", M.letter_names[j]), reports
         images = group_by_letters(M, comp) if sigma_c else None
         if isinstance(images, tuple):
-            if images[0] is NotTransitive:
-                raise NotTransitive(images[1])
+            if images[0] in (NotTransitive, InternalInconsistency):
+                raise images[0](images[1])
             return False, (tuple(comp), "not-commuting", images[1]), reports
         dropped = tuple(j for j in range(M.n_letters) if j not in sigma_c)
         reports.append((tuple(comp), tuple(sigma_c), dropped))
@@ -632,6 +632,17 @@ def test_nondcomm_tests_cosets_once_per_m():
     assert fired > 0
     w = nondcomm_check(gen_chain(5))
     assert (w.b, w.c, w.m) == (2, 21, 29)
+
+
+def test_nondcomm_tries_each_unordered_pair_once(monkeypatch):
+    # ρ_c ρ_b⁻¹ is the inverse of ρ_b ρ_c⁻¹, so only the pairs b < c are tried
+    import autodual.structure as structure
+    tried = []
+    monkeypatch.setattr(structure, "difference_order", lambda perms, b, c:
+                        tried.append((b, c)) or difference_order(perms, b, c))
+    M = gen_chain(4)
+    assert nondcomm_check(M) is None
+    assert tried == list(combinations(range(M.n_letters), 2))
 
 
 def compose_until_identity(p):
