@@ -207,6 +207,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     - j not a partner: both products go to 0, so dom[j] keeps one mask,
       Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
     - i·j and j·i with j a decided partner: the product's image is forced;
+    - j an open partner and v·c = 0 (or c·v = 0) for every c of M, as when
+      v is no state (no letter): i·j (or j·i) is decided as 0 first, which
+      under `injective_only` fails when 0 is in `used`;
     - j an open partner, i·j (or j·i) decided as w: dom[j] keeps the c
       with v·c = w (or c·v = w), the precomputed masks L[v][w] and R[v][w];
     - j an open partner and i·j (or j·i) open, under `injective_only`:
@@ -234,8 +237,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     of two decided elements would have decided j.  The masks FR of M hold
     the c that pass the first and, at FR[-1], the last; only c = 0 passes
     the second.  dom[j] holds every other product of j: one whose other
-    factor and value are decided through the partner, zero or preimage
-    rules, j·j = t with t decided as 0.
+    factor and value are decided through the partner rules (a forced 0
+    among them), the zero or preimage rules, j·j = t with t decided as 0.
 
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
@@ -319,6 +322,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             i = queue.pop()
             v = img[i]
             row_v, L_v, R_v, Z_v = mt[v], L[v], R[v], Z[v]
+            # v·c = 0 (c·v = 0) for every c: v is no state (no letter), or
+            # one with no transition, so an open i·j (j·i) is decided as 0
+            left_zero, right_zero = L_v[ZERO] == full, R_v[ZERO] == full
             # what an injective search adds for an open product: no c whose
             # product with v is in `seen`, the values of `used` folded in so
             # far; `used` only grows while propagating, so each is folded once
@@ -336,6 +342,10 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                     if z != w and (z >= 0 or not decide(s, w)):
                         return False
                 else:           # an open image reads the full mask at index -1
+                    if left_zero and img[t] < 0 and not decide(t, ZERO):
+                        return False
+                    if right_zero and img[s] < 0 and not decide(s, ZERO):
+                        return False
                     z, w = img[t], img[s]
                     mask = L_v[z] & R_v[w]
                     if used and (z < 0 or w < 0):

@@ -401,9 +401,11 @@ def difference_order(perms: Sequence[tuple], b: int, c: int) -> int:
 def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
                     images: dict) -> bool:
     """Whether q·a = q * a_img for every state q of the component and every
-    letter a in `images`; group element k is the state comp[k]."""
-    return all(M.mul(M.state(s), M.letter(j)) == M.state(comp[G.op(k, g)])
-               for k, s in enumerate(comp) for j, g in images.items())
+    letter a in `images`; group element k is the state comp[k].  Checked a
+    letter at a time: a's action on the component against the states of the
+    column of a_img, which is its row, as G is abelian."""
+    return all(list(map(M.action(j).__getitem__, comp)) == list(map(comp.__getitem__, G.table[g]))
+               for j, g in images.items())
 
 
 def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupData:
@@ -421,6 +423,12 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
         if not _is_perm(act):
             raise NotPermutational(f"letter {M.letter_names[letters[0]]} "
                                    "is not a permutation of the component")
+    return _regular_group(M, comp, index)
+
+
+def _regular_group(M: AutomaticAlgebra, comp: list, index: dict) -> AbelianGroupData:
+    """`component_group` of the sorted `comp`, whose `component_actions`
+    index holds permutations only."""
     for (p1, js1), (p2, js2) in combinations(index.items(), 2):
         if _compose(p1, p2) != _compose(p2, p1):
             raise NotCommuting(f"letters {M.letter_names[js1[0]]}, "
@@ -483,7 +491,7 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
                 failure = (tuple(comp), "not-permutational", M.letter_names[letters[0]])
                 return LetterAffineReport(False, reports, failure)
         try:
-            data = component_group(M, comp) if sigma_c else None
+            data = _regular_group(M, comp, index) if sigma_c else None
         except NotCommuting as exc:
             return LetterAffineReport(False, reports,
                                       (tuple(comp), "not-commuting", str(exc)))

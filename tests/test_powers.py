@@ -227,6 +227,19 @@ def small_pairs(targets):
     return [(A, M) for M in targets for A in sources if M.size() ** A.n <= 10 ** 5]
 
 
+def power_sources(M, rng, draws=32):
+    """The distinct subalgebras of M², of two elements or more and small
+    enough to check by brute force, that `draws` pairs of generators drawn
+    from `rng` generate."""
+    squares = list(itertools.product(M.elements(), repeat=2))
+    found = {}
+    for _ in range(draws):
+        elems = generate_subuniverse(M, 2, [rng.choice(squares), rng.choice(squares)])
+        if 1 < len(elems) and M.size() ** len(elems) <= 10 ** 5:
+            found.setdefault(tuple(elems), None)
+    return [Groupoid.from_power(M, list(elems)) for elems in found]
+
+
 def assert_homs_match(A, M):
     """Every kind of search of A -> M returns what brute force finds."""
     homs = brute_force_homs(A, M)
@@ -244,9 +257,9 @@ def assert_homs_match(A, M):
         states = set(M.states())
         assert enumerate_homs(A, M, preassigned={i: states}) \
             == [h for h in homs if h[i] in states]
-    assert_one_hom_per_restriction(A, M, homs, ())
+    assert_one_hom_per_restriction(A, M, restrictions_to(homs, ()), ())
     for S in ((0, A.n - 1), (A.n - 1, 1)):
-        assert_one_hom_per_restriction(A, M, homs, S)
+        assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), S)
     if homs:
         with pytest.raises(CapExceeded):
             enumerate_homs(A, M, limit=len(homs) - 1)
@@ -255,20 +268,26 @@ def assert_homs_match(A, M):
 
 @pytest.mark.parametrize("target", [("F", 0), ("N", 1), ("R",), ("B",)])
 def test_hom_search_matches_brute_force(target):
-    pairs = small_pairs([catalog(*target)])
-    for A, M in pairs:
+    M = catalog(*target)
+    pairs = small_pairs([M])
+    powers = power_sources(M, random.Random(0), draws=8)
+    for A in [A for A, _ in pairs] + powers:
         assert_homs_match(A, M)
-    assert len(pairs) >= 3
+    assert len(pairs) >= 3 and len(powers) >= 2
 
 
-def assert_one_hom_per_restriction(A, M, homs, S):
+def restrictions_to(homs, S):
+    return {tuple(h[i] for i in S) for h in homs}
+
+
+def assert_one_hom_per_restriction(A, M, restrictions, S):
     """`distinct_on=S` returns homs of A -> M, exactly one for each
-    restriction to S that the hom set `homs` realizes."""
-    got = enumerate_homs(A, M, distinct_on=S)
-    assert got == sorted(got) and set(got) <= set(homs)
+    restriction to S in `restrictions`, the set the homs realize."""
+    got = enumerate_homs(A, M, max_elements=A.n, distinct_on=S)
+    assert got == sorted(got) and preserving(A, M, got) == got
     restrict = [tuple(h[i] for i in S) for h in got]
     assert len(set(restrict)) == len(restrict)
-    assert set(restrict) == {tuple(h[i] for i in S) for h in homs}
+    assert set(restrict) == restrictions
 
 
 @st.composite
@@ -321,7 +340,7 @@ def test_hom_search_matches_brute_force_on_random_tables(A, M, data):
     assert enumerate_homs(A, M, injective_only=True, preassigned={i: values}) \
         == [h for h in within if len(set(h)) == A.n]
     S = data.draw(st.lists(st.integers(0, A.n - 1), max_size=3, unique=True))
-    assert_one_hom_per_restriction(A, M, homs, tuple(S))
+    assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), tuple(S))
     if homs:
         with pytest.raises(CapExceeded):
             enumerate_homs(A, M, limit=len(homs) - 1)
@@ -369,7 +388,7 @@ def test_last_open_element_values_are_homs(name):
         assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
                                                              if len(set(h)) == A.n]
         for S in ((1,), (1, j), ()):
-            assert_one_hom_per_restriction(A, M, homs, S)
+            assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), S)
         # with every other element preassigned, j's values are the whole search
         for rest in sorted({h[:j] for h in homs}):
             extending = [h for h in homs if h[:j] == rest]

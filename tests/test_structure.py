@@ -22,8 +22,9 @@ from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_
                                 _whiskery_direct, _whiskery_embedding,
                                 component_actions, component_group, components,
                                 cycle_lengths, difference_order,
-                                first_embedded, generated_group, letter_affine_analysis,
-                                nondcomm_check, permutation_profile, rankill_check,
+                                first_embedded, generated_group, group_law_holds,
+                                letter_affine_analysis, nondcomm_check,
+                                permutation_profile, rankill_check,
                                 state_orbit_roots, whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
 
@@ -208,6 +209,38 @@ def test_component_group_errors():
         component_group(noncomm, [0, 1, 2])
 
 
+def group_law_by_cells(M, comp, G, images):
+    """`group_law_holds` one cell q·a at a time, through the product of M."""
+    return all(M.mul(M.state(s), M.letter(j)) == M.state(comp[G.op(k, g)])
+               for k, s in enumerate(comp) for j, g in images.items())
+
+
+def test_group_law_matches_the_cell_by_cell_check():
+    # every component with letters of every algebra with at most three
+    # states and two letters, or four states and one letter; each abelian
+    # group of its order, and its own component group where it has one, with
+    # every assignment of images to its letters, partial ones included, as
+    # the verifier meets them
+    held = failed = 0
+    algebras = [M for nq in range(1, 4) for ns in (1, 2) for M in every_algebra(nq, ns)]
+    for M in algebras + list(every_algebra(4, 1)):
+        for comp in components(M):
+            letters = sorted(j for js in component_actions(M, comp).values() for j in js)
+            groups = [AbelianGroup.cyclic(len(comp))]
+            if len(comp) == 4:
+                groups.append(AbelianGroup.of_orders(2, 2))
+            data = outcome(component_group, M, comp)
+            if not isinstance(data, tuple):
+                groups.append(data.group)
+            for G in groups:
+                for images in itertools.product(range(len(comp)), repeat=len(letters)):
+                    images = dict(zip(letters, images))
+                    holds = group_law_by_cells(M, comp, G, images)
+                    assert group_law_holds(M, comp, G, images) == holds, (M, comp, images)
+                    held, failed = held + holds, failed + (not holds)
+    assert held > 1000 and failed > 1000, (held, failed)
+
+
 def test_letter_affine_examples():
     rep = letter_affine_analysis(catalog("C", 3))
     assert not rep.affine
@@ -219,6 +252,16 @@ def test_letter_affine_examples():
     single_perm = AutomaticAlgebra.build(["1", "2"], ["a"],
                                          [("1", "a", "2"), ("2", "a", "1")])
     assert letter_affine_analysis(single_perm).affine
+
+
+def test_letter_affine_indexes_each_component_once(monkeypatch):
+    import autodual.structure as structure
+    indexed = []
+    monkeypatch.setattr(structure, "component_actions", lambda M, comp:
+                        indexed.append(tuple(comp)) or component_actions(M, comp))
+    M = gen_chain(4)
+    assert letter_affine_analysis(M).affine
+    assert indexed == [tuple(comp) for comp in components(M)]
 
 
 def test_letter_affine_remark_55_variant():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import time
@@ -9,11 +10,12 @@ import pytest
 from autodual import witness
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
-from autodual.powers import Groupoid, enumerate_homs, generate_subuniverse, pointwise_mul
+from autodual.powers import (Groupoid, enumerate_homs, generate_subuniverse, hom_exists,
+                             pointwise_mul)
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, build_truncation,
                               kernel_block_analysis, local_eval_probe,
                               verify_construction, _derive_pcomm_params)
-from test_powers import hom_lower_bound
+from test_powers import assert_one_hom_per_restriction, hom_lower_bound, restrictions_to
 
 
 def test_build_truncation_thm_wc_sets():
@@ -214,6 +216,51 @@ def kernel_report_digest(name, params, N):
 ])
 def test_kernel_reports_at_4_match_goldens(name, params, digest):
     assert kernel_report_digest(name, params, 4) == digest
+
+
+# count and sha256 of the JSON of the sorted hom list A -> M at N = 4,
+# recorded before the hom search decided the products M fixes at 0
+HOM_LISTS_AT_4 = {
+    ("thm_wc", (0,)):
+        (1455, "30ff4d61d32c821b3dacf0b41dcd4c225b1deec820dde1109e4fc15e52e6abb4"),
+    ("thm_wc", (1,)):
+        (4192, "f3c3d61ebcefa60d72c80ce9f6e9ce44ef80c3aa83802ecaadb5abd56b160e13"),
+    ("lem_2state2_N4", ()):
+        (166, "ffc92c3e0028dfb628354d782b0f3ddb488e493d9c70ce80b2b66ed79c962128"),
+    ("thm_nondcomm", ()):
+        (4854, "bd9e744de21f848eeff34a8bc51651328c4e45e055000a28de87aed6b031c30e"),
+}
+
+
+def truncation_groupoid(name, params, N):
+    tr = build_truncation(name, params, N)
+    return tr, Groupoid.from_power(tr.spec.algebra, tr.elements)
+
+
+@pytest.mark.parametrize("name, params", HOM_LISTS_AT_4)
+def test_hom_lists_at_4_match_goldens(name, params):
+    tr, A = truncation_groupoid(name, params, 4)
+    homs = enumerate_homs(A, tr.spec.algebra, max_elements=A.n)
+    digest = hashlib.sha256(json.dumps(homs).encode()).hexdigest()
+    assert (len(homs), digest) == HOM_LISTS_AT_4[name, params]
+
+
+# the count of restrictions to A0 at N = 4, recorded with the hom lists
+@pytest.mark.parametrize("name, params, count", [
+    ("thm_wc", (0,), 5), ("thm_wc", (1,), 9), ("thm_pcomm_case1", (), 5), ("ex_all4_L", (), 11),
+    ("lem_2state2_N4", (), 6), ("lem_2state3_N5", (), 11), ("thm_nondcomm", (), 28)])
+def test_one_hom_per_restriction_at_4(name, params, count):
+    # the restrictions to A0 that extend to a hom, one preassigned search
+    # each; which hom stands for a restriction may change, the set may not
+    tr, A = truncation_groupoid(name, params, 4)
+    M, S = tr.spec.algebra, tr.a0_indices
+    restrictions = {r for r in itertools.product(M.elements(), repeat=len(S))
+                    if hom_exists(A, M, {a: {v} for a, v in zip(S, r)}, max_elements=A.n)}
+    assert len(restrictions) == count
+    if (name, params) in HOM_LISTS_AT_4:
+        homs = enumerate_homs(A, M, max_elements=A.n)
+        assert restrictions == restrictions_to(homs, S)
+    assert_one_hom_per_restriction(A, M, restrictions, S)
 
 
 @pytest.mark.parametrize("name, params", [("thm_wc", (0,)), ("thm_wc", (1,)),
