@@ -37,9 +37,9 @@ from .abgroups import AbelianGroup, cyclic_decomposition
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
 from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian
 from .powers import constant_letter_values
-from .structure import (component_actions, components, difference_order,
-                        first_embedded, group_law_holds, letter_affine_analysis,
-                        nondcomm_check, rankill_check, whiskery_check)
+from .structure import (components, difference_order, first_embedded, group_law_holds,
+                        letter_affine_analysis, nondcomm_check, rankill_check,
+                        whiskery_check)
 from .terms import LeftChain, check_identity
 
 EQ_XY_XYYY = (LeftChain("x", ("y",)), LeftChain("x", ("y", "y", "y")))
@@ -259,9 +259,8 @@ def _detect_all_loops(N: AutomaticAlgebra):
     if not _all_loops(N):
         return None
     comps = components(N)
-    split = None
+    subs, split = [N.component_subalgebra(c) for c in comps], None
     if len(comps) > 1:
-        subs = [N.component_subalgebra(c) for c in comps]
         emb = {}
         for i, c in enumerate(comps):
             for s in c:
@@ -277,8 +276,7 @@ def _detect_all_loops(N: AutomaticAlgebra):
         if reason is not None:
             raise InternalInconsistency(f"component split invalid: {reason}")
     entries = []
-    for c in comps:
-        sub = N.component_subalgebra(c)
+    for c, sub in zip(comps, subs):
         final, steps = normalize_algebra(sub)
         if final.n_states != 1 or final.n_letters != 1 or \
                 constant_letter_values(final) is None:
@@ -433,11 +431,11 @@ def _verify_embedding(A: AutomaticAlgebra, targets: list, obj: dict) -> None:
         raise _Invalid(reason)
 
 
-def _stated_components(M: AutomaticAlgebra, cert: dict, comps: list) -> list:
+def _stated_components(M: AutomaticAlgebra, cert: dict) -> list:
     """cert["components"], one object per component, stating its states."""
     stated = _field(cert, "components", list)
     if [_field(e, "states", list) for e in stated] != \
-            [[M.state_names[s] for s in c] for c in comps]:
+            [[M.state_names[s] for s in c] for c, _ in structure._component_index(M)]:
         raise _Invalid("stated components do not match")
     return stated
 
@@ -518,8 +516,7 @@ def _verify_constant_letters(M, cert):
 def _verify_all_loops(M, cert):
     if not _all_loops(M):
         raise _Invalid("some edge is not a loop")
-    comps = components(M)
-    stated = _stated_components(M, cert, comps)
+    comps, stated = components(M), _stated_components(M, cert)
     if len(comps) == 1:
         _field(cert, "split", type(None))
     else:
@@ -538,9 +535,8 @@ def _verify_all_loops(M, cert):
 
 
 def _verify_letter_affine(M, cert):
-    comps = components(M)
-    for comp, entry in zip(comps, _stated_components(M, cert, comps)):
-        sigma_c = sorted(j for js in component_actions(M, comp).values() for j in js)
+    for (comp, index), entry in zip(structure._component_index(M), _stated_components(M, cert)):
+        sigma_c = sorted(j for js in index.values() for j in js)
         if _field(entry, "letters", list) != [M.letter_names[j] for j in sigma_c]:
             raise _Invalid("stated component letters do not match")
         acting = {M.letter_names[j] for j in sigma_c}
@@ -607,8 +603,7 @@ def _verify_commuting_permutations(M, cert):
     if m != stated or m <= 1:
         raise _Invalid(f"stated order m = {stated} is wrong (actual {m})")
     report = []
-    for comp in components(M):
-        actions = component_actions(M, comp).keys()
+    for comp, actions in structure._component_index(M):
         if structure._coset_inside(actions, m):
             raise _Invalid("a component action set contains a qualifying coset")
         report.append(([M.state_names[s] for s in comp], len(actions)))

@@ -658,6 +658,8 @@ def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
 def op_lambda(M: AutomaticAlgebra, g: int) -> PartialOperation:
     """Unary total translation by g on g's component, identity elsewhere."""
     from .structure import component_group, components
+    if not M.is_state(g):
+        raise PreconditionViolated(f"lambda_g needs a state g, got {M.name(g)}")
     comp = next(c for c in components(M) if M.state_index(g) in c)
     data = component_group(M, comp)
     table = {(x,): x for x in M.elements()}

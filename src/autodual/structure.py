@@ -2,10 +2,13 @@
 permutation profiles, per-component abelian groups, the letter-affine test,
 and the commuting-permutation non-dualizability conditions.
 
-The per-component data has one home each.  `component_actions` maps each
-distinct action of the letters on a component to the ascending list of
-letters with that action, in least-letter order; every per-component
-letter scan runs over its keys and names least letters.  That finds what a
+The per-component data has one home each: M keeps its components, each
+with its `component_actions` index, as `M._components`, built on first use
+like its product table.  `components` copies them out; every per-component
+scan here, in `terms.order_sensitivity` and in the `classify` verifiers
+reads that copy.  An index maps each distinct action of the letters on a
+component to the ascending list of letters with it, in least-letter order.
+The scans run over its keys and name least letters.  That finds what a
 scan over all letters finds, since a letter's failure and a pair's
 commuting depend only on their actions there.  `difference_order` (the
 order of ρ_b ρ_c⁻¹), `group_law_holds` (q·a = q * a_img) and
@@ -40,8 +43,8 @@ from typing import Optional, Sequence
 
 from .abgroups import AbelianGroup, closure
 from .algebras import ZERO, AutomaticAlgebra, catalog
-from .errors import (InternalInconsistency, NotCommuting, NotPermutational,
-                     NotTransitive)
+from .errors import (BadParams, InternalInconsistency, NotCommuting,
+                     NotPermutational, NotTransitive)
 from .powers import HOM_CAP_DEFAULT, Groupoid, find_embedding
 from .terms import WHISKERY_QUASI, check_quasi_identity, shortest_word
 
@@ -60,17 +63,26 @@ def _find(parent: list, x: int) -> int:
     return x
 
 
+def _component_index(M: AutomaticAlgebra) -> tuple:
+    """((component, its `component_actions` index), ...) in `components`
+    order, a component as a tuple; built on first use and kept on M."""
+    if M._components is None:
+        parent = list(range(M.n_states))
+        for (si, _), ti in M.delta.items():
+            a, b = _find(parent, si), _find(parent, ti)
+            parent[max(a, b)] = min(a, b)
+        blocks = {}
+        for i in range(M.n_states):
+            blocks.setdefault(_find(parent, i), []).append(i)
+        M._components = tuple((tuple(comp), component_actions(M, comp))
+                              for _, comp in sorted(blocks.items()))
+    return M._components
+
+
 def components(M: AutomaticAlgebra) -> list:
     """Connected components of the underlying undirected graph, as sorted
-    lists of state indices, ordered by least member."""
-    parent = list(range(M.n_states))
-    for (si, _), ti in M.delta.items():
-        a, b = _find(parent, si), _find(parent, ti)
-        parent[max(a, b)] = min(a, b)
-    blocks = {}
-    for i in range(M.n_states):
-        blocks.setdefault(_find(parent, i), []).append(i)
-    return [sorted(v) for _, v in sorted(blocks.items())]
+    lists of state indices, ordered by least member; fresh lists each call."""
+    return [list(comp) for comp, _ in _component_index(M)]
 
 
 def component_actions(M: AutomaticAlgebra, comp: Sequence[int]) -> dict:
@@ -185,9 +197,8 @@ def state_orbit_roots(M: AutomaticAlgebra) -> list:
     orbits of all of them.
     """
     parent = list(range(M.n_states))
-    for comp in components(M):
-        n, q0 = len(comp), comp[0]
-        acts = list(component_actions(M, comp))     # positions in comp
+    for comp, index in _component_index(M):
+        n, q0, acts = len(comp), comp[0], list(index)     # positions in comp
         # a breadth-first spanning tree from q0 (position 0): (x, act, act[x])
         order, tree, seen = [0], [], [True] + [False] * (n - 1)
         for x in order:
@@ -315,14 +326,11 @@ class PermProfile:
     commuting: bool
     perms: Optional[tuple]        # per letter: tuple state->state, when permutational
     component_status: tuple       # per component: per letter 'total'/'undefined'/'partial'
-    component_actions: tuple      # per component: (states, its `component_actions` index)
 
 
 def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
-    commuting, status, indexes = True, [], []
-    for comp in components(M):
-        index = component_actions(M, comp)
-        indexes.append((tuple(comp), index))
+    commuting, status = True, []
+    for _, index in _component_index(M):
         kind = {j: "total" if _is_perm(act) else "partial"
                 for act, letters in index.items() for j in letters}
         status.append(tuple(kind.get(j, "undefined") for j in range(M.n_letters)))
@@ -330,7 +338,7 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
                                       for x, y in combinations(index, 2))
     permutational = all(st == "total" for row in status for st in row)
     perms = tuple(map(M.action, range(M.n_letters))) if permutational else None
-    return PermProfile(permutational, commuting, perms, tuple(status), tuple(indexes))
+    return PermProfile(permutational, commuting, perms, tuple(status))
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +417,22 @@ def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
 
 
 def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupData:
-    """The abelian group a component carries under a transitive commuting
-    permutation action of its letters.
+    """The abelian group that the component `comp` of M, in any order,
+    carries under a transitive commuting permutation action of its letters.
 
     The identity is chosen as the least state of the component; the regular
     action makes φ ↦ φ(e) a bijection from the generated permutation group
     onto the component, and the group law transfers along it.  The defining
     law q·a = q * a_img is asserted before returning.
     """
-    comp = sorted(comp)
-    index = component_actions(M, comp)
+    comp = tuple(sorted(comp))
+    index = dict(_component_index(M)).get(comp)
+    if index is None:
+        raise BadParams(f"states {list(comp)} are not a component")
     for act, letters in index.items():
         if not _is_perm(act):
             raise NotPermutational(f"letter {M.letter_names[letters[0]]} "
                                    "is not a permutation of the component")
-    return _regular_group(M, comp, index)
-
-
-def _regular_group(M: AutomaticAlgebra, comp: list, index: dict) -> AbelianGroupData:
-    """`component_group` of the sorted `comp`, whose `component_actions`
-    index holds permutations only."""
     for (p1, js1), (p2, js2) in combinations(index.items(), 2):
         if _compose(p1, p2) != _compose(p2, p1):
             raise NotCommuting(f"letters {M.letter_names[js1[0]]}, "
@@ -446,7 +450,7 @@ def _regular_group(M: AutomaticAlgebra, comp: list, index: dict) -> AbelianGroup
     group = AbelianGroup(sorted(group_elems), labels=[M.state_names[s] for s in comp])
     letter_images = dict(sorted((j, p[0]) for p, letters in index.items()
                                 for j in letters))
-    data = AbelianGroupData(tuple(comp), comp[0], group, letter_images,
+    data = AbelianGroupData(comp, comp[0], group, letter_images,
                             group.difference_subgroup(letter_images.values()))
     if not group_law_holds(M, comp, group, letter_images):
         raise InternalInconsistency("component group law q·a = q * a_img failed")
@@ -482,26 +486,24 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
     undefined on C are recorded, not errors.
     """
     reports = []
-    for comp in components(M):
-        index = component_actions(M, comp)
+    for comp, index in _component_index(M):
         sigma_c = sorted(j for letters in index.values() for j in letters)
         dropped = tuple(sorted(set(range(M.n_letters)) - set(sigma_c)))
         for act, letters in index.items():
             if not _is_perm(act):
-                failure = (tuple(comp), "not-permutational", M.letter_names[letters[0]])
+                failure = (comp, "not-permutational", M.letter_names[letters[0]])
                 return LetterAffineReport(False, reports, failure)
         try:
-            data = _regular_group(M, comp, index) if sigma_c else None
+            data = component_group(M, comp) if sigma_c else None
         except NotCommuting as exc:
-            return LetterAffineReport(False, reports,
-                                      (tuple(comp), "not-commuting", str(exc)))
-        reports.append(ComponentAffineReport(tuple(comp), tuple(sigma_c), dropped, data))
+            return LetterAffineReport(False, reports, (comp, "not-commuting", str(exc)))
+        reports.append(ComponentAffineReport(comp, tuple(sigma_c), dropped, data))
         if data is not None:
             least = [letters[0] for letters in index.values()]   # distinct images
             gap = data.group.malcev_gap([data.letter_images[j] for j in least])
             if gap is not None:
                 return LetterAffineReport(False, reports,
-                                          (tuple(comp), "malcev",
+                                          (comp, "malcev",
                                            tuple(M.letter_names[least[i]] for i in gap)))
     return LetterAffineReport(True, reports)
 
@@ -562,7 +564,7 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
     profile = permutation_profile(M)
     if not profile.permutational or not profile.commuting:
         return None
-    perms, comp_actions = profile.perms, profile.component_actions
+    perms, comp_actions = profile.perms, _component_index(M)
     coset = {}      # m -> whether some component's action set holds a coset
     for b, c in combinations(range(M.n_letters), 2):
         m = difference_order(perms, b, c)

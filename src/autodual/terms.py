@@ -415,7 +415,7 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
     search treats a dead pair as a dead end.  A least path to a mixed pair
     passes through no dead pair, so the witness is the same.
     """
-    from .structure import component_actions, components   # structure imports terms
+    from .structure import _component_index   # structure imports terms
 
     if M.is_total():
         return None
@@ -433,8 +433,8 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
         return (pair[0] == ZERO) != (pair[1] == ZERO)
 
     least = {}
-    for comp in components(M):
-        letters = [js[0] for js in component_actions(M, comp).values()]
+    for comp, index in _component_index(M):
+        letters = [js[0] for js in index.values()]
         least.update((si, letters) for si in comp)
     for si in range(M.n_states):
         s = M.state(si)

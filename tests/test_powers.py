@@ -775,6 +775,13 @@ def test_group_ops_compatible():
     assert is_compatible(M2, op_psi(M2, identity_endo, 0).graph())
 
 
+def test_lambda_refuses_a_letter_or_zero():
+    C3 = catalog("C", 3)
+    for g, name in ((C3.letter(0), "b"), (ZERO, "0")):
+        with pytest.raises(PreconditionViolated, match=f"needs a state g, got {name}$"):
+            op_lambda(C3, g)
+
+
 def test_pbar_needs_letter_affine():
     with pytest.raises(PreconditionViolated):
         op_pbar(catalog("C", 3), 0)

@@ -14,12 +14,12 @@ from test_classify import translation_action
 from test_powers import partial_algebras
 from autodual.abgroups import AbelianGroup, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import gen_chain
-from autodual.errors import (InternalInconsistency, NotCommuting, NotPermutational,
-                             NotTransitive)
+from autodual.classify import classify, gen_chain, verify_certificate
+from autodual.errors import (BadParams, InternalInconsistency, NotCommuting,
+                             NotPermutational, NotTransitive)
 from autodual.powers import Groupoid, find_embedding
-from autodual.structure import (_compose, _coset_inside, _perm_order, _whiskery_at,
-                                _whiskery_direct, _whiskery_embedding,
+from autodual.structure import (_component_index, _compose, _coset_inside, _perm_order,
+                                _whiskery_at, _whiskery_direct, _whiskery_embedding,
                                 component_actions, component_group, components,
                                 cycle_lengths, difference_order,
                                 first_embedded, generated_group, group_law_holds,
@@ -262,6 +262,45 @@ def test_letter_affine_indexes_each_component_once(monkeypatch):
     M = gen_chain(4)
     assert letter_affine_analysis(M).affine
     assert indexed == [tuple(comp) for comp in components(M)]
+
+
+def test_classify_and_verify_index_each_component_once(monkeypatch):
+    import autodual.structure as structure
+    indexed = []
+    monkeypatch.setattr(structure, "component_actions", lambda M, comp:
+                        indexed.append(tuple(comp)) or component_actions(M, comp))
+    M = gen_chain(5)
+    verdict = classify(M)
+    assert verify_certificate(M, verdict) == (True, "")
+    assert indexed == [tuple(comp) for comp in components(M)]
+
+
+def test_kept_components_cannot_leak_or_go_stale():
+    M = gen_chain(3)
+    comps = components(M)
+    comps[0].append(99)
+    comps.pop()
+    assert components(M) == [list(comp) for comp, _ in _component_index(M)] == \
+        components(fresh_copy(M))
+    for M in every_algebra(3, 2):
+        components(M)       # a derived algebra must not inherit M's index
+        derived = [M.drop_letter(j) for j in range(M.n_letters)]
+        derived += [M.drop_state(i) for i in range(M.n_states) if i not in M.delta.values()]
+        derived += [M.component_subalgebra(comp) for comp in components(M)]
+        for D in derived:
+            assert _component_index(D) == _component_index(fresh_copy(D)), (M, D)
+
+
+def fresh_copy(M):
+    return AutomaticAlgebra(M.state_names, M.letter_names, dict(M.delta))
+
+
+def test_component_group_refuses_a_state_set_that_is_no_component():
+    C3 = catalog("C", 3)
+    for states in ([0, 1], [0, 1, 2, 2], [0, 1, 2, 3], []):
+        with pytest.raises(BadParams, match="not a component"):
+            component_group(C3, states)
+    assert component_group(C3, [2, 0, 1]).states == (0, 1, 2)
 
 
 def test_letter_affine_remark_55_variant():
