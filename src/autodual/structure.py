@@ -26,12 +26,13 @@ maps that its least state's image determines, each checked directly to be
 an automorphism before it merges anything.  The small catalog sources are
 built once and kept, with their search index.
 
-Whiskery's F_m family searches only the m in `cycle_lengths(M)`.  An
-embedding h of F_m (m ≥ 1) sends a to a letter b and s1, …, s_m to distinct
-states with h(s_i)·b = h(s_{i+1}) and h(s_m)·b = h(s1), so b has a cycle
-of length exactly m; F_0 needs h(r)·b = 0, so b is undefined somewhere.
-Every m skipped does not embed, so the least m and its least embedding
-stay those of the full family.
+Whiskery's F_m family searches only the m in `tail_lengths(M)`.  An
+embedding h of F_m sends a to a letter b, h(r) to a state on no cycle of b
+(that cycle would pass through h(s1), so be the m-cycle of the h(s_i)) with
+the b-preimage h(q), and h(r)·b onto a cycle of length m, or to 0 for m = 0.
+Every m skipped does not embed, so the least m and its least embedding stay
+those of the full family.  Such a tail exists exactly where the direct vote
+fails, so on a passing algebra the F_m vote runs no search.
 """
 
 from __future__ import annotations
@@ -271,29 +272,34 @@ def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional
     return None
 
 
-def cycle_lengths(M: AutomaticAlgebra) -> set:
-    """The lengths of the cycles of the letters' actions, with 0 when some
-    letter is undefined somewhere: the only m for which F_m can embed."""
+def tail_lengths(M: AutomaticAlgebra) -> set:
+    """The m for which F_m can embed: for each letter b and each state y on
+    no cycle of b that has a b-preimage, the length of the cycle holding
+    y·b, or 0 when y·b is undefined.  One O(|Q|) pass per distinct action."""
     lengths = set()
     for act in set(map(M.action, range(M.n_letters))):
-        if None in act:
-            lengths.add(0)
+        length = {None: 0}              # a state on a cycle -> its length; undefined -> 0
         seen = [False] * M.n_states
         for x in range(M.n_states):
-            path = {}                   # state -> its position on this walk
+            path = []
             while x is not None and not seen[x]:
                 seen[x] = True
-                path[x] = len(path)
+                path.append(x)
                 x = act[x]
             if x in path:
-                lengths.add(len(path) - path[x])
+                loop = path[path.index(x):]
+                length.update(dict.fromkeys(loop, len(loop)))
+        lengths.update(length[act[y]] for y in set(act) - {None}
+                       if y not in length and act[y] in length)
     return lengths
 
 
 def _whiskery_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
     """(m, embedding dict) for the least m < |Q| - 1 with F_m embeddable,
-    else None; only the m in `cycle_lengths(M)` are searched."""
-    return first_embedded(M, "F", sorted(m for m in cycle_lengths(M) if m < M.n_states - 1))
+    else None.  Only the m in `tail_lengths(M)` are searched, least first;
+    each is below |Q| - 1, as a tail and its cycle hold m + 2 states.  An
+    algebra with no tail, which passes whiskery, runs no search."""
+    return first_embedded(M, "F", sorted(tail_lengths(M)))
 
 
 def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
@@ -301,7 +307,9 @@ def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
 
     Computes all three equivalent conditions (direct orbit check, the
     vxx≈wxx ⟹ vx≈wx quasi-identity, F_m-embedding-freeness) and insists
-    they agree before answering.
+    they agree before answering.  F_m is searched only for the m of a
+    letter's tail, so on a passing algebra, which has none, the F_m vote is
+    decided without a search; on a failing one the search must find F_m.
     """
     direct = _whiskery_direct(M)
     quasi = check_quasi_identity(M, WHISKERY_QUASI)

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product as iproduct
+from math import prod
 from operator import getitem
 from typing import Optional, Union
 
@@ -181,8 +182,8 @@ def parse_quasi_identity(src: str, variables=None) -> QuasiIdentity:
 # ---------------------------------------------------------------------------
 
 # The most work one check may do: the |M|² product-table cells it reads plus
-# the partial assignments it walks.  Whiskery's check at chain 7
-# (|M| = 1,264) needs 3·|M|² ≈ 4.8·10⁶.
+# the assignments it walks over the values `_value_ranges` keeps.  Whiskery's
+# check at |Q| = |Σ| = 1,024 (|M| = 2,049) needs about 4.2·10⁶ + 2.1·10⁶.
 JOIN_CAP = 10_000_000
 
 
@@ -270,13 +271,14 @@ def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional
                  for eq in equations]
         sides.append((only, terms))
     (l_only, l_terms), (r_only, r_terms) = sides
-    work = size * size + size ** len(joined) * (size ** len(l_only) + size ** len(r_only))
+    ranges = _value_ranges(M, equations, variables)
+    nj, nl, nr = (prod(len(ranges[v]) for v in vs) for vs in (joined, l_only, r_only))
+    work = size * size + nj * (nl + nr)
     if work > JOIN_CAP:
         raise CapExceeded(f"checking this over {size} elements takes {work} steps, "
                           f"over the cap {JOIN_CAP}")
     table = M.product_table()
     elems = M.elements()
-    ranges = _value_ranges(M, equations, variables)
     if not (l_only or r_only):      # every variable joined: the plain scan
         for jv in iproduct(*map(ranges.get, joined)):
             lv = [_value(table, t, jv) for t in l_terms]
@@ -345,8 +347,8 @@ def check_quasi_identity(M: AutomaticAlgebra, q: QuasiIdentity) -> Optional[dict
     Π_J r_v·(Π_L r_v + Π_R r_v) steps for J join, L left-only and R
     right-only variables: 2·|Σ|·(|Q| + 1) for `WHISKERY_QUASI`, and |Q|·|Σ|³
     for `wxyz = wyxz`, the plain scan that runs when every variable is
-    joined.  Raises CapExceeded before any work when the full walk,
-    |M|^|J|·(|M|^|L| + |M|^|R|), plus the |M|² table exceeds `JOIN_CAP`.
+    joined.  Raises CapExceeded before the table is built when that walk
+    plus the |M|² table cells exceeds `JOIN_CAP`.
     """
     return _first_counterexample(M, q.premises, q.conclusion)
 
@@ -453,20 +455,3 @@ def order_sensitivity(M: AutomaticAlgebra) -> Optional[OrderWitness]:
                     return OrderWitness(si, (a, b) + v, (b, a) + v)
                 return OrderWitness(si, (b, a) + v, (a, b) + v)
     return None
-
-
-def order_sensitivity_brute(M: AutomaticAlgebra, max_len: int = 6) -> bool:
-    """Oracle: search all words up to max_len for a kill-order flip."""
-    for si in range(M.n_states):
-        s = M.state(si)
-        words = [()]
-        for _ in range(max_len):
-            words = [w + (j,) for w in words for j in range(M.n_letters)]
-            by_multiset = {}
-            for w in words:
-                by_multiset.setdefault(tuple(sorted(w)), []).append(w)
-            for group in by_multiset.values():
-                results = {M.word(s, w) == ZERO for w in group}
-                if len(results) == 2:
-                    return True
-    return False

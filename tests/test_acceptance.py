@@ -25,10 +25,10 @@ from autodual.powers import (Groupoid, find_embedding, generate_subuniverse,
 from autodual.structure import (_whiskery_direct, _whiskery_embedding,
                                 component_group, components)
 from autodual.terms import (WHISKERY_QUASI, check_identity,
-                            check_quasi_identity, order_sensitivity,
-                            order_sensitivity_brute)
+                            check_quasi_identity, order_sensitivity)
 from autodual.witness import (build_truncation, kernel_block_analysis,
                               local_eval_probe, verify_construction)
+from test_terms import order_sensitivity_brute
 
 
 def report(num, text):

@@ -313,6 +313,19 @@ def test_large_permutation_algebras_classify_quickly(idle):
     assert verify_certificate(M, json.loads(json.dumps(v.to_json()))) == (True, "")
 
 
+def test_a_large_partial_permutation_algebra_classifies_quickly():
+    # every letter a permutation, so no letter has a tail and whiskery's F_m
+    # vote runs no search; it ran 45 failing searches here, about 14 s
+    M = shuffled_permutations(256, 16, idle=True)
+    start = time.perf_counter()
+    v = classify(M)
+    mid = time.perf_counter()
+    assert (v.outcome, v.rule) == ("unknown", "unknown")
+    assert verify_certificate(M, json.loads(json.dumps(v.to_json()))) == (True, "")
+    end = time.perf_counter()
+    assert mid - start < 2 and end - mid < 2, (mid - start, end - mid)
+
+
 def hostile_letter_affine_certificate(p: int):
     """`catalog C p` and a letter_affine verdict that states Z_p as its
     group: the table is a group and its law holds, but the letter images

@@ -305,8 +305,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         code, out, err = run([*argv, flag, value], capsys)
         assert code == 3 and f"{flag} must be at least" in err and out == ""
     monkeypatch.undo()
-    b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 9 variables
-    code, out, err = run(["check-eq", b_path, "abcdefghi = ihgfedcba"], capsys)
+    b_path = _write(tmp_path, "B.alg", catalog("B"))     # 7 elements, 15 variables
+    code, out, err = run(["check-eq", b_path, "abcdefghijklmno = onmlkjihgfedcba"], capsys)
     assert code == 3 and "over the cap" in err and out == ""
     code, _, err = run(["classify", b_path, "--max-elements", "5"], capsys)
     assert code == 1 and "usage error" in err       # only embed and witness take it

@@ -21,11 +21,11 @@ from autodual.powers import Groupoid, find_embedding
 from autodual.structure import (_component_index, _compose, _coset_inside, _perm_order,
                                 _whiskery_at, _whiskery_direct, _whiskery_embedding,
                                 component_actions, component_group, components,
-                                cycle_lengths, difference_order,
+                                difference_order,
                                 first_embedded, generated_group, group_law_holds,
                                 letter_affine_analysis, nondcomm_check,
                                 permutation_profile, rankill_check,
-                                state_orbit_roots, whiskery_check)
+                                state_orbit_roots, tail_lengths, whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
 
 
@@ -659,23 +659,19 @@ def assert_whiskery_filter_matches(M):
     return found
 
 
-def test_cycle_lengths_examples():
-    assert cycle_lengths(catalog("F", 0)) == {0}
-    for m in range(1, 6):
-        assert cycle_lengths(catalog("F", m)) == {m}
-    # a 2-cycle, a fixed point, and a partial letter
+def test_tail_lengths_examples():
+    for m in range(6):
+        assert tail_lengths(catalog("F", m)) == {m}
+    # a 2-cycle and a fixed point under a; b takes p to r, where b is undefined
     M = AutomaticAlgebra.build("pqr", "ab", [("p", "a", "q"), ("q", "a", "p"),
                                              ("r", "a", "r"), ("p", "b", "r")])
-    assert cycle_lengths(M) == {0, 1, 2}
-    assert cycle_lengths(M.drop_letter(1)) == {1, 2}
-    assert cycle_lengths(gen_chain(3)) == {1, 3, 7}
-
-
-def test_a_single_long_cycle_leaves_no_m_to_search():
-    # Z_1024 under +1 and +513: every letter is one 1,024-cycle, and F_m
-    # is searched only for m < |Q| - 1 = 1,023
+    assert tail_lengths(M) == {0}
+    assert _whiskery_embedding(M) == (0, {"q": "p", "r": "r", "a": "b", "0": "0"})
+    assert tail_lengths(M.drop_letter(1)) == set()
+    # every letter a permutation: no tail, so no m to search
+    assert tail_lengths(gen_chain(3)) == set()
     M = translation_action(1024, (1, 513))
-    assert cycle_lengths(M) == {1024}
+    assert tail_lengths(M) == set()
     assert _whiskery_embedding(M) is None
 
 
@@ -697,6 +693,25 @@ def test_whiskery_filter_matches_the_full_family_on_translation_actions():
 @given(shared_action_algebras())
 def test_whiskery_filter_matches_the_full_family_on_shared_actions(M):
     assert_whiskery_filter_matches(M)
+
+
+def test_whiskery_filter_matches_the_full_family_on_seeded_algebras():
+    # 5-9 states and 1-3 letters, each letter a shuffled permutation, a map,
+    # or a partial map
+    rng = random.Random(31)
+    least = set()
+    for _ in range(300):
+        n, k = rng.randint(5, 9), rng.randint(1, 3)
+        delta = {}
+        for j in range(k):
+            kind = rng.randrange(3)
+            images = rng.sample(range(n), n) if kind == 0 else \
+                [rng.randrange(n + kind - 1) for _ in range(n)]
+            delta.update(((i, j), t) for i, t in enumerate(images) if t < n)
+        M = AutomaticAlgebra([f"q{i}" for i in range(n)], list("abc"[:k]), delta)
+        found = assert_whiskery_filter_matches(M)
+        least.add(found and found[0])
+    assert least >= {None, 0, 1, 2, 3}
 
 
 def test_nondcomm_tests_cosets_once_per_m():

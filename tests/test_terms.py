@@ -7,15 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
-from autodual.algebras import ZERO, catalog, random_algebra, standard_catalog
+from autodual.algebras import (ZERO, AutomaticAlgebra, catalog, random_algebra,
+                               standard_catalog)
 from autodual.classify import EQ_WXYZ_WYXZ, EQ_XY_XYYY, gen_chain
 from autodual.errors import CapExceeded, TermSyntaxError, ToolError
 from autodual.terms import (JOIN_CAP, LeftChain, Prod, QuasiIdentity, Var,
                             ZeroEquivalent, WHISKERY_QUASI, check_identity,
                             check_quasi_identity, normalize, order_sensitivity,
-                            order_sensitivity_brute, parse_and_normalize,
-                            parse_equation, parse_quasi_identity, parse_term,
-                            shortest_word)
+                            parse_and_normalize, parse_equation,
+                            parse_quasi_identity, parse_term, shortest_word)
 from small_algebras import every_algebra
 
 
@@ -202,12 +202,30 @@ def test_join_matches_scan_on_drawn_quasi_identities(k, premises, conclusion):
 
 
 def test_join_refuses_oversized_checks_before_work():
+    # the cap is charged on the values each variable keeps: a and o range
+    # over the 3 states and 3 letters, the 13 inner variables over the letters
     B = catalog("B")
-    lhs, rhs = parse_equation("abcdefghi = ihgfedcba")
-    assert 2 * B.size() ** 9 > JOIN_CAP
-    with pytest.raises(CapExceeded):
+    lhs, rhs = parse_equation("abcdefghijklmno = onmlkjihgfedcba")
+    assert B.size() ** 2 + 2 * 6 * 6 * 3 ** 13 == 114_791_305 > JOIN_CAP
+    with pytest.raises(CapExceeded, match="takes 114791305 steps"):
         check_identity(B, lhs, rhs)
     assert B._products is None      # refused before the table was built
+    # nine variables keep 6·6·3⁷ = 78,732 assignments, under the cap
+    assert check_identity(B, *parse_equation("abcdefghi = ihgfedcba")) is not None
+
+
+def test_whiskery_quasi_identity_is_charged_on_its_kept_values():
+    # 1,024 states and 801 letters, letter j fixing state j alone: |M| = 1,826,
+    # so the full walk 3·|M|² = 10,002,828 is over the cap, but the table and
+    # the kept walk, |M|² + 2·|Σ|·(|Q| + 1) = 4,976,326 steps, are not
+    states, letters = [f"q{i}" for i in range(1024)], [f"a{j}" for j in range(801)]
+    M = AutomaticAlgebra(states, letters, {(j, j): j for j in range(801)})
+    assert 3 * M.size() ** 2 > JOIN_CAP
+    assert check_quasi_identity(M, WHISKERY_QUASI) is None
+    # q1023·a0 = q1022, where a0 is undefined: v = q1, w = q1023, x = a0
+    M = AutomaticAlgebra(states, letters, {(j, j): j for j in range(801)} | {(1023, 0): 1022})
+    found = check_quasi_identity(M, WHISKERY_QUASI)
+    assert {v: M.name(x) for v, x in found.items()} == {"v": "q1", "w": "q1023", "x": "a0"}
 
 
 def test_quasi_identity_variable_collection():
@@ -225,6 +243,23 @@ def test_order_sensitivity_witnesses():
     assert N1.word(N1.state(w.state), w.w2) != ZERO
     assert order_sensitivity(catalog("L")) is None
     assert order_sensitivity(catalog("F", 2)) is None  # single letter
+
+
+def order_sensitivity_brute(M, max_len=6):
+    """Oracle: search all words up to max_len for a kill-order flip."""
+    for si in range(M.n_states):
+        s = M.state(si)
+        words = [()]
+        for _ in range(max_len):
+            words = [w + (j,) for w in words for j in range(M.n_letters)]
+            by_multiset = {}
+            for w in words:
+                by_multiset.setdefault(tuple(sorted(w)), []).append(w)
+            for group in by_multiset.values():
+                results = {M.word(s, w) == ZERO for w in group}
+                if len(results) == 2:
+                    return True
+    return False
 
 
 def test_order_sensitivity_matches_brute_force():
