@@ -659,7 +659,9 @@ def assert_whiskery_filter_matches(M):
     return found
 
 
-def test_tail_lengths_examples():
+def test_cycle_lengths_examples():
+    # tail_lengths gives the lengths of the cycles that a letter's tail
+    # reaches, 0 for a tail that leaves the letter's domain
     for m in range(6):
         assert tail_lengths(catalog("F", m)) == {m}
     # a 2-cycle and a fixed point under a; b takes p to r, where b is undefined
@@ -670,6 +672,11 @@ def test_tail_lengths_examples():
     assert tail_lengths(M.drop_letter(1)) == set()
     # every letter a permutation: no tail, so no m to search
     assert tail_lengths(gen_chain(3)) == set()
+
+
+def test_a_single_long_cycle_leaves_no_m_to_search():
+    # Z_1024 under +1 and +513: every letter is one 1,024-cycle with no
+    # tail, so no F_m is searched
     M = translation_action(1024, (1, 513))
     assert tail_lengths(M) == set()
     assert _whiskery_embedding(M) is None
