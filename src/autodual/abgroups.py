@@ -8,12 +8,11 @@ self-verified element by element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebras import CATALOG_STATE_CAP
 from .errors import (BadParams, CapExceeded, ConstructionFailed, ExponentMismatch,
@@ -348,8 +347,7 @@ def all_characters(G: AbelianGroup, m: int) -> list:
 # the character-with-endomorphisms construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CharacterWitness:
+class CharacterWitness(NamedTuple):
     chi: dict                    # element -> value in Z_m
     endo_provider: Callable      # element h -> endomorphism image tuple
     modulus: int
@@ -509,8 +507,7 @@ def solve_system(m: int, k: int, rows: list) -> set:
 # the zero-column proposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixZm:
+class MatrixZm(NamedTuple):
     modulus: int
     rows: tuple  # of row tuples
 

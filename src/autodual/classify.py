@@ -27,10 +27,9 @@ re-derives every claim from the algebra alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import getitem
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import structure, terms
 from .abgroups import AbelianGroup, cyclic_decomposition
@@ -49,8 +48,7 @@ _TWO_STATE_IDENTITIES = tuple(f"{lhs} = {rhs}" for lhs, rhs in _TWO_STATE_EQUATI
 _FORBIDDEN_N = range(6)     # the forbidden two-state subalgebras N0..N5
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str                  # dualizable | non_dualizable | unknown
     rule: str
     certificate: Optional[dict]
@@ -69,35 +67,34 @@ _REDUCTIONS = ("drop_undefined_letter", "drop_repeated_letter",
                "drop_isolated_state", "drop_redundant_state")
 
 
-def _reduction_image(M: AutomaticAlgebra, kind: str, k: int) -> Optional[list]:
-    """Where the embedding into the square of the reduced algebra sends the
-    removed letter or state k, or None if the reduction does not apply."""
-    if kind == "drop_undefined_letter":
-        if M.n_states > 0 and not M.dom(k):
-            return ["0", M.state_names[0]]
-    elif kind == "drop_repeated_letter":
-        for j1 in range(k):
-            if M.action(j1) == M.action(k):
-                return [M.letter_names[j1]] * 2
-    else:
-        actions = list(map(M.action, range(M.n_letters)))
-        if any(k in act for act in actions):        # k is in some range
-            return None
-        if kind == "drop_isolated_state":
-            if actions and all(act[k] is None for act in actions):
-                return ["0", M.letter_names[0]]
-        else:                                       # drop_redundant_state
-            for r in range(M.n_states):
-                if r != k and all(act[k] == act[r] for act in actions):
-                    return [M.state_names[r]] * 2
-    return None
+def _reduction_images(M: AutomaticAlgebra, kind: str) -> dict:
+    """Each letter or state k that the reduction removes, in index order, to
+    where the embedding into the square of the reduced algebra sends k.  One
+    pass over the letters' actions serves every k."""
+    actions = list(map(M.action, range(M.n_letters)))
+    if kind == "drop_undefined_letter":         # a state stands in for the letter
+        return {j: ["0", M.state_names[0]] for j, act in enumerate(actions)
+                if set(act) == {None}}
+    if kind == "drop_repeated_letter":
+        first = {}                              # action -> its least letter
+        return {j: [M.letter_names[first[act]]] * 2 for j, act in enumerate(actions)
+                if first.setdefault(act, j) != j}
+    ranged = set().union(*actions)
+    free = [k for k in range(M.n_states) if k not in ranged]   # in no range
+    if kind == "drop_isolated_state":
+        return {k: ["0", M.letter_names[0]] for k in free
+                if actions and all(act[k] is None for act in actions)}
+    # drop_redundant_state: the least other state with k's column of images
+    columns = (list(zip(*actions)) or [()] * M.n_states) if free else []
+    twins = {}                                  # column -> its states
+    for r, column in enumerate(columns):
+        twins.setdefault(column, []).append(r)
+    least = ((k, next((r for r in twins[columns[k]] if r != k), None)) for k in free)
+    return {k: [M.state_names[r]] * 2 for k, r in least if r is not None}
 
 
-def _reduce(M: AutomaticAlgebra, kind: str, k: int):
-    """(reduced algebra, step record) if the reduction applies to k, else None."""
-    image = _reduction_image(M, kind, k)
-    if image is None:
-        return None
+def _reduce(M: AutomaticAlgebra, kind: str, k: int, image: list):
+    """(reduced algebra, step record) for the reduction removing k to `image`."""
     if kind.endswith("letter"):
         N, removed = M.drop_letter(k), M.letter_names[k]
     else:
@@ -110,10 +107,10 @@ def _reduce(M: AutomaticAlgebra, kind: str, k: int):
 def _find_reduction(M: AutomaticAlgebra):
     """First applicable reduction in `_REDUCTIONS` order, least index first."""
     for kind in _REDUCTIONS:
-        for k in range(M.n_letters if kind.endswith("letter") else M.n_states):
-            found = _reduce(M, kind, k)
-            if found is not None:
-                return found
+        images = _reduction_images(M, kind)
+        if images:
+            k = min(images)
+            return _reduce(M, kind, k, images[k])
     return None
 
 
@@ -412,11 +409,13 @@ def _replay_steps(M: AutomaticAlgebra, obj: dict) -> AutomaticAlgebra:
         if kind not in _REDUCTIONS:
             raise _Invalid(f"unknown reduction step kind {kind!r}")
         names = M.letter_names if kind.endswith("letter") else M.state_names
-        found = _reduce(M, kind, _field(step, "removed", names=names))
-        if found is None:
+        k = _field(step, "removed", names=names)
+        image = _reduction_images(M, kind).get(k)
+        if image is None:
             raise _Invalid(f"{kind} does not apply to {step['removed']}")
-        _verify_embedding(M, [found[0], found[0]], step)
-        M = found[0]
+        N = _reduce(M, kind, k, image)[0]
+        _verify_embedding(M, [N, N], step)
+        M = N
     return M
 
 
@@ -555,8 +554,15 @@ def _verify_component_group(M, comp, sigma_c, entry):
     if len(op) != len(names) or any(type(row) is not list or len(row) != len(names)
                                     for row in op):
         raise _Invalid("stated table is not |C|×|C|")
-    # a cell naming no state of the component reads -1: a malformed table
-    table = [[pos.get(v, -1) if type(v) is str else -1 for v in row] for row in op]
+    # a cell naming no state of the component reads -1: a malformed table.  A
+    # row converts at once, or cell by cell if a cell names no state or is
+    # unhashable (only a string can equal a name)
+    table = []
+    for row in op:
+        try:
+            table.append(list(map(pos.__getitem__, row)))
+        except (KeyError, TypeError):
+            table.append([pos.get(v, -1) if type(v) is str else -1 for v in row])
     try:
         G = AbelianGroup(table, labels=names)
     except NotAbelian as exc:
@@ -616,8 +622,7 @@ def _verify_commuting_permutations(M, cert):
 # the rule table and the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     detect: Optional[Callable]  # None: decided in the frame of `classify`
     kinds: dict                 # certificate kind -> (verdict it witnesses, checker)

@@ -9,10 +9,9 @@ works uniformly for catalog algebras and for subalgebras of powers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, product
 from operator import getitem
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
 from .errors import BadParams, CapExceeded, IndexOutOfRange, PreconditionViolated
@@ -536,8 +535,7 @@ def is_compatible(M: AutomaticAlgebra, relation: Iterable[tuple]) -> bool:
     return all(pointwise_mul(M, u, v) in rel for u in rel for v in rel)
 
 
-@dataclass(frozen=True)
-class PartialOperation:
+class PartialOperation(NamedTuple):
     name: str
     table: dict  # argument tuple -> value
 

@@ -37,10 +37,9 @@ fails, so on a passing algebra the F_m vote runs no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abgroups import AbelianGroup, closure
 from .algebras import ZERO, AutomaticAlgebra, catalog
@@ -108,8 +107,7 @@ def _is_perm(images: tuple) -> bool:
 # range/kill reachability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RanKillWitness:
+class RanKillWitness(NamedTuple):
     case: int            # 1: kill -> dom path, 2: ran -> kill path
     letter: int          # letter index
     state: int           # starting state index
@@ -136,8 +134,7 @@ def rankill_check(M: AutomaticAlgebra) -> Optional[RanKillWitness]:
 # whiskery cycles, three ways
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WhiskeryFailure:
+class WhiskeryFailure(NamedTuple):
     letter: int           # letter index failing
     state: int            # state index with qa != qa^{n+1} for all n
     forbidden_m: int      # the m for which F_m embeds
@@ -328,8 +325,7 @@ def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
 # permutation profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermProfile:
+class PermProfile(NamedTuple):
     permutational: bool
     commuting: bool
     perms: Optional[tuple]        # per letter: tuple state->state, when permutational
@@ -353,16 +349,20 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
 # per-component abelian group
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AbelianGroupData:
     """Group structure carried by one component of a permutational,
-    commuting algebra, via the regular action."""
+    commuting algebra, via the regular action.  A plain class, not a tuple,
+    so that it is never mistaken for an (error type, message) pair."""
 
-    states: tuple          # sorted state indices of the component
-    e_state: int           # identity's state index (least in the component)
-    group: AbelianGroup    # op table on positions 0..|C|-1
-    letter_images: dict    # letter index -> group index of its image
-    subgroup_H: frozenset  # group indices: ⟨g⁻¹h : g,h letter images⟩
+    __slots__ = ("states", "e_state", "group", "letter_images", "subgroup_H")
+
+    def __init__(self, states: tuple, e_state: int, group: AbelianGroup,
+                 letter_images: dict, subgroup_H: frozenset):
+        self.states = states                  # sorted state indices of the component
+        self.e_state = e_state                # identity's state index (least in the component)
+        self.group = group                    # op table on positions 0..|C|-1
+        self.letter_images = letter_images    # letter index -> group index of its image
+        self.subgroup_H = subgroup_H          # group indices: ⟨g⁻¹h : g,h letter images⟩
 
     def group_index(self, state_index: int) -> int:
         return self.states.index(state_index)
@@ -469,19 +469,20 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
 # letter-affine analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComponentAffineReport:
+class ComponentAffineReport(NamedTuple):
     states: tuple
     sigma_c: tuple            # letter indices acting on this component
     dropped: tuple            # letters undefined on this component
     data: Optional[AbelianGroupData]
 
 
-@dataclass
 class LetterAffineReport:
-    affine: bool
-    components: list
-    failure: Optional[tuple] = None   # (component states, kind, detail)
+    __slots__ = ("affine", "components", "failure")     # no tuple, as AbelianGroupData
+
+    def __init__(self, affine: bool, components: list, failure: Optional[tuple] = None):
+        self.affine = affine
+        self.components = components
+        self.failure = failure                # (component states, kind, detail)
 
 
 def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
@@ -520,8 +521,7 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
 # commuting-permutation non-dualizability conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NondcommWitness:
+class NondcommWitness(NamedTuple):
     b: int                   # letter index
     c: int                   # letter index
     m: int                   # order of ρ_b ρ_c⁻¹

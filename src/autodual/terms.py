@@ -22,12 +22,11 @@ lexicographic scan; `check_quasi_identity` describes the join.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product as iproduct
 from math import prod
 from operator import getitem
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebras import ZERO, AutomaticAlgebra
 from .errors import CapExceeded, TermSyntaxError
@@ -37,13 +36,11 @@ from .errors import CapExceeded, TermSyntaxError
 # terms and normalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(NamedTuple):
     left: "GroupoidTerm"
     right: "GroupoidTerm"
 
@@ -51,8 +48,7 @@ class Prod:
 GroupoidTerm = Union[Var, Prod]
 
 
-@dataclass(frozen=True)
-class ZeroEquivalent:
+class ZeroEquivalent(NamedTuple):
     def variables(self):
         return ()
 
@@ -60,8 +56,7 @@ class ZeroEquivalent:
         return "<0>"
 
 
-@dataclass(frozen=True)
-class LeftChain:
+class LeftChain(NamedTuple):
     head: str
     tail: tuple
 
@@ -146,8 +141,7 @@ def parse_and_normalize(src: str, variables=None) -> NormalTerm:
     return normalize(parse_term(src, variables))
 
 
-@dataclass(frozen=True)
-class QuasiIdentity:
+class QuasiIdentity(NamedTuple):
     premises: tuple  # of (NormalTerm, NormalTerm)
     conclusion: tuple
 
@@ -363,8 +357,7 @@ WHISKERY_QUASI = QuasiIdentity(
 # order sensitivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(NamedTuple):
     state: int           # state index
     w1: tuple            # letter-index word with q·w1 = 0
     w2: tuple            # rearrangement with q·w2 != 0

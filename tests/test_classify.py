@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import (RULE_ORDER, _all_loops, _detect_all_loops, _find_reduction,
-                               _names, check_embedding, classify, gen_chain,
-                               normalize_algebra, verify_certificate)
+from autodual.classify import (_REDUCTIONS, RULE_ORDER, _all_loops, _detect_all_loops,
+                               _find_reduction, _names, _reduction_images, check_embedding,
+                               classify, gen_chain, normalize_algebra, verify_certificate)
 from autodual.errors import CapExceeded, InternalInconsistency, ToolError, UnknownName
 from autodual.structure import (_whiskery_embedding, components, first_embedded,
                                 letter_affine_analysis, nondcomm_check, rankill_check,
@@ -56,6 +56,47 @@ def test_normalize_drops_isolated_and_redundant():
     assert steps and steps[0]["kind"] == "drop_redundant_state"
     assert steps[0]["removed"] == "q"
     assert N.state_names == ("r",)
+
+
+def reduction_image_by_index(M, kind, k):
+    """Where the reduction sends k, one letter or state at a time, or None."""
+    actions = [M.action(j) for j in range(M.n_letters)]
+    if kind == "drop_undefined_letter":
+        return ["0", M.state_names[0]] if M.n_states > 0 and not M.dom(k) else None
+    if kind == "drop_repeated_letter":
+        return next(([M.letter_names[j1]] * 2 for j1 in range(k)
+                     if actions[j1] == actions[k]), None)
+    if any(k in act for act in actions):
+        return None
+    if kind == "drop_isolated_state":
+        return (["0", M.letter_names[0]]
+                if actions and all(act[k] is None for act in actions) else None)
+    return next(([M.state_names[r]] * 2 for r in range(M.n_states)
+                 if r != k and all(act[k] == act[r] for act in actions)), None)
+
+
+def test_reduction_images_match_the_per_index_scans():
+    # targets drawn from few states, so letters repeat and states go unreached
+    rng = random.Random(41)
+    algebras = [M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)]
+    for _ in range(300):
+        nq, ns = rng.randint(1, 7), rng.randint(0, 4)
+        pool = rng.sample(range(nq), min(nq, 2)) + [None]
+        algebras.append(AutomaticAlgebra(
+            [f"q{i}" for i in range(nq)], [f"a{j}" for j in range(ns)],
+            {(i, j): t for i in range(nq) for j in range(ns)
+             if (t := rng.choice(pool)) is not None}))
+    applied = set()
+    for M in algebras:
+        for kind in _REDUCTIONS:
+            n = M.n_letters if kind.endswith("letter") else M.n_states
+            want = {k: image for k in range(n)
+                    if (image := reduction_image_by_index(M, kind, k)) is not None}
+            assert _reduction_images(M, kind) == want, (M.table_key(), kind)
+            assert list(_reduction_images(M, kind)) == sorted(want)
+            if want:
+                applied.add(kind)
+    assert applied == set(_REDUCTIONS)
 
 
 def check_embedding_reference(A, targets, emb):
@@ -481,6 +522,27 @@ def test_verifier_bounds_letter_affine_table_before_building_group(monkeypatch):
         ok, reason = verify_certificate(M, verdict)
         assert not ok and "|C|" in reason
     assert sizes == [(3, {3})]
+
+
+def test_verifier_reads_each_malformed_table_cell_as_minus_one(monkeypatch):
+    # a row converts at once; one with a cell that names no state, or that is
+    # no string, unhashable ones included, reads that cell as -1
+    M = gen_chain(2)
+    good = classify(M).to_json()
+    module = importlib.import_module("autodual.classify")
+    real, tables = module.AbelianGroup, []
+
+    def spy(table, *args, **kw):
+        tables.append(table)
+        return real(table, *args, **kw)
+
+    monkeypatch.setattr(module, "AbelianGroup", spy)
+    for junk in JUNK + ("", ["1"], {"1": 1}):
+        verdict = json.loads(json.dumps(good))
+        verdict["certificate"]["components"][0]["op"][1][2] = junk
+        assert verify_certificate(M, verdict) == (
+            False, "stated table is not an abelian group: malformed table"), junk
+        assert tables.pop() == [[0, 1, 2], [1, 2, -1], [2, 0, 1]], junk
 
 
 def test_verifier_lets_faults_and_cap_hits_through(monkeypatch):

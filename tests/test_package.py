@@ -73,9 +73,14 @@ def test_submodule_imported_by_name_first():
     """)
 
 
+# the standard modules that only the witness lab's dataclasses need; a
+# process that loads them pays about 10 ms for `inspect` and more per class
+SLOW = {"dataclasses", "inspect"}
+
+
 def loaded_modules(argv) -> set:
-    """The autodual modules in sys.modules after `cli.main(argv)`, with None
-    for a bare `import autodual.cli`."""
+    """The autodual modules, and those of `SLOW`, in sys.modules after
+    `cli.main(argv)`, with None for a bare `import autodual.cli`."""
     out = run_fresh(f"""
         import contextlib, io, json, sys
         from autodual.cli import main
@@ -84,7 +89,8 @@ def loaded_modules(argv) -> set:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1), code
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("autodual"))))
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.startswith("autodual") or m in {sorted(SLOW)!r})))
     """)
     return set(json.loads(out))
 
@@ -114,4 +120,14 @@ def test_only_witness_loads_the_witness_lab(files):
                  ["verify-cert", files["B"], files["cert"]]):
         assert loaded_modules(argv) == ALL_BUT_WITNESS, argv
     loaded = loaded_modules(["witness", "thm_wc", "0", "--size", "3"])
-    assert loaded == ALL_BUT_WITNESS - {"autodual.classify"} | {"autodual.witness"}
+    assert loaded == ALL_BUT_WITNESS - {"autodual.classify"} | {"autodual.witness"} | SLOW
+
+
+def test_the_rule_engine_loads_no_dataclasses():
+    # its result types are NamedTuples; only the witness lab keeps dataclasses
+    out = run_fresh(f"""
+        import sys
+        import autodual.classify
+        print(sorted(m for m in {sorted(SLOW)!r} if m in sys.modules))
+    """)
+    assert out == "[]\n"

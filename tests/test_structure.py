@@ -12,14 +12,14 @@ from action_algebras import shared_action_algebras
 from small_algebras import every_algebra
 from test_classify import translation_action
 from test_powers import partial_algebras
-from autodual.abgroups import AbelianGroup, cyclic_decomposition
+from autodual.abgroups import AbelianGroup, CharacterWitness, MatrixZm, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import classify, gen_chain, verify_certificate
+from autodual.classify import RULES, classify, gen_chain, verify_certificate
 from autodual.errors import (BadParams, InternalInconsistency, NotCommuting,
                              NotPermutational, NotTransitive)
-from autodual.powers import Groupoid, find_embedding
-from autodual.structure import (_component_index, _compose, _coset_inside, _perm_order,
-                                _whiskery_at, _whiskery_direct, _whiskery_embedding,
+from autodual.powers import Groupoid, PartialOperation, find_embedding
+from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
+                                _perm_order, _whiskery_at, _whiskery_direct, _whiskery_embedding,
                                 component_actions, component_group, components,
                                 difference_order,
                                 first_embedded, generated_group, group_law_holds,
@@ -171,6 +171,45 @@ def test_permutation_profile_examples():
     prof = permutation_profile(catalog("N", 4))
     assert not prof.permutational  # a maps both states to r
     assert prof.component_status[0][0] == "partial"
+
+
+def test_result_types_are_immutable_named_fields():
+    # NamedTuples, whose reprs read as the fields do and whose fields cannot
+    # be set
+    C3 = catalog("C", 3)
+    results = (
+        (rankill_check(catalog("B")), "RanKillWitness(case=2, letter=0, state=1, word=())"),
+        (whiskery_check(catalog("B")),
+         "WhiskeryFailure(letter=0, state=0, forbidden_m=0, "
+         "embedding={'q': 'q', 'r': 'r', 'a': 'a', '0': '0'})"),
+        (permutation_profile(C3),
+         "PermProfile(permutational=True, commuting=True, perms=((1, 2, 0), (2, 0, 1)), "
+         "component_status=(('total', 'total'),))"),
+        (nondcomm_check(C3), "NondcommWitness(b=0, c=1, m=3, coset_report=[((0, 1, 2), 2)])"),
+    )
+    for result, text in results:
+        assert repr(result) == text
+        with pytest.raises(AttributeError):
+            setattr(result, result._fields[0], None)
+    assert rankill_check(catalog("L")) is None
+    assert repr(RanKillWitness(1, 0, 0, (0,))) == \
+        "RanKillWitness(case=1, letter=0, state=0, word=(0,))"
+    report = letter_affine_analysis(C3)
+    assert report.components[0][:3] == ((0, 1, 2), (0, 1), ())
+    with pytest.raises(AttributeError):
+        report.components[0].data = None
+    verdict = classify(catalog("B"))
+    assert repr(verdict).startswith("Verdict(outcome='non_dualizable', rule='whiskery', "
+                                    "certificate={'kind': 'whiskery_failure'")
+    with pytest.raises(AttributeError):
+        verdict.rule = "unknown"
+    assert repr(MatrixZm(3, ((0, 1),))) == "MatrixZm(modulus=3, rows=((0, 1),))"
+    assert repr(PartialOperation("p", {(1,): 2})) == "PartialOperation(name='p', table={(1,): 2})"
+    assert [rule._fields for rule in RULES] == [("name", "detect", "kinds")] * len(RULES)
+    assert CharacterWitness._fields == ("chi", "endo_provider", "modulus")
+    # these two are not tuples, so tests tell them from an (error, message) pair
+    for result in (component_group(C3, [0, 1, 2]), report):
+        assert not isinstance(result, tuple) and not hasattr(result, "__dict__")
 
 
 def test_component_group_c3():

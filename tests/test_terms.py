@@ -233,6 +233,35 @@ def test_quasi_identity_variable_collection():
     assert set(q.variables()) == {"v", "w", "x"}
 
 
+def test_term_types_are_immutable_values():
+    # NamedTuples: the reprs read as the fields do, and a field cannot be set
+    term = parse_term("x(yz)")
+    assert repr(term) == ("Prod(left=Var(name='x'), "
+                          "right=Prod(left=Var(name='y'), right=Var(name='z')))")
+    assert repr(parse_and_normalize("xyy")) == "LeftChain(head='x', tail=('y', 'y'))"
+    assert repr(WHISKERY_QUASI) == (
+        "QuasiIdentity(premises=((LeftChain(head='v', tail=('x', 'x')), "
+        "LeftChain(head='w', tail=('x', 'x'))),), conclusion=(LeftChain(head='v', "
+        "tail=('x',)), LeftChain(head='w', tail=('x',))))")
+    assert repr(ZeroEquivalent()) == "ZeroEquivalent()" and str(ZeroEquivalent()) == "<0>"
+    for value, field in ((Var("x"), "name"), (term, "left"), (LeftChain("x", ()), "tail"),
+                         (WHISKERY_QUASI, "premises")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    # equal values are equal and hash alike, as parsing twice shows
+    for src in ("x(yz)", "xy", "(xy)z"):
+        assert parse_term(src) == parse_term(src)
+        assert hash(parse_term(src)) == hash(parse_term(src))
+        assert hash(parse_and_normalize(src)) == hash(parse_and_normalize(src))
+    assert parse_term("xy") != parse_term("yx") and parse_term("xyz") != parse_term("x(yz)")
+    assert parse_quasi_identity("vxx = wxx => vx = wx") == WHISKERY_QUASI
+    assert len({WHISKERY_QUASI, parse_quasi_identity("vxx = wxx => vx = wx")}) == 1
+    # a 0-field tuple: every ZeroEquivalent is equal, to () too, and falsy;
+    # no code tests a NormalTerm for truth
+    assert ZeroEquivalent() == ZeroEquivalent() == ()
+    assert not ZeroEquivalent() and parse_and_normalize("x(yz)") == ZeroEquivalent()
+
+
 def test_order_sensitivity_witnesses():
     N1 = catalog("N", 1)
     w = order_sensitivity(N1)
