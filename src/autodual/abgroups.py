@@ -60,7 +60,7 @@ class AbelianGroup:
         self._validate()
         self.identity = self._find_identity()
         self._inv = [self._find_inverse(x) for x in range(self.n)]
-        self._order = [self._order_of(x) for x in range(self.n)]
+        self._order = {}        # x -> its order, walked on first use
 
     def _validate(self):
         n, table = self.n, self.table
@@ -112,13 +112,6 @@ class AbelianGroup:
         except ValueError:
             raise NotAbelian(f"no inverse for {x}") from None
 
-    def _order_of(self, x: int) -> int:
-        acc, k = x, 1
-        while acc != self.identity:
-            acc = self.table[acc][x]
-            k += 1
-        return k
-
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -126,6 +119,12 @@ class AbelianGroup:
         return self._inv[x]
 
     def order_of(self, x: int) -> int:
+        if x not in self._order:
+            acc, k = x, 1
+            while acc != self.identity:
+                acc = self.table[acc][x]
+                k += 1
+            self._order[x] = k
         return self._order[x]
 
     def power(self, x: int, k: int) -> int:
@@ -137,7 +136,7 @@ class AbelianGroup:
 
     @property
     def exponent(self) -> int:
-        return lcm(*self._order)
+        return lcm(*map(self.order_of, range(self.n)))
 
     def elements(self):
         return range(self.n)

@@ -9,7 +9,8 @@ works uniformly for catalog algebras and for subalgebras of powers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, product
+from functools import cached_property
+from itertools import chain, compress, product
 from operator import getitem
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -143,6 +144,15 @@ class Groupoid:
             self._index = (pre_left, pre_right, zeros)
         return self._index
 
+    @cached_property
+    def links(self) -> list:
+        """links[i]: the elements but i and the zero of i's partner triples
+        and preimage pairs, descending, as the last are most often open in
+        `enumerate_homs`; built on first use and kept."""
+        pre_left, pre_right, _ = self.search_index()
+        return [sorted(set().union(*row, left, right) - {i, self.zero}, reverse=True)
+                for i, (row, left, right) in enumerate(zip(self.partners, pre_left, pre_right))]
+
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
         G = cls.from_power(M, [(x,) for x in M.elements()])
@@ -229,15 +239,25 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     its values in code order; the branch stack is explicit, so the depth
     of the search is not bounded by Python's recursion limit.
 
-    When one element j is left open, each c in dom[j], not in `used`, is
-    a hom's value at j if c·img k = c for j·k = j, img k·c = c for k·j = j
-    and c·c = c for j·j = j (under `distinct_on` without j, the first c
-    only).  These are the pairs of `pre_left[j]`, `pre_right[j]`: a pair
-    of two decided elements would have decided j.  The masks FR of M hold
-    the c that pass the first and, at FR[-1], the last; only c = 0 passes
-    the second.  dom[j] holds every other product of j: one whose other
+    An open element j is free when every other element of its products
+    and preimage pairs (`Groupoid.links`) is decided.  dom[j] then holds
+    every product of j but k·j = j, j·k = j and j·j = j: one whose other
     factor and value are decided through the partner rules (a forced 0
     among them), the zero or preimage rules, j·j = t with t decided as 0.
+    So j's values are the c in dom[j], not in `used`, with c·img k = c for
+    j·k = j, img k·c = c for k·j = j and c·c = c for j·j = j; the masks FR
+    of M hold the c that pass the first and, at FR[-1], the last, and only
+    c = 0 passes the second.  When every open element is free and any two
+    of their values multiply to 0 both ways (Z), the homs below the frame
+    are the product of those values, emitted without branching.  A lone
+    open element is always free, and is emitted so in every search (its
+    least value only, under `distinct_on` without it).  Several are emitted
+    so only in a listing with neither `injective_only` nor `distinct_on`:
+    a product filtered for distinct values would lose the pruning of
+    branching smallest domain first, and a restriction search keeps one
+    hom below such a frame, which branching reaches about as fast.  The
+    branch element's links are read first, so a frame that must branch
+    pays one scan, then those of the other open elements.
 
     `distinct_on`, a sequence of elements of A, asks for one hom per
     distinct restriction to those elements.  The search then branches on
@@ -274,6 +294,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             and (max(M.n_states, M.n_letters) + 1) ** free > limit):
         raise CapExceeded(f"more than {limit} homomorphisms")
     keep = frozenset(first)     # frames on these survive a hom
+    # only a plain listing emits several free elements at once, as below
+    links = A.links if not injective_only and distinct_on is None else None
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, FR = _search_masks(M)
@@ -412,22 +434,39 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                         break
         return best
 
-    def emit_last(j):
-        """Emit the homs of a frame where j is the one open element."""
-        values = dom[j] & ~used
-        for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
-            # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
-            values &= FR[img[l]] if k == j else 1 << ZERO
-        while values:
-            low = values & -values
-            values ^= low
-            img[j] = low.bit_length() - 1
-            out.append(tuple(img))
+    def emit_free(opens):
+        """Emit the homs below a frame whose open elements are `opens` and
+        return True if each of them is free, else return False."""
+        if len(opens) > 1 and -1 in map(img.__getitem__,
+                                        chain.from_iterable(map(links.__getitem__, opens))):
+            return False
+        stop = distinct_on is not None and keep.isdisjoint(opens)
+        earlier, choices = 0, []    # the values of the open elements before j
+        for j in opens:
+            values = dom[j] & ~used
+            for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
+                # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
+                values &= FR[img[l]] if k == j else 1 << ZERO
+            rest, codes = values, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                codes.append(low.bit_length() - 1)
+                if earlier & ~Z[codes[-1]]:     # a nonzero product; Z is symmetric
+                    return False
+            earlier |= values
+            choices.append(codes[:1] if stop else codes)
+        for head in product(*choices[:-1]):
+            for j, c in zip(opens, head):
+                img[j] = c
+            for c in choices[-1]:
+                img[opens[-1]] = c
+                out.append(tuple(img))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} homomorphisms")
-            if distinct_on is not None and j not in keep:
-                break
-        img[j] = -1
+        for j in opens:
+            img[j] = -1
+        return True
 
     if zero >= 0 and not try_value(zero, ZERO):
         return []
@@ -438,20 +477,22 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     # untried values, and the trail and decided marks that undo its choice
     frames = []
     while True:
+        found = len(out)
         if len(decided) < n - 1:
             best = branch_element()
-            frames += (best, dom[best], len(trail), len(decided))
+            # the branch element's links first, then those of every open j (img[j] == -1)
+            if (links is None or -1 in map(img.__getitem__, links[best])
+                    or not emit_free(list(compress(range(n), map((-1).__eq__, img))))):
+                frames += (best, dom[best], len(trail), len(decided))
+        elif len(decided) < n:
+            emit_free([img.index(-1)])
         else:
-            found = len(out)
-            if len(decided) < n:
-                emit_last(img.index(-1))
-            else:
-                out.append(tuple(img))
-                if limit is not None and len(out) > limit:
-                    raise CapExceeded(f"more than {limit} homomorphisms")
-            if distinct_on is not None and len(out) > found:
-                while frames and frames[-4] not in keep:
-                    del frames[-4:]
+            out.append(tuple(img))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} homomorphisms")
+        if distinct_on is not None and len(out) > found:
+            while frames and frames[-4] not in keep:
+                del frames[-4:]
         while frames:       # the next value that propagates, backtracking
             undo(frames[-2], frames[-1])
             values = frames[-3]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import lcm, prod
-from operator import and_
+from operator import and_, itemgetter
 from typing import Callable, Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
@@ -452,7 +452,9 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
         homs = enumerate_homs(A, M, max_elements=max_elements, distinct_on=trunc.a0_indices)
         rank = {x: k for k, x in enumerate(M.elements())}
         count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
-    profiles = sorted({tuple(h[p] for p in trunc.a0_indices) for h in homs}, key=key)
+    a0 = trunc.a0_indices       # itemgetter of one index returns no tuple
+    restrict = itemgetter(*a0) if len(a0) > 1 else lambda h: tuple(h[p] for p in a0)
+    profiles = sorted(set(map(restrict, homs)), key=key)
     multisets = set()
     violations = []
     for prof in profiles:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import random
 import weakref
 
@@ -102,6 +103,19 @@ def index_from_table(table):
     return pre_left, pre_right, zeros
 
 
+def links_from_table(table):
+    """`Groupoid.links` worked out from a full table: for each i, the
+    elements of its products not the zero and of the pairs with product i,
+    but i and the zero, descending."""
+    ids = range(len(table))
+    zero = zero_of(table)
+    products = [{x for j in ids if table[i][j] != zero or table[j][i] != zero
+                 for x in (j, table[i][j], table[j][i])} for i in ids]
+    pairs = [{x for k in ids for l in ids if table[k][l] == i != zero for x in (k, l)}
+             for i in ids]
+    return [sorted((products[i] | pairs[i]) - {i, zero}, reverse=True) for i in ids]
+
+
 def assert_closure_matches(M, n, gens):
     """Both entry points of the sparse closure against the naive one:
     `generate_subuniverse` gives the same elements, and `Groupoid.from_power`
@@ -116,6 +130,7 @@ def assert_closure_matches(M, n, gens):
     assert dense_table(G) == dense_table(ref) == table
     assert (G.zero, G.partners) == (ref.zero, ref.partners)
     assert G.search_index() == ref.search_index() == index_from_table(table)
+    assert G.links == ref.links == links_from_table(table)
     # the cap applies to the elements products add, not to the generators
     cap = len(ref_elems) - 1
     got = closure_or_cap(generate_subuniverse, M, n, gens, cap)
@@ -227,14 +242,14 @@ def small_pairs(targets):
     return [(A, M) for M in targets for A in sources if M.size() ** A.n <= 10 ** 5]
 
 
-def power_sources(M, rng, draws=32):
-    """The distinct subalgebras of M², of two elements or more and small
-    enough to check by brute force, that `draws` pairs of generators drawn
-    from `rng` generate."""
-    squares = list(itertools.product(M.elements(), repeat=2))
+def power_sources(M, rng, draws=32, width=2, generators=2):
+    """The distinct subalgebras of M^width, of two elements or more and
+    small enough to check by brute force, that `draws` lists of `generators`
+    tuples drawn from `rng` generate."""
+    tuples = list(itertools.product(M.elements(), repeat=width))
     found = {}
     for _ in range(draws):
-        elems = generate_subuniverse(M, 2, [rng.choice(squares), rng.choice(squares)])
+        elems = generate_subuniverse(M, width, [rng.choice(tuples) for _ in range(generators)])
         if 1 < len(elems) and M.size() ** len(elems) <= 10 ** 5:
             found.setdefault(tuple(elems), None)
     return [Groupoid.from_power(M, list(elems)) for elems in found]
@@ -315,6 +330,7 @@ def test_groupoid_keeps_every_product_of_a_table(table):
     assert dense_table(A) == table
     assert A.zero == zero_of(table)
     assert A.search_index() == index_from_table(table)
+    assert A.links == links_from_table(table)
     # without an absorbing element every product is kept
     assert (A.zero < 0) == (A.partners == [[(j, t, s) for j, (t, s) in enumerate(zip(row, col))]
                                            for row, col in zip(table, zip(*table))])
@@ -402,6 +418,106 @@ def test_last_open_element_values_are_homs(name):
     # in an automatic algebra x·c = c and c·c = c hold only for c = 0, so j
     # keeps several values only in the cases without k·j = j or j·j = j
     assert bool(emitted_several) == (name in ("jk=j", "none", "no-zero"))
+
+
+# Groupoids with several elements that nothing but 0 multiplies, so a frame
+# can leave several of them open and free at once: the zero semigroup on
+# five elements, one product k·j = t beside two idle elements, two elements
+# j with 1·j = 3 beside an idle one, and two elements j with j·1 = j
+FREE_SOURCES = {
+    "zero-5": groupoid(6, {}),
+    "product-and-idle": groupoid(6, {(1, 2): 3}),
+    "two-preimages": groupoid(6, {(1, 2): 3, (1, 4): 3}),
+    "two-fixed": groupoid(6, {(2, 1): 2, (4, 1): 4}),
+}
+
+
+def free_pairs():
+    """(name, source, target): the sources above, and the subalgebras of M³
+    that 8 seeded triples of generators generate, into three catalog
+    targets, each pair small enough to check by brute force."""
+    pairs = []
+    for key in (("F", 0), ("N", 1), ("R",)):
+        M = catalog(*key)
+        cubes = power_sources(M, random.Random(3), draws=8, width=3, generators=3)
+        sources = list(FREE_SOURCES.items()) + [(f"M³ {k}", A) for k, A in enumerate(cubes)]
+        pairs += [(f"{name} -> {''.join(map(str, key))}", A, M)
+                  for name, A in sources if M.size() ** A.n <= 10 ** 5]
+    return pairs
+
+
+def distinct_on_lists(A, M):
+    """The `distinct_on` searches of A -> M, without and with
+    `injective_only`, on (), on each element but 0, and on the last and 1."""
+    sequences = [(), *((j,) for j in range(1, A.n)), (A.n - 1, 1)]
+    return [enumerate_homs(A, M, injective_only=injective, distinct_on=S)
+            for injective in (False, True) for S in sequences]
+
+
+# sha256 of the JSON of `distinct_on_lists`, recorded while the search
+# branched on every open element but a lone last one
+DISTINCT_ON_AT_PARENT = {
+    "zero-5 -> F0": "c9ca04c83cece701121ccf93a06b279e67e2a03e122495e1c63401961fdd866d",
+    "product-and-idle -> F0": "ae8995186b361dbe48e93b0f6144a440d2e60d1c64803c5c65ac48f5bff2667f",
+    "two-preimages -> F0": "62e38a09e85bf19e916349a8cf8cf7f36c3c6b2598cb1e77aa54f66fe21d579d",
+    "two-fixed -> F0": "864b4f4158ebd9f926d2a36cbfa54ea9b6c08c6fb029628877eb2bb310e0c836",
+    "M³ 0 -> F0": "65795cc3ef01040292d3ec78818f7713bedba499a7504f4968f60bc877b621b2",
+    "M³ 1 -> F0": "61821e9ba27e7b7712b11339cc8a61634ee0f3ce69a2b4f865bae026473c0de0",
+    "M³ 2 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
+    "M³ 3 -> F0": "3fecea511fdba8a29522931ff6c8733c45386393c3060591db8ed4b8ae4bfb9f",
+    "M³ 4 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
+    "M³ 5 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
+    "M³ 6 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
+    "M³ 7 -> F0": "c14415866f61ba093324da20d86f290dd03c37968dc3effe523ce2e20ca0f8f6",
+    "zero-5 -> N1": "04d1dd4152b738f481cdab8e5a9c5643f2fa7c6ef2a65f899b13e9f2a769c9bd",
+    "product-and-idle -> N1": "7f0db8281a5f4bb239982f1461f48d36fd71625dee9758dd5c513593a2b46c9c",
+    "two-preimages -> N1": "7f0db8281a5f4bb239982f1461f48d36fd71625dee9758dd5c513593a2b46c9c",
+    "two-fixed -> N1": "24b3b5a187d58a5a65adba8f4b931dad1bc018f33edfba37059046679648e3d2",
+    "M³ 0 -> N1": "6c496f554655498cd893cc4ad79a07b0cde5ed86a8e1ddbf9abe64c114fa7ad1",
+    "M³ 1 -> N1": "1c6d5d9250ec7c0ec0edb141f648f3295d1e3e3a2660e3d958a4b0b956f4f467",
+    "M³ 2 -> N1": "75d28389ff346c2471c77df521a933914b03c81f085e63932d722eea80f9c58c",
+    "M³ 3 -> N1": "ba249d24f4b07158fd8bab822ac4ffda4743abb414581adf474d87214b70d452",
+    "M³ 4 -> N1": "1e34cb9fb98ef494abaf40c95a90c937dd0afc92dd70744292df4bd6d15ba2de",
+    "M³ 5 -> N1": "2704d23aa9df5ef9021eda62328283c3fd456bf516188d4fe6b83d75637e7f61",
+    "M³ 6 -> N1": "f1a2093e4380606a0012b808c624dd2426a9bdfdf0dcc702ebd468fd68eac325",
+    "M³ 7 -> N1": "aac682cc712bf82b9c13e3ea60b1d76249109ad73b42e2eb739c07e4189f0818",
+    "zero-5 -> R": "8116ed3887dedd0679f5faf35554c9e4852f6320d373bcbb577897c873ed9309",
+    "product-and-idle -> R": "74d60ad29d0dafefba7394dac595ad5db7b36441c4d04739897e420e66f308c6",
+    "two-preimages -> R": "b973058c5759b53b7edcb16691010494b954cbf40d4b5f0e332942007f5b38eb",
+    "two-fixed -> R": "8b4a6ef637479d0f3faef2352004f92722d55a67c34366f1cb7d801939649d0f",
+    "M³ 0 -> R": "d2ffbcf1acb3ada629ecf07aecc5fd3be2450e28609beb51d390c7ced68c4a5e",
+    "M³ 1 -> R": "397b86919a51f5eb8725288a6c6b4e76686bfc2e516b7e63c8247330bc64de26",
+    "M³ 2 -> R": "6876f182a7fa0a9e07b3251b54ac9cad9a0ffdb095bf8d36d5b9f248940e9663",
+    "M³ 3 -> R": "c063ffed4ca39085dd4db6c7ebf2845b2574fd2ac474ea52008f19a0ae3e5498",
+    "M³ 4 -> R": "9d208dc908f0562013aed9a02ba89d01087d08f2f35df059815a379fe922b34a",
+    "M³ 5 -> R": "41863e57468150cf72c0ee50d044a89cc875c843bd0ff725935f7c4ba73097ed",
+    "M³ 6 -> R": "6876f182a7fa0a9e07b3251b54ac9cad9a0ffdb095bf8d36d5b9f248940e9663",
+    "M³ 7 -> R": "27ff5daba2226af19ba74f5b03968a2ee70ea2e53a1e0146a35bd95dd6bbdd46",
+}
+
+
+def test_free_frames_match_brute_force(monkeypatch):
+    heads = []      # the open elements but the last of each frame emitted as a product
+    monkeypatch.setattr("autodual.powers.product",
+                        lambda *codes: heads.append(len(codes)) or itertools.product(*codes))
+    pairs = free_pairs()
+    assert len(pairs) >= 12 and set(DISTINCT_ON_AT_PARENT) == {name for name, _, _ in pairs}
+    for name, A, M in pairs:
+        homs = brute_force_homs(A, M)
+        assert enumerate_homs(A, M) == homs, name
+        assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
+                                                             if len(set(h)) == A.n]
+        for i in range(A.n):
+            for c in M.elements():
+                assert enumerate_homs(A, M, preassigned={i: {c}}) == [h for h in homs
+                                                                      if h[i] == c]
+        with pytest.raises(CapExceeded, match=f"more than {len(homs) - 1} homomorphisms"):
+            enumerate_homs(A, M, limit=len(homs) - 1)
+        assert enumerate_homs(A, M, limit=len(homs)) == homs
+        digest = hashlib.sha256(json.dumps(distinct_on_lists(A, M)).encode()).hexdigest()
+        assert digest == DISTINCT_ON_AT_PARENT[name], name
+    # some frames had four open elements, and many had two
+    assert max(heads) >= 3 and heads.count(1) >= 20
 
 
 def test_distinct_on_validates_elements():
