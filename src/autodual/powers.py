@@ -119,37 +119,35 @@ class Groupoid:
                         for row, col in zip(table, zip(*table))]
         self.partners, self.zero, self.n = partners, zero, len(partners)
         self.labels = list(labels) if labels is not None else list(range(self.n))
-        self._index = None      # search_index(), built on first use
 
     def mul(self, i: int, j: int) -> int:
         row = self.partners[i]
         k = bisect_left(row, (j,))
         return row[k][1] if k < len(row) and row[k][0] == j else self.zero
 
+    @cached_property
     def search_index(self) -> tuple:
         """(pre_left, pre_right, zeros) for `enumerate_homs`, built on first
         use and kept: pre_left[t], pre_right[t] list the pairs (k, j) with
         k·j = t not the zero, in row order, and zeros[i] the j that are no
         partners of i: O(n²), but only an A under the cap is indexed."""
-        if self._index is None:
-            ids, zeros = list(range(self.n)), []    # one int object per element, shared
-            pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
-            for k, row in enumerate(self.partners):
-                for j, t, _ in row:
-                    if t != self.zero:
-                        pre_left[t].append(k)
-                        pre_right[t].append(j)
-                near = {j for j, _, _ in row}
-                zeros.append([j for j in ids if j not in near])
-            self._index = (pre_left, pre_right, zeros)
-        return self._index
+        ids, zeros = list(range(self.n)), []    # one int object per element, shared
+        pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
+        for k, row in enumerate(self.partners):
+            for j, t, _ in row:
+                if t != self.zero:
+                    pre_left[t].append(k)
+                    pre_right[t].append(j)
+            near = {j for j, _, _ in row}
+            zeros.append([j for j in ids if j not in near])
+        return pre_left, pre_right, zeros
 
     @cached_property
     def links(self) -> list:
         """links[i]: the elements but i and the zero of i's partner triples
         and preimage pairs, descending, as the last are most often open in
         `enumerate_homs`; built on first use and kept."""
-        pre_left, pre_right, _ = self.search_index()
+        pre_left, pre_right, _ = self.search_index
         return [sorted(set().union(*row, left, right) - {i, self.zero}, reverse=True)
                 for i, (row, left, right) in enumerate(zip(self.partners, pre_left, pre_right))]
 
@@ -268,9 +266,9 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     search below the last such branch is complete.  `distinct_on=()` stops
     at the first hom.
 
-    The masks depend on M alone and are kept with M, the index of A on A
-    alone and kept with A (`Groupoid.search_index`), so a run of searches
-    into one M, or from one A, builds each side once.
+    The masks, Z among them, depend on M alone and are kept on M; the index
+    and links of A, on A alone and kept on A once it passes the cap.  So a
+    run of searches into one M, or from one A, builds each side once.
     """
     size = M.size()
     first = distinct_on or ()
@@ -288,7 +286,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
     n = A.n
-    zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index()
+    zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index
     free = pre_left.count([]) - (zero >= 0)     # |S|: the zero is 0·0, yet has no pairs
     if (limit is not None and not injective_only and distinct_on is None and not allowed
             and (max(M.n_states, M.n_letters) + 1) ** free > limit):
@@ -298,8 +296,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     links = A.links if not injective_only and distinct_on is None else None
     mt = M.product_table()
     full = (1 << size) - 1
-    L, R, FR = _search_masks(M)
-    Z = [L_v[ZERO] & R_v[ZERO] for L_v, R_v in zip(L, R)]
+    L, R, FR, Z = _search_masks(M)
 
     img = [-1] * n
     dom = [full] * n
@@ -515,9 +512,10 @@ def _check_element(A: Groupoid, j, what: str) -> None:
 
 
 def _search_masks(M: AutomaticAlgebra) -> tuple:
-    """(L, R, FR) of M: L[x][z] is the mask of the c with x·c = z, R[x][z]
-    of the c with c·x = z, FR[x] of the c with c·x = c.  L[x][-1] and
-    R[x][-1] are full, for an open z; FR[-1] holds the c with c·c = c.
+    """(L, R, FR, Z) of M: L[x][z] is the mask of the c with x·c = z, R[x][z]
+    of the c with c·x = z, FR[x] of the c with c·x = c, Z[x] of the c with
+    x·c = c·x = 0.  L[x][-1] and R[x][-1] are full, for an open z; FR[-1]
+    holds the c with c·c = c.
 
     Built on first use from the rows of `M.product_table()` and kept on M,
     like the table.  Only a state times a letter is not 0, so every list
@@ -544,7 +542,7 @@ def _search_masks(M: AutomaticAlgebra) -> tuple:
                 R[c][0] ^= bits[x]
                 if z == x:
                     FR[c] |= bits[x]
-        M._masks = (L, R, FR + [1])
+        M._masks = (L, R, FR + [1], [L_x[0] & R_x[0] for L_x, R_x in zip(L, R)])
     return M._masks
 
 

@@ -537,24 +537,12 @@ def _coset_inside(actions: set, m: int) -> bool:
     conversely any such ⟨g⟩ is itself a qualifying subgroup.  So it is
     enough to look for k in the set and g in k⁻¹·set with ⟨g⟩ ⊆ k⁻¹·set.
     """
-    n = len(next(iter(actions)))
-    ident = tuple(range(n))
     for k in actions:
         kinv = _perm_inverse(k)
         D = {_compose(kinv, a) for a in actions}
         for g in D:
-            if g == ident:
-                continue
-            if m % _perm_order(g) != 0:
-                continue
-            power = g
-            ok = True
-            while power != ident:
-                if power not in D:
-                    ok = False
-                    break
-                power = _compose(power, g)
-            if ok:
+            order = _perm_order(g)      # |⟨g⟩|, so ⟨g⟩ ⊆ D needs order <= |D|
+            if 1 < order <= len(D) and m % order == 0 and closure([g], [g], _compose) <= D:
                 return True
     return False
 

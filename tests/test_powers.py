@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -129,7 +130,7 @@ def assert_closure_matches(M, n, gens):
     table = [[pos[pointwise_mul(M, u, v)] for v in elems] for u in elems]
     assert dense_table(G) == dense_table(ref) == table
     assert (G.zero, G.partners) == (ref.zero, ref.partners)
-    assert G.search_index() == ref.search_index() == index_from_table(table)
+    assert G.search_index == ref.search_index == index_from_table(table)
     assert G.links == ref.links == links_from_table(table)
     # the cap applies to the elements products add, not to the generators
     cap = len(ref_elems) - 1
@@ -329,7 +330,7 @@ def test_groupoid_keeps_every_product_of_a_table(table):
     A = Groupoid(table)
     assert dense_table(A) == table
     assert A.zero == zero_of(table)
-    assert A.search_index() == index_from_table(table)
+    assert A.search_index == index_from_table(table)
     assert A.links == links_from_table(table)
     # without an absorbing element every product is kept
     assert (A.zero < 0) == (A.partners == [[(j, t, s) for j, (t, s) in enumerate(zip(row, col))]
@@ -589,7 +590,9 @@ def masks_by_product_loop(M):
     FL = [sum(1 << c for c in range(size) if M.mul(x, c) == c) for x in range(size)]
     assert FL == [1 << ZERO] * size
     FR = [sum(1 << c for c in range(size) if M.mul(c, x) == c) for x in range(size)]
-    return L, R, FR + [idempotents]
+    Z = [sum(1 << c for c in range(size) if M.mul(x, c) == M.mul(c, x) == ZERO)
+         for x in range(size)]
+    return L, R, FR + [idempotents], Z
 
 
 def test_search_masks_match_the_product_loop():
@@ -654,6 +657,17 @@ def test_hom_cap():
         enumerate_homs(Groupoid.from_algebra(M2), M2, max_elements=3)
     with pytest.raises(CapExceeded):
         enumerate_homs(Groupoid.from_algebra(catalog("F", 0)), catalog("B"), limit=2)
+
+
+def test_a_source_over_the_hom_cap_is_refused_before_it_is_indexed():
+    M = catalog("B")
+    for search in (enumerate_homs, find_embedding):
+        A = Groupoid.from_algebra(catalog("F", 0))
+        with pytest.raises(CapExceeded, match=re.escape(f"|A| = {A.n} exceeds")):
+            search(A, M, max_elements=A.n - 1)
+        assert "search_index" not in vars(A) and "links" not in vars(A)
+        search(A, M, max_elements=A.n)
+        assert "search_index" in vars(A)    # indexed once under the cap
 
 
 def hom_lower_bound(A, M):

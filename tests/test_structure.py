@@ -423,6 +423,17 @@ def test_nondcomm_subset_oracle():
             continue
         for m in (2, 3, 4, 6, 12):
             assert _coset_inside(actions, m) == brute(actions, m)
+    # translation families of Z_8 and Z_2 × Z_4, whose cyclic subgroups
+    # have order 4 and 8, with up to all 8 translations
+    pairs = list(itertools.product(range(2), range(4)))
+    for translations in ([tuple((x + t) % 8 for x in range(8)) for t in range(8)],
+                         [tuple(pairs.index(((x + s) % 2, (y + t) % 4)) for x, y in pairs)
+                          for s, t in pairs]):
+        for size in range(1, 9):
+            for _ in range(6):
+                actions = set(rng.sample(translations, size))
+                for m in (2, 3, 4, 6, 8):
+                    assert _coset_inside(actions, m) == brute(actions, m)
 
 
 def test_letter_affine_coset_normal_form():
