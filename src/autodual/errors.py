@@ -82,10 +82,6 @@ class NotCommuting(PreconditionViolated):
     pass
 
 
-class NotTransitive(PreconditionViolated):
-    pass
-
-
 class HypothesisFailed(PreconditionViolated):
     def __init__(self, which, witness):
         self.which = which

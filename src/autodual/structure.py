@@ -22,9 +22,10 @@ constraint programming", 2006): an automorphism of M that fixes every
 letter and 0 maps embeddings to embeddings, so the first element of each
 source needs only the least state of each orbit, besides the letters and
 0.  `state_orbit_roots` finds the orbits one component at a time, from the
-maps that its least state's image determines, each checked directly to be
-an automorphism before it merges anything.  The small catalog sources are
-built once and kept, with their search index.
+maps `_tree_maps` reads off one breadth-first tree from its least state,
+each checked directly to be an automorphism before it merges anything;
+`component_group` reads its group table from the same maps.  The small
+catalog sources are built once and kept, with their search index.
 
 Whiskery's F_m family searches only the m in `tail_lengths(M)`.  An
 embedding h of F_m sends a to a letter b, h(r) to a state on no cycle of b
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .abgroups import AbelianGroup, closure
 from .algebras import ZERO, AutomaticAlgebra, catalog
-from .errors import (BadParams, InternalInconsistency, NotCommuting,
-                     NotPermutational, NotTransitive)
+from .errors import (BadParams, InternalInconsistency, NotAbelian, NotCommuting,
+                     NotPermutational)
 from .powers import HOM_CAP_DEFAULT, Groupoid, find_embedding
 from .terms import WHISKERY_QUASI, check_quasi_identity, shortest_word
 
@@ -180,6 +182,29 @@ def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
     return None
 
 
+def _tree_maps(acts: Sequence[tuple], n: int) -> list:
+    """For each position s of a component, the map σ_s of its positions
+    with σ_s(0·w) = s·w for every word w over `acts`, or None if some s·w
+    is undefined or 0 does not reach every position.  Once the breadth-first
+    tree from 0 spans, one `itemgetter` per edge x -> y = act[x] gives the
+    column σ_s(y) = act[σ_s(x)] of every s (a tuple, as an edge means n > 1).
+    Undefined is position n, which each action keeps."""
+    exts = [tuple(n if t is None else t for t in act) + (n,) for act in acts]
+    cols, reached = [range(n)] + [None] * (n - 1), [0]    # cols[y]: y's tree edge first
+    for x in reached:
+        for act in exts:
+            y = act[x]
+            if y < n and cols[y] is None:
+                reached.append(y)
+                cols[y] = act, x
+    if len(reached) < n:
+        return [None] * n
+    for y in reached[1:]:
+        act, x = cols[y]
+        cols[y] = itemgetter(*cols[x])(act)
+    return [None if n in sigma else sigma for sigma in zip(*cols)]
+
+
 def state_orbit_roots(M: AutomaticAlgebra) -> list:
     """The least state index of each state's orbit, indexed by state index.
 
@@ -187,42 +212,24 @@ def state_orbit_roots(M: AutomaticAlgebra) -> list:
     and 0 and map a component C onto itself, for each C whose least state
     q0 reaches all of C by letter edges; the other states are orbits of
     their own.  Such a σ is fixed by s = σ(q0), as σ(q0·w) = s·w for every
-    word w.  For each s not yet merged with q0, that propagation along a
-    spanning tree of C gives a candidate σ, used only if it is a bijection
-    of C that commutes with every action on C, definedness included: then
-    it is an automorphism, and x is merged with σ(x) for every x of C.
-    Every automorphism of C takes q0 into its class, so the classes are the
-    orbits of all of them.
+    word w.  For each s not yet merged with q0, that map from `_tree_maps`
+    is a candidate, used only if it is a bijection of C that commutes with
+    every action on C, definedness included: then it is an automorphism,
+    and x is merged with σ(x) for every x of C.  Every automorphism of C
+    takes q0 into its class, so the classes are the orbits of all of them.
     """
     parent = list(range(M.n_states))
     for comp, index in _component_index(M):
         n, q0, acts = len(comp), comp[0], list(index)     # positions in comp
-        # a breadth-first spanning tree from q0 (position 0): (x, act, act[x])
-        order, tree, seen = [0], [], [True] + [False] * (n - 1)
-        for x in order:
-            for act in acts:
-                y = act[x]
-                if y is not None and not seen[y]:
-                    seen[y] = True
-                    order.append(y)
-                    tree.append((x, act, y))
-        if len(order) < n:
-            continue
-        for s in range(1, n):
-            if _find(parent, comp[s]) == q0:
+        for s, sigma in enumerate(_tree_maps(acts, n)):
+            if sigma is None or _find(parent, comp[s]) == q0:
                 continue
-            sigma = [s] * n
-            for x, act, y in tree:
-                sigma[y] = act[sigma[x]]
-                if sigma[y] is None:
-                    break
-            else:
-                if len(set(sigma)) == n and all(
-                        [act[t] for t in sigma] == [None if y is None else sigma[y] for y in act]
-                        for act in acts):
-                    for x, t in zip(comp, sigma):
-                        a, b = _find(parent, x), _find(parent, comp[t])
-                        parent[max(a, b)] = min(a, b)
+            if len(set(sigma)) == n and all(
+                    [act[t] for t in sigma] == [None if y is None else sigma[y] for y in act]
+                    for act in acts):
+                for x, t in zip(comp, sigma):
+                    a, b = _find(parent, x), _find(parent, comp[t])
+                    parent[max(a, b)] = min(a, b)
     return [_find(parent, i) for i in range(M.n_states)]
 
 
@@ -351,8 +358,8 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
 
 class AbelianGroupData:
     """Group structure carried by one component of a permutational,
-    commuting algebra, via the regular action.  A plain class, not a tuple,
-    so that it is never mistaken for an (error type, message) pair."""
+    commuting algebra, read off `_tree_maps`.  A plain class, not a tuple, so
+    that it is never mistaken for an (error type, message) pair."""
 
     __slots__ = ("states", "e_state", "group", "letter_images", "subgroup_H")
 
@@ -428,10 +435,12 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     """The abelian group that the component `comp` of M, in any order,
     carries under a transitive commuting permutation action of its letters.
 
-    The identity is chosen as the least state of the component; the regular
-    action makes φ ↦ φ(e) a bijection from the generated permutation group
-    onto the component, and the group law transfers along it.  The defining
-    law q·a = q * a_img is asserted before returning.
+    The identity is the least state, and row s of the table is the σ_s of
+    `_tree_maps`.  It passes when each letter's action is the row of its
+    image (q·a = q * a_img) and the rows pass `AbelianGroup`'s checks.
+    Commuting permutations of a component act transitively, so regularly,
+    with σ_s the one taking the least state to s (Dixon and Mortimer,
+    1996, §4.2); so where it fails, the pairwise scan names two letters.
     """
     comp = tuple(sorted(comp))
     index = dict(_component_index(M)).get(comp)
@@ -441,28 +450,21 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
         if not _is_perm(act):
             raise NotPermutational(f"letter {M.letter_names[letters[0]]} "
                                    "is not a permutation of the component")
-    for (p1, js1), (p2, js2) in combinations(index.items(), 2):
-        if _compose(p1, p2) != _compose(p2, p1):
-            raise NotCommuting(f"letters {M.letter_names[js1[0]]}, "
-                               f"{M.letter_names[js2[0]]} do not commute")
-    group_elems = generated_group(index, len(comp))
-    orbit = {p[0] for p in group_elems}
-    if len(orbit) != len(comp):
-        raise NotTransitive("letters do not act transitively on the component")
-    if len(group_elems) != len(comp):
-        # a transitive abelian permutation group is regular
-        raise InternalInconsistency("transitive abelian action is not regular")
-    # e sits at position 0 (least state) and g is the φ with φ(0) = g.  Row g
-    # of the table is φ_g itself, as g·h = (φ_g∘φ_h)(0) = φ_g(h); sorting
-    # the φ orders them by φ(0), the first coordinate, which is distinct.
-    group = AbelianGroup(sorted(group_elems), labels=[M.state_names[s] for s in comp])
+    rows = _tree_maps(index, len(comp))
+    try:
+        if any(act != rows[act[0]] for act in index):
+            raise NotAbelian("a letter is not the row of its image")
+        group = AbelianGroup(rows, labels=[M.state_names[s] for s in comp])
+    except NotAbelian:
+        for (p1, js1), (p2, js2) in combinations(index.items(), 2):
+            if _compose(p1, p2) != _compose(p2, p1):
+                raise NotCommuting(f"letters {M.letter_names[js1[0]]}, "
+                                   f"{M.letter_names[js2[0]]} do not commute") from None
+        raise InternalInconsistency("commuting letters are not translations of their rows")
     letter_images = dict(sorted((j, p[0]) for p, letters in index.items()
                                 for j in letters))
-    data = AbelianGroupData(comp, comp[0], group, letter_images,
+    return AbelianGroupData(comp, comp[0], group, letter_images,
                             group.difference_subgroup(letter_images.values()))
-    if not group_law_holds(M, comp, group, letter_images):
-        raise InternalInconsistency("component group law q·a = q * a_img failed")
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from test_powers import partial_algebras
 from autodual.abgroups import AbelianGroup, CharacterWitness, MatrixZm, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import RULES, classify, gen_chain, verify_certificate
-from autodual.errors import (BadParams, InternalInconsistency, NotCommuting,
-                             NotPermutational, NotTransitive)
+from autodual.errors import BadParams, InternalInconsistency, NotCommuting, NotPermutational
 from autodual.powers import Groupoid, PartialOperation, find_embedding
 from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
-                                _perm_order, _whiskery_at, _whiskery_direct, _whiskery_embedding,
+                                _perm_order, _tree_maps, _whiskery_at, _whiskery_direct,
+                                _whiskery_embedding,
                                 component_actions, component_group, components,
                                 difference_order,
                                 first_embedded, generated_group, group_law_holds,
@@ -246,6 +246,22 @@ def test_component_group_errors():
          ("1", "b", "1"), ("2", "b", "3"), ("3", "b", "2")])
     with pytest.raises(NotCommuting):
         component_group(noncomm, [0, 1, 2])
+
+
+def test_component_group_refuses_letters_that_are_rows_of_no_group():
+    # on C_5, a is +1 and b = (q0 q3 q2)(q1 q4): each letter is the tree row
+    # of its image, so only the group checks on the rows refuse them
+    b = [3, 4, 0, 2, 1]
+    M = AutomaticAlgebra([f"q{i}" for i in range(5)], ["a", "b"],
+                         {**{(i, 0): (i + 1) % 5 for i in range(5)},
+                          **{(i, 1): t for i, t in enumerate(b)}})
+    index = component_actions(M, range(5))
+    rows = _tree_maps(index, 5)
+    assert all(act == rows[act[0]] for act in index)
+    with pytest.raises(NotCommuting, match="^letters a, b do not commute$"):
+        component_group(M, range(5))
+    assert letter_affine_analysis(M).failure == \
+        ((0, 1, 2, 3, 4), "not-commuting", "letters a, b do not commute")
 
 
 def group_law_by_cells(M, comp, G, images):
@@ -490,11 +506,27 @@ def group_by_letters(M, comp):
             return (NotCommuting,
                     f"letters {M.letter_names[j1]}, {M.letter_names[j2]} do not commute")
     group = generated_group(perms.values(), len(comp))
-    if len({p[0] for p in group}) != len(comp):
-        return (NotTransitive, "letters do not act transitively on the component")
+    # permutations of a component connect it both ways, so act transitively
+    assert len({p[0] for p in group}) == len(comp)
     if len(group) != len(comp):
         return (InternalInconsistency, "transitive abelian action is not regular")
     return {j: perms[j][0] for j in letters}
+
+
+def generated_table(M, comp):
+    """The table of the group the letters generate on the component, row g
+    the permutation that takes the least state to g."""
+    return [list(p) for p in sorted(generated_group(component_actions(M, comp), len(comp)))]
+
+
+def test_component_group_matches_the_letter_scan_on_z128():
+    # every translation of Z_128 is a letter: the generated group is the
+    # letters themselves, and the tree reads the same table
+    M = translation_action(128, range(128))
+    comp = list(range(128))
+    data = component_group(M, comp)
+    assert data.letter_images == group_by_letters(M, comp) == {j: j for j in comp}
+    assert data.group.table == generated_table(M, comp)
 
 
 def letter_affine_by_letters(M):
@@ -508,7 +540,7 @@ def letter_affine_by_letters(M):
                 return False, (tuple(comp), "not-permutational", M.letter_names[j]), reports
         images = group_by_letters(M, comp) if sigma_c else None
         if isinstance(images, tuple):
-            if images[0] in (NotTransitive, InternalInconsistency):
+            if images[0] is InternalInconsistency:
                 raise images[0](images[1])
             return False, (tuple(comp), "not-commuting", images[1]), reports
         dropped = tuple(j for j in range(M.n_letters) if j not in sigma_c)
@@ -538,7 +570,7 @@ def nondcomm_by_letters(M):
 def outcome(f, *args):
     try:
         return f(*args)
-    except (NotPermutational, NotCommuting, NotTransitive) as exc:
+    except (NotPermutational, NotCommuting) as exc:
         return type(exc), str(exc)
 
 
@@ -564,6 +596,8 @@ def test_action_index_matches_letter_scans(M):
         got = outcome(component_group, M, comp)
         assert (got if isinstance(got, tuple) else got.letter_images) == \
             group_by_letters(M, comp)
+        if not isinstance(got, tuple):
+            assert got.group.table == generated_table(M, comp)
     report = outcome(letter_affine_analysis, M)
     if isinstance(report, tuple):
         assert report == outcome(letter_affine_by_letters, M)
