@@ -145,9 +145,12 @@ class AbelianGroup:
         return frozenset(closure([self.identity], list(gens), self.op))
 
     def difference_subgroup(self, xs: Iterable[int]) -> frozenset:
-        """⟨x⁻¹y : x, y in xs⟩; a Mal'cev closed xs is a coset of it."""
-        xs = set(xs)
-        return self.subgroup_generated({self.op(self._inv[x], y) for x in xs for y in xs})
+        """⟨x⁻¹y : x, y in xs⟩, {e} for an empty xs; a Mal'cev closed xs is a
+        coset of it.  Generated from one x₀ in xs as ⟨x₀⁻¹y : y in xs⟩, since
+        x⁻¹y = (x₀⁻¹x)⁻¹(x₀⁻¹y)."""
+        xs = list(xs)
+        shift = self.table[self._inv[xs[0]]] if xs else ()
+        return self.subgroup_generated({shift[y] for y in xs})
 
     def malcev_gap(self, xs: Sequence[int]) -> Optional[tuple]:
         """The first index triple (i, j, k), in nested-loop order, with

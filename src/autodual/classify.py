@@ -35,8 +35,7 @@ from . import structure, terms
 from .abgroups import AbelianGroup, cyclic_decomposition
 from .algebras import ZERO, AutomaticAlgebra, _is_odd_prime, catalog
 from .errors import BadParams, CapExceeded, InternalInconsistency, NotAbelian
-from .powers import constant_letter_values
-from .structure import (components, difference_order, first_embedded, group_law_holds,
+from .structure import (components, difference_order, group_law_holds,
                         letter_affine_analysis, nondcomm_check, rankill_check,
                         whiskery_check)
 from .terms import LeftChain, check_identity
@@ -184,6 +183,15 @@ def normalize_algebra(M: AutomaticAlgebra):
 # Detectors call the structure/terms predicates through module globals, so
 # wrappers installed on those names see every call.
 
+def _confirmed(name: str, p: int, N: AutomaticAlgebra, emb: dict) -> dict:
+    """emb, a built embedding of catalog(name, p) into N, once
+    `check_embedding` accepts it; InternalInconsistency if it does not."""
+    reason = check_embedding(catalog(name, p), [N], {x: [y] for x, y in emb.items()})
+    if reason is not None:
+        raise InternalInconsistency(f"built {name}{p} embedding invalid: {reason}")
+    return emb
+
+
 def _detect_whiskery(N: AutomaticAlgebra):
     wf = whiskery_check(N)
     if wf is None:
@@ -191,7 +199,8 @@ def _detect_whiskery(N: AutomaticAlgebra):
     cert = {"kind": "whiskery_failure",
             "letter": N.letter_names[wf.letter],
             "state": N.state_names[wf.state],
-            "m": wf.forbidden_m, "embedding": wf.embedding}
+            "m": wf.forbidden_m,
+            "embedding": _confirmed("F", wf.forbidden_m, N, wf.embedding)}
     return cert, f"letter {cert['letter']} fails at {cert['state']}"
 
 
@@ -222,12 +231,41 @@ def _detect_single_letter(N: AutomaticAlgebra):
     return {"kind": "single_letter_whiskery"}, "single whiskery letter"
 
 
+def _forbidden_two_state(N: AutomaticAlgebra) -> Optional[tuple]:
+    """(k, embedding dict) for the least k with N_k embeddable in the
+    two-state N, with its least embedding, else None; built as
+    `_detect_two_state` argues."""
+    least = {N.action(j): j for j in reversed(range(N.n_letters))}  # action -> least letter
+    for k in _FORBIDDEN_N:
+        A = catalog("N", k)
+        for pi in ((0, 1), (1, 0)):     # h on the states, least first
+            images = [least.get(tuple(None if act[p] is None else pi[act[p]] for p in pi))
+                      for act in map(A.action, range(A.n_letters))]
+            if None not in images:
+                emb = dict(zip(A.state_names, (N.state_names[t] for t in pi)))
+                emb.update(zip(A.letter_names, (N.letter_names[j] for j in images)))
+                return k, {**emb, "0": "0"}
+    return None
+
+
 def _detect_two_state(N: AutomaticAlgebra):
-    """The equational test, cross-asserted against the forbidden subalgebras."""
+    """The equational test, cross-asserted against the forbidden subalgebras.
+
+    Their least embedding is built, not searched for.  Only state·letter is
+    ever nonzero, so an embedding h has h(0) = h(0)·h(0) = 0.  In every N_k,
+    q·a = r is not 0, so h sends q and r to states, and onto the two states
+    of N by one of the two bijections π, tried least first.  Every letter ℓ
+    of N_k is defined somewhere, so h(ℓ) is a letter of N, and h is a hom
+    exactly when h(ℓ) acts as π ℓ π⁻¹, definedness included.  The
+    letters of N_k act in pairwise distinct ways, so h is then injective,
+    and the least h(ℓ) is the least letter with that action: one lookup per
+    letter, with no enumeration of letter maps.  `check_embedding` confirms
+    the embedding built.
+    """
     if N.n_states != 2:
         return None
     holds = [check_identity(N, *eq) for eq in _TWO_STATE_EQUATIONS] == [None, None]
-    forbidden = first_embedded(N, "N", _FORBIDDEN_N)
+    forbidden = _forbidden_two_state(N)
     if holds != (forbidden is None):
         raise InternalInconsistency(
             "two-state equations and forbidden-subalgebra tests disagree")
@@ -235,8 +273,20 @@ def _detect_two_state(N: AutomaticAlgebra):
         cert = {"kind": "two_state_equations", "identities": list(_TWO_STATE_IDENTITIES)}
         return cert, "both equations hold"
     cert = {"kind": "two_state_forbidden", "which": f"N{forbidden[0]}",
-            "embedding": forbidden[1]}
+            "embedding": _confirmed("N", forbidden[0], N, forbidden[1])}
     return cert, f"forbidden subalgebra {cert['which']}"
+
+
+def constant_letter_values(M: AutomaticAlgebra) -> Optional[list]:
+    """State index of each letter's value if every letter is total and
+    constant, else None."""
+    values = []
+    for j in range(M.n_letters):
+        imgs = set(M.action(j))
+        if len(imgs) != 1 or None in imgs:
+            return None
+        values.append(imgs.pop())
+    return values
 
 
 def _detect_constant_letters(N: AutomaticAlgebra):

@@ -637,18 +637,6 @@ def op_quasi_meet(M: AutomaticAlgebra) -> PartialOperation:
                      lambda x, y: x if {x, y} <= Q or {x, y} <= S else ZERO)
 
 
-def constant_letter_values(M: AutomaticAlgebra) -> Optional[list]:
-    """State index of each letter's value if every letter is total and
-    constant, else None."""
-    values = []
-    for j in range(M.n_letters):
-        imgs = set(M.action(j))
-        if len(imgs) != 1 or None in imgs:
-            return None
-        values.append(imgs.pop())
-    return values
-
-
 def op_chain_meet(M: AutomaticAlgebra) -> PartialOperation:
     """Total meet for the constant-letter setting.
 
@@ -657,6 +645,7 @@ def op_chain_meet(M: AutomaticAlgebra) -> PartialOperation:
     state index; the meet of two states (or two letters) is the one with
     the larger index, mixed pairs meet at 0.
     """
+    from .classify import constant_letter_values
     values = constant_letter_values(M)
     if values is None:
         raise PreconditionViolated("chain meet needs total constant letters")
@@ -679,6 +668,7 @@ def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
     Domain excludes the distinguished state's letter in the first slot;
     the value is the join of y, z over {0, q} when x = q, else 0.
     """
+    from .classify import constant_letter_values
     values = constant_letter_values(M)
     if values is None:
         raise PreconditionViolated("h needs total constant letters")

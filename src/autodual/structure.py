@@ -11,29 +11,23 @@ component to the ascending list of letters with it, in least-letter order.
 The scans run over its keys and name least letters.  That finds what a
 scan over all letters finds, since a letter's failure and a pair's
 commuting depend only on their actions there.  `difference_order` (the
-order of ρ_b ρ_c⁻¹), `group_law_holds` (q·a = q * a_img) and
-`first_embedded` (the least catalog algebra of a family that embeds)
-complete it.  The detectors here and the certificate verifiers in
-`classify` both call them, and the Mal'cev and difference-subgroup
-computations live on `abgroups.AbelianGroup`.
+order of ρ_b ρ_c⁻¹) and `group_law_holds` (q·a = q * a_img) complete it.
+The detectors here and the certificate verifiers in `classify` both call
+them, and the Mal'cev and difference-subgroup computations live on
+`abgroups.AbelianGroup`.
 
-`first_embedded` breaks symmetry (Gent, Petrie and Puget, "Symmetry in
-constraint programming", 2006): an automorphism of M that fixes every
-letter and 0 maps embeddings to embeddings, so the first element of each
-source needs only the least state of each orbit, besides the letters and
-0.  `state_orbit_roots` finds the orbits one component at a time, from the
-maps `_tree_maps` reads off one breadth-first tree from its least state,
-each checked directly to be an automorphism before it merges anything;
-`component_group` reads its group table from the same maps.  The small
-catalog sources are built once and kept, with their search index.
-
-Whiskery's F_m family searches only the m in `tail_lengths(M)`.  An
-embedding h of F_m sends a to a letter b, h(r) to a state on no cycle of b
-(that cycle would pass through h(s1), so be the m-cycle of the h(s_i)) with
-the b-preimage h(q), and h(r)·b onto a cycle of length m, or to 0 for m = 0.
-Every m skipped does not embed, so the least m and its least embedding stay
-those of the full family.  Such a tail exists exactly where the direct vote
-fails, so on a passing algebra the F_m vote runs no search.
+Whiskery's F_m vote builds its embedding from the letters' tails instead of
+searching for one.  Only state·letter is ever nonzero, so an embedding h of
+F_m has h(0) = h(0)·h(0) = 0, and as q·a = r ≠ 0, h(q) is a state x and
+h(a) a letter b.  The nonzero products of F_m are its a-transitions, so h is
+a hom exactly when y = h(r) is x·b and the h(s_i) = y·b^i close into an
+m-cycle of b, or, for m = 0, y·b is undefined.  It is injective exactly when
+y is on no cycle of b, which keeps x off b's cycles and x ≠ y.  So the
+embeddings of F_m are the tails (b, x): y = x·b on no cycle of b, and y·b
+on an m-cycle of b, or undefined for m = 0.  `least_tail_embedding` reads
+the least m and its least code tuple (h(q), h(r), h(s1), …, h(s_m), h(a))
+off them.  Following y under b to its last state off every cycle finds a
+tail wherever the direct vote fails, so the two fail together.
 """
 
 from __future__ import annotations
@@ -44,10 +38,9 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .abgroups import AbelianGroup, closure
-from .algebras import ZERO, AutomaticAlgebra, catalog
+from .algebras import ZERO, AutomaticAlgebra
 from .errors import (BadParams, InternalInconsistency, NotAbelian, NotCommuting,
                      NotPermutational)
-from .powers import HOM_CAP_DEFAULT, Groupoid, find_embedding
 from .terms import WHISKERY_QUASI, check_quasi_identity, shortest_word
 
 
@@ -182,128 +175,54 @@ def _whiskery_direct(M: AutomaticAlgebra) -> Optional[tuple]:
     return None
 
 
-def _tree_maps(acts: Sequence[tuple], n: int) -> list:
-    """For each position s of a component, the map σ_s of its positions
-    with σ_s(0·w) = s·w for every word w over `acts`, or None if some s·w
-    is undefined or 0 does not reach every position.  Once the breadth-first
-    tree from 0 spans, one `itemgetter` per edge x -> y = act[x] gives the
-    column σ_s(y) = act[σ_s(x)] of every s (a tuple, as an edge means n > 1).
-    Undefined is position n, which each action keeps."""
-    exts = [tuple(n if t is None else t for t in act) + (n,) for act in acts]
-    cols, reached = [range(n)] + [None] * (n - 1), [0]    # cols[y]: y's tree edge first
-    for x in reached:
-        for act in exts:
-            y = act[x]
-            if y < n and cols[y] is None:
-                reached.append(y)
-                cols[y] = act, x
-    if len(reached) < n:
-        return [None] * n
-    for y in reached[1:]:
-        act, x = cols[y]
-        cols[y] = itemgetter(*cols[x])(act)
-    return [None if n in sigma else sigma for sigma in zip(*cols)]
+def _cycle_lengths(act: tuple) -> list:
+    """For each state, the length of the cycle of the action `act` that holds
+    it, or 0 if none does.  Each walk stops at a state walked before, and
+    closes a cycle when that state is on the walk itself."""
+    length, walked = [0] * len(act), [-1] * len(act)
+    for start in range(len(act)):
+        x, path = start, []
+        while x is not None and walked[x] < 0:
+            walked[x] = start
+            path.append(x)
+            x = act[x]
+        if x is not None and walked[x] == start:
+            loop = path[path.index(x):]
+            for y in loop:
+                length[y] = len(loop)
+    return length
 
 
-def state_orbit_roots(M: AutomaticAlgebra) -> list:
-    """The least state index of each state's orbit, indexed by state index.
-
-    The orbits are those of the automorphisms of M that fix every letter
-    and 0 and map a component C onto itself, for each C whose least state
-    q0 reaches all of C by letter edges; the other states are orbits of
-    their own.  Such a σ is fixed by s = σ(q0), as σ(q0·w) = s·w for every
-    word w.  For each s not yet merged with q0, that map from `_tree_maps`
-    is a candidate, used only if it is a bijection of C that commutes with
-    every action on C, definedness included: then it is an automorphism,
-    and x is merged with σ(x) for every x of C.  Every automorphism of C
-    takes q0 into its class, so the classes are the orbits of all of them.
+def least_tail_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
+    """(m, embedding dict) for the least m with F_m embeddable in M, with its
+    least embedding, else None; built from the letters' tails as the module
+    docstring argues.  One cycle pass per distinct action, kept for its least
+    letter, gives that letter's least tail (m, x, y); the letters whose tail
+    is the least are then told apart by their walks y·b, …, y·b^m, then by b.
     """
-    parent = list(range(M.n_states))
-    for comp, index in _component_index(M):
-        n, q0, acts = len(comp), comp[0], list(index)     # positions in comp
-        for s, sigma in enumerate(_tree_maps(acts, n)):
-            if sigma is None or _find(parent, comp[s]) == q0:
-                continue
-            if len(set(sigma)) == n and all(
-                    [act[t] for t in sigma] == [None if y is None else sigma[y] for y in act]
-                    for act in acts):
-                for x, t in zip(comp, sigma):
-                    a, b = _find(parent, x), _find(parent, comp[t])
-                    parent[max(a, b)] = min(a, b)
-    return [_find(parent, i) for i in range(M.n_states)]
+    least = {M.action(j): j for j in reversed(range(M.n_letters))}  # action -> least letter
+    tails = {}                          # letter -> its least tail (m, x, y)
+    for act, b in least.items():
+        length = _cycle_lengths(act)
+        tail = min(((0 if act[y] is None else length[act[y]], x, y)
+                    for x, y in enumerate(act) if y is not None and not length[y]
+                    and (act[y] is None or length[act[y]])), default=None)
+        if tail is not None:
+            tails[b] = tail
+    if not tails:
+        return None
+    m, x, y = min(tails.values())
 
+    def walk(b):
+        act, s = M.action(b), [y]
+        for _ in range(m):
+            s.append(act[s[-1]])
+        return s[1:]
 
-_sources = {}   # (name, p) -> Groupoid of catalog(name, p), if small
-
-
-def _catalog_source(name: str, p) -> Groupoid:
-    """Groupoid.from_algebra(catalog(name, p)), kept when it has at most
-    HOM_CAP_DEFAULT elements, so a family scan over many targets builds
-    each small source and its search index once; larger ones are built
-    each time, so their tables and indexes are not held."""
-    A = _sources.get((name, p))
-    if A is None:
-        A = Groupoid.from_algebra(catalog(name, p))
-        if A.n <= HOM_CAP_DEFAULT:
-            _sources[name, p] = A
-    return A
-
-
-def first_embedded(M: AutomaticAlgebra, name: str, params: Sequence) -> Optional[tuple]:
-    """(p, element-name map) for the first p in `params` with catalog(name, p)
-    embeddable in M, with its least embedding, else None.  The catalog
-    algebras are built here, not read from input, so each search is capped
-    at its own algebra's size.
-
-    Each search tries for the first element of the source only the states
-    least in their `state_orbit_roots` orbit, the letters and 0.  That
-    keeps the least embedding h*: an automorphism σ of M that fixes every
-    letter and 0 makes σ∘h* an embedding too, so if σ(h*(0)) < h*(0) then
-    σ∘h* would be less than h*.  Hence h*(0) is least in its orbit, and
-    whether a source embeds, the least p and its embedding are those of
-    the search without the restriction.  The orbits are found only once
-    some source is searched.
-    """
-    first = None
-    for p in params:
-        if first is None:
-            first = {M.state(i) for i, r in enumerate(state_orbit_roots(M)) if r == i}
-            first.update(M.letters(), (ZERO,))
-        A = _catalog_source(name, p)
-        hom = find_embedding(A, M, max_elements=A.n, preassigned={0: first})
-        if hom is not None:
-            return p, {A.labels[i]: M.name(x) for i, x in enumerate(hom)}
-    return None
-
-
-def tail_lengths(M: AutomaticAlgebra) -> set:
-    """The m for which F_m can embed: for each letter b and each state y on
-    no cycle of b that has a b-preimage, the length of the cycle holding
-    y·b, or 0 when y·b is undefined.  One O(|Q|) pass per distinct action."""
-    lengths = set()
-    for act in set(map(M.action, range(M.n_letters))):
-        length = {None: 0}              # a state on a cycle -> its length; undefined -> 0
-        seen = [False] * M.n_states
-        for x in range(M.n_states):
-            path = []
-            while x is not None and not seen[x]:
-                seen[x] = True
-                path.append(x)
-                x = act[x]
-            if x in path:
-                loop = path[path.index(x):]
-                length.update(dict.fromkeys(loop, len(loop)))
-        lengths.update(length[act[y]] for y in set(act) - {None}
-                       if y not in length and act[y] in length)
-    return lengths
-
-
-def _whiskery_embedding(M: AutomaticAlgebra) -> Optional[tuple]:
-    """(m, embedding dict) for the least m < |Q| - 1 with F_m embeddable,
-    else None.  Only the m in `tail_lengths(M)` are searched, least first;
-    each is below |Q| - 1, as a tail and its cycle hold m + 2 states.  An
-    algebra with no tail, which passes whiskery, runs no search."""
-    return first_embedded(M, "F", sorted(tail_lengths(M)))
+    s, b = min((walk(b), b) for b, tail in tails.items() if tail == (m, x, y))
+    names = M.state_names
+    return m, {"q": names[x], "r": names[y], **{f"s{i}": names[t] for i, t in enumerate(s, 1)},
+               "a": M.letter_names[b], "0": "0"}
 
 
 def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
@@ -311,13 +230,13 @@ def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
 
     Computes all three equivalent conditions (direct orbit check, the
     vxx≈wxx ⟹ vx≈wx quasi-identity, F_m-embedding-freeness) and insists
-    they agree before answering.  F_m is searched only for the m of a
-    letter's tail, so on a passing algebra, which has none, the F_m vote is
-    decided without a search; on a failing one the search must find F_m.
+    they agree before answering.  The F_m vote is built from the letters'
+    tails, with no search; `classify` confirms the embedding it reports with
+    `check_embedding`.
     """
     direct = _whiskery_direct(M)
     quasi = check_quasi_identity(M, WHISKERY_QUASI)
-    embed = _whiskery_embedding(M)
+    embed = least_tail_embedding(M)
     votes = (direct is None, quasi is None, embed is None)
     if len(set(votes)) != 1:
         raise InternalInconsistency(
@@ -429,6 +348,30 @@ def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
     column of a_img, which is its row, as G is abelian."""
     return all(list(map(M.action(j).__getitem__, comp)) == list(map(comp.__getitem__, G.table[g]))
                for j, g in images.items())
+
+
+def _tree_maps(acts: Sequence[tuple], n: int) -> list:
+    """For each position s of a component, the map σ_s of its positions
+    with σ_s(0·w) = s·w for every word w over `acts`, or None if some s·w
+    is undefined or 0 does not reach every position: the candidate rows of
+    `component_group`'s table.  Once the breadth-first
+    tree from 0 spans, one `itemgetter` per edge x -> y = act[x] gives the
+    column σ_s(y) = act[σ_s(x)] of every s (a tuple, as an edge means n > 1).
+    Undefined is position n, which each action keeps."""
+    exts = [tuple(n if t is None else t for t in act) + (n,) for act in acts]
+    cols, reached = [range(n)] + [None] * (n - 1), [0]    # cols[y]: y's tree edge first
+    for x in reached:
+        for act in exts:
+            y = act[x]
+            if y < n and cols[y] is None:
+                reached.append(y)
+                cols[y] = act, x
+    if len(reached) < n:
+        return [None] * n
+    for y in reached[1:]:
+        act, x = cols[y]
+        cols[y] = itemgetter(*cols[x])(act)
+    return [None if n in sigma else sigma for sigma in zip(*cols)]
 
 
 def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupData:

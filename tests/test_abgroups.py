@@ -386,6 +386,18 @@ def test_malcev_closure_characterizes_cosets():
             assert G.difference_subgroup(sorted(S)) == {(s - x) % 6 for s in S}, S
 
 
+@pytest.mark.parametrize("orders", [(8,), (2, 4), (3, 3), (2, 2, 2), (12,), (2, 6), (4, 4)])
+def test_difference_subgroup_matches_all_pairwise_differences(orders):
+    # the oracle closes all k² differences x⁻¹y; the empty set gives {e}
+    G = AbelianGroup.of_orders(*orders)
+    rng = random.Random(36)
+    subsets = [[]] + [rng.sample(range(G.n), rng.randint(1, G.n)) for _ in range(300)]
+    for xs in subsets:
+        want = G.subgroup_generated({G.op(G.inv(x), y) for x in xs for y in xs})
+        assert G.difference_subgroup(iter(xs)) == want, xs
+    assert G.difference_subgroup([]) == {G.identity}
+
+
 def malcev_gap_by_triples(G, xs):
     """The reference scan over all k³ triples of xs."""
     inside = set(xs)

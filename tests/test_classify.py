@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (_REDUCTIONS, RULE_ORDER, _all_loops, _detect_all_loops,
-                               _find_reduction, _names, _reduction_images, check_embedding,
-                               classify, gen_chain, normalize_algebra, verify_certificate)
+                               _find_reduction, _forbidden_two_state, _names,
+                               _reduction_images, check_embedding, classify, gen_chain,
+                               normalize_algebra, verify_certificate)
 from autodual.errors import CapExceeded, InternalInconsistency, ToolError, UnknownName
-from autodual.structure import (_whiskery_embedding, components, first_embedded,
-                                letter_affine_analysis, nondcomm_check, rankill_check,
-                                whiskery_check)
+from autodual.structure import (components, least_tail_embedding, letter_affine_analysis,
+                                nondcomm_check, rankill_check, whiskery_check)
 from autodual.terms import order_sensitivity
 from small_algebras import every_algebra
 
@@ -138,8 +138,8 @@ def embedding_cases(M, normal_forms):
     if cur in normal_forms:
         return
     normal_forms.add(cur)
-    for name, hit in (("F", _whiskery_embedding(cur)),
-                      ("N", cur.n_states == 2 and first_embedded(cur, "N", range(6)))):
+    for name, hit in (("F", least_tail_embedding(cur)),
+                      ("N", cur.n_states == 2 and _forbidden_two_state(cur))):
         if hit:
             yield catalog(name, hit[0]), [cur], {n: [c] for n, c in hit[1].items()}
     comps = components(cur)
@@ -498,6 +498,20 @@ def test_verifier_bounds_whiskery_m_before_building_F_m(monkeypatch):
         ok, reason = verify_certificate(B, verdict)
         assert not ok and "m" in reason
     assert calls == []
+
+
+def test_classify_confirms_the_embeddings_it_builds(monkeypatch):
+    # a built F_m or N_k embedding that check_embedding rejects raises, as a
+    # rejected component split does; here q and r are swapped in each
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("autodual.structure"), "least_tail_embedding",
+                      lambda M: (0, {"q": "r", "r": "q", "a": "a", "0": "0"}))
+        with pytest.raises(InternalInconsistency, match="built F0 embedding invalid"):
+            classify(catalog("B"))
+    monkeypatch.setattr(importlib.import_module("autodual.classify"), "_forbidden_two_state",
+                        lambda N: (4, {"q": "r", "r": "q", "a": "a", "b": "b", "0": "0"}))
+    with pytest.raises(InternalInconsistency, match="built N4 embedding invalid"):
+        classify(catalog("N", 4))
 
 
 def test_verifier_bounds_letter_affine_table_before_building_group(monkeypatch):

@@ -2,30 +2,30 @@ import itertools
 import random
 from collections import deque
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
+from embedding_search import first_embedded, state_orbit_roots
 from small_algebras import every_algebra
 from test_classify import translation_action
 from test_powers import partial_algebras
 from autodual.abgroups import AbelianGroup, CharacterWitness, MatrixZm, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
-from autodual.classify import RULES, classify, gen_chain, verify_certificate
+from autodual.classify import (RULES, _forbidden_two_state, classify, gen_chain,
+                               normalize_algebra, verify_certificate)
 from autodual.errors import BadParams, InternalInconsistency, NotCommuting, NotPermutational
 from autodual.powers import Groupoid, PartialOperation, find_embedding
 from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
                                 _perm_order, _tree_maps, _whiskery_at, _whiskery_direct,
-                                _whiskery_embedding,
                                 component_actions, component_group, components,
-                                difference_order,
-                                first_embedded, generated_group, group_law_holds,
-                                letter_affine_analysis, nondcomm_check,
-                                permutation_profile, rankill_check,
-                                state_orbit_roots, tail_lengths, whiskery_check)
+                                difference_order, generated_group, group_law_holds,
+                                least_tail_embedding, letter_affine_analysis,
+                                nondcomm_check, permutation_profile, rankill_check,
+                                whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
 
 
@@ -611,7 +611,8 @@ def test_action_index_matches_letter_scans(M):
 
 
 # ---------------------------------------------------------------------------
-# first_embedded with its orbit pruning, against the unpruned loop
+# the reference first_embedded with its orbit pruning, against the unpruned
+# loop, and the built embeddings against both
 # ---------------------------------------------------------------------------
 
 def unpruned_first_embedded(M, name, params):
@@ -627,6 +628,16 @@ def unpruned_first_embedded(M, name, params):
 def assert_first_embedded_matches(M):
     for name, params in (("F", range(max(0, M.n_states - 1))), ("N", range(6))):
         assert first_embedded(M, name, params) == unpruned_first_embedded(M, name, params)
+
+
+def assert_constructions_match(M):
+    """The built F_m embedding of M, and the built N_k embedding of M and of
+    its normal form where they have two states, against the unpruned loop."""
+    assert least_tail_embedding(M) == \
+        unpruned_first_embedded(M, "F", range(max(0, M.n_states - 1)))
+    for N in (M, normalize_algebra(M)[0]):
+        if N.n_states == 2:
+            assert _forbidden_two_state(N) == unpruned_first_embedded(N, "N", range(6))
 
 
 def letter_fixing_automorphisms(M):
@@ -734,36 +745,48 @@ def test_orbit_roots_of_chain_3():
 
 
 # ---------------------------------------------------------------------------
-# whiskery's F_m family, filtered by the letters' cycle lengths
+# whiskery's F_m embedding, built from the letters' tails
 # ---------------------------------------------------------------------------
 
 def assert_whiskery_filter_matches(M):
-    found = _whiskery_embedding(M)
+    found = least_tail_embedding(M)
     assert found == unpruned_first_embedded(M, "F", range(max(0, M.n_states - 1)))
     return found
 
 
+def tail_family(n: int, n_letters: int, seed: int = 0) -> AutomaticAlgebra:
+    """Z_n on q0..q{n-1} under `n_letters` distinct seeded translations, each
+    by a unit, so each is one n-cycle, and each also taking t0 to t1 and t1
+    to q0: a two-state tail into the n-cycle.  So F_n embeds, and every
+    letter ties on (n, t0, t1) until its walk from q0."""
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    shifts = random.Random(seed).sample(units, n_letters)
+    delta = {(i, j): (i + k) % n for j, k in enumerate(shifts) for i in range(n)}
+    for j in range(n_letters):
+        delta[n, j], delta[n + 1, j] = n + 1, 0
+    return AutomaticAlgebra([f"q{i}" for i in range(n)] + ["t0", "t1"],
+                            [f"a{j}" for j in range(n_letters)], delta)
+
+
 def test_cycle_lengths_examples():
-    # tail_lengths gives the lengths of the cycles that a letter's tail
-    # reaches, 0 for a tail that leaves the letter's domain
+    # F_m is built from the least tail: the length of the cycle it enters,
+    # or 0 for a tail that leaves the letter's domain
     for m in range(6):
-        assert tail_lengths(catalog("F", m)) == {m}
+        assert least_tail_embedding(catalog("F", m))[0] == m
     # a 2-cycle and a fixed point under a; b takes p to r, where b is undefined
     M = AutomaticAlgebra.build("pqr", "ab", [("p", "a", "q"), ("q", "a", "p"),
                                              ("r", "a", "r"), ("p", "b", "r")])
-    assert tail_lengths(M) == {0}
-    assert _whiskery_embedding(M) == (0, {"q": "p", "r": "r", "a": "b", "0": "0"})
-    assert tail_lengths(M.drop_letter(1)) == set()
-    # every letter a permutation: no tail, so no m to search
-    assert tail_lengths(gen_chain(3)) == set()
+    assert least_tail_embedding(M) == (0, {"q": "p", "r": "r", "a": "b", "0": "0"})
+    assert least_tail_embedding(M.drop_letter(1)) is None
+    # every letter a permutation: no tail, so no F_m
+    assert least_tail_embedding(gen_chain(3)) is None
 
 
 def test_a_single_long_cycle_leaves_no_m_to_search():
     # Z_1024 under +1 and +513: every letter is one 1,024-cycle with no
-    # tail, so no F_m is searched
+    # tail, so no F_m embeds
     M = translation_action(1024, (1, 513))
-    assert tail_lengths(M) == set()
-    assert _whiskery_embedding(M) is None
+    assert least_tail_embedding(M) is None
 
 
 def test_whiskery_filter_matches_the_full_family_on_every_small_algebra():
@@ -778,6 +801,31 @@ def test_whiskery_filter_matches_the_full_family_on_every_small_algebra():
 def test_whiskery_filter_matches_the_full_family_on_translation_actions():
     for M in translation_actions():
         assert_whiskery_filter_matches(M)
+
+
+def test_tail_embedding_matches_the_search_on_the_tail_family():
+    # the letters tie on (n, t0, t1) and are told apart by their walks from
+    # q0; the pruned search over the family up to n gives the same m and
+    # embedding, which classify confirms and the verifier accepts
+    for n in (20, 40):
+        M = tail_family(n, n // 5)
+        m, emb = least_tail_embedding(M)
+        assert m == n and first_embedded(M, "F", range(n + 1)) == (m, emb)
+        v = classify(M)
+        assert (v.rule, v.certificate["m"], v.certificate["embedding"]) == ("whiskery", m, emb)
+        assert verify_certificate(M, v) == (True, "")
+
+
+def test_two_state_construction_matches_the_search():
+    # every two-state algebra with at most three letters, raw and normalized
+    embedded = 0
+    for M in (M for ns in range(4) for M in every_algebra(2, ns)):
+        for N in (M, normalize_algebra(M)[0]):
+            if N.n_states == 2:
+                found = _forbidden_two_state(N)
+                assert found == unpruned_first_embedded(N, "N", range(6)), N.table_key()
+                embedded += found is not None
+    assert embedded > 0
 
 
 @settings(max_examples=300, deadline=None)
