@@ -19,6 +19,7 @@ subuniverse listings) derive their tie-breaking from this order.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -42,11 +43,10 @@ def _check_name(name: str) -> None:
 
 
 class AutomaticAlgebra:
-    """Immutable finite automatic algebra.
-
-    `delta` maps (state_index, letter_index) -> state_index and is partial;
-    missing pairs mean the product is 0.
-    """
+    """Immutable finite automatic algebra, stored as its letters' action rows:
+    `action(j)` holds each state's image index under letter j, None where
+    the product is 0.  They are built from `delta`, a partial map (state_index,
+    letter_index) -> state_index, which stays as a read-only derived view."""
 
     def __init__(self, state_names: Sequence[str], letter_names: Sequence[str],
                  delta: dict):
@@ -60,17 +60,15 @@ class AutomaticAlgebra:
             seen.add(name)
         self.state_names = state_names
         self.letter_names = letter_names
-        self.n_states = len(state_names)
+        self.n_states = n = len(state_names)
         self.n_letters = len(letter_names)
-        clean = {}
+        rows = [[None] * n for _ in letter_names]
         for (si, lj), ti in delta.items():
-            if not (0 <= si < self.n_states and 0 <= lj < self.n_letters
-                    and 0 <= ti < self.n_states):
+            if not (0 <= si < n and 0 <= lj < self.n_letters and 0 <= ti < n):
                 raise BadParams(f"transition out of range: {(si, lj, ti)}")
-            clean[(si, lj)] = ti
-        self.delta = MappingProxyType(clean)
+            rows[lj][si] = ti
+        self._actions = tuple(map(tuple, rows))
         self._products = None   # product_table(), built on first use
-        self._actions = None    # action(), all letters built on first use
         self._masks = None      # the hom-search masks of powers._search_masks
         self._components = None  # structure._component_index, built on first use
 
@@ -86,10 +84,8 @@ class AutomaticAlgebra:
                 raise BadParams(f"unknown state in edge {(q, a, r)}")
             if a not in lidx:
                 raise BadParams(f"unknown letter in edge {(q, a, r)}")
-            key = (sidx[q], lidx[a])
-            if delta.get(key, sidx[r]) != sidx[r]:
+            if delta.setdefault((sidx[q], lidx[a]), sidx[r]) != sidx[r]:
                 raise ConflictingTransition(f"conflicting transitions for ({q}, {a})")
-            delta[key] = sidx[r]
         return cls(states, letters, delta)
 
     # -- element encoding ------------------------------------------------
@@ -145,48 +141,38 @@ class AutomaticAlgebra:
 
     def mul(self, x: int, y: int) -> int:
         """Groupoid product; total, lands in Q ∪ {0}."""
-        if 1 <= x <= self.n_states and self.n_states < y <= self.n_states + self.n_letters:
-            t = self.delta.get((x - 1, y - 1 - self.n_states))
-            if t is not None:
-                return 1 + t
-        return ZERO
+        n = self.n_states
+        t = self._actions[y - 1 - n][x - 1] if 1 <= x <= n < y <= n + self.n_letters else None
+        return ZERO if t is None else 1 + t
 
     def product_table(self) -> tuple:
         """The |M|×|M| table of `mul`, rows and columns indexed by element code.
 
-        Built on first use and kept.  It is derived from `delta`, so it takes
+        Built on first use and kept.  It is derived from the rows, so it takes
         no part in `table_key`, equality or hashing.  The rows of 0 and of
         the letters are one shared all-zero tuple.
         """
         if self._products is None:
-            size, n = self.size(), self.n_states
-            rows = [[ZERO] * size for _ in range(n)]
-            for (si, lj), ti in self.delta.items():
-                rows[si][1 + n + lj] = 1 + ti
-            zero_row = (ZERO,) * size
-            self._products = ((zero_row,) + tuple(map(tuple, rows))
-                              + (zero_row,) * self.n_letters)
+            n, actions = self.n_states, self._actions
+            zero_row = (ZERO,) * self.size()
+            self._products = ((zero_row,) + tuple(
+                zero_row[:1 + n] + tuple(ZERO if act[si] is None else 1 + act[si]
+                                         for act in actions)
+                for si in range(n)) + (zero_row,) * self.n_letters)
         return self._products
 
     def word(self, x: int, letter_indices: Iterable[int]) -> int:
         """Left-bracketed action of a word (sequence of letter indices)."""
-        n = self.n_states
+        n, actions = self.n_states, self._actions
         for j in letter_indices:
-            if 1 <= x <= n:
-                t = self.delta.get((x - 1, j))
-                x = 0 if t is None else 1 + t
-            else:
-                x = ZERO
+            t = actions[j][x - 1] if 1 <= x <= n else None
+            x = ZERO if t is None else 1 + t
         return x
 
     # -- per-letter structure ---------------------------------------------
 
     def action(self, j: int) -> tuple:
-        """Image of each state under letter j (None where undefined).  All
-        letters' actions are built on first use and kept, like `product_table`."""
-        if self._actions is None:
-            self._actions = tuple(tuple(self.delta.get((i, k)) for i in range(self.n_states))
-                                  for k in range(self.n_letters))
+        """Image of each state under letter j (None where undefined)."""
         return self._actions[j]
 
     def dom(self, j: int) -> frozenset:
@@ -199,28 +185,32 @@ class AutomaticAlgebra:
         return frozenset(range(self.n_states)) - self.dom(j)
 
     def is_total(self) -> bool:
-        # the keys of delta are distinct in-range (state, letter) pairs
-        return len(self.delta) == self.n_states * self.n_letters
+        return all(None not in act for act in self._actions)
 
-    def transitions(self):
-        """Sorted (state_index, letter_index, target_index) triples."""
-        return sorted((si, lj, ti) for (si, lj), ti in self.delta.items())
+    def transitions(self) -> list:
+        """(state_index, letter_index, target_index) triples, sorted."""
+        return [(si, lj, ti) for si, images in enumerate(zip(*self._actions))
+                for lj, ti in enumerate(images) if ti is not None]
+
+    @cached_property
+    def delta(self):
+        return MappingProxyType({(si, lj): ti for si, lj, ti in self.transitions()})
 
     # -- derived algebras --------------------------------------------------
 
     def drop_letter(self, j: int) -> "AutomaticAlgebra":
         names = self.letter_names[:j] + self.letter_names[j + 1:]
         delta = {(si, lj if lj < j else lj - 1): ti
-                 for (si, lj), ti in self.delta.items() if lj != j}
+                 for si, lj, ti in self.transitions() if lj != j}
         return AutomaticAlgebra(self.state_names, names, delta)
 
     def drop_state(self, i: int) -> "AutomaticAlgebra":
         """Remove a state that is in no letter's range, with its outgoing row."""
-        if i in self.delta.values():
+        if any(i in act for act in self._actions):
             raise BadParams(f"state {self.state_names[i]} is still in a range")
         names = self.state_names[:i] + self.state_names[i + 1:]
         delta = {(si if si < i else si - 1, lj): (ti if ti < i else ti - 1)
-                 for (si, lj), ti in self.delta.items() if si != i}
+                 for si, lj, ti in self.transitions() if si != i}
         return AutomaticAlgebra(names, self.letter_names, delta)
 
     def component_subalgebra(self, state_indices: Sequence[int]) -> "AutomaticAlgebra":
@@ -228,7 +218,7 @@ class AutomaticAlgebra:
         keep = sorted(state_indices)
         pos = {i: k for k, i in enumerate(keep)}
         delta = {}
-        for (si, lj), ti in self.delta.items():
+        for si, lj, ti in self.transitions():
             if si in pos:
                 if ti not in pos:
                     raise BadParams("state set is not closed under transitions")
@@ -242,14 +232,16 @@ class AutomaticAlgebra:
         return (self.state_names, self.letter_names, self.transitions())
 
     def __eq__(self, other):
-        return isinstance(other, AutomaticAlgebra) and self.table_key() == other.table_key()
+        return (isinstance(other, AutomaticAlgebra)
+                and (self.state_names, self.letter_names, self._actions)
+                == (other.state_names, other.letter_names, other._actions))
 
     def __hash__(self):
-        return hash((self.state_names, self.letter_names, tuple(self.transitions())))
+        return hash((self.state_names, self.letter_names, self._actions))
 
     def __repr__(self):
         return (f"AutomaticAlgebra(states={list(self.state_names)}, "
-                f"letters={list(self.letter_names)}, edges={len(self.delta)})")
+                f"letters={list(self.letter_names)}, edges={len(self.transitions())})")
 
     def emit(self) -> str:
         """Serialize in the algebra file format (round-trips via the CLI)."""

@@ -122,11 +122,11 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
 
     `emb` maps every element name of A, and nothing else, to a list of one
     element name per target.  A failed hom is named by its least pair in
-    the canonical order.  Only state·letter is ever nonzero, so a pair that
-    is no transition of A, and whose images in no target are a state and a
-    letter with a transition, compares the image of 0 with the all-zero
-    tuple; (first, first) is the least such pair, and only it and the
-    others are compared.
+    the canonical order.  Only state·letter is ever nonzero, so a pair
+    (x, y) where neither x nor an image of x is a state, or neither y nor
+    an image of y is a letter, compares the image of 0 with the all-zero
+    tuple; (first, first) is the least such pair.  The others are compared
+    a right factor y at a time, from the action rows.
     """
     names = _names(A)
     if set(emb) != set(names):
@@ -145,15 +145,24 @@ def check_embedding(A: AutomaticAlgebra, targets: list, emb: dict) -> Optional[s
     first = A.elements()[0]
     if any(vec[ZERO]):
         return f"embedding is not a homomorphism at ({A.name(first)}, {A.name(first)})"
-    pairs = {(A.state(si), A.letter(lj)) for si, lj in A.delta}
-    for k, T in enumerate(targets):
-        xs = [(x, T.state_index(v[k])) for x, v in vec.items() if T.is_state(v[k])]
-        ys = [(y, T.letter_index(v[k])) for y, v in vec.items() if T.is_letter(v[k])]
-        pairs.update((x, y) for x, si in xs for y, lj in ys if (si, lj) in T.delta)
-    for x, y in sorted(pairs):      # no pair holds 0, so code order is canonical
-        if vec[A.mul(x, y)] != tuple(map(AutomaticAlgebra.mul, targets, vec[x], vec[y])):
-            return f"embedding is not a homomorphism at ({A.name(x)}, {A.name(y)})"
+    algebras, img = [A, *targets], {x: (x, *v) for x, v in vec.items()}
+    xs = [x for x, i in img.items() if any(map(AutomaticAlgebra.is_state, algebras, i))]
+    ys = [y for y, i in img.items() if any(map(AutomaticAlgebra.is_letter, algebras, i))]
+    columns = [[img[x][k] for x in xs] for k in range(len(algebras))]
+    failed = []         # the least failing x of each y, by code: no pair holds 0
+    for y in ys:
+        xy, *images = map(_right_products, algebras, columns, img[y])
+        failed += [(x, y) for x, p, q in zip(xs, xy, zip(*images)) if vec[p] != q][:1]
+    for x, y in sorted(failed)[:1]:
+        return f"embedding is not a homomorphism at ({A.name(x)}, {A.name(y)})"
     return None
+
+
+def _right_products(M: AutomaticAlgebra, xs: list, y: int) -> list:
+    """x·y for each x in xs, read off y's action row."""
+    n = M.n_states
+    act = M.action(M.letter_index(y)) if M.is_letter(y) else (None,) * n
+    return [1 + act[x - 1] if 1 <= x <= n and act[x - 1] is not None else ZERO for x in xs]
 
 
 def normalize_algebra(M: AutomaticAlgebra):
@@ -299,7 +308,8 @@ def _detect_constant_letters(N: AutomaticAlgebra):
 
 
 def _all_loops(M: AutomaticAlgebra) -> bool:
-    return all(ti == si for (si, _), ti in M.delta.items())
+    return all(ti in (si, None) for act in map(M.action, range(M.n_letters))
+               for si, ti in enumerate(act))
 
 
 def _detect_all_loops(N: AutomaticAlgebra):

@@ -26,57 +26,55 @@ class UsageError(ToolError):
     exit_code = 1
 
 
-def parse_algebra_file(text: str) -> AutomaticAlgebra:
-    """Parse the whitespace/line algebra format; `#` starts a comment."""
-    states = letters = None
-    trans = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def parse_algebra_file(source) -> AutomaticAlgebra:
+    """Parse the whitespace/line algebra format (`#` starts a comment) from the text or an
+    open text file, a line at a time, into one dict keyed by (state, letter) index.  Lines
+    are numbered as by `str.splitlines`; a conflict is raised once every line has passed."""
+    names, index = {}, {"states": None, "letters": None}     # by head: names, name -> position
+    delta, conflict = {}, None
+    physical = source.splitlines(True) if isinstance(source, str) else source
+    for lineno, raw in enumerate((part for line in physical for part in line.splitlines()), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        head, rest = tokens[0], tokens[1:]
-        if head in ("states", "letters") and len(rest) > CATALOG_STATE_CAP:
-            raise CapExceeded(f"line {lineno} names {len(rest)} {head}, over the "
-                              f"cap {CATALOG_STATE_CAP}")
-        if head == "states":
-            if states is not None:
-                raise InputParseError("duplicate states line", line=lineno)
-            if trans:
-                raise InputParseError("states must precede trans lines", line=lineno)
-            states, state_set = rest, set(rest)
-        elif head == "letters":
-            if letters is not None:
-                raise InputParseError("duplicate letters line", line=lineno)
-            if trans:
-                raise InputParseError("letters must precede trans lines", line=lineno)
-            letters, letter_set = rest, set(rest)
-        elif head == "trans":
-            if states is None or letters is None:
+        head = tokens[0]
+        if head == "trans":
+            sidx, lidx = index["states"], index["letters"]
+            if sidx is None or lidx is None:
                 raise InputParseError("trans before states/letters", line=lineno)
-            if len(rest) != 3:
+            if len(tokens) != 4:
                 raise InputParseError("trans needs: state letter state", line=lineno)
-            if rest[0] not in state_set or rest[2] not in state_set:
-                raise InputParseError(f"unknown state in {rest}", line=lineno)
-            if rest[1] not in letter_set:
-                raise InputParseError(f"unknown letter in {rest}", line=lineno)
-            trans.append((lineno, tuple(rest)))
+            _, q, a, r = tokens
+            if q not in sidx or r not in sidx:
+                raise InputParseError(f"unknown state in {tokens[1:]}", line=lineno)
+            if a not in lidx:
+                raise InputParseError(f"unknown letter in {tokens[1:]}", line=lineno)
+            if delta.setdefault((sidx[q], lidx[a]), sidx[r]) != sidx[r]:
+                conflict = conflict or InputParseError(
+                    f"conflicting transitions for ({q}, {a})", line=lineno)
+        elif head in index:
+            rest = tokens[1:]
+            if len(rest) > CATALOG_STATE_CAP:
+                raise CapExceeded(f"line {lineno} names {len(rest)} {head}, over the "
+                                  f"cap {CATALOG_STATE_CAP}")
+            if head in names:
+                raise InputParseError(f"duplicate {head} line", line=lineno)
+            names[head], index[head] = rest, {name: i for i, name in enumerate(rest)}
         else:
             raise InputParseError(f"unknown directive {head!r}", line=lineno)
-    if states is None or letters is None:
+    if len(names) < 2:
         raise InputParseError("missing states or letters line")
-    seen = {}
-    for lineno, (q, a, r) in trans:
-        if (q, a) in seen and seen[(q, a)] != r:
-            raise InputParseError(f"conflicting transitions for ({q}, {a})",
-                                  line=lineno)
-        seen[(q, a)] = r
-    return AutomaticAlgebra.build(states, letters, [t for _, t in trans])
+    if conflict:
+        raise conflict
+    return AutomaticAlgebra(names["states"], names["letters"], delta)
 
 
 def _load(path: str) -> AutomaticAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_file(fh.read())
+        try:
+            return parse_algebra_file(fh)
+        except UnicodeDecodeError as exc:
+            raise InputParseError(f"algebra file is not UTF-8 text ({exc.reason})")
 
 
 def _reported_note(M: AutomaticAlgebra) -> str:
@@ -181,12 +179,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_catalog(args) -> int:
     M = catalog(args.name, *args.params)
-    if args.emit:
-        sys.stdout.write(M.emit())
-    else:
+    if not args.emit:
         print(f"{args.name}: {M.n_states} states, {M.n_letters} letters, "
-              f"{len(M.delta)} transitions")
-        sys.stdout.write(M.emit())
+              f"{len(M.transitions())} transitions")
+    sys.stdout.write(M.emit())
     return 0
 
 
@@ -275,7 +271,7 @@ def cmd_verify_cert(args) -> int:
     with open(args.cert_file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise InputParseError(f"certificate file is not JSON: {exc}")
     ok, reason = verify_certificate(M, data)
     if ok:

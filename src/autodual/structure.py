@@ -63,9 +63,11 @@ def _component_index(M: AutomaticAlgebra) -> tuple:
     order, a component as a tuple; built on first use and kept on M."""
     if M._components is None:
         parent = list(range(M.n_states))
-        for (si, _), ti in M.delta.items():
-            a, b = _find(parent, si), _find(parent, ti)
-            parent[max(a, b)] = min(a, b)
+        for act in map(M.action, range(M.n_letters)):
+            for si, ti in enumerate(act):
+                if ti is not None and parent[si] != parent[ti]:     # else one set already
+                    a, b = _find(parent, si), _find(parent, ti)
+                    parent[max(a, b)] = min(a, b)
         blocks = {}
         for i in range(M.n_states):
             blocks.setdefault(_find(parent, i), []).append(i)
@@ -118,7 +120,7 @@ def rankill_check(M: AutomaticAlgebra) -> Optional[RanKillWitness]:
     for case, sources, targets in ((2, M.ran, M.kills), (1, M.kills, M.dom)):
         for j in range(M.n_letters):
             goal = targets(j)
-            hit = shortest_word(sorted(sources(j)), M.n_letters, M.delta.get,
+            hit = shortest_word(sorted(sources(j)), M.n_letters, lambda p: M.action(p[1])[p[0]],
                                 goal.__contains__) if goal else None
             if hit is not None:
                 return RanKillWitness(case, j, *hit)

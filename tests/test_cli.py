@@ -1,13 +1,16 @@
 import importlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autodual.algebras import CATALOG_STATE_CAP, AutomaticAlgebra, catalog, standard_catalog
-from autodual.cli import main, parse_algebra_file
-from autodual.errors import CapExceeded, InputParseError, InternalInconsistency, ToolError
+from autodual.cli import _load, main, parse_algebra_file
+from autodual.errors import (CapExceeded, InputParseError, InternalInconsistency,
+                             ReservedName, ToolError)
+from reference_parser import parse_algebra_file as reference_parse
 
 
 def run(argv, capsys):
@@ -60,6 +63,91 @@ def test_parse_algebra_file_raises_only_input_errors(text):
         parse_algebra_file(text)
     except ToolError as exc:
         assert 1 <= exc.exit_code <= 3
+
+
+def _parse_outcome(parse, source):
+    """The algebra's table key, or the error's type, message and line."""
+    try:
+        return repr(parse(source).table_key())
+    except ToolError as exc:
+        return type(exc), str(exc), exc.line if isinstance(exc, InputParseError) else None
+
+
+def assert_parses_as_the_reference(text, path):
+    """The streaming parser agrees with the two-pass reference on the text,
+    and `_load` on a file of its UTF-8 bytes with what the reference makes of
+    that file read whole."""
+    want = _parse_outcome(reference_parse, text)
+    assert _parse_outcome(parse_algebra_file, text) == want
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = _parse_outcome(reference_parse, fh.read())
+    assert _parse_outcome(_load, str(path)) == want
+    return want
+
+
+# str.splitlines breaks at every one of these; iterating a file only at the first three
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029")
+_LINES = ("states q r", "letters a b", "trans q a r", "trans q a q", "trans r b q",
+          "trans r a r # c", "states q q", "letters a q", "# comment", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(_LINES),
+                                    st.lists(st.sampled_from(_ALGEBRA_TOKENS),
+                                             max_size=5).map(" ".join)),
+                          st.sampled_from(_LINE_BREAKS)), max_size=10).map(
+    lambda lines: "".join(line + end for line, end in lines))
+       | st.text(max_size=60))
+def test_parser_matches_the_reference(tmp_path_factory, text):
+    assert_parses_as_the_reference(text, tmp_path_factory.getbasetemp() / "fuzz.alg")
+
+
+_HEAD = "states q r\nletters a b\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    # a conflict is raised only once every line has passed the syntax checks
+    (_HEAD + "trans q a r\ntrans q a q\ntrans q c r\n",
+     (InputParseError, "line 5: unknown letter in ['q', 'c', 'r']", 5)),
+    (_HEAD + "trans q a r\ntrans r b q\ntrans q a q\ntrans r b r\n",
+     (InputParseError, "line 5: conflicting transitions for (q, a)", 5)),
+    (_HEAD + "trans q a r\n" * 5, None),
+    (_HEAD.replace("\n", "\r\n") + "trans q a r\r\ntrans q c r\r\n",
+     (InputParseError, "line 4: unknown letter in ['q', 'c', 'r']", 4)),
+    ("states q r\x0cletters a\ntrans q a r # one\x85trans q a s\n",
+     (InputParseError, "line 4: unknown state in ['q', 'a', 's']", 4)),
+    ("states q r # \u2028letters a\ntrans q a r # \x0c\u2028\ntrans q a q\n",
+     (InputParseError, "line 6: conflicting transitions for (q, a)", 6)),
+    ("\n".join(["states q r", "letters a", "trans q a r\x0ctrans q a q"]),
+     (InputParseError, "line 4: conflicting transitions for (q, a)", 4)),
+    ("letters a\nstates " + " ".join(f"q{i}" for i in range(CATALOG_STATE_CAP + 1)),
+     (CapExceeded, f"line 2 names {CATALOG_STATE_CAP + 1} states, over the cap "
+                   f"{CATALOG_STATE_CAP}", None)),
+    ("states q q\nletters a\ntrans q a q\n", (ReservedName, "duplicate name 'q'", None)),
+    ("states q r\nletters a q\ntrans q a r\n", (ReservedName, "duplicate name 'q'", None)),
+])
+def test_parser_matches_the_reference_on_line_breaks_and_late_errors(tmp_path, text, want):
+    got = assert_parses_as_the_reference(text, tmp_path / "case.alg")
+    assert got == want or want is None and not isinstance(got, tuple)
+
+
+def test_parsing_repeated_lines_takes_memory_that_does_not_grow(tmp_path):
+    # the file is read a line at a time and the transitions are kept by
+    # (state, letter), so 180,000 more copies of one line cost no memory
+    peaks = []
+    for count in (20_000, 200_000):
+        path = tmp_path / f"repeat{count}.alg"
+        path.write_text("states q r\nletters a\n" + "trans q a r\n" * count)
+        tracemalloc.start()
+        try:
+            M = _load(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert M.transitions() == [(0, 0, 1)]
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
 
 def _write(tmp_path, name, M):
@@ -281,6 +369,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 1
     code, _, err = run(["classify", str(tmp_path / "missing.alg")], capsys)
     assert code == 1
+    latin1 = tmp_path / "latin1.alg"        # a stray \xe9 byte in a comment
+    latin1.write_bytes(b"# caf\xe9\nstates q r\nletters a\ntrans q a r\n")
+    code, out, err = run(["classify", str(latin1)], capsys)
+    assert code == 2 and "not UTF-8" in err and "Traceback" not in err and out == ""
+    b_path = _write(tmp_path, "B.alg", catalog("B"))
+    latin1.write_bytes(b'{"verdict": "caf\xe9"}')
+    code, out, err = run(["verify-cert", b_path, str(latin1)], capsys)
+    assert code == 2 and "parse error" in err and out == ""
     code, _, err = run(["witness", "thm_wc", "x", "--size", "4"], capsys)
     assert code == 1 and "usage error" in err
     for letter in ("z", "1", "0"):      # unknown name, a state, the zero
