@@ -1,9 +1,10 @@
 """Finite abelian groups as explicit operation tables.
 
 Everything here is desk scale: groups are given by n×n tables on elements
-0..n−1, decompositions are found by peeling maximal-order generators and
-verified by reconstructing the table, and the character construction is
-self-verified element by element.
+0..n−1.  A decomposition peels off a maximal-order cyclic factor and takes
+its complement in one greedy pass over the elements, then is verified by
+reconstructing the table; the character construction is self-verified
+element by element.
 """
 
 from __future__ import annotations
@@ -155,21 +156,17 @@ class AbelianGroup:
     def malcev_gap(self, xs: Sequence[int]) -> Optional[tuple]:
         """The first index triple (i, j, k), in nested-loop order, with
         xs[i]·xs[j]⁻¹·xs[k] outside xs, or None when xs is closed under
-        x·y⁻¹·z; a nonempty xs is closed exactly when it is a coset."""
-        if xs:
-            # coset test in O(k²): x₀⁻¹·xs is closed under the product; the k³
-            # scan below runs only to name the first gap
-            shifted = set(map(self.table[self._inv[xs[0]]].__getitem__, xs))
-            if all(shifted.issuperset(map(self.table[d].__getitem__, shifted))
-                   for d in shifted):
-                return None
+        x·y⁻¹·z; a nonempty xs is closed exactly when it is a coset.
+
+        Only i = 0 is scanned: if x₀·y⁻¹·z is in xs for all y, z in xs, then
+        T = x₀⁻¹·xs holds e and y⁻¹z for all x₀⁻¹y, x₀⁻¹z in T, so T⁻¹T ⊆ T,
+        T is a subgroup and xs = x₀·T is closed.  So the first gap, if any,
+        has i = 0."""
         inside = set(xs)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                row = self.table[self.table[x][self._inv[y]]]
-                for k, z in enumerate(xs):
-                    if row[z] not in inside:
-                        return (i, j, k)
+        for j, y in enumerate(xs):
+            row = self.table[self.table[xs[0]][self._inv[y]]]
+            if not inside.issuperset(map(row.__getitem__, xs)):
+                return (0, j, next(k for k, z in enumerate(xs) if row[z] not in inside))
         return None
 
     # -- constructors ------------------------------------------------------
@@ -231,32 +228,19 @@ def abelian_group_isomorphism_types(max_order: int) -> list:
 # primary decomposition
 # ---------------------------------------------------------------------------
 
-def _complement(G: AbelianGroup, inside: set, avoid: set, target: int) -> Optional[set]:
-    """A subgroup K of `inside` with K ∩ avoid = {e} and |K| = target."""
-
-    def extend(K: set) -> Optional[set]:
-        if len(K) == target:
-            return K
-        for x in sorted(inside):
-            if x in K:
-                continue
-            K2 = G.subgroup_generated(K | {x})
-            if len(K2) <= target and target % len(K2) == 0 \
-                    and K2 <= inside and len(K2 & avoid) == 1:
-                got = extend(K2)
-                if got is not None:
-                    return got
-        return None
-
-    return extend({G.identity})
-
-
 def cyclic_decomposition(G: AbelianGroup) -> list:
     """Primary decomposition into cyclic p-groups.
 
     Returns (generator, prime-power order) pairs with primes ascending and
-    orders ascending within each prime.  Correctness is established by
-    reconstruction: the coordinate map must be a bijection onto G.
+    orders ascending within each prime.  Per prime, the least g of maximal
+    order in the p-part P is a factor, and P is replaced by a complement K
+    of ⟨g⟩, built in one pass over P in order: x joins K when ⟨K, x⟩ meets
+    ⟨g⟩ only in e.  In a finite abelian p-group, a subgroup meeting a cyclic
+    subgroup of maximal order only in e lies inside a complement of it (the
+    step in the proof of the basis theorem), so the pass never needs to take
+    an x back, and a rejected x stays rejected as K grows.  Correctness is
+    established by reconstruction: the coordinate map must be a bijection
+    onto G.
     """
     if G.n > CATALOG_STATE_CAP:
         raise CapExceeded(f"|G| = {G.n} exceeds the catalog state cap {CATALOG_STATE_CAP}")
@@ -267,9 +251,15 @@ def cyclic_decomposition(G: AbelianGroup) -> list:
         while len(primary) > 1:
             best = max(G.order_of(x) for x in primary)
             g = min(x for x in primary if G.order_of(x) == best)
-            g_span = set(G.subgroup_generated([g]))
-            K = _complement(G, primary, g_span, len(primary) // best)
-            if K is None:
+            g_span, K, target = G.subgroup_generated([g]), {G.identity}, len(primary) // best
+            for x in sorted(primary):
+                if len(K) == target:
+                    break
+                if x not in K:
+                    grown = closure(K, [x], G.op)
+                    if len(grown & g_span) == 1:
+                        K = grown
+            if len(K) != target:
                 raise InternalInconsistency("no complement for a maximal cyclic factor")
             part.append((g, best))
             primary = K

@@ -32,12 +32,12 @@ tail wherever the direct vote fails, so the two fail together.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .abgroups import AbelianGroup, closure
+from .abgroups import AbelianGroup, _prime_factors, closure
 from .algebras import ZERO, AutomaticAlgebra
 from .errors import (BadParams, InternalInconsistency, NotAbelian, NotCommuting,
                      NotPermutational)
@@ -115,10 +115,14 @@ def rankill_check(M: AutomaticAlgebra) -> Optional[RanKillWitness]:
     """Path witness from ran a to ks a (case 2) or from ks a to dom a (case 1).
 
     Case 2 is searched first across all letters, then case 1; within a case,
-    the letters with targets in index order, each by `shortest_word`.
+    the letters with targets in index order, each by `shortest_word`.  Case
+    2's targets and case 1's sources are the letter's kill set, so a letter
+    defined everywhere is passed over in both.
     """
     for case, sources, targets in ((2, M.ran, M.kills), (1, M.kills, M.dom)):
         for j in range(M.n_letters):
+            if None not in M.action(j):
+                continue
             goal = targets(j)
             hit = shortest_word(sorted(sources(j)), M.n_letters, lambda p: M.action(p[1])[p[0]],
                                 goal.__contains__) if goal else None
@@ -479,17 +483,22 @@ def _coset_inside(actions: set, m: int) -> bool:
     """True iff the action set contains a coset of a nontrivial subgroup
     whose order divides m.
 
-    A coset kH inside the set forces H = k⁻¹(kH), and H contains a cyclic
-    subgroup ⟨g⟩ of order > 1 dividing m that still satisfies k⟨g⟩ ⊆ set;
-    conversely any such ⟨g⟩ is itself a qualifying subgroup.  So it is
-    enough to look for k in the set and g in k⁻¹·set with ⟨g⟩ ⊆ k⁻¹·set.
+    A coset kH inside the set forces H = k⁻¹(kH), and by Cauchy's theorem
+    H contains a subgroup ⟨g⟩ of some prime order p dividing |H|, so
+    dividing m, with k⟨g⟩ ⊆ kH; conversely any such ⟨g⟩ is itself a
+    qualifying subgroup.  So it is enough to look for k in the set and g in
+    k⁻¹·set of prime order p | m with g, g², …, g^(p−1) in k⁻¹·set, which
+    holds e = k⁻¹k; the walk stops at the first power outside it.  m is the
+    order of a permutation of the states, so its primes are at most their
+    number.
     """
+    primes = set(_prime_factors(m))
     for k in actions:
         kinv = _perm_inverse(k)
         D = {_compose(kinv, a) for a in actions}
         for g in D:
-            order = _perm_order(g)      # |⟨g⟩|, so ⟨g⟩ ⊆ D needs order <= |D|
-            if 1 < order <= len(D) and m % order == 0 and closure([g], [g], _compose) <= D:
+            p = _perm_order(g)
+            if p in primes and all(x in D for x in accumulate(repeat(g, p - 1), _compose)):
                 return True
     return False
 

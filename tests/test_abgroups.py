@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import complement_search
 from autodual.abgroups import (AbelianGroup, CharacterWitness, MatrixZm,
                                abelian_group_isomorphism_types, all_characters,
                                all_endomorphisms, annihilator_system,
@@ -128,6 +129,14 @@ def is_group(table) -> bool:
             and all(identities[0] in row for row in table))
 
 
+def relabelled(G: AbelianGroup, rng: random.Random) -> AbelianGroup:
+    """G with its elements renamed by a seeded permutation."""
+    relabel = rng.sample(range(G.n), G.n)
+    back = {v: k for k, v in enumerate(relabel)}
+    return AbelianGroup([[relabel[G.op(back[x], back[y])] for y in range(G.n)]
+                         for x in range(G.n)])
+
+
 def commutative_tables():
     """Every commutative table on at most 3 elements, then seeded random
     ones on 4 to 8 elements: arbitrary, with an identity adjoined, relabelled
@@ -153,10 +162,7 @@ def commutative_tables():
         yield table
     for _, G in abelian_group_isomorphism_types(8):
         for _ in range(10):
-            relabel = rng.sample(range(G.n), G.n)
-            back = {v: k for k, v in enumerate(relabel)}
-            table = [[relabel[G.op(back[x], back[y])] for y in range(G.n)]
-                     for x in range(G.n)]
+            table = relabelled(G, rng).table
             yield table
             if G.n > 1:
                 x, y = rng.randrange(G.n), rng.randrange(G.n)
@@ -217,6 +223,19 @@ def assert_basis_reconstructs(G: AbelianGroup, basis: list) -> None:
 def test_decomposition_reconstructs_table():
     for _, G in abelian_group_isomorphism_types(12):
         assert_basis_reconstructs(G, cyclic_decomposition(G))
+
+
+def test_decomposition_matches_the_complement_search():
+    # the one-pass complement returns the backtracking search's basis,
+    # generator for generator; the pass runs over the elements in order, so
+    # the groups are also taken under relabellings
+    groups = []
+    for _, G in abelian_group_isomorphism_types(128):
+        groups.append(G)
+        if G.n <= 64:
+            groups += [relabelled(G, random.Random(seed)) for seed in range(5)]
+    for G in groups:
+        assert cyclic_decomposition(G) == complement_search.cyclic_decomposition(G), G.table
 
 
 def test_isomorphism_types_census():
@@ -412,7 +431,7 @@ def malcev_gap_by_triples(G, xs):
 def test_malcev_gap_matches_triple_scan():
     rng = random.Random(19)
     outcomes = set()
-    for _, G in abelian_group_isomorphism_types(12):
+    for _, G in abelian_group_isomorphism_types(32):
         for _ in range(40):
             if rng.random() < 0.5:
                 xs = [rng.randrange(G.n) for _ in range(rng.randint(0, G.n))]

@@ -450,6 +450,24 @@ def test_nondcomm_subset_oracle():
                 actions = set(rng.sample(translations, size))
                 for m in (2, 3, 4, 6, 8):
                     assert _coset_inside(actions, m) == brute(actions, m)
+    # translation families of Z_9, Z_3 × Z_3 and Z_12, which hold cosets of
+    # subgroups of composite order (9 in Z_9; 4, 6 and 12 in Z_12); each is
+    # found through a subgroup of prime order inside it
+    for orders in ((9,), (3, 3), (12,)):
+        G = AbelianGroup.of_orders(*orders)
+        translations = [tuple(G.table[x]) for x in G.elements()]
+        for size in range(1, G.n + 1):
+            for _ in range(4):
+                actions = set(rng.sample(translations, size))
+                for m in (3, 9, 12, 18):
+                    assert _coset_inside(actions, m) == brute(actions, m)
+        for H in {G.subgroup_generated([h]) for h in G.elements()} | {frozenset(G.elements())}:
+            if len(H) < 4:      # composite orders only
+                continue
+            for k in G.elements():
+                actions = {translations[G.op(k, h)] for h in H}
+                for m in (3, 9, 12, 18):
+                    assert _coset_inside(actions, m) == brute(actions, m) == (gcd(m, len(H)) > 1)
 
 
 def test_letter_affine_coset_normal_form():
