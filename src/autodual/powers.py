@@ -180,7 +180,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                    max_elements: int = HOM_CAP_DEFAULT,
                    limit: Optional[int] = None,
                    distinct_on: Optional[Sequence[int]] = None,
-                   preassigned: Optional[dict] = None) -> list:
+                   preassigned: Optional[dict] = None,
+                   swaps: Sequence[tuple] = ()) -> list:
     """All homomorphisms A -> M as tuples of element codes, indexed by A,
     sorted, so the output order is canonical regardless of search order.
 
@@ -266,6 +267,22 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     search below the last such branch is complete.  `distinct_on=()` stops
     at the first hom.
 
+    `swaps`, pairs p < q of positions in `distinct_on`, drops every node at
+    which, for some pair, the elements at p and q are both decided and the
+    value at p is the greater code; a lone open element of a pair is
+    branched on, not emitted free, so each hom passes through such a test.
+    The search then returns one hom per restriction whose values ascend
+    along every pair, and no other.  When each pair is exchanged by an
+    automorphism σ of A that fixes the other elements of `distinct_on`,
+    h ↦ h∘σ is a bijection of hom(A, M) that exchanges the values at p and
+    q of every restriction, so the restrictions that extend to a hom are
+    closed under the swaps.  The swaps generate the full symmetric group on
+    each connected block of positions, and the member of an orbit sorted
+    ascending by code within each block breaks no pair, so every orbit
+    keeps a member: closing the returned restrictions under the swaps
+    (`close_under_swaps`) gives back those of the search without them
+    (lex-leader symmetry breaking).
+
     The masks, Z among them, depend on M alone and are kept on M; the index
     and links of A, on A alone and kept on A once it passes the cap.  So a
     run of searches into one M, or from one A, builds each side once.
@@ -274,6 +291,14 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     first = distinct_on or ()
     for j in first:
         _check_element(A, j, "distinct_on element")
+    ordered = []    # per swap, the elements at p and q
+    for swap in swaps:      # no position is valid without distinct_on
+        if (not isinstance(swap, (tuple, list)) or len(swap) != 2
+                or not all(isinstance(p, int) and 0 <= p < len(first) for p in swap)
+                or swap[0] >= swap[1]):
+            raise BadParams(f"swap {swap!r} is no pair p < q of distinct_on positions")
+        ordered.append((first[swap[0]], first[swap[1]]))
+    swapped = frozenset(chain.from_iterable(ordered))
     allowed = []    # (element, mask of its allowed values)
     for j, values in (preassigned or {}).items():
         _check_element(A, j, "preassigned element")
@@ -475,18 +500,20 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     frames = []
     while True:
         found = len(out)
-        if len(decided) < n - 1:
+        if ordered and any(img[x] > img[y] >= 0 for x, y in ordered):
+            pass        # a swap maps every hom below to a lesser restriction
+        elif len(decided) == n:
+            out.append(tuple(img))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} homomorphisms")
+        elif len(decided) < n - 1 or swapped and img.index(-1) in swapped:
             best = branch_element()
             # the branch element's links first, then those of every open j (img[j] == -1)
             if (links is None or -1 in map(img.__getitem__, links[best])
                     or not emit_free(list(compress(range(n), map((-1).__eq__, img))))):
                 frames += (best, dom[best], len(trail), len(decided))
-        elif len(decided) < n:
-            emit_free([img.index(-1)])
         else:
-            out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
+            emit_free([img.index(-1)])
         if distinct_on is not None and len(out) > found:
             while frames and frames[-4] not in keep:
                 del frames[-4:]
@@ -504,6 +531,23 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             break
     out.sort()
     return out
+
+
+def close_under_swaps(restrictions: Iterable[tuple], swaps: Sequence[tuple]) -> set:
+    """The restrictions and all that exchanging the values at positions p
+    and q, for pairs (p, q) of `swaps`, makes of them, again and again: from
+    what a `distinct_on` search returns with `swaps`, when each pair comes
+    from an automorphism, the restrictions it returns without them."""
+    closed = set(restrictions)
+    todo = list(closed)
+    while todo:
+        r = todo.pop()
+        for p, q in swaps:
+            image = r[:p] + (r[q],) + r[p + 1:q] + (r[p],) + r[q + 1:]
+            if image not in closed:
+                closed.add(image)
+                todo.append(image)
+    return closed
 
 
 def _check_element(A: Groupoid, j, what: str) -> None:

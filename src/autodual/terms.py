@@ -22,7 +22,7 @@ lexicographic scan; `check_quasi_identity` describes the join.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product as iproduct
 from math import prod
 from operator import getitem
@@ -224,7 +224,37 @@ def _least_two(keys, values):
     return out
 
 
-def _value_ranges(M: AutomaticAlgebra, equations, variables) -> dict:
+@lru_cache(maxsize=256)
+def _join_plan(equations: tuple) -> tuple:
+    """What the join reads of its equations alone, computed once per tuple
+    of equations, as tuples, since every call shares them: (variables,
+    joined, sides, roles).  The variables are sorted by name, and `joined`
+    lists those on some left-hand side and some right-hand side.  Each side
+    is (only, chains): the variables of that side only, and per equation
+    that side's chain as positions into the joined variables followed by
+    `only`.  `roles` holds, per variable v, (v, whether v is some chain's
+    head, whether it is a tail position or a lone head, whether it occurs
+    in every chain), for `_value_ranges`."""
+    left = {v for lhs, _ in equations for v in lhs.variables()}
+    right = {v for _, rhs in equations for v in rhs.variables()}
+    variables = tuple(sorted(left | right))
+    joined = tuple(sorted(left & right))
+    sides = []
+    for only, pick in ((tuple(sorted(left - right)), 0), (tuple(sorted(right - left)), 1)):
+        pos = {v: k for k, v in enumerate(joined + only)}
+        terms = tuple(eq[pick] if isinstance(eq[pick], ZeroEquivalent) else
+                      (pos[eq[pick].head], tuple(pos[v] for v in eq[pick].tail))
+                      for eq in equations)
+        sides.append((only, terms))
+    chains = [side for eq in equations for side in eq if isinstance(side, LeftChain)]
+    roles = tuple((v, any(c.head == v for c in chains),
+                   any(v in c.tail or c.head == v and not c.tail for c in chains),
+                   all(v in c.variables() for c in chains))
+                  for v in variables)
+    return variables, joined, tuple(sides), roles
+
+
+def _value_ranges(M: AutomaticAlgebra, roles: tuple) -> dict:
     """Per variable, the values the walk gives it, in element order.
 
     Only state·letter is ever nonzero, so a chain is 0 unless its head is a
@@ -236,44 +266,32 @@ def _value_ranges(M: AutomaticAlgebra, equations, variables) -> dict:
     and is less than each of them; it is left out when every chain holds v
     and some value fits, since it then satisfies every equation.
     """
-    chains = [side for eq in equations for side in eq if isinstance(side, LeftChain)]
-    elems = M.elements()
     ranges = {}
-    for v in variables:
-        as_state = any(c.head == v for c in chains)
-        as_letter = any(v in c.tail or c.head == v and not c.tail for c in chains)
-        kept = set(M.states() if as_state else ()) | set(M.letters() if as_letter else ())
-        if not kept or not all(v in c.variables() for c in chains):
-            kept.add(next(x for x in elems if x not in kept))
-        ranges[v] = [x for x in elems if x in kept]
+    for v, as_state, as_letter, in_every in roles:
+        kept = [*(M.states() if as_state else ()), *(M.letters() if as_letter else ())]
+        if not kept or not in_every:
+            # a state other is less than every kept value, as none is a state
+            other = [*(() if as_state else M.states()[:1]),
+                     *(() if as_letter else M.letters()[:1]), ZERO][0]
+            kept = [other] + kept if M.is_state(other) else kept + [other]
+        ranges[v] = kept
     return ranges
 
 
 def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional[dict]:
     """The hash join behind `check_identity` and `check_quasi_identity`."""
-    equations = tuple(premises) + (conclusion,)
-    left = {v for lhs, _ in equations for v in lhs.variables()}
-    right = {v for _, rhs in equations for v in rhs.variables()}
-    variables = sorted(left | right)
-    joined = sorted(left & right)
+    variables, joined, sides, roles = _join_plan(tuple(premises) + (conclusion,))
+    (l_only, _), (r_only, _) = sides
     size = M.size()
-    sides = []
-    for only, pick in ((sorted(left - right), 0), (sorted(right - left), 1)):
-        pos = {v: k for k, v in enumerate(joined + only)}
-        terms = [eq[pick] if isinstance(eq[pick], ZeroEquivalent) else
-                 (pos[eq[pick].head], tuple(pos[v] for v in eq[pick].tail))
-                 for eq in equations]
-        sides.append((only, terms))
-    (l_only, l_terms), (r_only, r_terms) = sides
-    ranges = _value_ranges(M, equations, variables)
+    ranges = _value_ranges(M, roles)
     nj, nl, nr = (prod(len(ranges[v]) for v in vs) for vs in (joined, l_only, r_only))
     work = size * size + nj * (nl + nr)
     if work > JOIN_CAP:
         raise CapExceeded(f"checking this over {size} elements takes {work} steps, "
                           f"over the cap {JOIN_CAP}")
     table = M.product_table()
-    elems = M.elements()
     if not (l_only or r_only):      # every variable joined: the plain scan
+        (_, l_terms), (_, r_terms) = sides
         for jv in iproduct(*map(ranges.get, joined)):
             lv = [_value(table, t, jv) for t in l_terms]
             rv = [_value(table, t, jv) for t in r_terms]
@@ -282,7 +300,6 @@ def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional
         return None
     assignments = [list(iproduct(*map(ranges.get, only))) for only in (l_only, r_only)]
     columns = [list(zip(*side)) for side in assignments]
-    rank = {x: k for k, x in enumerate(elems)}
     # J sorting first makes the first J value with a counterexample the least
     stop_early = variables[:len(joined)] == joined
     best = None
@@ -302,7 +319,7 @@ def _first_counterexample(M: AutomaticAlgebra, premises, conclusion) -> Optional
                 found = dict(zip(joined, jv))
                 found.update((v, col[a]) for v, col in zip(l_only, columns[0]))
                 found.update((v, col[b]) for v, col in zip(r_only, columns[1]))
-                ranked = tuple(rank[found[v]] for v in variables)
+                ranked = tuple((found[v] - 1) % size for v in variables)
                 if best is None or ranked < best[0]:
                     best = (ranked, found)
         if best is not None and stop_early:

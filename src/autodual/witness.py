@@ -27,8 +27,8 @@ from typing import Callable, Optional
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_subuniverse,
-                     pointwise_mul)
+from .powers import (HOM_CAP_DEFAULT, Groupoid, close_under_swaps, enumerate_homs,
+                     generate_subuniverse, pointwise_mul)
 from .structure import permutation_profile, _perm_order
 from .terms import order_sensitivity
 
@@ -409,6 +409,26 @@ def verify_construction(trunc: Truncation) -> dict:
 # kernel block analysis
 # ---------------------------------------------------------------------------
 
+def a0_swaps(spec: ConstructionSpec) -> list:
+    """The pairs p < q of A0 positions whose generators a transposition of
+    two coordinates exchanges, while it fixes the other A0 generators and
+    maps the generators of A onto themselves, and so A onto A.  Each
+    transposition of two of the width coordinates is checked on the
+    generators, not on A."""
+    a0 = [t for _, t in spec.a0]
+    gens = set(a0).union(t for _, t in spec.b)
+    found = set()
+    for c, d in combinations(range(spec.width), 2):
+        def sigma(t):
+            return t[:c] + (t[d],) + t[c + 1:d] + (t[c],) + t[d + 1:]
+
+        moved = [p for p, t in enumerate(a0) if sigma(t) != t]
+        if (len(moved) == 2 and sigma(a0[moved[0]]) == a0[moved[1]]
+                and all(sigma(t) in gens for t in gens)):
+            found.add(tuple(moved))
+    return sorted(found)
+
+
 @dataclass
 class KernelReport:
     nu: int
@@ -436,6 +456,19 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     profiles are listed in canonical element order (states, letters, then
     0).  The flagged condition -- some hom whose kernel on A0 has two blocks
     larger than nu -- is decided exactly in both modes.
+
+    The restriction search skips the mirror images the truncation's symmetry
+    makes (`a0_swaps`).  A coordinate permutation σ commutes with the
+    pointwise product, so it is an automorphism of M^width; when it maps the
+    generators onto themselves, it maps A onto A, and h ↦ h∘σ is a bijection
+    of hom(A, M).  For a transposition that exchanges the A0 generators at
+    positions p < q and fixes the others, that bijection exchanges positions
+    p and q of every restriction.  So the search keeps only the restrictions
+    whose values ascend along each such pair (`enumerate_homs`' `swaps`):
+    the pairs generate the full symmetric group on each connected block of
+    positions, and an orbit's member sorted within each block is kept.
+    Closing the kept restrictions under the pairs gives back the full set,
+    so the report is the one the unpruned search gives.
     """
     spec = trunc.spec
     M = spec.algebra
@@ -445,16 +478,17 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
         raise CapExceeded(f"|A| = {len(trunc.elements)} exceeds hom-enumeration cap "
                           f"{max_elements}")
     A = Groupoid.from_power(M, trunc.elements)
-    try:
-        homs = enumerate_homs(A, M, max_elements=max_elements, limit=hom_budget)
-        count, mode, key = len(homs), "homs", None
-    except CapExceeded:
-        homs = enumerate_homs(A, M, max_elements=max_elements, distinct_on=trunc.a0_indices)
-        rank = {x: k for k, x in enumerate(M.elements())}
-        count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
     a0 = trunc.a0_indices       # itemgetter of one index returns no tuple
     restrict = itemgetter(*a0) if len(a0) > 1 else lambda h: tuple(h[p] for p in a0)
-    profiles = sorted(set(map(restrict, homs)), key=key)
+    try:
+        homs = enumerate_homs(A, M, max_elements=max_elements, limit=hom_budget)
+        count, mode, key, swaps = len(homs), "homs", None, ()
+    except CapExceeded:
+        swaps = a0_swaps(spec)
+        homs = enumerate_homs(A, M, max_elements=max_elements, distinct_on=a0, swaps=swaps)
+        rank = {x: k for k, x in enumerate(M.elements())}
+        count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
+    profiles = sorted(close_under_swaps(map(restrict, homs), swaps), key=key)
     multisets = set()
     violations = []
     for prof in profiles:

@@ -14,9 +14,9 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
-from autodual.powers import (Groupoid, _search_masks, enumerate_homs, find_embedding,
-                             generate_subuniverse, hom_exists, is_compatible, op_chain_meet,
-                             op_diamond, op_g_uv, op_h, op_join, op_lambda,
+from autodual.powers import (Groupoid, _search_masks, close_under_swaps, enumerate_homs,
+                             find_embedding, generate_subuniverse, hom_exists, is_compatible,
+                             op_chain_meet, op_diamond, op_g_uv, op_h, op_join, op_lambda,
                              op_pbar, op_psi, op_quasi_meet, pointwise_mul)
 from autodual.structure import component_group, components
 from autodual.witness import CONSTRUCTION_NAMES, build_truncation
@@ -526,6 +526,73 @@ def test_distinct_on_validates_elements():
     for bad in ((A.n,), (0, -1), ("q",)):
         with pytest.raises(IndexOutOfRange):
             enumerate_homs(A, catalog("B"), distinct_on=bad)
+
+
+def is_automorphism(A, sigma):
+    """Does the permutation `sigma` (a list over 0..A.n-1) preserve A's product?"""
+    return all(A.mul(sigma[i], sigma[j]) == sigma[A.mul(i, j)]
+               for i in range(A.n) for j in range(A.n))
+
+
+def symmetric_sources():
+    """(name, A, distinct_on, swaps, automorphisms): sources with, per swap,
+    an automorphism of A that exchanges the `distinct_on` elements at its
+    two positions and fixes the others.  Any permutation of the zero
+    semigroup's nonzero elements, 2 and 4 below 1·j = 3 or with j·1 = j, and
+    the coordinate swap of the subalgebras of M² that u and its mirror
+    generate, on the pair and the diagonal elements."""
+    def exchange(n, i, j):
+        sigma = list(range(n))
+        sigma[i], sigma[j] = j, i
+        return sigma
+
+    zero5 = FREE_SOURCES["zero-5"]
+    pairs = list(itertools.combinations(range(5), 2))
+    out = [("zero-5", zero5, (1, 2, 3, 4, 5), pairs,
+            [exchange(6, p + 1, q + 1) for p, q in pairs]),
+           ("two-preimages", FREE_SOURCES["two-preimages"], (2, 5, 4), [(0, 2)],
+            [exchange(6, 2, 4)]),
+           ("two-fixed", FREE_SOURCES["two-fixed"], (2, 4), [(0, 1)], [exchange(6, 2, 4)])]
+    for key in (("F", 0), ("N", 1), ("R",)):
+        M = catalog(*key)
+        for u in itertools.combinations(M.elements(), 2):
+            elems = generate_subuniverse(M, 2, [u, u[::-1]])
+            if M.size() ** len(elems) <= 10 ** 5:
+                pos = {t: i for i, t in enumerate(elems)}
+                diagonal = tuple(i for i, t in enumerate(elems) if t == t[::-1])
+                out.append((f"{u} -> {''.join(map(str, key))}", Groupoid.from_power(M, elems),
+                            (pos[u], *diagonal, pos[u[::-1]]), [(0, len(diagonal) + 1)],
+                            [[pos[t[::-1]] for t in elems]]))
+    return out
+
+
+def test_swaps_keep_a_restriction_of_every_orbit():
+    sources = symmetric_sources()
+    assert len(sources) >= 10
+    for name, A, S, W, automorphisms in sources:
+        for (p, q), sigma in zip(W, automorphisms):
+            assert is_automorphism(A, sigma), name
+            assert [sigma[j] for j in S] == [S[q] if k == p else S[p] if k == q else j
+                                             for k, j in enumerate(S)], name
+        for M in (catalog("F", 0), catalog("N", 1), catalog("R")):
+            full = restrictions_to(enumerate_homs(A, M, max_elements=A.n, distinct_on=S), S)
+            got = enumerate_homs(A, M, max_elements=A.n, distinct_on=S, swaps=W)
+            assert got == sorted(got) and preserving(A, M, got) == got
+            kept = restrictions_to(got, S)
+            assert len(kept) == len(got)
+            assert all(r[p] <= r[q] for r in kept for p, q in W)
+            assert close_under_swaps(kept, W) == full, (name, M)
+
+
+def test_swaps_are_validated():
+    A, M = FREE_SOURCES["zero-5"], catalog("F", 0)
+    assert enumerate_homs(A, M, distinct_on=(1, 2), swaps=()) == enumerate_homs(
+        A, M, distinct_on=(1, 2))
+    for S, bad in ((None, [(0, 1)]), ((), [(0, 1)]), ((1, 2), [(1, 0)]), ((1, 2), [(0, 0)]),
+                   ((1, 2), [(0, 2)]), ((1, 2), [(-1, 1)]), ((1, 2), [(0,)]),
+                   ((1, 2), [0]), ((1, 2), [("0", 1)])):
+        with pytest.raises(BadParams):
+            enumerate_homs(A, M, distinct_on=S, swaps=bad)
 
 
 def assert_embeddings_match(targets, sources):

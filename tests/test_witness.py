@@ -12,7 +12,7 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.powers import (Groupoid, enumerate_homs, generate_subuniverse, hom_exists,
                              pointwise_mul)
-from autodual.witness import (CONSTRUCTION_NAMES, Truncation, build_truncation,
+from autodual.witness import (CONSTRUCTION_NAMES, Truncation, a0_swaps, build_truncation,
                               kernel_block_analysis, local_eval_probe,
                               verify_construction, _derive_pcomm_params)
 from test_powers import assert_one_hom_per_restriction, hom_lower_bound, restrictions_to
@@ -280,6 +280,61 @@ def test_restriction_mode_matches_hom_mode(name, params):
         # profiles come in canonical element order: states, letters, then 0
         assert found == sorted(found, key=lambda prof: [rank[v] for v in prof])
     assert restricted.violations == [] and full.violations == []   # default nu
+
+
+@pytest.mark.parametrize("name", CONSTRUCTION_NAMES)
+def test_a0_swaps_are_coordinate_symmetries_of_A(name):
+    # every coordinate transposition that maps the generators onto
+    # themselves and acts on A0 as the swap maps A onto A
+    for N in (4, 5):
+        tr = build_truncation(name, (), N)
+        spec, elements = tr.spec, set(tr.elements)
+        a0 = [tr.elements[i] for i in tr.a0_indices]
+        gens = set(a0) | {t for _, t in spec.b}
+        swaps = a0_swaps(spec)
+        # the index families range over interchangeable coordinates
+        assert swaps == list(itertools.combinations(range(len(a0)), 2))
+        for p, q in swaps:
+            mirrored = a0[:]
+            mirrored[p], mirrored[q] = a0[q], a0[p]
+            found = 0
+            for c, d in itertools.combinations(range(spec.width), 2):
+                def sigma(t):
+                    return tuple(t[d] if k == c else t[c] if k == d else x
+                                 for k, x in enumerate(t))
+                if [sigma(t) for t in a0] == mirrored and {sigma(t) for t in gens} == gens:
+                    assert {sigma(t) for t in tr.elements} == elements, (N, c, d)
+                    found += 1
+            assert found, (N, p, q)
+
+
+# thm_nondcomm at 6 has 745 elements, over the benchmark's cap of 512
+@pytest.mark.parametrize("name, N", [(name, N) for N in (4, 5, 6) for name in CONSTRUCTION_NAMES
+                                     if (name, N) != ("thm_nondcomm", 6)])
+def test_swaps_leave_the_restriction_report_as_it_is(name, N, monkeypatch):
+    # at nu = 0 every profile with two values is a violation, so the
+    # violations list every restriction the closure gives back
+    tr = build_truncation(name, (), N)
+    pruned = [kernel_block_analysis(tr, nu, max_elements=512, hom_budget=0) for nu in (0, None)]
+    monkeypatch.setattr(witness, "a0_swaps", lambda spec: [])
+    assert pruned == [kernel_block_analysis(tr, nu, max_elements=512, hom_budget=0)
+                      for nu in (0, None)]
+    assert pruned[0].mode == "restrictions" and pruned[0].violations
+
+
+def test_a0_swaps_need_an_exchange_that_keeps_the_generators():
+    # all three transpositions map the generators onto themselves; (0 2)
+    # exchanges a0[0] and a0[2] and fixes a0[1], while (0 1) and (1 2) each
+    # move two A0 generators into B.  Without q|r@1,r@2 (w), no
+    # transposition but (0 1) keeps the generators
+    M = catalog("F", 0)
+    q, r, a = (M.element_by_name(x) for x in "qra")
+    a0 = [("x", (q, r, r)), ("y", (a, ZERO, a)), ("z", (r, r, q))]
+    b = [("u", (r, q, r)), ("v", (ZERO, a, a)), ("w", (a, a, ZERO))]
+    spec = witness.ConstructionSpec("hand-made", (), 3, M, 3, a0, b, ("g", (q, q, q)), 1, [])
+    assert a0_swaps(spec) == [(0, 2)]
+    spec.b = b[:2]
+    assert a0_swaps(spec) == []
 
 
 def test_kernel_analysis_caps_A_in_both_modes(monkeypatch):
