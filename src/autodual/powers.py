@@ -9,9 +9,9 @@ works uniformly for catalog algebras and for subalgebras of powers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, product
-from operator import getitem
+from operator import and_, getitem, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
@@ -287,7 +287,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     and links of A, on A alone and kept on A once it passes the cap.  So a
     run of searches into one M, or from one A, builds each side once.
     """
-    size = M.size()
+    size, n = M.size(), A.n
     first = distinct_on or ()
     for j in first:
         _check_element(A, j, "distinct_on element")
@@ -299,7 +299,110 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             raise BadParams(f"swap {swap!r} is no pair p < q of distinct_on positions")
         ordered.append((first[swap[0]], first[swap[1]]))
     swapped = frozenset(chain.from_iterable(ordered))
-    allowed = []    # (element, mask of its allowed values)
+    allowed = _allowed_masks(A, M, preassigned, max_elements)
+    if (limit is not None and not injective_only and distinct_on is None and not allowed
+            and _hom_lower_bound(A, M) > limit):
+        raise CapExceeded(f"more than {limit} homomorphisms")
+    keep = frozenset(first)     # frames on these survive a hom
+    # only a plain listing emits several free elements at once, as below
+    links = A.links if not injective_only and distinct_on is None else None
+    Z = _search_masks(M)[3]
+    root = _search_root(A, M, injective_only, allowed)
+    if root is None:
+        return []
+    img, dom, trail, decided, try_value, undo, taken, free_values = root
+    out = []
+
+    def branch_element():
+        """The first open element of `distinct_on`, else the open element
+        with the smallest domain, lowest index first."""
+        for j in first:
+            if img[j] < 0:
+                return j
+        best, best_count = -1, size + 1
+        for j in range(n):
+            if img[j] < 0:
+                count = dom[j].bit_count()
+                if count < best_count:
+                    best, best_count = j, count
+                    if count <= 2:
+                        break
+        return best
+
+    def emit_free(opens):
+        """Emit the homs below a frame whose open elements are `opens` and
+        return True if each of them is free, else return False."""
+        if len(opens) > 1 and -1 in map(img.__getitem__,
+                                        chain.from_iterable(map(links.__getitem__, opens))):
+            return False
+        stop = distinct_on is not None and keep.isdisjoint(opens)
+        earlier, choices, used = 0, [], taken()     # the values of the open elements before j
+        for j in opens:
+            values = free_values(j) & ~used
+            rest, codes = values, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                codes.append(low.bit_length() - 1)
+                if earlier & ~Z[codes[-1]]:     # a nonzero product; Z is symmetric
+                    return False
+            earlier |= values
+            choices.append(codes[:1] if stop else codes)
+        for head in product(*choices[:-1]):
+            for j, c in zip(opens, head):
+                img[j] = c
+            for c in choices[-1]:
+                img[opens[-1]] = c
+                out.append(tuple(img))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} homomorphisms")
+        for j in opens:
+            img[j] = -1
+        return True
+
+    # one frame per branching element, four flat ints: the element, its
+    # untried values, and the trail and decided marks that undo its choice
+    frames = []
+    while True:
+        found = len(out)
+        if ordered and any(img[x] > img[y] >= 0 for x, y in ordered):
+            pass        # a swap maps every hom below to a lesser restriction
+        elif len(decided) == n:
+            out.append(tuple(img))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} homomorphisms")
+        elif len(decided) < n - 1 or swapped and img.index(-1) in swapped:
+            best = branch_element()
+            # the branch element's links first, then those of every open j (img[j] == -1)
+            if (links is None or -1 in map(img.__getitem__, links[best])
+                    or not emit_free(list(compress(range(n), map((-1).__eq__, img))))):
+                frames += (best, dom[best], len(trail), len(decided))
+        else:
+            emit_free([img.index(-1)])
+        if distinct_on is not None and len(out) > found:
+            while frames and frames[-4] not in keep:
+                del frames[-4:]
+        while frames:       # the next value that propagates, backtracking
+            undo(frames[-2], frames[-1])
+            values = frames[-3]
+            if not values:
+                del frames[-4:]
+                continue
+            low = values & -values
+            frames[-3] = values ^ low
+            if try_value(frames[-4], low.bit_length() - 1):
+                break
+        else:
+            break
+    out.sort()
+    return out
+
+
+def _allowed_masks(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict],
+                   max_elements: int) -> list:
+    """(element, mask of its allowed values) per `preassigned` set, each
+    checked, then A checked against the size cap."""
+    allowed, size = [], M.size()
     for j, values in (preassigned or {}).items():
         _check_element(A, j, "preassigned element")
         if not isinstance(values, (set, frozenset)):
@@ -310,15 +413,25 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         allowed.append((j, sum(1 << v for v in values)))
     if A.n > max_elements:
         raise CapExceeded(f"|A| = {A.n} exceeds hom-enumeration cap {max_elements}")
-    n = A.n
+    return allowed
+
+
+def _hom_lower_bound(A: Groupoid, M: AutomaticAlgebra) -> int:
+    """(max(|Q|, |Σ|) + 1)^|S|, the bound on |hom(A, M)| of `enumerate_homs`;
+    the zero is 0·0, yet has no preimage pairs, so it is not counted in S."""
+    free = A.search_index[0].count([]) - (A.zero >= 0)
+    return (max(M.n_states, M.n_letters) + 1) ** free
+
+
+def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
+                 allowed: list) -> Optional[tuple]:
+    """The state and the moves of the hom search that `enumerate_homs`
+    describes and `count_homs` shares, at the root: the absorbing element
+    decided as 0, then each `allowed` mask narrowed, each propagated.  None
+    when that fails, else (img, dom, trail, decided, try_value, undo,
+    taken, free_values), `taken()` being the mask `used`."""
+    size, n = M.size(), A.n
     zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index
-    free = pre_left.count([]) - (zero >= 0)     # |S|: the zero is 0·0, yet has no pairs
-    if (limit is not None and not injective_only and distinct_on is None and not allowed
-            and (max(M.n_states, M.n_letters) + 1) ** free > limit):
-        raise CapExceeded(f"more than {limit} homomorphisms")
-    keep = frozenset(first)     # frames on these survive a hom
-    # only a plain listing emits several free elements at once, as below
-    links = A.links if not injective_only and distinct_on is None else None
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, FR, Z = _search_masks(M)
@@ -329,7 +442,6 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     decided = []
     queue = []
     used = 0  # values taken so far, kept under injective_only
-    out = []
 
     def decide(i, v):
         nonlocal used
@@ -440,97 +552,150 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             used &= ~(1 << img[j])
             img[j] = -1
 
-    def branch_element():
-        """The first open element of `distinct_on`, else the open element
-        with the smallest domain, lowest index first."""
-        for j in first:
-            if img[j] < 0:
-                return j
-        best, best_count = -1, size + 1
-        for j in range(n):
-            if img[j] < 0:
-                count = dom[j].bit_count()
-                if count < best_count:
-                    best, best_count = j, count
-                    if count <= 2:
-                        break
-        return best
-
-    def emit_free(opens):
-        """Emit the homs below a frame whose open elements are `opens` and
-        return True if each of them is free, else return False."""
-        if len(opens) > 1 and -1 in map(img.__getitem__,
-                                        chain.from_iterable(map(links.__getitem__, opens))):
-            return False
-        stop = distinct_on is not None and keep.isdisjoint(opens)
-        earlier, choices = 0, []    # the values of the open elements before j
-        for j in opens:
-            values = dom[j] & ~used
-            for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
-                # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
-                values &= FR[img[l]] if k == j else 1 << ZERO
-            rest, codes = values, []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                codes.append(low.bit_length() - 1)
-                if earlier & ~Z[codes[-1]]:     # a nonzero product; Z is symmetric
-                    return False
-            earlier |= values
-            choices.append(codes[:1] if stop else codes)
-        for head in product(*choices[:-1]):
-            for j, c in zip(opens, head):
-                img[j] = c
-            for c in choices[-1]:
-                img[opens[-1]] = c
-                out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
-        for j in opens:
-            img[j] = -1
-        return True
+    def free_values(j):
+        """The values of a free open element j (see `enumerate_homs`)."""
+        values = dom[j]
+        for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
+            # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
+            values &= FR[img[l]] if k == j else 1 << ZERO
+        return values
 
     if zero >= 0 and not try_value(zero, ZERO):
-        return []
+        return None
     for j, mask in allowed:
         if not narrow(j, mask) or not propagate():
-            return []
-    # one frame per branching element, four flat ints: the element, its
-    # untried values, and the trail and decided marks that undo its choice
-    frames = []
-    while True:
-        found = len(out)
-        if ordered and any(img[x] > img[y] >= 0 for x, y in ordered):
-            pass        # a swap maps every hom below to a lesser restriction
-        elif len(decided) == n:
-            out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
-        elif len(decided) < n - 1 or swapped and img.index(-1) in swapped:
-            best = branch_element()
-            # the branch element's links first, then those of every open j (img[j] == -1)
-            if (links is None or -1 in map(img.__getitem__, links[best])
-                    or not emit_free(list(compress(range(n), map((-1).__eq__, img))))):
-                frames += (best, dom[best], len(trail), len(decided))
-        else:
-            emit_free([img.index(-1)])
-        if distinct_on is not None and len(out) > found:
-            while frames and frames[-4] not in keep:
-                del frames[-4:]
-        while frames:       # the next value that propagates, backtracking
-            undo(frames[-2], frames[-1])
-            values = frames[-3]
-            if not values:
-                del frames[-4:]
-                continue
+            return None
+    return img, dom, trail, decided, try_value, undo, lambda: used, free_values
+
+
+def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
+               preassigned: Optional[dict] = None,
+               max_elements: int = HOM_CAP_DEFAULT) -> int:
+    """The number of homs A -> M with values in the `preassigned` sets, as
+    `enumerate_homs` lists them, counted without listing any.  With
+    `limit`, it raises the CapExceeded of `enumerate_homs` exactly when
+    that number exceeds `limit`, and when nothing is preassigned, checks
+    `limit` against the same lower bound first.
+
+    It shares the search of `enumerate_homs` (`_search_root`) and, at each
+    node, splits the open elements into components and multiplies their
+    counts, as model counters do (Bayardo and Pehoushek, "Counting models
+    using connected components", AAAI 2000).  Two open elements are linked
+    when (a) they share a partner triple (i, j, i·j, j·i) whose product is
+    open or decided nonzero, or one is the open product of the other, or
+    (b) their domains are not zero against each other both ways (Z).  So
+    when x and y lie in different components, x·y and y·x are decided as
+    0, and any values of x and y multiply to 0 both ways; a product of x
+    with a decided element is decided too, or is an open element of x's
+    component.  Deciding an element then narrows no domain outside its
+    component, and one choice per component, each propagated from the same
+    node, makes a hom.  A component's count is the sum, over the values of
+    its element with the smallest domain, then the most partners, then the
+    lowest index, of the counts below, split again: in thm_wc a few letters
+    meet every other element, and once they are decided the rest falls
+    apart.  A lone open element is free (see `enumerate_homs`), so its
+    count is that of its free values.  The stack of frames is explicit.
+
+    Under `limit`, a component is counted only up to `limit` over the
+    product of the counts before it, a value only up to what its component
+    has left, and once the product passes `limit`, each later component
+    only up to its first hom: one with none makes the product 0.
+    """
+    allowed = _allowed_masks(A, M, preassigned, max_elements)
+    if limit is not None and (limit < 0 or not allowed and _hom_lower_bound(A, M) > limit):
+        raise CapExceeded(f"more than {limit} homomorphisms")
+    root = _search_root(A, M, False, allowed)
+    if root is None:
+        return 0
+    img, dom, trail, decided, try_value, undo, _, free_values = root
+    partners, (pre_left, pre_right, _) = A.partners, A.search_index
+    factors = {}    # x -> the k and j with k·j = x, a bitmask, built when first read
+    Z, codes, zero_with = _search_masks(M)[3], range(M.size()), {}
+    full = (1 << M.size()) - 1
+
+    def split(opens):
+        """The components of `opens`, each a list."""
+        unseen, groups = 0, {}      # groups: a domain -> its open elements, a bitmask
+        for x in opens:
+            unseen |= 1 << x
+            groups[dom[x]] = groups.get(dom[x], 0) | 1 << x
+        linked = {}     # a domain -> the open elements (b) links to it
+        for d in groups:
+            if d not in zero_with:
+                zero_with[d] = reduce(and_, (Z[c] for c in codes if d >> c & 1), full)
+            # the groups are disjoint, so their sum is their union
+            linked[d] = sum(g for e, g in groups.items() if e & ~zero_with[d])
+        comps = []
+        while unseen:
+            todo, comp = unseen & -unseen, []
+            unseen ^= todo
+            while todo:
+                x = todo.bit_length() - 1
+                todo ^= 1 << x
+                comp.append(x)
+                if x not in factors:
+                    pairs = chain(pre_left[x], pre_right[x])
+                    factors[x] = reduce(or_, map((1).__lshift__, pairs), 0)
+                near = linked[dom[x]] | factors[x]
+                for j, t, s in partners[x]:
+                    if img[t] or img[s]:    # open (-1) or decided nonzero
+                        near |= 1 << j | 1 << t | 1 << s
+                near &= unseen
+                unseen ^= near
+                todo |= near
+            comps.append(comp)
+        return comps
+
+    def branch(comp, bound):
+        best = min(comp, key=lambda j: (dom[j].bit_count(), -len(partners[j]), j))
+        return [best, dom[best], len(trail), len(decided), comp, 0, bound]
+
+    # a node: [its components left, the product of the counts so far, bound];
+    # a branch: [element, untried values, trail and decided marks, component,
+    # the sum of the counts so far, bound]; `below` is what the last frame popped
+    stack = [[split([j for j in range(A.n) if img[j] < 0]), 1,
+              M.size() ** A.n if limit is None else limit]]
+    below = None
+    while stack:
+        frame = stack[-1]
+        if len(frame) == 3:
+            comps, total, bound = frame
+            if below is not None:
+                total = frame[1] = total * below
+                if not below:
+                    comps.clear()
+            below = None
+            if comps:
+                comp = comps.pop()
+                if len(comp) == 1:      # a lone element is free
+                    below = free_values(comp[0]).bit_count()
+                else:
+                    stack.append(branch(comp, bound // total))
+            else:
+                below = stack.pop()[1]
+            continue
+        best, values, trail_mark, decided_mark, comp, total, bound = frame
+        if below is not None:
+            total += below
+            undo(trail_mark, decided_mark)
+            below = None
+        while values and total <= bound:
             low = values & -values
-            frames[-3] = values ^ low
-            if try_value(frames[-4], low.bit_length() - 1):
-                break
+            values ^= low
+            if try_value(best, low.bit_length() - 1):
+                opens = [j for j in comp if img[j] < 0]
+                if opens:
+                    frame[1], frame[5] = values, total
+                    stack.append([split(opens), 1, bound - total])
+                    break
+                total += 1
+            undo(trail_mark, decided_mark)
         else:
-            break
-    out.sort()
-    return out
+            stack.pop()
+            below = total
+    if limit is not None and below > limit:
+        raise CapExceeded(f"more than {limit} homomorphisms")
+    return below
 
 
 def close_under_swaps(restrictions: Iterable[tuple], swaps: Sequence[tuple]) -> set:

@@ -27,8 +27,8 @@ from typing import Callable, Optional
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (HOM_CAP_DEFAULT, Groupoid, close_under_swaps, enumerate_homs,
-                     generate_subuniverse, pointwise_mul)
+from .powers import (HOM_CAP_DEFAULT, Groupoid, _hom_lower_bound, close_under_swaps,
+                     count_homs, enumerate_homs, generate_subuniverse, pointwise_mul)
 from .structure import permutation_profile, _perm_order
 from .terms import order_sensitivity
 
@@ -444,18 +444,16 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     """Block structure of ker(x|A0) over all homs x: A -> M.
 
     An A with more than `max_elements` elements raises CapExceeded before
-    its groupoid is built from the elements (`Groupoid.from_power`).  Full
-    hom enumeration is attempted first, capped at `hom_budget` homs.  When
-    that cap is hit (degenerate collapse maps can make the hom set
-    exponential even for small A), the analysis switches to restriction
-    mode.  The listing is skipped when the lower bound on |hom(A, M)| that
-    `enumerate_homs` checks a `limit` against already exceeds `hom_budget`,
-    so no homs are listed and thrown away in that case.  In restriction
-    mode, one search with `distinct_on` set to A0 returns one hom per
-    achievable restriction x|A0, which is its extension witness, and the
-    profiles are listed in canonical element order (states, letters, then
-    0).  The flagged condition -- some hom whose kernel on A0 has two blocks
-    larger than nu -- is decided exactly in both modes.
+    its groupoid is built from the elements (`Groupoid.from_power`).  One
+    search with `distinct_on` set to A0 returns one hom per achievable
+    restriction x|A0, which is its extension witness.  The report is in
+    "homs" mode, with `hom_count` = |hom(A, M)|, when that is at most
+    `hom_budget`, and in "restrictions" mode, with no count, otherwise
+    (degenerate collapse maps can make the hom set exponential even for
+    small A).  Homs mode lists the profiles in code order, restriction mode
+    in canonical element order (states, letters, then 0).  The flagged
+    condition -- some hom whose kernel on A0 has two blocks larger than nu
+    -- is decided exactly in both modes.
 
     The restriction search skips the mirror images the truncation's symmetry
     makes (`a0_swaps`).  A coordinate permutation σ commutes with the
@@ -469,6 +467,19 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     positions, and an orbit's member sorted within each block is kept.
     Closing the kept restrictions under the pairs gives back the full set,
     so the report is the one the unpruned search gives.
+
+    The same bijection counts the homs.  The automorphism behind a product
+    of swaps σ maps the homs that extend a restriction r onto those that
+    extend σ·r, so every member of r's orbit under the swaps has as many
+    extensions as r: |hom(A, M)| is the sum over the orbits of the closed
+    restrictions of |orbit| times `count_homs` with A0 preassigned to one
+    member.  Several members of an orbit may ascend along every pair (all
+    of (a, b, c) and (a, c, b) do along (0, 1) and (0, 2)), so an orbit is
+    counted at its first kept member and its others are skipped.  Each
+    orbit's count is capped at what the budget has left over |orbit|, so it
+    raises exactly when the sum would pass `hom_budget`.  No count is taken
+    when the lower bound on |hom(A, M)| that `enumerate_homs` checks a
+    `limit` against already exceeds `hom_budget`.
     """
     spec = trunc.spec
     M = spec.algebra
@@ -480,15 +491,28 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
     A = Groupoid.from_power(M, trunc.elements)
     a0 = trunc.a0_indices       # itemgetter of one index returns no tuple
     restrict = itemgetter(*a0) if len(a0) > 1 else lambda h: tuple(h[p] for p in a0)
-    try:
-        homs = enumerate_homs(A, M, max_elements=max_elements, limit=hom_budget)
-        count, mode, key, swaps = len(homs), "homs", None, ()
-    except CapExceeded:
-        swaps = a0_swaps(spec)
-        homs = enumerate_homs(A, M, max_elements=max_elements, distinct_on=a0, swaps=swaps)
+    swaps = a0_swaps(spec)
+    kept = enumerate_homs(A, M, max_elements=max_elements, distinct_on=a0, swaps=swaps)
+    count = 0 if _hom_lower_bound(A, M) <= hom_budget else None
+    profiles = set()
+    for r in map(restrict, kept):
+        if r in profiles:       # a member of an orbit already counted
+            continue
+        orbit = close_under_swaps([r], swaps)
+        profiles |= orbit
+        if count is not None:
+            try:
+                count += len(orbit) * count_homs(
+                    A, M, (hom_budget - count) // len(orbit),
+                    {a: {v} for a, v in zip(a0, r)}, max_elements)
+            except CapExceeded:
+                count = None
+    if count is not None:
+        mode, key = "homs", None
+    else:
         rank = {x: k for k, x in enumerate(M.elements())}
-        count, mode, key = None, "restrictions", lambda prof: [rank[v] for v in prof]
-    profiles = sorted(close_under_swaps(map(restrict, homs), swaps), key=key)
+        mode, key = "restrictions", lambda prof: [rank[v] for v in prof]
+    profiles = sorted(profiles, key=key)
     multisets = set()
     violations = []
     for prof in profiles:

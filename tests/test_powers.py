@@ -14,10 +14,10 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
-from autodual.powers import (Groupoid, _search_masks, close_under_swaps, enumerate_homs,
-                             find_embedding, generate_subuniverse, hom_exists, is_compatible,
-                             op_chain_meet, op_diamond, op_g_uv, op_h, op_join, op_lambda,
-                             op_pbar, op_psi, op_quasi_meet, pointwise_mul)
+from autodual.powers import (Groupoid, _search_masks, close_under_swaps, count_homs,
+                             enumerate_homs, find_embedding, generate_subuniverse, hom_exists,
+                             is_compatible, op_chain_meet, op_diamond, op_g_uv, op_h, op_join,
+                             op_lambda, op_pbar, op_psi, op_quasi_meet, pointwise_mul)
 from autodual.structure import component_group, components
 from autodual.witness import CONSTRUCTION_NAMES, build_truncation
 from small_algebras import every_algebra
@@ -225,6 +225,18 @@ def brute_force_homs(A, M):
     return preserving(A, M, itertools.product(M.elements(), repeat=A.n))
 
 
+def assert_counted(A, M, preassigned=None, listed=None):
+    """`count_homs` gives the length of the listing with the same
+    `preassigned` sets, raises at a limit one below it and not at it."""
+    if listed is None:
+        listed = enumerate_homs(A, M, max_elements=A.n, preassigned=preassigned)
+    count = len(listed)
+    assert count_homs(A, M, preassigned=preassigned, max_elements=A.n) == count
+    with pytest.raises(CapExceeded, match=f"^more than {count - 1} homomorphisms$"):
+        count_homs(A, M, count - 1, preassigned, A.n)
+    assert count_homs(A, M, count, preassigned, A.n) == count
+
+
 def small_sources():
     keys = [("R",), ("C", 3)] + [("F", m) for m in range(3)] + [("N", k) for k in range(6)]
     sources = [Groupoid.from_algebra(catalog(*key)) for key in keys]
@@ -270,9 +282,11 @@ def assert_homs_match(A, M):
             assert enumerate_homs(A, M, injective_only=True, preassigned={i: {c}}) \
                 == [h for h in embeddings if h[i] == c]
             assert hom_exists(A, M, {i: {c}}) == bool(extending)
+            assert_counted(A, M, {i: {c}}, extending)
         states = set(M.states())
         assert enumerate_homs(A, M, preassigned={i: states}) \
             == [h for h in homs if h[i] in states]
+        assert_counted(A, M, {i: states})
     assert_one_hom_per_restriction(A, M, restrictions_to(homs, ()), ())
     for S in ((0, A.n - 1), (A.n - 1, 1)):
         assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), S)
@@ -280,6 +294,7 @@ def assert_homs_match(A, M):
         with pytest.raises(CapExceeded):
             enumerate_homs(A, M, limit=len(homs) - 1)
     assert enumerate_homs(A, M, limit=len(homs)) == homs
+    assert_counted(A, M, listed=homs)
 
 
 @pytest.mark.parametrize("target", [("F", 0), ("N", 1), ("R",), ("B",)])
@@ -356,6 +371,8 @@ def test_hom_search_matches_brute_force_on_random_tables(A, M, data):
     assert enumerate_homs(A, M, preassigned={i: values}) == within
     assert enumerate_homs(A, M, injective_only=True, preassigned={i: values}) \
         == [h for h in within if len(set(h)) == A.n]
+    assert_counted(A, M, {i: values}, within)
+    assert_counted(A, M, listed=homs)
     S = data.draw(st.lists(st.integers(0, A.n - 1), max_size=3, unique=True))
     assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), tuple(S))
     if homs:
@@ -402,6 +419,7 @@ def test_last_open_element_values_are_homs(name):
     for M in (catalog("R"), catalog("B"), catalog("F", 0)):
         homs = brute_force_homs(A, M)
         assert enumerate_homs(A, M) == homs
+        assert_counted(A, M, listed=homs)
         assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
                                                              if len(set(h)) == A.n]
         for S in ((1,), (1, j), ()):
@@ -412,6 +430,7 @@ def test_last_open_element_values_are_homs(name):
             pre = {k: {v} for k, v in enumerate(rest)}
             assert enumerate_homs(A, M, preassigned=pre) == extending
             assert enumerate_homs(A, M, preassigned=pre, limit=len(extending)) == extending
+            assert_counted(A, M, pre, extending)
             if len(extending) > 1:      # j was left open, so this path raises
                 emitted_several += 1
                 with pytest.raises(CapExceeded):
@@ -510,8 +529,10 @@ def test_free_frames_match_brute_force(monkeypatch):
                                                              if len(set(h)) == A.n]
         for i in range(A.n):
             for c in M.elements():
-                assert enumerate_homs(A, M, preassigned={i: {c}}) == [h for h in homs
-                                                                      if h[i] == c]
+                extending = [h for h in homs if h[i] == c]
+                assert enumerate_homs(A, M, preassigned={i: {c}}) == extending
+                assert_counted(A, M, {i: {c}}, extending)
+        assert_counted(A, M, listed=homs)
         with pytest.raises(CapExceeded, match=f"more than {len(homs) - 1} homomorphisms"):
             enumerate_homs(A, M, limit=len(homs) - 1)
         assert enumerate_homs(A, M, limit=len(homs)) == homs
@@ -747,17 +768,19 @@ def hom_lower_bound(A, M):
 def assert_limit_decided_like_listing(A, M):
     """The bound is at most the number of homs, and a `limit` around either
     raises exactly when the full listing holds more, with the listing's
-    message."""
+    message, in a listing and in a count."""
     homs = enumerate_homs(A, M)
     bound = hom_lower_bound(A, M)
     assert bound <= len(homs)
     for k in {bound - 1, bound, len(homs) - 1, len(homs)}:
         if len(homs) > k:
-            with pytest.raises(CapExceeded) as err:
-                enumerate_homs(A, M, limit=k)
-            assert str(err.value) == f"more than {k} homomorphisms"
+            for search in (enumerate_homs, count_homs):
+                with pytest.raises(CapExceeded) as err:
+                    search(A, M, limit=k)
+                assert str(err.value) == f"more than {k} homomorphisms"
         else:
             assert enumerate_homs(A, M, limit=k) == homs
+            assert count_homs(A, M, limit=k) == len(homs)
 
 
 def test_hom_lower_bound_on_small_sources():

@@ -10,12 +10,13 @@ import pytest
 from autodual import witness
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
-from autodual.powers import (Groupoid, enumerate_homs, generate_subuniverse, hom_exists,
-                             pointwise_mul)
+from autodual.powers import (Groupoid, count_homs, enumerate_homs, generate_subuniverse,
+                             hom_exists, pointwise_mul)
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, a0_swaps, build_truncation,
                               kernel_block_analysis, local_eval_probe,
                               verify_construction, _derive_pcomm_params)
-from test_powers import assert_one_hom_per_restriction, hom_lower_bound, restrictions_to
+from test_powers import (assert_counted, assert_one_hom_per_restriction, hom_lower_bound,
+                         restrictions_to)
 
 
 def test_build_truncation_thm_wc_sets():
@@ -176,7 +177,7 @@ def test_kernel_analysis_projection_shape():
 
 
 def test_kernel_analysis_restriction_mode():
-    # decided by the hom count's lower bound, 4^16, before any listing
+    # decided by the hom count's lower bound, 4^16, before any count
     tr = build_truncation("ex_all4_L", (), 4)
     kr = kernel_block_analysis(tr, max_elements=64, hom_budget=50)
     assert kr.mode == "restrictions" and kr.hom_count is None
@@ -185,7 +186,7 @@ def test_kernel_analysis_restriction_mode():
 
 def test_kernel_analysis_restriction_mode_after_a_capped_listing():
     # the bound, 4^6 = 4,096, is within the budget and the 4,854 homs are
-    # not, so the listing itself hits the cap
+    # not, so the count itself hits the cap
     tr = build_truncation("thm_nondcomm", (), 4)
     M = tr.spec.algebra
     A = Groupoid.from_power(M, tr.elements)
@@ -194,6 +195,41 @@ def test_kernel_analysis_restriction_mode_after_a_capped_listing():
     capped = kernel_block_analysis(tr, max_elements=A.n, hom_budget=4500)
     assert capped.mode == "restrictions"
     assert capped == kernel_block_analysis(tr, max_elements=A.n, hom_budget=0)
+
+
+def hand_made_truncation():
+    """x_i = r at coordinate i and q elsewhere, i = 0, 1, 2, with the letter
+    everywhere, in F_0³: 8 elements, and each transposition of two
+    coordinates exchanges two x_i."""
+    M = catalog("F", 0)
+    q, r, a = (M.element_by_name(x) for x in "qra")
+    a0 = [(f"x{i}", tuple(r if c == i else q for c in range(3))) for i in range(3)]
+    spec = witness.ConstructionSpec("hand-made", (), 3, M, 3, a0, [("a", (a, a, a))],
+                                    ("g", (q, q, q)), 1, [])
+    elements = generate_subuniverse(M, 3, [t for _, t in a0] + [(a, a, a)])
+    return Truncation(spec, elements, [elements.index(t) for _, t in a0])
+
+
+def test_kernel_count_weights_each_orbit_once(monkeypatch):
+    tr = hand_made_truncation()
+    M, a0 = tr.spec.algebra, tr.a0_indices
+    A = Groupoid.from_power(M, tr.elements)
+    count = len(enumerate_homs(A, M))
+    assert (A.n, count, a0_swaps(tr.spec)) == (8, 165, [(0, 1), (0, 2), (1, 2)])
+    full = kernel_block_analysis(tr, nu=0)
+    assert (full.mode, full.hom_count) == ("homs", count)
+    # the budget decides the mode at the count exactly
+    assert kernel_block_analysis(tr, nu=0, hom_budget=count - 1).mode == "restrictions"
+    # a star at 0 and the path 0 - 2 - 1 generate the same group, but
+    # several members of an orbit ascend along each of their pairs: both of
+    # (a, b, c) and (a, c, b) along (0, 1) and (0, 2)
+    for swaps in ([(0, 1), (0, 2)], [(0, 2), (1, 2)]):
+        kept = [tuple(h[i] for i in a0)
+                for h in enumerate_homs(A, M, distinct_on=a0, swaps=swaps)]
+        assert len({tuple(sorted(r)) for r in kept}) < len(kept)
+        monkeypatch.setattr(witness, "a0_swaps", lambda spec: swaps)
+        assert kernel_block_analysis(tr, nu=0) == full
+        assert kernel_block_analysis(tr, nu=0, hom_budget=count - 1).mode == "restrictions"
 
 
 def kernel_report_digest(name, params, N):
@@ -235,6 +271,37 @@ HOM_LISTS_AT_4 = {
 def truncation_groupoid(name, params, N):
     tr = build_truncation(name, params, N)
     return tr, Groupoid.from_power(tr.spec.algebra, tr.elements)
+
+
+# the eight witness specs: thm_wc 0, 1 and 2, and the others with their defaults
+SPECS = [("thm_wc", (m,)) for m in range(3)] + [(name, ()) for name in CONSTRUCTION_NAMES
+                                                 if name != "thm_wc"]
+
+
+def capped(search, *args, **kwargs):
+    """len of a listing, a count, or the message of the CapExceeded it raises."""
+    try:
+        found = search(*args, **kwargs)
+    except CapExceeded as err:
+        return str(err)
+    return found if isinstance(found, int) else len(found)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("name, params", SPECS)
+def test_count_matches_listing_on_witness_specs(name, params, N):
+    # the whole hom set, and the homs extending each restriction to A0,
+    # both under the kernel's budget of 20,000
+    tr, A = truncation_groupoid(name, params, N)
+    M, a0 = tr.spec.algebra, tr.a0_indices
+    assert capped(count_homs, A, M, 20000, max_elements=A.n) \
+        == capped(enumerate_homs, A, M, max_elements=A.n, limit=20000)
+    for h in enumerate_homs(A, M, max_elements=A.n, distinct_on=a0):
+        pinned = {i: {h[i]} for i in a0}
+        listed = capped(enumerate_homs, A, M, max_elements=A.n, preassigned=pinned, limit=20000)
+        assert capped(count_homs, A, M, 20000, pinned, A.n) == listed
+        if isinstance(listed, int) and listed < 200:
+            assert_counted(A, M, pinned)
 
 
 @pytest.mark.parametrize("name, params", HOM_LISTS_AT_4)
