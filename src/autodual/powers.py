@@ -1,4 +1,4 @@
-"""Finite powers, subuniverse generation, hom enumeration, compatibility.
+"""Finite powers, subuniverse generation, hom enumeration and counting.
 
 Power elements are plain tuples of element codes over the index set
 {0, …, n−1}.  Generated subalgebras are materialized as `Groupoid`s
@@ -12,10 +12,10 @@ from bisect import bisect_left
 from functools import cached_property, reduce
 from itertools import chain, compress, product
 from operator import and_, getitem, or_
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
-from .errors import BadParams, CapExceeded, IndexOutOfRange, PreconditionViolated
+from .errors import BadParams, CapExceeded, IndexOutOfRange
 
 HOM_CAP_DEFAULT = 64
 
@@ -179,9 +179,7 @@ class Groupoid:
 def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = False,
                    max_elements: int = HOM_CAP_DEFAULT,
                    limit: Optional[int] = None,
-                   distinct_on: Optional[Sequence[int]] = None,
-                   preassigned: Optional[dict] = None,
-                   swaps: Sequence[tuple] = ()) -> list:
+                   preassigned: Optional[dict] = None) -> list:
     """All homomorphisms A -> M as tuples of element codes, indexed by A,
     sorted, so the output order is canonical regardless of search order.
 
@@ -193,8 +191,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     element there, a larger one leaves it to the branching below.
 
     A `limit` is first checked against a lower bound on |hom(A, M)|, before
-    any search, when the call has no `injective_only`, no `distinct_on` and
-    no `preassigned`, since each of those changes what is counted.  Only a
+    any search, when the call has neither `injective_only` nor
+    `preassigned`, since each of those changes what is counted.  Only a
     state times a letter is nonzero in M, so T·T = {0} for T = Q ∪ {0} and
     for T = Σ ∪ {0}.  Let S be the elements of A that are no product, the t
     but the zero with an empty `pre_left[t]`.  Every map that sends each
@@ -207,10 +205,8 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     over the element codes of M.  An absorbing element z of A, if there is
     one, is decided at the root, before `preassigned`, as 0, the one
     idempotent of M; its preimage pairs, which would narrow nothing there
-    (0·c = c·0 = c·c = 0 in M), are left out of the index.  The partners of
-    i (`Groupoid.partners`) are about 11 of the 88 elements of thm_nondcomm
-    at N = 4.  Deciding element i with value v propagates along every
-    product that involves i:
+    (0·c = c·0 = c·c = 0 in M), are left out of the index.  Deciding
+    element i with value v propagates along every product that involves i:
 
     - j not a partner: both products go to 0, so dom[j] keeps one mask,
       Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
@@ -249,63 +245,23 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     c = 0 passes the second.  When every open element is free and any two
     of their values multiply to 0 both ways (Z), the homs below the frame
     are the product of those values, emitted without branching.  A lone
-    open element is always free, and is emitted so in every search (its
-    least value only, under `distinct_on` without it).  Several are emitted
-    so only in a listing with neither `injective_only` nor `distinct_on`:
-    a product filtered for distinct values would lose the pruning of
-    branching smallest domain first, and a restriction search keeps one
-    hom below such a frame, which branching reaches about as fast.  The
-    branch element's links are read first, so a frame that must branch
-    pays one scan, then those of the other open elements.
-
-    `distinct_on`, a sequence of elements of A, asks for one hom per
-    distinct restriction to those elements.  The search then branches on
-    the open ones among them first, in the order given, and after each hom
-    drops every deeper frame and backtracks straight to the last branch on
-    one of them.  Two homs found this way differ on some branched element,
-    and every restriction that extends to a hom is reached, since the
-    search below the last such branch is complete.  `distinct_on=()` stops
-    at the first hom.
-
-    `swaps`, pairs p < q of positions in `distinct_on`, drops every node at
-    which, for some pair, the elements at p and q are both decided and the
-    value at p is the greater code; a lone open element of a pair is
-    branched on, not emitted free, so each hom passes through such a test.
-    The search then returns one hom per restriction whose values ascend
-    along every pair, and no other.  When each pair is exchanged by an
-    automorphism σ of A that fixes the other elements of `distinct_on`,
-    h ↦ h∘σ is a bijection of hom(A, M) that exchanges the values at p and
-    q of every restriction, so the restrictions that extend to a hom are
-    closed under the swaps.  The swaps generate the full symmetric group on
-    each connected block of positions, and the member of an orbit sorted
-    ascending by code within each block breaks no pair, so every orbit
-    keeps a member: closing the returned restrictions under the swaps
-    (`close_under_swaps`) gives back those of the search without them
-    (lex-leader symmetry breaking).
+    open element is always free, and is emitted so in every search.
+    Several are emitted so only in a listing without `injective_only`: a
+    product filtered for distinct values would lose the pruning of
+    branching smallest domain first.  The branch element's links are read
+    first, so a frame that must branch pays one scan, then those of the
+    other open elements.
 
     The masks, Z among them, depend on M alone and are kept on M; the index
     and links of A, on A alone and kept on A once it passes the cap.  So a
     run of searches into one M, or from one A, builds each side once.
     """
     size, n = M.size(), A.n
-    first = distinct_on or ()
-    for j in first:
-        _check_element(A, j, "distinct_on element")
-    ordered = []    # per swap, the elements at p and q
-    for swap in swaps:      # no position is valid without distinct_on
-        if (not isinstance(swap, (tuple, list)) or len(swap) != 2
-                or not all(isinstance(p, int) and 0 <= p < len(first) for p in swap)
-                or swap[0] >= swap[1]):
-            raise BadParams(f"swap {swap!r} is no pair p < q of distinct_on positions")
-        ordered.append((first[swap[0]], first[swap[1]]))
-    swapped = frozenset(chain.from_iterable(ordered))
     allowed = _allowed_masks(A, M, preassigned, max_elements)
-    if (limit is not None and not injective_only and distinct_on is None and not allowed
-            and _hom_lower_bound(A, M) > limit):
+    if limit is not None and not injective_only and not allowed \
+            and _hom_lower_bound(A, M) > limit:
         raise CapExceeded(f"more than {limit} homomorphisms")
-    keep = frozenset(first)     # frames on these survive a hom
-    # only a plain listing emits several free elements at once, as below
-    links = A.links if not injective_only and distinct_on is None else None
+    links = None if injective_only else A.links
     Z = _search_masks(M)[3]
     root = _search_root(A, M, injective_only, allowed)
     if root is None:
@@ -314,11 +270,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
     out = []
 
     def branch_element():
-        """The first open element of `distinct_on`, else the open element
-        with the smallest domain, lowest index first."""
-        for j in first:
-            if img[j] < 0:
-                return j
+        """The open element with the smallest domain, lowest index first."""
         best, best_count = -1, size + 1
         for j in range(n):
             if img[j] < 0:
@@ -335,7 +287,6 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
         if len(opens) > 1 and -1 in map(img.__getitem__,
                                         chain.from_iterable(map(links.__getitem__, opens))):
             return False
-        stop = distinct_on is not None and keep.isdisjoint(opens)
         earlier, choices, used = 0, [], taken()     # the values of the open elements before j
         for j in opens:
             values = free_values(j) & ~used
@@ -347,7 +298,7 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                 if earlier & ~Z[codes[-1]]:     # a nonzero product; Z is symmetric
                     return False
             earlier |= values
-            choices.append(codes[:1] if stop else codes)
+            choices.append(codes)
         for head in product(*choices[:-1]):
             for j, c in zip(opens, head):
                 img[j] = c
@@ -360,18 +311,13 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
             img[j] = -1
         return True
 
-    # one frame per branching element, four flat ints: the element, its
-    # untried values, and the trail and decided marks that undo its choice
-    frames = []
+    frames = []     # one per branching element, as `_backtrack` reads them
     while True:
-        found = len(out)
-        if ordered and any(img[x] > img[y] >= 0 for x, y in ordered):
-            pass        # a swap maps every hom below to a lesser restriction
-        elif len(decided) == n:
+        if len(decided) == n:
             out.append(tuple(img))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} homomorphisms")
-        elif len(decided) < n - 1 or swapped and img.index(-1) in swapped:
+        elif len(decided) < n - 1:
             best = branch_element()
             # the branch element's links first, then those of every open j (img[j] == -1)
             if (links is None or -1 in map(img.__getitem__, links[best])
@@ -379,23 +325,27 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                 frames += (best, dom[best], len(trail), len(decided))
         else:
             emit_free([img.index(-1)])
-        if distinct_on is not None and len(out) > found:
-            while frames and frames[-4] not in keep:
-                del frames[-4:]
-        while frames:       # the next value that propagates, backtracking
-            undo(frames[-2], frames[-1])
-            values = frames[-3]
-            if not values:
-                del frames[-4:]
-                continue
-            low = values & -values
-            frames[-3] = values ^ low
-            if try_value(frames[-4], low.bit_length() - 1):
-                break
-        else:
+        if not _backtrack(frames, try_value, undo):
             break
     out.sort()
     return out
+
+
+def _backtrack(frames: list, try_value, undo) -> bool:
+    """Decide the next value that propagates of the last frame, four flat
+    ints: an element, its untried values, and the trail and decided marks
+    that undo its choice; drop each frame with none left.  False if none is."""
+    while frames:
+        undo(frames[-2], frames[-1])
+        values = frames[-3]
+        if not values:
+            del frames[-4:]
+            continue
+        low = values & -values
+        frames[-3] = values ^ low
+        if try_value(frames[-4], low.bit_length() - 1):
+            return True
+    return False
 
 
 def _allowed_masks(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict],
@@ -426,7 +376,7 @@ def _hom_lower_bound(A: Groupoid, M: AutomaticAlgebra) -> int:
 def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
                  allowed: list) -> Optional[tuple]:
     """The state and the moves of the hom search that `enumerate_homs`
-    describes and `count_homs` shares, at the root: the absorbing element
+    describes and `restriction_counts` shares, at the root: the absorbing element
     decided as 0, then each `allowed` mask narrowed, each propagated.  None
     when that fails, else (img, dom, trail, decided, try_value, undo,
     taken, free_values), `taken()` being the mask `used`."""
@@ -572,46 +522,88 @@ def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
                preassigned: Optional[dict] = None,
                max_elements: int = HOM_CAP_DEFAULT) -> int:
     """The number of homs A -> M with values in the `preassigned` sets, as
-    `enumerate_homs` lists them, counted without listing any.  With
-    `limit`, it raises the CapExceeded of `enumerate_homs` exactly when
-    that number exceeds `limit`, and when nothing is preassigned, checks
-    `limit` against the same lower bound first.
+    `restriction_counts` counts them, raising the CapExceeded of
+    `enumerate_homs` exactly when that number exceeds `limit`."""
+    count = restriction_counts(A, M, (), (), limit, max_elements, preassigned)[1]
+    if count is None:
+        raise CapExceeded(f"more than {limit} homomorphisms")
+    return count
 
-    It shares the search of `enumerate_homs` (`_search_root`) and, at each
-    node, splits the open elements into components and multiplies their
-    counts, as model counters do (Bayardo and Pehoushek, "Counting models
-    using connected components", AAAI 2000).  Two open elements are linked
-    when (a) they share a partner triple (i, j, i·j, j·i) whose product is
-    open or decided nonzero, or one is the open product of the other, or
-    (b) their domains are not zero against each other both ways (Z).  So
-    when x and y lie in different components, x·y and y·x are decided as
-    0, and any values of x and y multiply to 0 both ways; a product of x
-    with a decided element is decided too, or is an open element of x's
-    component.  Deciding an element then narrows no domain outside its
-    component, and one choice per component, each propagated from the same
-    node, makes a hom.  A component's count is the sum, over the values of
-    its element with the smallest domain, then the most partners, then the
-    lowest index, of the counts below, split again: in thm_wc a few letters
-    meet every other element, and once they are decided the rest falls
-    apart.  A lone open element is free (see `enumerate_homs`), so its
-    count is that of its free values.  The stack of frames is explicit.
 
-    Under `limit`, a component is counted only up to `limit` over the
-    product of the counts before it, a value only up to what its component
-    has left, and once the product passes `limit`, each later component
-    only up to its first hom: one with none makes the product 0.
+def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
+                       swaps: Sequence[tuple] = (), limit: Optional[int] = None,
+                       max_elements: int = HOM_CAP_DEFAULT,
+                       preassigned: Optional[dict] = None) -> tuple:
+    """(R, count): R the set of the restrictions to the elements `on` of
+    the homs A -> M with values in the `preassigned` sets, as tuples of
+    codes, and count their number, or None when it exceeds `limit`.
+
+    The walk branches on the open elements of `on`, in order, with the
+    moves of `_search_root`, the search of `enumerate_homs`.  At each
+    leaf, where all of `on` is decided, it splits the open elements into
+    components and multiplies their counts, as model counters do (Bayardo
+    and Pehoushek, "Counting models using connected components", AAAI
+    2000), so a component with no hom is refuted once, not once per value
+    of the others.  Two open elements are linked when (a) they share a
+    partner triple (i, j, i·j, j·i) whose product is open or decided
+    nonzero, or one is the open product of the other, or (b) their domains
+    are not zero against each other both ways (Z).  So when x and y lie in
+    different components, x·y and y·x are decided as 0, and any values of
+    x and y multiply to 0 both ways; a product of x with a decided element
+    is decided too, or is an open element of x's component.  Deciding an
+    element then narrows no domain outside its component, and one choice
+    per component, each propagated from the same node, makes a hom.  A
+    component's count is the sum, over the values of its element with the
+    smallest domain, then the most partners, then the lowest index, of the
+    counts below, split again: in thm_wc a few letters meet every other
+    element, and once they are decided the rest falls apart.  A lone open
+    element is free (see `enumerate_homs`), so its count is that of its
+    free values.  Most often (b) alone joins every open element, which
+    one pass over their distinct domains shows; only otherwise is each
+    one visited.  The stack of frames is explicit.
+
+    A leaf counts up to what `limit` has left over the size of its orbit
+    (below): a component up to that over the product of the counts before
+    it, a value up to what its component has left, and once the product
+    passes it, each later component up to its first hom; one with none
+    makes the product 0.  Once the count has passed `limit`, or from the
+    start when nothing is preassigned and the lower bound of
+    `enumerate_homs` exceeds `limit`, a leaf counts up to a first hom.
+
+    `swaps` are pairs p < q of positions of `on` that an automorphism σ of
+    A exchanges while it fixes the other elements of `on`.  Then h ↦ h∘σ
+    is a bijection of hom(A, M) that exchanges the values at p and q of
+    every restriction, so the restrictions that extend are closed under
+    the swaps, and the members of an orbit have equally many extensions.
+    The swaps generate the full symmetric group on each connected block of
+    positions, and an orbit's member sorted within each block breaks no
+    pair.  So the walk keeps only the values that ascend along every pair
+    (lex-leader symmetry breaking): branching at q, it tries no code below
+    the value at p, and a leaf tests the pairs that propagation decided.
+    A kept r that extends adds its orbit (`close_under_swaps`) to R, and
+    |orbit| times its extensions to the count.  A leaf whose r is in R is
+    skipped, as several members of an orbit may ascend along every pair
+    (both (a, b, c) and (a, c, b) along (0, 1) and (0, 2)).
     """
     allowed = _allowed_masks(A, M, preassigned, max_elements)
-    if limit is not None and (limit < 0 or not allowed and _hom_lower_bound(A, M) > limit):
-        raise CapExceeded(f"more than {limit} homomorphisms")
+    for j in on:
+        _check_element(A, j, "restriction element")
+    for swap in swaps:
+        if (not isinstance(swap, (tuple, list)) or len(swap) != 2
+                or not all(isinstance(p, int) and 0 <= p < len(on) for p in swap)
+                or swap[0] >= swap[1]):
+            raise BadParams(f"swap {swap!r} is no pair p < q of restriction positions")
+    budget = M.size() ** A.n if limit is None else limit
+    count = 0 if budget >= 0 and (allowed or _hom_lower_bound(A, M) <= budget) else None
     root = _search_root(A, M, False, allowed)
     if root is None:
-        return 0
+        return set(), count
     img, dom, trail, decided, try_value, undo, _, free_values = root
     partners, (pre_left, pre_right, _) = A.partners, A.search_index
-    factors = {}    # x -> the k and j with k·j = x, a bitmask, built when first read
+    near = {}   # x -> x's masks for `split` (below), built when first read
     Z, codes, zero_with = _search_masks(M)[3], range(M.size()), {}
-    full = (1 << M.size()) - 1
+    # the branch element: the smallest domain, then the most partners, then the lowest index
+    ties = [(A.n - len(row)) * A.n + j for j, row in enumerate(partners)]
 
     def split(opens):
         """The components of `opens`, each a list."""
@@ -622,9 +614,16 @@ def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
         linked = {}     # a domain -> the open elements (b) links to it
         for d in groups:
             if d not in zero_with:
-                zero_with[d] = reduce(and_, (Z[c] for c in codes if d >> c & 1), full)
+                zero_with[d] = reduce(and_, (Z[c] for c in codes if d >> c & 1))
             # the groups are disjoint, so their sum is their union
             linked[d] = sum(g for e, g in groups.items() if e & ~zero_with[d])
+        # most often (b) alone joins every open element, group by group
+        reach, grown = 0, unseen & -unseen
+        while grown != reach:
+            reach = grown
+            grown = reduce(or_, (linked[e] for e, g in groups.items() if g & reach), reach)
+        if reach == unseen:
+            return [opens] if opens else []
         comps = []
         while unseen:
             todo, comp = unseen & -unseen, []
@@ -633,78 +632,111 @@ def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
                 x = todo.bit_length() - 1
                 todo ^= 1 << x
                 comp.append(x)
-                if x not in factors:
-                    pairs = chain(pre_left[x], pre_right[x])
-                    factors[x] = reduce(or_, map((1).__lshift__, pairs), 0)
-                near = linked[dom[x]] | factors[x]
-                for j, t, s in partners[x]:
-                    if img[t] or img[s]:    # open (-1) or decided nonzero
-                        near |= 1 << j | 1 << t | 1 << s
-                near &= unseen
-                unseen ^= near
-                todo |= near
+                if x not in near:   # x's factors and its triples' products; its partners
+                    js, ts, ss = list(zip(*partners[x])) or ((), (), ())
+                    pairs = chain(pre_left[x], pre_right[x], ts, ss)
+                    near[x] = (reduce(or_, map((1).__lshift__, pairs), 0),
+                               reduce(or_, map((1).__lshift__, js), 0))
+                # an open product t of x and j links j too, as j is a factor
+                # of t, so only a partner j not linked yet needs its triple read
+                linked_x, partners_x = near[x]
+                linked_x |= linked[dom[x]]
+                if partners_x & unseen & ~linked_x:
+                    for j, t, s in partners[x]:
+                        if img[t] or img[s]:    # open (-1) or decided nonzero
+                            linked_x |= 1 << j
+                linked_x &= unseen
+                unseen ^= linked_x
+                todo |= linked_x
             comps.append(comp)
         return comps
 
     def branch(comp, bound):
-        best = min(comp, key=lambda j: (dom[j].bit_count(), -len(partners[j]), j))
+        counts = list(map(int.bit_count, map(dom.__getitem__, comp)))
+        least = min(counts)
+        best = min(compress(comp, map(least.__eq__, counts)), key=ties.__getitem__)
         return [best, dom[best], len(trail), len(decided), comp, 0, bound]
 
-    # a node: [its components left, the product of the counts so far, bound];
-    # a branch: [element, untried values, trail and decided marks, component,
-    # the sum of the counts so far, bound]; `below` is what the last frame popped
-    stack = [[split([j for j in range(A.n) if img[j] < 0]), 1,
-              M.size() ** A.n if limit is None else limit]]
-    below = None
-    while stack:
-        frame = stack[-1]
-        if len(frame) == 3:
-            comps, total, bound = frame
-            if below is not None:
-                total = frame[1] = total * below
-                if not below:
-                    comps.clear()
-            below = None
-            if comps:
-                comp = comps.pop()
-                if len(comp) == 1:      # a lone element is free
-                    below = free_values(comp[0]).bit_count()
+    def count_below(bound):
+        """The homs below this node, exact up to `bound`, else some number
+        above it; the node is left as it was."""
+        # a node: [its components left, the product of the counts so far, bound];
+        # a branch: [element, untried values, trail and decided marks, component,
+        # the sum of the counts so far, bound]; `below` is what the last frame popped
+        stack = [[split([j for j in range(A.n) if img[j] < 0]), 1, bound]]
+        below = None
+        while stack:
+            frame = stack[-1]
+            if len(frame) == 3:
+                comps, total, bound = frame
+                if below is not None:
+                    total = frame[1] = total * below
+                    if not below:
+                        comps.clear()
+                below = None
+                if comps:
+                    comp = comps.pop()
+                    if len(comp) == 1:      # a lone element is free
+                        below = free_values(comp[0]).bit_count()
+                    else:
+                        stack.append(branch(comp, bound // total))
                 else:
-                    stack.append(branch(comp, bound // total))
+                    below = stack.pop()[1]
+                continue
+            best, values, trail_mark, decided_mark, comp, total, bound = frame
+            if below is not None:
+                total += below
+                undo(trail_mark, decided_mark)
+                below = None
+            while values and total <= bound:
+                low = values & -values
+                values ^= low
+                if try_value(best, low.bit_length() - 1):
+                    opens = [j for j in comp if img[j] < 0]
+                    if opens:
+                        frame[1], frame[5] = values, total
+                        stack.append([split(opens), 1, bound - total])
+                        break
+                    total += 1
+                undo(trail_mark, decided_mark)
             else:
-                below = stack.pop()[1]
-            continue
-        best, values, trail_mark, decided_mark, comp, total, bound = frame
-        if below is not None:
-            total += below
-            undo(trail_mark, decided_mark)
-            below = None
-        while values and total <= bound:
-            low = values & -values
-            values ^= low
-            if try_value(best, low.bit_length() - 1):
-                opens = [j for j in comp if img[j] < 0]
-                if opens:
-                    frame[1], frame[5] = values, total
-                    stack.append([split(opens), 1, bound - total])
-                    break
-                total += 1
-            undo(trail_mark, decided_mark)
+                stack.pop()
+                below = total
+        return below
+
+    floors = [[on[p] for p, q in swaps if q == k] for k in range(len(on))]
+    found, frames = set(), []   # frames as `_backtrack` reads them
+    while True:
+        k = 0       # the first open element of `on`
+        while k < len(on) and img[on[k]] >= 0:
+            k += 1
+        if k < len(on):
+            values = dom[on[k]]
+            for x in floors[k]:
+                values &= -1 << img[x]      # the codes from img[x] up
+            frames += (on[k], values, len(trail), len(decided))
         else:
-            stack.pop()
-            below = total
-    if limit is not None and below > limit:
-        raise CapExceeded(f"more than {limit} homomorphisms")
-    return below
+            r = tuple(map(img.__getitem__, on))
+            if r in found or any(r[p] > r[q] for p, q in swaps):
+                pass
+            elif count is None:     # the orbit's size is not needed
+                if count_below(0):
+                    found |= close_under_swaps([r], swaps)
+            else:
+                orbit = close_under_swaps([r], swaps)
+                bound = (budget - count) // len(orbit)
+                below = count_below(bound)
+                if below:
+                    found |= orbit
+                    count = None if below > bound else count + len(orbit) * below
+        if not _backtrack(frames, try_value, undo):
+            return found, count
 
 
 def close_under_swaps(restrictions: Iterable[tuple], swaps: Sequence[tuple]) -> set:
     """The restrictions and all that exchanging the values at positions p
-    and q, for pairs (p, q) of `swaps`, makes of them, again and again: from
-    what a `distinct_on` search returns with `swaps`, when each pair comes
-    from an automorphism, the restrictions it returns without them."""
-    closed = set(restrictions)
-    todo = list(closed)
+    and q, for pairs (p, q) of `swaps`, makes of them, again and again."""
+    closed, todo = set(restrictions), list(restrictions)
     while todo:
         r = todo.pop()
         for p, q in swaps:
@@ -768,244 +800,6 @@ def find_embedding(A: Groupoid, M: AutomaticAlgebra,
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,
                max_elements: int = HOM_CAP_DEFAULT) -> bool:
     """Is there a hom A -> M with its value at each element of
-    `preassigned` in that element's set of codes?"""
-    return bool(enumerate_homs(A, M, distinct_on=(), preassigned=preassigned,
-                               max_elements=max_elements))
-
-
-# ---------------------------------------------------------------------------
-# compatibility
-# ---------------------------------------------------------------------------
-
-def is_compatible(M: AutomaticAlgebra, relation: Iterable[tuple]) -> bool:
-    """True iff the relation is closed under the pointwise product."""
-    rel = set(relation)
-    return all(pointwise_mul(M, u, v) in rel for u in rel for v in rel)
-
-
-class PartialOperation(NamedTuple):
-    name: str
-    table: dict  # argument tuple -> value
-
-    @property
-    def domain(self):
-        return self.table.keys()
-
-    def __call__(self, *args):
-        return self.table[args]
-
-    def graph(self) -> set:
-        return {args + (value,) for args, value in self.table.items()}
-
-
-# ---------------------------------------------------------------------------
-# the compatible-operation library
-# ---------------------------------------------------------------------------
-
-def _tabulate(name: str, M: AutomaticAlgebra, arity: int, value,
-              keep=None) -> PartialOperation:
-    """The operation sending each `arity`-tuple of elements of M that `keep`
-    accepts (every tuple, without `keep`) to value(*args), the tuples taken
-    in `product` order."""
-    args = product(M.elements(), repeat=arity)
-    return PartialOperation(name, {a: value(*a) for a in args
-                                   if keep is None or keep(*a)})
-
-
-def op_g_uv(M: AutomaticAlgebra, u: int, v: int) -> PartialOperation:
-    """Binary total op: u on the single pair (u, v), 0 elsewhere.
-
-    Needs a letter among {u, v}, else the pair (u, v) could be hit by a
-    product and the operation would not be a homomorphism.
-    """
-    if not (M.is_letter(u) or M.is_letter(v)):
-        raise PreconditionViolated("g_uv needs a letter among its parameters")
-    return _tabulate("g_uv", M, 2, lambda x, y: u if (x, y) == (u, v) else ZERO)
-
-
-def op_join(M: AutomaticAlgebra) -> PartialOperation:
-    """Partial join of the flat order (0 below every state)."""
-    table = {}
-    for x in M.elements():
-        table[(x, x)] = x
-    for s in M.states():
-        table[(ZERO, s)] = s
-        table[(s, ZERO)] = s
-    return PartialOperation("join", table)
-
-
-def op_quasi_meet(M: AutomaticAlgebra) -> PartialOperation:
-    """Total quasi-meet: first argument if both are states or both letters.
-
-    Only a homomorphism on total algebras.
-    """
-    if not M.is_total():
-        raise PreconditionViolated("quasi-meet needs a total algebra")
-    Q, S = set(M.states()), set(M.letters())
-    return _tabulate("quasi_meet", M, 2,
-                     lambda x, y: x if {x, y} <= Q or {x, y} <= S else ZERO)
-
-
-def op_chain_meet(M: AutomaticAlgebra) -> PartialOperation:
-    """Total meet for the constant-letter setting.
-
-    Requires: total, every letter constant, and the letter-value map a
-    bijection onto the states.  States and their letters are ranked by
-    state index; the meet of two states (or two letters) is the one with
-    the larger index, mixed pairs meet at 0.
-    """
-    from .classify import constant_letter_values
-    values = constant_letter_values(M)
-    if values is None:
-        raise PreconditionViolated("chain meet needs total constant letters")
-    if sorted(values) != list(range(M.n_states)):
-        raise PreconditionViolated("chain meet needs letter values to enumerate Q")
-    letter_rank = {M.letter(j): values[j] for j in range(M.n_letters)}
-    state_rank = {M.state(i): i for i in range(M.n_states)}
-
-    def meet(x, y):
-        for rank in (state_rank, letter_rank):
-            if x in rank and y in rank:
-                return x if rank[x] >= rank[y] else y
-        return ZERO
-    return _tabulate("chain_meet", M, 2, meet)
-
-
-def op_h(M: AutomaticAlgebra, state_index: int = 0) -> PartialOperation:
-    """Ternary partial op from the constant-letter dualizability argument.
-
-    Domain excludes the distinguished state's letter in the first slot;
-    the value is the join of y, z over {0, q} when x = q, else 0.
-    """
-    from .classify import constant_letter_values
-    values = constant_letter_values(M)
-    if values is None:
-        raise PreconditionViolated("h needs total constant letters")
-    q1 = M.state(state_index)
-    with_value = [j for j in range(M.n_letters) if values[j] == state_index]
-    if len(with_value) != 1:
-        raise PreconditionViolated("h needs exactly one letter with the chosen value")
-    a1 = M.letter(with_value[0])
-    joins = {(ZERO, q1), (q1, ZERO), (q1, q1)}     # the (y, z) that join to q1
-    return _tabulate("h", M, 3, lambda x, y, z: q1 if x == q1 and (y, z) in joins else ZERO,
-                     keep=lambda x, y, z: x != a1)
-
-
-def op_lambda(M: AutomaticAlgebra, g: int) -> PartialOperation:
-    """Unary total translation by g on g's component, identity elsewhere."""
-    from .structure import component_group, components
-    if not M.is_state(g):
-        raise PreconditionViolated(f"lambda_g needs a state g, got {M.name(g)}")
-    comp = next(c for c in components(M) if M.state_index(g) in c)
-    data = component_group(M, comp)
-    table = {(x,): x for x in M.elements()}
-    for s in comp:
-        table[(M.state(s),)] = M.state(data.op_states(M.state_index(g), s))
-    return PartialOperation("lambda_g", table)
-
-
-def op_diamond(M: AutomaticAlgebra) -> PartialOperation:
-    """Binary partial op separating same-coset pairs from cross-coset ones."""
-    from .structure import components, component_group
-    table = {(ZERO, ZERO): ZERO}
-    for a in M.letters():
-        for b in M.letters():
-            table[(a, b)] = a
-    for comp in components(M):
-        data = component_group(M, comp)
-        for u in comp:
-            for v in comp:
-                diff = data.op_states(data.inv_state(u), v)
-                in_H = data.group_index(diff) in data.subgroup_H
-                table[(M.state(u), M.state(v))] = ZERO if not in_H else M.state(u)
-    return PartialOperation("diamond", table)
-
-
-def _letter_component(M: AutomaticAlgebra, component_index: int) -> tuple:
-    """(component, its group data), for a component every letter acts on."""
-    from .structure import components, component_group
-    comps = components(M)
-    if not 0 <= component_index < len(comps):
-        raise IndexOutOfRange(f"no component {component_index}")
-    data = component_group(M, comps[component_index])
-    for j in range(M.n_letters):
-        if j not in data.letter_images:
-            raise PreconditionViolated(
-                f"letter {M.letter_names[j]} is undefined on this component")
-    return comps[component_index], data
-
-
-def op_pbar(M: AutomaticAlgebra, component_index: int = 0) -> PartialOperation:
-    """Mal'cev operation xy⁻¹z on one component, extended to letter triples.
-
-    Needs the letter images on the component to be closed under the Mal'cev
-    operation (the letter-affine condition there).
-    """
-    comp, data = _letter_component(M, component_index)
-    G = data.group
-    image_of = {a: data.letter_images[M.letter_index(a)] for a in M.letters()}
-    if G.malcev_gap(list(image_of.values())) is not None:
-        raise PreconditionViolated("letter images are not Mal'cev closed on this component")
-    # the operation itself: x·y⁻¹·z in the group, on states and on letters
-    carriers = (({M.state(s): k for k, s in enumerate(comp)},
-                 lambda g: M.state(comp[g])),
-                (image_of, lambda g: _least_letter_with_image(M, data, g)))
-    table = {(ZERO, ZERO, ZERO): ZERO}
-    for index_of, element in carriers:
-        for x, y, z in product(index_of, repeat=3):
-            table[(x, y, z)] = element(G.op(G.op(index_of[x], G.inv(index_of[y])),
-                                            index_of[z]))
-    return PartialOperation("pbar", table)
-
-
-def _least_letter_with_image(M: AutomaticAlgebra, data, group_index: int) -> int:
-    for j in range(M.n_letters):
-        if data.letter_images.get(j) == group_index:
-            return M.letter(j)
-    raise PreconditionViolated("no letter realizes the required image")
-
-
-def op_psi(M: AutomaticAlgebra, endo: dict, component_index: int = 0) -> PartialOperation:
-    """Unary partial op extending an endomorphism of H that fixes u.
-
-    `endo` maps group indices of H to group indices of H; it must fix
-    u = a^{|G/H|} where a is the image of the least letter.  The extension
-    sends a^t·h to a^t·endo(h) on the component and acts on letters through
-    their images; it is defined on C ∪ Σ ∪ {0}.
-    """
-    comp, data = _letter_component(M, component_index)
-    if not data.letter_images:
-        raise PreconditionViolated("no letter acts on this component")
-    G, H = data.group, data.subgroup_H
-    for h in H:
-        if endo.get(h) not in H:
-            raise PreconditionViolated("endo must map H into H")
-    for h1 in H:
-        for h2 in H:
-            if endo[G.op(h1, h2)] != G.op(endo[h1], endo[h2]):
-                raise PreconditionViolated("endo is not a homomorphism on H")
-    a_i = data.letter_images[min(data.letter_images)]
-    n_i = G.n // len(H)
-    u_i = G.power(a_i, n_i)
-    if endo[u_i] != u_i:
-        raise PreconditionViolated("endo must fix u = a^{|G/H|}")
-
-    def xi(g: int) -> int:
-        for t in range(n_i):
-            h = G.op(G.inv(G.power(a_i, t)), g)
-            if h in H:
-                return G.op(G.power(a_i, t), endo[h])
-        raise PreconditionViolated("G/H is not generated by the chosen letter image")
-
-    images = set(data.letter_images.values())
-    table = {(ZERO,): ZERO}
-    for s in comp:
-        table[(M.state(s),)] = M.state(data.state_of_group_index(xi(data.group_index(s))))
-    for a in M.letters():
-        gi = xi(data.letter_images[M.letter_index(a)])
-        if gi not in images:
-            raise PreconditionViolated(
-                "extension leaves the letter images; component is not letter-affine")
-        table[(a,)] = _least_letter_with_image(M, data, gi)
-    return PartialOperation("psi", table)
-
+    `preassigned` in that element's set of codes?  A count up to a first
+    hom (`restriction_counts`)."""
+    return bool(restriction_counts(A, M, (), (), 0, max_elements, preassigned)[0])

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import lcm, prod
-from operator import and_, itemgetter
+from operator import and_
 from typing import Callable, Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (HOM_CAP_DEFAULT, Groupoid, _hom_lower_bound, close_under_swaps,
-                     count_homs, enumerate_homs, generate_subuniverse, pointwise_mul)
+from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_subuniverse,
+                     pointwise_mul, restriction_counts)
 from .structure import permutation_profile, _perm_order
 from .terms import order_sensitivity
 
@@ -445,81 +445,40 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
 
     An A with more than `max_elements` elements raises CapExceeded before
     its groupoid is built from the elements (`Groupoid.from_power`).  One
-    search with `distinct_on` set to A0 returns one hom per achievable
-    restriction x|A0, which is its extension witness.  The report is in
-    "homs" mode, with `hom_count` = |hom(A, M)|, when that is at most
-    `hom_budget`, and in "restrictions" mode, with no count, otherwise
-    (degenerate collapse maps can make the hom set exponential even for
-    small A).  Homs mode lists the profiles in code order, restriction mode
-    in canonical element order (states, letters, then 0).  The flagged
-    condition -- some hom whose kernel on A0 has two blocks larger than nu
-    -- is decided exactly in both modes.
+    walk (`restriction_counts`) gives the restrictions x|A0 that extend to
+    a hom and |hom(A, M)| when that is at most `hom_budget`.  The report is
+    in "homs" mode, with `hom_count` the count, when there is one, and in
+    "restrictions" mode, with no count, otherwise (degenerate collapse maps
+    can make the hom set exponential even for small A).  Homs mode lists
+    the profiles in code order, restriction mode in canonical element
+    order (states, letters, then 0).  The flagged condition -- some hom
+    whose kernel on A0 has two blocks larger than nu -- is decided exactly
+    in both modes.
 
-    The restriction search skips the mirror images the truncation's symmetry
-    makes (`a0_swaps`).  A coordinate permutation σ commutes with the
-    pointwise product, so it is an automorphism of M^width; when it maps the
-    generators onto themselves, it maps A onto A, and h ↦ h∘σ is a bijection
-    of hom(A, M).  For a transposition that exchanges the A0 generators at
-    positions p < q and fixes the others, that bijection exchanges positions
-    p and q of every restriction.  So the search keeps only the restrictions
-    whose values ascend along each such pair (`enumerate_homs`' `swaps`):
-    the pairs generate the full symmetric group on each connected block of
-    positions, and an orbit's member sorted within each block is kept.
-    Closing the kept restrictions under the pairs gives back the full set,
-    so the report is the one the unpruned search gives.
-
-    The same bijection counts the homs.  The automorphism behind a product
-    of swaps σ maps the homs that extend a restriction r onto those that
-    extend σ·r, so every member of r's orbit under the swaps has as many
-    extensions as r: |hom(A, M)| is the sum over the orbits of the closed
-    restrictions of |orbit| times `count_homs` with A0 preassigned to one
-    member.  Several members of an orbit may ascend along every pair (all
-    of (a, b, c) and (a, c, b) do along (0, 1) and (0, 2)), so an orbit is
-    counted at its first kept member and its others are skipped.  Each
-    orbit's count is capped at what the budget has left over |orbit|, so it
-    raises exactly when the sum would pass `hom_budget`.  No count is taken
-    when the lower bound on |hom(A, M)| that `enumerate_homs` checks a
-    `limit` against already exceeds `hom_budget`.
+    The walk skips the mirror images the truncation's symmetry makes
+    (`a0_swaps`).  A coordinate permutation σ commutes with the pointwise
+    product, so it is an automorphism of M^width; when it maps the
+    generators onto themselves, it maps A onto A.  So a transposition that
+    exchanges the A0 generators at positions p < q and fixes the others
+    gives a swap (p, q) of `restriction_counts`.
     """
-    spec = trunc.spec
-    M = spec.algebra
-    if nu is None:
-        nu = spec.nu
+    spec, M = trunc.spec, trunc.spec.algebra
+    nu = spec.nu if nu is None else nu
     if len(trunc.elements) > max_elements:
         raise CapExceeded(f"|A| = {len(trunc.elements)} exceeds hom-enumeration cap "
                           f"{max_elements}")
     A = Groupoid.from_power(M, trunc.elements)
-    a0 = trunc.a0_indices       # itemgetter of one index returns no tuple
-    restrict = itemgetter(*a0) if len(a0) > 1 else lambda h: tuple(h[p] for p in a0)
-    swaps = a0_swaps(spec)
-    kept = enumerate_homs(A, M, max_elements=max_elements, distinct_on=a0, swaps=swaps)
-    count = 0 if _hom_lower_bound(A, M) <= hom_budget else None
-    profiles = set()
-    for r in map(restrict, kept):
-        if r in profiles:       # a member of an orbit already counted
-            continue
-        orbit = close_under_swaps([r], swaps)
-        profiles |= orbit
-        if count is not None:
-            try:
-                count += len(orbit) * count_homs(
-                    A, M, (hom_budget - count) // len(orbit),
-                    {a: {v} for a, v in zip(a0, r)}, max_elements)
-            except CapExceeded:
-                count = None
+    profiles, count = restriction_counts(A, M, trunc.a0_indices, a0_swaps(spec),
+                                         hom_budget, max_elements)
     if count is not None:
         mode, key = "homs", None
     else:
         rank = {x: k for k, x in enumerate(M.elements())}
         mode, key = "restrictions", lambda prof: [rank[v] for v in prof]
     profiles = sorted(profiles, key=key)
-    multisets = set()
-    violations = []
+    multisets, violations = set(), []
     for prof in profiles:
-        blocks = {}
-        for v in prof:
-            blocks[v] = blocks.get(v, 0) + 1
-        sizes = tuple(sorted(blocks.values(), reverse=True))
+        sizes = tuple(sorted(map(prof.count, set(prof)), reverse=True))
         multisets.add(sizes)
         if len([s for s in sizes if s > nu]) >= 2:
             violations.append([M.name(v) for v in prof])

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-import json
 import random
 import re
 import weakref
@@ -14,10 +13,11 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog, standard_catalog
 from autodual.classify import gen_chain
 from autodual.errors import (BadParams, CapExceeded, IndexOutOfRange,
                              PreconditionViolated)
+from autodual.operations import (is_compatible, op_chain_meet, op_diamond, op_g_uv, op_h,
+                                 op_join, op_lambda, op_pbar, op_psi, op_quasi_meet)
 from autodual.powers import (Groupoid, _search_masks, close_under_swaps, count_homs,
                              enumerate_homs, find_embedding, generate_subuniverse, hom_exists,
-                             is_compatible, op_chain_meet, op_diamond, op_g_uv, op_h, op_join,
-                             op_lambda, op_pbar, op_psi, op_quasi_meet, pointwise_mul)
+                             pointwise_mul, restriction_counts)
 from autodual.structure import component_group, components
 from autodual.witness import CONSTRUCTION_NAMES, build_truncation
 from small_algebras import every_algebra
@@ -287,9 +287,8 @@ def assert_homs_match(A, M):
         assert enumerate_homs(A, M, preassigned={i: states}) \
             == [h for h in homs if h[i] in states]
         assert_counted(A, M, {i: states})
-    assert_one_hom_per_restriction(A, M, restrictions_to(homs, ()), ())
-    for S in ((0, A.n - 1), (A.n - 1, 1)):
-        assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), S)
+    for S in ((), (0, A.n - 1), (A.n - 1, 1)):
+        assert_restrictions_counted(A, M, S, homs=homs)
     if homs:
         with pytest.raises(CapExceeded):
             enumerate_homs(A, M, limit=len(homs) - 1)
@@ -311,14 +310,16 @@ def restrictions_to(homs, S):
     return {tuple(h[i] for i in S) for h in homs}
 
 
-def assert_one_hom_per_restriction(A, M, restrictions, S):
-    """`distinct_on=S` returns homs of A -> M, exactly one for each
-    restriction to S in `restrictions`, the set the homs realize."""
-    got = enumerate_homs(A, M, max_elements=A.n, distinct_on=S)
-    assert got == sorted(got) and preserving(A, M, got) == got
-    restrict = [tuple(h[i] for i in S) for h in got]
-    assert len(set(restrict)) == len(restrict)
-    assert set(restrict) == restrictions
+def assert_restrictions_counted(A, M, S, swaps=(), homs=None):
+    """`restriction_counts` gives the restrictions to S of the homs A -> M
+    that brute force finds, or `homs`, and their number, which a limit one
+    below leaves out."""
+    if homs is None:
+        homs = brute_force_homs(A, M)
+    want = restrictions_to(homs, S)
+    assert restriction_counts(A, M, S, swaps, max_elements=A.n) == (want, len(homs))
+    assert restriction_counts(A, M, S, swaps, len(homs), A.n) == (want, len(homs))
+    assert restriction_counts(A, M, S, swaps, len(homs) - 1, A.n) == (want, None)
 
 
 @st.composite
@@ -374,7 +375,7 @@ def test_hom_search_matches_brute_force_on_random_tables(A, M, data):
     assert_counted(A, M, {i: values}, within)
     assert_counted(A, M, listed=homs)
     S = data.draw(st.lists(st.integers(0, A.n - 1), max_size=3, unique=True))
-    assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), tuple(S))
+    assert_restrictions_counted(A, M, tuple(S), homs=homs)
     if homs:
         with pytest.raises(CapExceeded):
             enumerate_homs(A, M, limit=len(homs) - 1)
@@ -401,7 +402,7 @@ def groupoid(n, products):
 # Groupoids whose last element j is the last one the search leaves open, each
 # with one kind of product of j that no domain enforces, or none.  0 absorbs
 # but in "no-zero", where 0·0 = 2 and 0 and 2 both go to 0 in M.
-# distinct_on=(1,) leaves j out of the restriction, (1, j) puts it in.
+# A restriction to (1,) leaves j out, one to (1, j) puts it in.
 LAST_OPEN = {
     "jk=j": groupoid(3, {(2, 1): 2}),
     "kj=j": groupoid(3, {(1, 2): 2}),
@@ -423,7 +424,7 @@ def test_last_open_element_values_are_homs(name):
         assert enumerate_homs(A, M, injective_only=True) == [h for h in homs
                                                              if len(set(h)) == A.n]
         for S in ((1,), (1, j), ()):
-            assert_one_hom_per_restriction(A, M, restrictions_to(homs, S), S)
+            assert_restrictions_counted(A, M, S, homs=homs)
         # with every other element preassigned, j's values are the whole search
         for rest in sorted({h[:j] for h in homs}):
             extending = [h for h in homs if h[:j] == rest]
@@ -466,62 +467,12 @@ def free_pairs():
     return pairs
 
 
-def distinct_on_lists(A, M):
-    """The `distinct_on` searches of A -> M, without and with
-    `injective_only`, on (), on each element but 0, and on the last and 1."""
-    sequences = [(), *((j,) for j in range(1, A.n)), (A.n - 1, 1)]
-    return [enumerate_homs(A, M, injective_only=injective, distinct_on=S)
-            for injective in (False, True) for S in sequences]
-
-
-# sha256 of the JSON of `distinct_on_lists`, recorded while the search
-# branched on every open element but a lone last one
-DISTINCT_ON_AT_PARENT = {
-    "zero-5 -> F0": "c9ca04c83cece701121ccf93a06b279e67e2a03e122495e1c63401961fdd866d",
-    "product-and-idle -> F0": "ae8995186b361dbe48e93b0f6144a440d2e60d1c64803c5c65ac48f5bff2667f",
-    "two-preimages -> F0": "62e38a09e85bf19e916349a8cf8cf7f36c3c6b2598cb1e77aa54f66fe21d579d",
-    "two-fixed -> F0": "864b4f4158ebd9f926d2a36cbfa54ea9b6c08c6fb029628877eb2bb310e0c836",
-    "M³ 0 -> F0": "65795cc3ef01040292d3ec78818f7713bedba499a7504f4968f60bc877b621b2",
-    "M³ 1 -> F0": "61821e9ba27e7b7712b11339cc8a61634ee0f3ce69a2b4f865bae026473c0de0",
-    "M³ 2 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
-    "M³ 3 -> F0": "3fecea511fdba8a29522931ff6c8733c45386393c3060591db8ed4b8ae4bfb9f",
-    "M³ 4 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
-    "M³ 5 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
-    "M³ 6 -> F0": "85aa5a8225b6c3e8b6fcc48dd28ea105eb4db03e917ce06f4b530702d0f50392",
-    "M³ 7 -> F0": "c14415866f61ba093324da20d86f290dd03c37968dc3effe523ce2e20ca0f8f6",
-    "zero-5 -> N1": "04d1dd4152b738f481cdab8e5a9c5643f2fa7c6ef2a65f899b13e9f2a769c9bd",
-    "product-and-idle -> N1": "7f0db8281a5f4bb239982f1461f48d36fd71625dee9758dd5c513593a2b46c9c",
-    "two-preimages -> N1": "7f0db8281a5f4bb239982f1461f48d36fd71625dee9758dd5c513593a2b46c9c",
-    "two-fixed -> N1": "24b3b5a187d58a5a65adba8f4b931dad1bc018f33edfba37059046679648e3d2",
-    "M³ 0 -> N1": "6c496f554655498cd893cc4ad79a07b0cde5ed86a8e1ddbf9abe64c114fa7ad1",
-    "M³ 1 -> N1": "1c6d5d9250ec7c0ec0edb141f648f3295d1e3e3a2660e3d958a4b0b956f4f467",
-    "M³ 2 -> N1": "75d28389ff346c2471c77df521a933914b03c81f085e63932d722eea80f9c58c",
-    "M³ 3 -> N1": "ba249d24f4b07158fd8bab822ac4ffda4743abb414581adf474d87214b70d452",
-    "M³ 4 -> N1": "1e34cb9fb98ef494abaf40c95a90c937dd0afc92dd70744292df4bd6d15ba2de",
-    "M³ 5 -> N1": "2704d23aa9df5ef9021eda62328283c3fd456bf516188d4fe6b83d75637e7f61",
-    "M³ 6 -> N1": "f1a2093e4380606a0012b808c624dd2426a9bdfdf0dcc702ebd468fd68eac325",
-    "M³ 7 -> N1": "aac682cc712bf82b9c13e3ea60b1d76249109ad73b42e2eb739c07e4189f0818",
-    "zero-5 -> R": "8116ed3887dedd0679f5faf35554c9e4852f6320d373bcbb577897c873ed9309",
-    "product-and-idle -> R": "74d60ad29d0dafefba7394dac595ad5db7b36441c4d04739897e420e66f308c6",
-    "two-preimages -> R": "b973058c5759b53b7edcb16691010494b954cbf40d4b5f0e332942007f5b38eb",
-    "two-fixed -> R": "8b4a6ef637479d0f3faef2352004f92722d55a67c34366f1cb7d801939649d0f",
-    "M³ 0 -> R": "d2ffbcf1acb3ada629ecf07aecc5fd3be2450e28609beb51d390c7ced68c4a5e",
-    "M³ 1 -> R": "397b86919a51f5eb8725288a6c6b4e76686bfc2e516b7e63c8247330bc64de26",
-    "M³ 2 -> R": "6876f182a7fa0a9e07b3251b54ac9cad9a0ffdb095bf8d36d5b9f248940e9663",
-    "M³ 3 -> R": "c063ffed4ca39085dd4db6c7ebf2845b2574fd2ac474ea52008f19a0ae3e5498",
-    "M³ 4 -> R": "9d208dc908f0562013aed9a02ba89d01087d08f2f35df059815a379fe922b34a",
-    "M³ 5 -> R": "41863e57468150cf72c0ee50d044a89cc875c843bd0ff725935f7c4ba73097ed",
-    "M³ 6 -> R": "6876f182a7fa0a9e07b3251b54ac9cad9a0ffdb095bf8d36d5b9f248940e9663",
-    "M³ 7 -> R": "27ff5daba2226af19ba74f5b03968a2ee70ea2e53a1e0146a35bd95dd6bbdd46",
-}
-
-
 def test_free_frames_match_brute_force(monkeypatch):
     heads = []      # the open elements but the last of each frame emitted as a product
     monkeypatch.setattr("autodual.powers.product",
                         lambda *codes: heads.append(len(codes)) or itertools.product(*codes))
     pairs = free_pairs()
-    assert len(pairs) >= 12 and set(DISTINCT_ON_AT_PARENT) == {name for name, _, _ in pairs}
+    assert len(pairs) >= 36
     for name, A, M in pairs:
         homs = brute_force_homs(A, M)
         assert enumerate_homs(A, M) == homs, name
@@ -536,17 +487,18 @@ def test_free_frames_match_brute_force(monkeypatch):
         with pytest.raises(CapExceeded, match=f"more than {len(homs) - 1} homomorphisms"):
             enumerate_homs(A, M, limit=len(homs) - 1)
         assert enumerate_homs(A, M, limit=len(homs)) == homs
-        digest = hashlib.sha256(json.dumps(distinct_on_lists(A, M)).encode()).hexdigest()
-        assert digest == DISTINCT_ON_AT_PARENT[name], name
+        # restrictions to (), to each element but 0, and to the last and 1
+        for S in [(), *((j,) for j in range(1, A.n)), (A.n - 1, 1)]:
+            assert_restrictions_counted(A, M, S, homs=homs)
     # some frames had four open elements, and many had two
     assert max(heads) >= 3 and heads.count(1) >= 20
 
 
-def test_distinct_on_validates_elements():
+def test_restriction_counts_validates_elements():
     A = Groupoid.from_algebra(catalog("F", 0))
     for bad in ((A.n,), (0, -1), ("q",)):
         with pytest.raises(IndexOutOfRange):
-            enumerate_homs(A, catalog("B"), distinct_on=bad)
+            restriction_counts(A, catalog("B"), bad)
 
 
 def is_automorphism(A, sigma):
@@ -556,9 +508,9 @@ def is_automorphism(A, sigma):
 
 
 def symmetric_sources():
-    """(name, A, distinct_on, swaps, automorphisms): sources with, per swap,
-    an automorphism of A that exchanges the `distinct_on` elements at its
-    two positions and fixes the others.  Any permutation of the zero
+    """(name, A, on, swaps, automorphisms): sources with, per swap, an
+    automorphism of A that exchanges the elements of `on` at its two
+    positions and fixes the others.  Any permutation of the zero
     semigroup's nonzero elements, 2 and 4 below 1·j = 3 or with j·1 = j, and
     the coordinate swap of the subalgebras of M² that u and its mirror
     generate, on the pair and the diagonal elements."""
@@ -587,33 +539,43 @@ def symmetric_sources():
     return out
 
 
-def test_swaps_keep_a_restriction_of_every_orbit():
+def test_swaps_keep_a_restriction_of_every_orbit(monkeypatch):
+    closed = []     # the restrictions whose orbits the walk closes
+    monkeypatch.setattr("autodual.powers.close_under_swaps",
+                        lambda rs, W: closed.extend(rs) or close_under_swaps(rs, W))
     sources = symmetric_sources()
     assert len(sources) >= 10
+    pruned = 0
     for name, A, S, W, automorphisms in sources:
         for (p, q), sigma in zip(W, automorphisms):
             assert is_automorphism(A, sigma), name
             assert [sigma[j] for j in S] == [S[q] if k == p else S[p] if k == q else j
                                              for k, j in enumerate(S)], name
         for M in (catalog("F", 0), catalog("N", 1), catalog("R")):
-            full = restrictions_to(enumerate_homs(A, M, max_elements=A.n, distinct_on=S), S)
-            got = enumerate_homs(A, M, max_elements=A.n, distinct_on=S, swaps=W)
-            assert got == sorted(got) and preserving(A, M, got) == got
-            kept = restrictions_to(got, S)
-            assert len(kept) == len(got)
-            assert all(r[p] <= r[q] for r in kept for p, q in W)
-            assert close_under_swaps(kept, W) == full, (name, M)
+            homs = brute_force_homs(A, M)
+            assert_restrictions_counted(A, M, S, W, homs)
+            # whichever orbit the limit runs out on, the count is left out
+            if len(W) == 1:
+                assert all(restriction_counts(A, M, S, W, k, A.n)[1] is None
+                           for k in range(len(homs))), (name, M)
+            # past the limit at once: each orbit that extends is closed from
+            # one restriction, which ascends along every pair
+            closed.clear()
+            restriction_counts(A, M, S, W, 0, A.n)
+            assert all(r[p] <= r[q] for r in closed for p, q in W), (name, M)
+            assert len({frozenset(close_under_swaps([r], W)) for r in closed}) == len(closed)
+            pruned += len(closed) < len(restrictions_to(homs, S))
+    assert pruned >= 10
 
 
 def test_swaps_are_validated():
     A, M = FREE_SOURCES["zero-5"], catalog("F", 0)
-    assert enumerate_homs(A, M, distinct_on=(1, 2), swaps=()) == enumerate_homs(
-        A, M, distinct_on=(1, 2))
-    for S, bad in ((None, [(0, 1)]), ((), [(0, 1)]), ((1, 2), [(1, 0)]), ((1, 2), [(0, 0)]),
+    assert restriction_counts(A, M, (1, 2), swaps=()) == restriction_counts(A, M, (1, 2))
+    for S, bad in (((), [(0, 1)]), ((1, 2), [(1, 0)]), ((1, 2), [(0, 0)]),
                    ((1, 2), [(0, 2)]), ((1, 2), [(-1, 1)]), ((1, 2), [(0,)]),
                    ((1, 2), [0]), ((1, 2), [("0", 1)])):
         with pytest.raises(BadParams):
-            enumerate_homs(A, M, distinct_on=S, swaps=bad)
+            restriction_counts(A, M, S, swaps=bad)
 
 
 def assert_embeddings_match(targets, sources):
@@ -809,18 +771,16 @@ def test_hom_lower_bound_leaves_other_searches_alone():
     assert hom_lower_bound(A, M) == 4 ** 16
     embeddings = enumerate_homs(A, M, injective_only=True)
     assert enumerate_homs(A, M, injective_only=True, limit=len(embeddings)) == embeddings
-    (first,) = enumerate_homs(A, M, distinct_on=())
-    assert enumerate_homs(A, M, distinct_on=(), limit=1) == [first]
-    restricted = enumerate_homs(A, M, distinct_on=a0)
-    assert 1 < len(restricted) < 4 ** 16
-    assert enumerate_homs(A, M, distinct_on=a0, limit=len(restricted)) == restricted
-    with pytest.raises(CapExceeded):
-        enumerate_homs(A, M, distinct_on=a0, limit=len(restricted) - 1)
-    pinned = {i: {v} for i, v in enumerate(first)}
-    assert enumerate_homs(A, M, preassigned=pinned, limit=1) == [first]
-    pinned = {i: {v} for i, v in enumerate(restricted[-1]) if i in a0}
+    restricted, count = restriction_counts(A, M, a0, limit=4 ** 16 - 1)
+    assert 1 < len(restricted) and count is None
+    pinned = {i: {v} for i, v in zip(a0, max(restricted))}
     extending = enumerate_homs(A, M, preassigned=pinned)
     assert enumerate_homs(A, M, preassigned=pinned, limit=len(extending)) == extending
+    assert count_homs(A, M, len(extending), pinned) == len(extending)
+    first = extending[0]
+    pinned = {i: {v} for i, v in enumerate(first)}
+    assert enumerate_homs(A, M, preassigned=pinned, limit=1) == [first]
+    assert count_homs(A, M, 1, pinned) == 1
 
 
 def test_from_algebra_matches_mul():

@@ -18,7 +18,8 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, s
 from autodual.classify import (RULES, _forbidden_two_state, classify, gen_chain,
                                normalize_algebra, verify_certificate)
 from autodual.errors import BadParams, InternalInconsistency, NotCommuting, NotPermutational
-from autodual.powers import Groupoid, PartialOperation, find_embedding
+from autodual.operations import PartialOperation
+from autodual.powers import Groupoid, find_embedding
 from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
                                 _perm_order, _tree_maps, _whiskery_at, _whiskery_direct,
                                 component_actions, component_group, components,

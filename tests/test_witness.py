@@ -11,12 +11,11 @@ from autodual import witness
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.powers import (Groupoid, count_homs, enumerate_homs, generate_subuniverse,
-                             hom_exists, pointwise_mul)
+                             hom_exists, pointwise_mul, restriction_counts)
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, a0_swaps, build_truncation,
                               kernel_block_analysis, local_eval_probe,
                               verify_construction, _derive_pcomm_params)
-from test_powers import (assert_counted, assert_one_hom_per_restriction, hom_lower_bound,
-                         restrictions_to)
+from test_powers import assert_counted, hom_lower_bound, restrictions_to
 
 
 def test_build_truncation_thm_wc_sets():
@@ -218,14 +217,16 @@ def test_kernel_count_weights_each_orbit_once(monkeypatch):
     assert (A.n, count, a0_swaps(tr.spec)) == (8, 165, [(0, 1), (0, 2), (1, 2)])
     full = kernel_block_analysis(tr, nu=0)
     assert (full.mode, full.hom_count) == ("homs", count)
-    # the budget decides the mode at the count exactly
-    assert kernel_block_analysis(tr, nu=0, hom_budget=count - 1).mode == "restrictions"
+    # the budget decides the mode at the count exactly, whichever orbit,
+    # of one, three or six members, it runs out on
+    assert {kernel_block_analysis(tr, nu=0, hom_budget=b).mode for b in range(count)} \
+        == {"restrictions"}
     # a star at 0 and the path 0 - 2 - 1 generate the same group, but
     # several members of an orbit ascend along each of their pairs: both of
     # (a, b, c) and (a, c, b) along (0, 1) and (0, 2)
+    restrictions = restrictions_to(enumerate_homs(A, M), a0)
     for swaps in ([(0, 1), (0, 2)], [(0, 2), (1, 2)]):
-        kept = [tuple(h[i] for i in a0)
-                for h in enumerate_homs(A, M, distinct_on=a0, swaps=swaps)]
+        kept = [r for r in restrictions if all(r[p] <= r[q] for p, q in swaps)]
         assert len({tuple(sorted(r)) for r in kept}) < len(kept)
         monkeypatch.setattr(witness, "a0_swaps", lambda spec: swaps)
         assert kernel_block_analysis(tr, nu=0) == full
@@ -291,13 +292,17 @@ def capped(search, *args, **kwargs):
 @pytest.mark.parametrize("name, params", SPECS)
 def test_count_matches_listing_on_witness_specs(name, params, N):
     # the whole hom set, and the homs extending each restriction to A0,
-    # both under the kernel's budget of 20,000
+    # both under the kernel's budget of 20,000; the walk over A0 counts
+    # the same, with the swaps and without
     tr, A = truncation_groupoid(name, params, N)
     M, a0 = tr.spec.algebra, tr.a0_indices
-    assert capped(count_homs, A, M, 20000, max_elements=A.n) \
-        == capped(enumerate_homs, A, M, max_elements=A.n, limit=20000)
-    for h in enumerate_homs(A, M, max_elements=A.n, distinct_on=a0):
-        pinned = {i: {h[i]} for i in a0}
+    listed = capped(enumerate_homs, A, M, max_elements=A.n, limit=20000)
+    assert capped(count_homs, A, M, 20000, max_elements=A.n) == listed
+    restrictions, count = restriction_counts(A, M, a0, (), 20000, A.n)
+    assert count == (listed if isinstance(listed, int) else None)
+    assert restriction_counts(A, M, a0, a0_swaps(tr.spec), 20000, A.n) == (restrictions, count)
+    for r in restrictions:
+        pinned = {i: {v} for i, v in zip(a0, r)}
         listed = capped(enumerate_homs, A, M, max_elements=A.n, preassigned=pinned, limit=20000)
         assert capped(count_homs, A, M, 20000, pinned, A.n) == listed
         if isinstance(listed, int) and listed < 200:
@@ -318,7 +323,7 @@ def test_hom_lists_at_4_match_goldens(name, params):
     ("lem_2state2_N4", (), 6), ("lem_2state3_N5", (), 11), ("thm_nondcomm", (), 28)])
 def test_one_hom_per_restriction_at_4(name, params, count):
     # the restrictions to A0 that extend to a hom, one preassigned search
-    # each; which hom stands for a restriction may change, the set may not
+    # each, are those of the walk over A0, with the swaps and without
     tr, A = truncation_groupoid(name, params, 4)
     M, S = tr.spec.algebra, tr.a0_indices
     restrictions = {r for r in itertools.product(M.elements(), repeat=len(S))
@@ -327,7 +332,8 @@ def test_one_hom_per_restriction_at_4(name, params, count):
     if (name, params) in HOM_LISTS_AT_4:
         homs = enumerate_homs(A, M, max_elements=A.n)
         assert restrictions == restrictions_to(homs, S)
-    assert_one_hom_per_restriction(A, M, restrictions, S)
+    for swaps in ((), a0_swaps(tr.spec)):
+        assert restriction_counts(A, M, S, swaps, 0, A.n)[0] == restrictions
 
 
 @pytest.mark.parametrize("name, params", [("thm_wc", (0,)), ("thm_wc", (1,)),
