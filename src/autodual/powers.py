@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, reduce
-from itertools import chain, compress, product
+from itertools import chain, compress, islice
 from operator import and_, getitem, or_
 from typing import Iterable, Optional, Sequence
 
@@ -127,7 +127,7 @@ class Groupoid:
 
     @cached_property
     def search_index(self) -> tuple:
-        """(pre_left, pre_right, zeros) for `enumerate_homs`, built on first
+        """(pre_left, pre_right, zeros) for `_search_root`, built on first
         use and kept: pre_left[t], pre_right[t] list the pairs (k, j) with
         k·j = t not the zero, in row order, and zeros[i] the j that are no
         partners of i: O(n²), but only an A under the cap is indexed."""
@@ -141,15 +141,6 @@ class Groupoid:
             near = {j for j, _, _ in row}
             zeros.append([j for j in ids if j not in near])
         return pre_left, pre_right, zeros
-
-    @cached_property
-    def links(self) -> list:
-        """links[i]: the elements but i and the zero of i's partner triples
-        and preimage pairs, descending, as the last are most often open in
-        `enumerate_homs`; built on first use and kept."""
-        pre_left, pre_right, _ = self.search_index
-        return [sorted(set().union(*row, left, right) - {i, self.zero}, reverse=True)
-                for i, (row, left, right) in enumerate(zip(self.partners, pre_left, pre_right))]
 
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
@@ -181,154 +172,55 @@ def enumerate_homs(A: Groupoid, M: AutomaticAlgebra, injective_only: bool = Fals
                    limit: Optional[int] = None,
                    preassigned: Optional[dict] = None) -> list:
     """All homomorphisms A -> M as tuples of element codes, indexed by A,
-    sorted, so the output order is canonical regardless of search order.
+    whose value at each element of `preassigned` lies in its set of codes,
+    in lexicographic order: the leaves of `_walk` over every element of A.
+    More than `limit` homs raise CapExceeded.  A call with neither
+    `injective_only` nor `preassigned`, each of which changes what is
+    counted, first raises it, before any search, when `_hom_lower_bound`
+    exceeds `limit`.
 
-    With `limit`, enumeration aborts with CapExceeded once more than that
-    many homs exist.  With `preassigned`, a map from elements of A to sets
-    of element codes, only the homs whose value at each such element lies
-    in its set are returned.  Each set narrows its element's domain at the
-    root, after the absorbing element; a set of one code decides the
-    element there, a larger one leaves it to the branching below.
-
-    A `limit` is first checked against a lower bound on |hom(A, M)|, before
-    any search, when the call has neither `injective_only` nor
-    `preassigned`, since each of those changes what is counted.  Only a
-    state times a letter is nonzero in M, so T·T = {0} for T = Q ∪ {0} and
-    for T = Σ ∪ {0}.  Let S be the elements of A that are no product, the t
-    but the zero with an empty `pre_left[t]`.  Every map that sends each
-    product of A to 0 and each element of S into T is a hom, so there are at
-    least (max(|Q|, |Σ|) + 1)^|S| homs; when that exceeds `limit`, the call
-    raises the CapExceeded that listing limit + 1 homs would raise.
-
-    The search is depth-first over bitmask domains (AC-3 style narrowing).
-    `dom[j]` is the set of values still possible for element j, as a bitmask
-    over the element codes of M.  An absorbing element z of A, if there is
-    one, is decided at the root, before `preassigned`, as 0, the one
-    idempotent of M; its preimage pairs, which would narrow nothing there
-    (0·c = c·0 = c·c = 0 in M), are left out of the index.  Deciding
-    element i with value v propagates along every product that involves i:
-
-    - j not a partner: both products go to 0, so dom[j] keeps one mask,
-      Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
-    - i·j and j·i with j a decided partner: the product's image is forced;
-    - j an open partner and v·c = 0 (or c·v = 0) for every c of M, as when
-      v is no state (no letter): i·j (or j·i) is decided as 0 first, which
-      under `injective_only` fails when 0 is in `used`;
-    - j an open partner, i·j (or j·i) decided as w: dom[j] keeps the c
-      with v·c = w (or c·v = w), the precomputed masks L[v][w] and R[v][w];
-    - j an open partner and i·j (or j·i) open, under `injective_only`:
-      that product can take no value another element already has, so
-      dom[j] loses L[v][u] (or R[v][u]) for every u in `used`;
-    - i = k·j in A, through the preimage index of A
-      (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
-      k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
-      R[img j][v]; with k = j open, v must be 0, as c·c = 0 for every c.
-
-    Under `injective_only`, a value in `used` is refused where it is
-    chosen: when it is tried, and when a product or a singleton domain
-    forces it.  A domain that empties is a contradiction; one that shrinks
-    to a single value decides its element.  Every domain change goes on
-    `trail` as the flat pair (element, previous domain), and every decision
-    on `decided`, whose length alone tells a leaf.  Branching takes the
-    open element with the smallest domain, lowest index first, and tries
-    its values in code order; the branch stack is explicit, so the depth
-    of the search is not bounded by Python's recursion limit.
-
-    An open element j is free when every other element of its products
-    and preimage pairs (`Groupoid.links`) is decided.  dom[j] then holds
-    every product of j but k·j = j, j·k = j and j·j = j: one whose other
-    factor and value are decided through the partner rules (a forced 0
-    among them), the zero or preimage rules, j·j = t with t decided as 0.
-    So j's values are the c in dom[j], not in `used`, with c·img k = c for
-    j·k = j, img k·c = c for k·j = j and c·c = c for j·j = j; the masks FR
-    of M hold the c that pass the first and, at FR[-1], the last, and only
-    c = 0 passes the second.  When every open element is free and any two
-    of their values multiply to 0 both ways (Z), the homs below the frame
-    are the product of those values, emitted without branching.  A lone
-    open element is always free, and is emitted so in every search.
-    Several are emitted so only in a listing without `injective_only`: a
-    product filtered for distinct values would lose the pruning of
-    branching smallest domain first.  The branch element's links are read
-    first, so a frame that must branch pays one scan, then those of the
-    other open elements.
-
-    The masks, Z among them, depend on M alone and are kept on M; the index
-    and links of A, on A alone and kept on A once it passes the cap.  So a
-    run of searches into one M, or from one A, builds each side once.
+    The walk needs no sort.  Each frame branches on the first open element
+    k, so every element before k is decided there, and tries k's values in
+    ascending order.  Two leaves part at the deepest frame they share: they
+    agree on every element before its k, and the one reached first has the
+    lower value at k.  So each hom comes once, and in lexicographic order.
     """
-    size, n = M.size(), A.n
     allowed = _allowed_masks(A, M, preassigned, max_elements)
     if limit is not None and not injective_only and not allowed \
             and _hom_lower_bound(A, M) > limit:
         raise CapExceeded(f"more than {limit} homomorphisms")
-    links = None if injective_only else A.links
-    Z = _search_masks(M)[3]
     root = _search_root(A, M, injective_only, allowed)
-    if root is None:
-        return []
-    img, dom, trail, decided, try_value, undo, taken, free_values = root
-    out = []
+    homs = [] if root is None else list(islice(_walk(root, range(A.n), ()),
+                                               None if limit is None else max(limit + 1, 0)))
+    if limit is not None and len(homs) > limit:
+        raise CapExceeded(f"more than {limit} homomorphisms")
+    return homs
 
-    def branch_element():
-        """The open element with the smallest domain, lowest index first."""
-        best, best_count = -1, size + 1
-        for j in range(n):
-            if img[j] < 0:
-                count = dom[j].bit_count()
-                if count < best_count:
-                    best, best_count = j, count
-                    if count <= 2:
-                        break
-        return best
 
-    def emit_free(opens):
-        """Emit the homs below a frame whose open elements are `opens` and
-        return True if each of them is free, else return False."""
-        if len(opens) > 1 and -1 in map(img.__getitem__,
-                                        chain.from_iterable(map(links.__getitem__, opens))):
-            return False
-        earlier, choices, used = 0, [], taken()     # the values of the open elements before j
-        for j in opens:
-            values = free_values(j) & ~used
-            rest, codes = values, []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                codes.append(low.bit_length() - 1)
-                if earlier & ~Z[codes[-1]]:     # a nonzero product; Z is symmetric
-                    return False
-            earlier |= values
-            choices.append(codes)
-        for head in product(*choices[:-1]):
-            for j, c in zip(opens, head):
-                img[j] = c
-            for c in choices[-1]:
-                img[opens[-1]] = c
-                out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
-        for j in opens:
-            img[j] = -1
-        return True
-
-    frames = []     # one per branching element, as `_backtrack` reads them
+def _walk(root: tuple, on: Sequence[int], swaps: Sequence[tuple]):
+    """The restrictions to `on` of the leaves below the `_search_root` state
+    `root`, the nodes where all of `on` is decided.  Each frame branches on
+    the first open element of `on`, its values ascending; with `swaps` (see
+    `restriction_counts`) those at q start from the value at p, and a leaf
+    that descends along a pair is skipped.  A leaf is yielded while its
+    state is live, so the reader can search below it."""
+    img, dom, trail, decided, try_value, undo = root[:6]
+    floors = [[on[p] for p, q in swaps if q == k] for k in range(len(on))]
+    frames = []     # as `_backtrack` reads them
     while True:
-        if len(decided) == n:
-            out.append(tuple(img))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} homomorphisms")
-        elif len(decided) < n - 1:
-            best = branch_element()
-            # the branch element's links first, then those of every open j (img[j] == -1)
-            if (links is None or -1 in map(img.__getitem__, links[best])
-                    or not emit_free(list(compress(range(n), map((-1).__eq__, img))))):
-                frames += (best, dom[best], len(trail), len(decided))
+        # the position of the first open element of `on`, whose image is -1
+        k = next(compress(range(len(on)), map((-1).__eq__, map(img.__getitem__, on))), len(on))
+        if k < len(on):
+            values = dom[on[k]]
+            for x in floors[k]:
+                values &= -1 << img[x]      # the codes from img[x] up
+            frames += (on[k], values, len(trail), len(decided))
         else:
-            emit_free([img.index(-1)])
+            r = tuple(map(img.__getitem__, on))
+            if not any(r[p] > r[q] for p, q in swaps):
+                yield r
         if not _backtrack(frames, try_value, undo):
-            break
-    out.sort()
-    return out
+            return
 
 
 def _backtrack(frames: list, try_value, undo) -> bool:
@@ -367,19 +259,57 @@ def _allowed_masks(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict]
 
 
 def _hom_lower_bound(A: Groupoid, M: AutomaticAlgebra) -> int:
-    """(max(|Q|, |Σ|) + 1)^|S|, the bound on |hom(A, M)| of `enumerate_homs`;
-    the zero is 0·0, yet has no preimage pairs, so it is not counted in S."""
+    """A lower bound on |hom(A, M)|.  Only a state times a letter is nonzero
+    in M, so T·T = {0} for T = Q ∪ {0} and for T = Σ ∪ {0}.  Let S be the
+    elements of A that are no product, the t but the zero with an empty
+    `pre_left[t]` (the zero is 0·0, yet has no preimage pairs).  Every map
+    that sends each product of A to 0 and each element of S into T is a
+    hom, so there are at least (max(|Q|, |Σ|) + 1)^|S|."""
     free = A.search_index[0].count([]) - (A.zero >= 0)
     return (max(M.n_states, M.n_letters) + 1) ** free
 
 
 def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
                  allowed: list) -> Optional[tuple]:
-    """The state and the moves of the hom search that `enumerate_homs`
-    describes and `restriction_counts` shares, at the root: the absorbing element
-    decided as 0, then each `allowed` mask narrowed, each propagated.  None
-    when that fails, else (img, dom, trail, decided, try_value, undo,
-    taken, free_values), `taken()` being the mask `used`."""
+    """The state and the moves of the hom search, at the root: the absorbing
+    element decided as 0, then each `allowed` mask (a `preassigned` set)
+    narrowed, each propagated.  None when that fails, else the tuple (img,
+    dom, trail, decided, try_value, undo, free_values) `_walk` reads.
+
+    The search is depth-first over bitmask domains (AC-3 style narrowing).
+    `dom[j]` is the set of values still possible for element j, as a bitmask
+    over the element codes of M.  An absorbing element z of A, if there is
+    one, is decided at the root, before `allowed`, as 0, the one idempotent
+    of M; its preimage pairs, which would narrow nothing there
+    (0·c = c·0 = c·c = 0 in M), are left out of the index.  Deciding
+    element i with value v propagates along every product that involves i:
+
+    - j not a partner: both products go to 0, so dom[j] keeps one mask,
+      Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
+    - i·j and j·i with j a decided partner: the product's image is forced;
+    - j an open partner and v·c = 0 (or c·v = 0) for every c of M, as when
+      v is no state (no letter): i·j (or j·i) is decided as 0 first, which
+      under `injective_only` fails when 0 is in `used`;
+    - j an open partner, i·j (or j·i) decided as w: dom[j] keeps the c
+      with v·c = w (or c·v = w), the precomputed masks L[v][w] and R[v][w];
+    - j an open partner and i·j (or j·i) open, under `injective_only`:
+      that product can take no value another element already has, so
+      dom[j] loses L[v][u] (or R[v][u]) for every u in `used`;
+    - i = k·j in A, through the preimage index of A
+      (`pre_left[i]`, `pre_right[i]`: the pairs (k, j) with k·j = i): with
+      k decided, dom[j] keeps L[img k][v]; with j decided, dom[k] keeps
+      R[img j][v]; with k = j open, v must be 0, as c·c = 0 for every c.
+
+    Under `injective_only`, a value in `used` is refused where it is
+    chosen: when it is tried, and when a product or a singleton domain
+    forces it.  A domain that empties is a contradiction; one that shrinks
+    to a single value decides its element.  Every domain change goes on
+    `trail` as the flat pair (element, previous domain), and every decision
+    on `decided`.
+
+    The masks, Z among them, depend on M alone and are kept on M; the index
+    of A, on A alone and kept on A once it passes the cap.  So a run of
+    searches into one M, or from one A, builds each side once."""
     size, n = M.size(), A.n
     zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index
     mt = M.product_table()
@@ -503,7 +433,11 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
             img[j] = -1
 
     def free_values(j):
-        """The values of a free open element j (see `enumerate_homs`)."""
+        """The values of an open j whose products and preimage pairs have
+        every other element decided.  Propagation has narrowed dom[j] by
+        every product of j but j·k = j, k·j = j and j·j = j, so j's values
+        are the c in dom[j] with c·img k = c for j·k = j (FR[img k]),
+        c·c = c for j·j = j (FR[-1]), and c = 0 for k·j = j."""
         values = dom[j]
         for k, l in zip(pre_left[j], pre_right[j]):     # k·l = j, and j is k or l
             # c·img l = c, where l = j reads FR[-1]: c·c = c; img k·c = c only at 0
@@ -515,7 +449,7 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
     for j, mask in allowed:
         if not narrow(j, mask) or not propagate():
             return None
-    return img, dom, trail, decided, try_value, undo, lambda: used, free_values
+    return img, dom, trail, decided, try_value, undo, free_values
 
 
 def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
@@ -538,9 +472,8 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
     the homs A -> M with values in the `preassigned` sets, as tuples of
     codes, and count their number, or None when it exceeds `limit`.
 
-    The walk branches on the open elements of `on`, in order, with the
-    moves of `_search_root`, the search of `enumerate_homs`.  At each
-    leaf, where all of `on` is decided, it splits the open elements into
+    At each leaf of `_walk` over `on`, the walk of `enumerate_homs` and
+    `find_embedding`, it splits the open elements into
     components and multiplies their counts, as model counters do (Bayardo
     and Pehoushek, "Counting models using connected components", AAAI
     2000), so a component with no hom is refuted once, not once per value
@@ -557,18 +490,17 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
     smallest domain, then the most partners, then the lowest index, of the
     counts below, split again: in thm_wc a few letters meet every other
     element, and once they are decided the rest falls apart.  A lone open
-    element is free (see `enumerate_homs`), so its count is that of its
-    free values.  Most often (b) alone joins every open element, which
-    one pass over their distinct domains shows; only otherwise is each
-    one visited.  The stack of frames is explicit.
+    element counts its `free_values`.  Most often (b) alone joins every
+    open element, which one pass over their distinct domains shows.
 
     A leaf counts up to what `limit` has left over the size of its orbit
     (below): a component up to that over the product of the counts before
     it, a value up to what its component has left, and once the product
     passes it, each later component up to its first hom; one with none
     makes the product 0.  Once the count has passed `limit`, or from the
-    start when nothing is preassigned and the lower bound of
-    `enumerate_homs` exceeds `limit`, a leaf counts up to a first hom.
+    start when nothing is preassigned and `_hom_lower_bound` exceeds
+    `limit`, a leaf counts up to a first hom; with `on` empty too, no
+    search is made, as the map onto 0 is a hom.
 
     `swaps` are pairs p < q of positions of `on` that an automorphism σ of
     A exchanges while it fixes the other elements of `on`.  Then h ↦ h∘σ
@@ -577,9 +509,8 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
     the swaps, and the members of an orbit have equally many extensions.
     The swaps generate the full symmetric group on each connected block of
     positions, and an orbit's member sorted within each block breaks no
-    pair.  So the walk keeps only the values that ascend along every pair
-    (lex-leader symmetry breaking): branching at q, it tries no code below
-    the value at p, and a leaf tests the pairs that propagation decided.
+    pair.  So the walk keeps only the leaves that ascend along every pair
+    (lex-leader symmetry breaking), and tries no value at q below p's.
     A kept r that extends adds its orbit (`close_under_swaps`) to R, and
     |orbit| times its extensions to the count.  A leaf whose r is in R is
     skipped, as several members of an orbit may ascend along every pair
@@ -595,10 +526,12 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
             raise BadParams(f"swap {swap!r} is no pair p < q of restriction positions")
     budget = M.size() ** A.n if limit is None else limit
     count = 0 if budget >= 0 and (allowed or _hom_lower_bound(A, M) <= budget) else None
+    if count is None and not on and not allowed:
+        return {()}, None
     root = _search_root(A, M, False, allowed)
     if root is None:
         return set(), count
-    img, dom, trail, decided, try_value, undo, _, free_values = root
+    img, dom, trail, decided, try_value, undo, free_values = root
     partners, (pre_left, pre_right, _) = A.partners, A.search_index
     near = {}   # x -> x's masks for `split` (below), built when first read
     Z, codes, zero_with = _search_masks(M)[3], range(M.size()), {}
@@ -704,33 +637,21 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
                 below = total
         return below
 
-    floors = [[on[p] for p, q in swaps if q == k] for k in range(len(on))]
-    found, frames = set(), []   # frames as `_backtrack` reads them
-    while True:
-        k = 0       # the first open element of `on`
-        while k < len(on) and img[on[k]] >= 0:
-            k += 1
-        if k < len(on):
-            values = dom[on[k]]
-            for x in floors[k]:
-                values &= -1 << img[x]      # the codes from img[x] up
-            frames += (on[k], values, len(trail), len(decided))
+    found = set()
+    for r in _walk(root, on, swaps):
+        if r in found:
+            continue
+        if count is None:       # the orbit's size is not needed
+            if count_below(0):
+                found |= close_under_swaps([r], swaps)
         else:
-            r = tuple(map(img.__getitem__, on))
-            if r in found or any(r[p] > r[q] for p, q in swaps):
-                pass
-            elif count is None:     # the orbit's size is not needed
-                if count_below(0):
-                    found |= close_under_swaps([r], swaps)
-            else:
-                orbit = close_under_swaps([r], swaps)
-                bound = (budget - count) // len(orbit)
-                below = count_below(bound)
-                if below:
-                    found |= orbit
-                    count = None if below > bound else count + len(orbit) * below
-        if not _backtrack(frames, try_value, undo):
-            return found, count
+            orbit = close_under_swaps([r], swaps)
+            bound = (budget - count) // len(orbit)
+            below = count_below(bound)
+            if below:
+                found |= orbit
+                count = None if below > bound else count + len(orbit) * below
+    return found, count
 
 
 def close_under_swaps(restrictions: Iterable[tuple], swaps: Sequence[tuple]) -> set:
@@ -791,10 +712,9 @@ def find_embedding(A: Groupoid, M: AutomaticAlgebra,
                    max_elements: int = HOM_CAP_DEFAULT,
                    preassigned: Optional[dict] = None) -> Optional[tuple]:
     """Least injective hom A -> M (as a tuple of codes) whose values lie in
-    the `preassigned` sets, as in `enumerate_homs`, or None."""
-    homs = enumerate_homs(A, M, injective_only=True, max_elements=max_elements,
-                          preassigned=preassigned)
-    return homs[0] if homs else None
+    the `preassigned` sets, or None: the injective walk's first leaf."""
+    root = _search_root(A, M, True, _allowed_masks(A, M, preassigned, max_elements))
+    return None if root is None else next(_walk(root, range(A.n), ()), None)
 
 
 def hom_exists(A: Groupoid, M: AutomaticAlgebra, preassigned: Optional[dict] = None,

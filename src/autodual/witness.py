@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, permutations, product
-from math import lcm, prod
-from operator import and_
+from math import lcm
 from typing import Callable, Optional
 
 from .algebras import ZERO, AutomaticAlgebra, catalog
 from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
-from .powers import (HOM_CAP_DEFAULT, Groupoid, enumerate_homs, generate_subuniverse,
-                     pointwise_mul, restriction_counts)
+from .powers import (HOM_CAP_DEFAULT, Groupoid, generate_subuniverse, pointwise_mul,
+                     restriction_counts)
 from .structure import permutation_profile, _perm_order
 from .terms import order_sensitivity
 
@@ -38,8 +36,6 @@ SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
 
 BUILD_CAP_DEFAULT = 2 ** 18     # the most elements; no default-parameter run tops 1 GB RSS
 SIZE_CAP = 16                   # the largest N; at 16 an index family holds 43,680 tuples
-PROBE_HOM_CAP = 256             # the most homs A -> M that local_eval_probe takes
-PROBE_WORK_CAP = 2 * 10 ** 7    # the most agreement-set intersections it takes
 PCOMM_WORD_CAP = 10 ** 6        # the most words the thm_pcomm_case1 parameter search tries
 
 
@@ -483,69 +479,6 @@ def kernel_block_analysis(trunc: Truncation, nu: Optional[int] = None,
         if len([s for s in sizes if s > nu]) >= 2:
             violations.append([M.name(v) for v in prof])
     return KernelReport(nu, mode, count, sorted(multisets), violations)
-
-
-# ---------------------------------------------------------------------------
-# k-local evaluation probe
-# ---------------------------------------------------------------------------
-
-def local_eval_probe(M: AutomaticAlgebra, A: Groupoid, k: int) -> dict:
-    """Classify maps hom(A,M) -> M as evaluations / k-local / neither.
-
-    A map f is k-local when any k homs x agree with f at some element a of
-    A, f(x) = x(a).  The k-local maps (k >= 2) are enumerated depth first,
-    one hom at a time: a value f(x) is kept only when every k - 1 earlier
-    homs leave an element in common, the bitmasks of the a with x(a) = f(x)
-    intersected.  This is complete for the k-local set without enumerating
-    all |M|^|hom| maps; "neither" is counted by arithmetic.  More than
-    PROBE_HOM_CAP homs, or more than PROBE_WORK_CAP intersections, raise
-    CapExceeded.  For k >= 3 the run asserts that every k-local map whose
-    range contains a letter is an evaluation, and aborts loudly otherwise.
-    """
-    if k < 1:
-        raise BadParams("locality k must be at least 1")
-    homs = enumerate_homs(A, M, limit=PROBE_HOM_CAP)
-    H = len(homs)
-    evals = {tuple(h[a] for h in homs) for a in range(A.n)}
-    agree = [{} for _ in homs]      # agree[x][v]: the a with x(a) = v, a bitmask
-    for masks, h in zip(agree, homs):
-        for a, v in enumerate(h):
-            masks[v] = masks.get(v, 0) | 1 << a
-    one_local = prod(map(len, agree))
-    total_maps = M.size() ** H
-    if k == 1:
-        count, non_eval = one_local, one_local - len(evals)
-    else:
-        k_local, work = set(), 0
-        stack = [()]    # partial k-local maps: the values of the first homs
-        while stack:
-            f = stack.pop()
-            if len(f) == H:
-                k_local.add(f)
-                continue
-            chosen = [agree[x][v] for x, v in enumerate(f)]
-            for v, mask in agree[len(f)].items():
-                for subset in combinations(chosen, min(k - 1, len(f))):
-                    work += 1
-                    if work > PROBE_WORK_CAP:
-                        raise CapExceeded(f"local evaluation search exceeded "
-                                          f"{PROBE_WORK_CAP} intersections")
-                    if not reduce(and_, subset, mask):
-                        break
-                else:
-                    stack.append(f + (v,))
-        count, non_eval = len(k_local), len(k_local - evals)
-        bad = [f for f in k_local - evals if any(map(M.is_letter, f))]
-    report = {"hom_count": H, "k": k, "evaluation_count": len(evals),
-              "one_local_count": one_local, "total_maps": total_maps,
-              "k_local_count": count, "k_local_non_eval": non_eval,
-              "neither_count": total_maps - count}
-    if k >= 2:
-        report["letter_range_non_eval"] = len(bad)
-    if k >= 3 and bad:
-        raise InternalInconsistency(
-            "a k-local map with a letter in its range is not an evaluation")
-    return report
 
 
 def format_report(report: dict) -> str:

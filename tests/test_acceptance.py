@@ -18,15 +18,15 @@ from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra
 from autodual.classify import (EQ_WXYZ_WYXZ, EQ_XY_XYYY, classify, gen_chain,
                                verify_certificate)
 from autodual.errors import HypothesisFailed
-from autodual.operations import (is_compatible, op_chain_meet, op_diamond, op_g_uv, op_h,
-                                 op_join, op_lambda, op_pbar, op_psi, op_quasi_meet)
+from autodual.operations import (is_compatible, local_eval_probe, op_chain_meet, op_diamond,
+                                 op_g_uv, op_h, op_join, op_lambda, op_pbar, op_psi,
+                                 op_quasi_meet)
 from autodual.powers import Groupoid, find_embedding, generate_subuniverse
 from autodual.structure import (_whiskery_direct, component_group, components,
                                 least_tail_embedding)
 from autodual.terms import (WHISKERY_QUASI, check_identity,
                             check_quasi_identity, order_sensitivity)
-from autodual.witness import (build_truncation, kernel_block_analysis,
-                              local_eval_probe, verify_construction)
+from autodual.witness import build_truncation, kernel_block_analysis, verify_construction
 from test_terms import order_sensitivity_brute
 
 

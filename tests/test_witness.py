@@ -7,14 +7,15 @@ import time
 
 import pytest
 
-from autodual import witness
+from autodual import operations, witness
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
+from autodual.operations import local_eval_probe
 from autodual.powers import (Groupoid, count_homs, enumerate_homs, generate_subuniverse,
                              hom_exists, pointwise_mul, restriction_counts)
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, a0_swaps, build_truncation,
-                              kernel_block_analysis, local_eval_probe,
-                              verify_construction, _derive_pcomm_params)
+                              kernel_block_analysis, verify_construction,
+                              _derive_pcomm_params)
 from test_powers import assert_counted, hom_lower_bound, restrictions_to
 
 
@@ -532,6 +533,6 @@ def test_local_eval_probe_caps_homs_and_work(monkeypatch):
     with pytest.raises(BadParams):
         local_eval_probe(B, Groupoid.from_algebra(B), 0)
     F0 = catalog("F", 0)
-    monkeypatch.setattr(witness, "PROBE_WORK_CAP", 100)
+    monkeypatch.setattr(operations, "PROBE_WORK_CAP", 100)
     with pytest.raises(CapExceeded):
         local_eval_probe(F0, Groupoid.from_algebra(F0), 3)
