@@ -3,22 +3,19 @@
 Everything here is desk scale: groups are given by n×n tables on elements
 0..n−1.  A decomposition peels off a maximal-order cyclic factor and takes
 its complement in one greedy pass over the elements, then is verified by
-reconstructing the table; the character construction is self-verified
-element by element.
+reconstructing the table.  The oracles and constructions that only the
+tests call (characters, endomorphisms, annihilators over Z_m and the
+zero-column fact) are in `autodual.operations`.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product as iproduct
-from math import gcd, lcm
-from operator import mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebras import CATALOG_STATE_CAP
-from .errors import (BadParams, CapExceeded, ConstructionFailed, ExponentMismatch,
-                     HypothesisFailed, IndexOutOfRange, InternalInconsistency,
-                     NotAbelian, NotSubgroup, PropositionViolated)
+from .errors import CapExceeded, InternalInconsistency, NotAbelian
 
 
 def _prime_factors(n: int) -> dict:
@@ -192,38 +189,6 @@ class AbelianGroup:
         return f"AbelianGroup(n={self.n})"
 
 
-def abelian_group_isomorphism_types(max_order: int) -> list:
-    """All isomorphism types of abelian groups of order 1..max_order.
-
-    Each type is returned as ("C2xC4"-style name, AbelianGroup built as a
-    product of prime-power cyclic factors).
-    """
-    def partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
-    out = []
-    for order in range(1, max_order + 1):
-        per_prime = []
-        for p, e in sorted(_prime_factors(order).items()):
-            per_prime.append([(p, part) for part in partitions(e)])
-        if not per_prime:
-            out.append(("C1", AbelianGroup.trivial()))
-            continue
-        for combo in iproduct(*per_prime):
-            factors = []
-            for p, part in combo:
-                factors.extend(p ** e for e in sorted(part))
-            name = "x".join(f"C{d}" for d in factors)
-            out.append((name, AbelianGroup.of_orders(*factors)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # primary decomposition
 # ---------------------------------------------------------------------------
@@ -295,275 +260,3 @@ def coordinate_maps(G: AbelianGroup, basis: list):
         elem_of[coords] = x
     coords_of = {x: c for c, x in elem_of.items()}
     return coords_of, elem_of
-
-
-# ---------------------------------------------------------------------------
-# endomorphism / character oracles
-# ---------------------------------------------------------------------------
-
-def _basis_maps(G: AbelianGroup, candidates: Callable, value: Callable) -> list:
-    """Every map out of G fixed by images of the basis generators, as a tuple
-    of values over G.elements(), in product order of the images.
-
-    `candidates(d)` lists the images allowed for a generator of order d;
-    `value(images, coords)` is the map's value at the element with these
-    coordinates.  The trivial group has the empty basis and one map.
-    """
-    basis = cyclic_decomposition(G)
-    coords_of, _ = coordinate_maps(G, basis)
-    return [tuple(value(images, coords_of[x]) for x in G.elements())
-            for images in iproduct(*[candidates(d) for _, d in basis])]
-
-
-def all_endomorphisms(G: AbelianGroup) -> list:
-    """Every endomorphism, as a tuple image vector (brute-force oracle)."""
-    return _basis_maps(
-        G, lambda d: [x for x in G.elements() if d % G.order_of(x) == 0],
-        lambda images, coords: reduce(G.op, map(G.power, images, coords),
-                                      G.identity))
-
-
-def _check_modulus(m: int) -> None:
-    if m < 1:
-        raise BadParams(f"modulus m = {m} must be positive")
-
-
-def all_characters(G: AbelianGroup, m: int) -> list:
-    """Every homomorphism G -> Z_m, as a tuple of values (oracle)."""
-    _check_modulus(m)
-    return _basis_maps(G, lambda d: range(0, m, m // gcd(m, d)),
-                       lambda images, coords: sum(map(mul, images, coords)) % m)
-
-
-# ---------------------------------------------------------------------------
-# the character-with-endomorphisms construction
-# ---------------------------------------------------------------------------
-
-class CharacterWitness(NamedTuple):
-    chi: dict                    # element -> value in Z_m
-    endo_provider: Callable      # element h -> endomorphism image tuple
-    modulus: int
-
-    def verify(self, H: AbelianGroup, u: int) -> None:
-        m = self.modulus
-        for x in H.elements():
-            for y in H.elements():
-                if (self.chi[x] + self.chi[y]) % m != self.chi[H.op(x, y)]:
-                    raise ConstructionFailed("chi is not a homomorphism")
-        for h in H.elements():
-            if h == H.identity:
-                continue
-            phi = self.endo_provider(h)
-            for x in H.elements():
-                for y in H.elements():
-                    if phi[H.op(x, y)] != H.op(phi[x], phi[y]):
-                        raise ConstructionFailed("provided map is not an endomorphism")
-            if phi[u] != u:
-                raise ConstructionFailed("endomorphism does not fix u")
-            if self.chi[phi[h]] % m == 0:
-                raise ConstructionFailed(f"chi(phi(h)) = 0 for h = {h}")
-
-
-def _vp(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of x in Z_{p^cap} (valuation of 0 is cap)."""
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def huc_character(H: AbelianGroup, m: int, u: int) -> CharacterWitness:
-    """Character chi: H -> Z_m with, per h ≠ e, an endomorphism fixing u
-    that pushes h out of ker chi.
-
-    Constructive: per prime, reindex coordinates so the last one carries a
-    maximal-order component of u, project; the per-h endomorphisms come from
-    the explicit two-coordinate formulas.  The result is self-verified.
-    """
-    if u not in H.elements():
-        raise IndexOutOfRange(f"u = {u} is not an element of H")
-    _check_modulus(m)
-    if m % H.exponent != 0:
-        raise ExponentMismatch(f"exponent {H.exponent} does not divide m = {m}")
-    basis = cyclic_decomposition(H)
-    coords_of, _ = coordinate_maps(H, basis)
-    coords = {x: list(coords_of[x]) for x in H.elements()}
-
-    exps = []          # coordinate i is cyclic of order p ** exps[i]
-    by_prime = {}      # p -> its coordinate indices, orders ascending
-    for idx, (_, d) in enumerate(basis):
-        (p, e), = _prime_factors(d).items()
-        exps.append(e)
-        by_prime.setdefault(p, []).append(idx)
-
-    # the last coordinate of each prime is the one chi projects onto
-    for p, idxs in by_prime.items():
-        dvals = [exps[i] - _vp(coords[u][i], p, exps[i]) for i in idxs]
-        if dvals[-1] != max(dvals):
-            cj, ck = idxs[dvals.index(max(dvals))], idxs[-1]
-            shift, mod = p ** (exps[ck] - exps[cj]), p ** exps[ck]
-            for x in H.elements():
-                coords[x][ck] = (coords[x][ck] + shift * coords[x][cj]) % mod
-
-    # the adjustments re-choose the coordinate isomorphism; rebuild its inverse
-    elem_of = {tuple(c): x for x, c in coords.items()}
-
-    chi = {}
-    for x in H.elements():
-        chi[x] = sum((m // p ** exps[idxs[-1]]) * coords[x][idxs[-1]]
-                     for p, idxs in by_prime.items()) % m
-
-    def shear_target(h: int) -> Optional[tuple]:
-        """(p, j) with p the first prime where h has a nonzero coordinate,
-        j the first such coordinate, and h's projected coordinate at p zero;
-        None when the identity serves (h = e, or chi(h) ≠ 0 already)."""
-        for p, idxs in by_prime.items():
-            if coords[h][idxs[-1]] != 0:
-                return None
-            for j in idxs[:-1]:
-                if coords[h][j] != 0:
-                    return p, j
-        return None
-
-    def endo_provider(h: int):
-        """The identity, unless h must be sheared off ker chi."""
-        table = [list(coords[x]) for x in H.elements()]
-        target = shear_target(h)
-        if target is not None:
-            p, cj = target
-            ck = by_prime[p][-1]
-            nj, nk = exps[cj], exps[ck]
-            mODk = p ** nk
-            uj, uk = coords[u][cj], coords[u][ck]
-            d1 = nj - _vp(uj, p, nj)
-            d2 = nk - _vp(uk, p, nk)
-            aj = uj // (p ** (nj - d1)) if uj else 1
-            ak = uk // (p ** (nk - d2)) if uk else 1
-            d = d2 - d1
-            b = pow(ak, -1, mODk)
-            c = ((aj * (p ** d) - ak) * b) % mODk
-            for row in table:
-                mu = (p ** (nk - nj)) * row[cj]
-                row[ck] = (mu - c * row[ck]) % mODk
-        return tuple(elem_of[tuple(row)] for row in table)
-
-    witness = CharacterWitness(chi, endo_provider, m)
-    witness.verify(H, u)
-    return witness
-
-
-# ---------------------------------------------------------------------------
-# annihilators over Z_m
-# ---------------------------------------------------------------------------
-
-def annihilator_system(m: int, H: Iterable[tuple]) -> list:
-    """Generating rows of {c : c·x ≡ 0 (mod m) for all x in H}.
-
-    The returned system is round-trip verified: its solution set in Z_m^k
-    is exactly H (the double annihilator of a subgroup of Z_m^k is itself).
-    """
-    H = {tuple(x % m for x in row) for row in H}
-    k = len(next(iter(H), ()))
-    if not H or any(len(x) != k for x in H):
-        raise NotSubgroup("need nonempty subset of Z_m^k")
-    witness = rows_form_subgroup(MatrixZm(m, tuple(sorted(H))))
-    if witness is not None:
-        raise NotSubgroup(f"not a subgroup of Z_m^k: {witness} is missing")
-    if m ** k > 10 ** 6:
-        raise CapExceeded("annihilator enumeration too large")
-    # c·x = x·c, so the annihilator is the solution set of H as a system
-    ann = sorted(solve_system(m, k, H))
-    rows = []
-    span = {tuple([0] * k)}
-    for c in ann:
-        if c not in span:
-            rows.append(c)
-            span = closure([tuple([0] * k)], rows, lambda x, g: tuple(
-                (a + b) % m for a, b in zip(x, g)))
-            if len(span) == len(ann):
-                break
-    if solve_system(m, k, rows) != H:
-        raise InternalInconsistency("annihilator round trip failed")
-    return rows
-
-
-def solve_system(m: int, k: int, rows: list) -> set:
-    return {x for x in iproduct(range(m), repeat=k)
-            if all(sum(c * xi for c, xi in zip(row, x)) % m == 0 for row in rows)}
-
-
-# ---------------------------------------------------------------------------
-# the zero-column proposition
-# ---------------------------------------------------------------------------
-
-class MatrixZm(NamedTuple):
-    modulus: int
-    rows: tuple  # of row tuples
-
-    @property
-    def k(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def columns(self):
-        return [tuple(row[c] for row in self.rows) for c in range(self.k)]
-
-
-def rows_form_subgroup(mat: MatrixZm) -> Optional[tuple]:
-    """None if the distinct rows form a subgroup of Z_m^k, else a witness."""
-    m = mat.modulus
-    S = set(mat.rows)
-    zero = tuple([0] * mat.k)
-    if zero not in S:
-        return zero
-    for x in S:
-        for y in S:
-            s = tuple((a + b) % m for a, b in zip(x, y))
-            if s not in S:
-                return s
-    return None
-
-
-def columns_form_coset(mat: MatrixZm) -> Optional[tuple]:
-    """None if the distinct columns are Mal'cev closed (x−y+z), else a witness.
-
-    A subset of an abelian group is a coset of a subgroup iff it is closed
-    under x−y+z.
-    """
-    m = mat.modulus
-    C = set(mat.columns())
-    for x in C:
-        for y in C:
-            for z in C:
-                w = tuple((a - b + c) % m for a, b, c in zip(x, y, z))
-                if w not in C:
-                    return w
-    return None
-
-
-def every_row_has_zero(mat: MatrixZm) -> Optional[tuple]:
-    for row in mat.rows:
-        if 0 not in row:
-            return row
-    return None
-
-
-def find_zero_column(mat: MatrixZm) -> int:
-    """Least index of an all-zero column; hypotheses are checked first.
-
-    Under the verified hypotheses a zero column must exist; its absence
-    would falsify the underlying proposition and aborts loudly.
-    """
-    for which, check in (("rows-subgroup", rows_form_subgroup),
-                         ("columns-coset", columns_form_coset),
-                         ("row-zero", every_row_has_zero)):
-        witness = check(mat)
-        if witness is not None:
-            raise HypothesisFailed(which, witness)
-    for c, col in enumerate(mat.columns()):
-        if all(v == 0 for v in col):
-            return c
-    raise PropositionViolated(
-        "matrix satisfies all hypotheses but has no zero column")

@@ -66,53 +66,6 @@ _REDUCTIONS = ("drop_undefined_letter", "drop_repeated_letter",
                "drop_isolated_state", "drop_redundant_state")
 
 
-def _reduction_images(M: AutomaticAlgebra, kind: str) -> dict:
-    """Each letter or state k that the reduction removes, in index order, to
-    where the embedding into the square of the reduced algebra sends k.  One
-    pass over the letters' actions serves every k."""
-    actions = list(map(M.action, range(M.n_letters)))
-    if kind == "drop_undefined_letter":         # a state stands in for the letter
-        return {j: ["0", M.state_names[0]] for j, act in enumerate(actions)
-                if set(act) == {None}}
-    if kind == "drop_repeated_letter":
-        first = {}                              # action -> its least letter
-        return {j: [M.letter_names[first[act]]] * 2 for j, act in enumerate(actions)
-                if first.setdefault(act, j) != j}
-    ranged = set().union(*actions)
-    free = [k for k in range(M.n_states) if k not in ranged]   # in no range
-    if kind == "drop_isolated_state":
-        return {k: ["0", M.letter_names[0]] for k in free
-                if actions and all(act[k] is None for act in actions)}
-    # drop_redundant_state: the least other state with k's column of images
-    columns = (list(zip(*actions)) or [()] * M.n_states) if free else []
-    twins = {}                                  # column -> its states
-    for r, column in enumerate(columns):
-        twins.setdefault(column, []).append(r)
-    least = ((k, next((r for r in twins[columns[k]] if r != k), None)) for k in free)
-    return {k: [M.state_names[r]] * 2 for k, r in least if r is not None}
-
-
-def _reduce(M: AutomaticAlgebra, kind: str, k: int, image: list):
-    """(reduced algebra, step record) for the reduction removing k to `image`."""
-    if kind.endswith("letter"):
-        N, removed = M.drop_letter(k), M.letter_names[k]
-    else:
-        N, removed = M.drop_state(k), M.state_names[k]
-    emb = {x: [x, "0"] for x in _names(N)}
-    emb[removed] = image
-    return N, {"kind": kind, "removed": removed, "embedding": emb}
-
-
-def _find_reduction(M: AutomaticAlgebra):
-    """First applicable reduction in `_REDUCTIONS` order, least index first."""
-    for kind in _REDUCTIONS:
-        images = _reduction_images(M, kind)
-        if images:
-            k = min(images)
-            return _reduce(M, kind, k, images[k])
-    return None
-
-
 def _names(M: AutomaticAlgebra) -> list:
     return list(M.state_names) + list(M.letter_names) + ["0"]
 
@@ -166,20 +119,46 @@ def _right_products(M: AutomaticAlgebra, xs: list, y: int) -> list:
 
 
 def normalize_algebra(M: AutomaticAlgebra):
-    """Apply the four reductions to fixpoint; each step records an embedding
-    into the square of the reduced algebra and is verified before use."""
-    steps = []
-    cur = M
-    while True:
-        found = _find_reduction(cur)
-        if found is None:
-            return cur, steps
-        nxt, step = found
-        reason = check_embedding(cur, [nxt, nxt], step["embedding"])
-        if reason is not None:
-            raise InternalInconsistency(f"reduction embedding invalid: {reason}")
-        steps.append(step)
-        cur = nxt
+    """Apply the four reductions to fixpoint: (reduced algebra, steps).
+
+    Each step removes the least letter or state k of the first reduction in
+    `_REDUCTIONS` order that applies, from an algebra A to N.  It records
+    the lemma's embedding: x -> (x, 0) for the elements of N, and k -> its
+    image below, is an injective hom A -> N × N.
+
+      reduction               k                                     image
+      drop_undefined_letter   a letter that is 0 on every state
+                              (and there is one)                    (0, q)
+      drop_repeated_letter    a letter whose row is that of an
+                              earlier letter, b the least           (b, b)
+      drop_isolated_state     a state in no range, on which every
+                              letter is 0 (and there is one)        (0, a)
+      drop_redundant_state    a state in no range whose column is
+                              that of another state, r the least    (r, r)
+
+    Here q is N's first state and a its first letter.  Proof: only
+    state·letter is nonzero, so the products of N's elements are the same
+    in A, and k's only nonzero products are s·k = s·b for a letter k and
+    k·c = r·c for a state k.  An image (0, y) multiplies every (x, 0) to
+    (0, 0), as the undefined letter or isolated state does, and (b, b) and
+    (r, r) multiply as b and r do.  The images are nonzero and distinct
+    from each (x, 0).  So no step runs `check_embedding`: the tests run it
+    on every step, and the verifier on any embedding other than the lemma's.
+
+    No reduction makes another apply: ranges, undefined letters and the
+    twins of what is left stay as they were (see `structure.Reduction`).
+    So one pass, kind by kind in index order, meets the steps in the order
+    that taking the first applicable reduction each time does.  The reduced
+    algebra is built once, at the end; with no step it is M itself.
+    """
+    red, steps = structure.Reduction(M), []
+    for kind in _REDUCTIONS:
+        for k in list(red.letters if kind.endswith("letter") else red.states):
+            image = red.image(kind, k)
+            if image is not None:
+                steps.append(red.step(kind, k, image))
+                red.drop(kind, k)
+    return (red.algebra() if steps else M), steps
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +442,38 @@ def _verify_cert(M: AutomaticAlgebra, cert: dict, outcome: str, rule) -> None:
 
 
 def _replay_steps(M: AutomaticAlgebra, obj: dict) -> AutomaticAlgebra:
-    """The algebra that obj["steps"] reduce M to, each step checked."""
-    for step in _field(obj, "steps", list):
+    """The algebra that obj["steps"] reduce M to, each step checked.
+
+    A step must name a letter or state that its reduction removes from the
+    algebra at hand (see `normalize_algebra`).  Its embedding is accepted
+    at once when it is exactly the lemma's map for that step, which is an
+    injective hom by the lemma.  Any other embedding is checked by building
+    the algebras before and after the step and running `check_embedding`
+    into the square of the second.  So a step costs O(|M|) unless its
+    embedding differs from the lemma's map, and the certificates accepted
+    and the reasons for refusing the others are those of checking every
+    step by `check_embedding`.
+    """
+    steps = _field(obj, "steps", list)
+    if not steps:
+        return M
+    red = structure.Reduction(M)
+    for step in steps:
         kind = _field(step, "kind")
         if kind not in _REDUCTIONS:
             raise _Invalid(f"unknown reduction step kind {kind!r}")
-        names = M.letter_names if kind.endswith("letter") else M.state_names
-        k = _field(step, "removed", names=names)
-        image = _reduction_images(M, kind).get(k)
+        left = red.letters if kind.endswith("letter") else red.states
+        k = list(left)[_field(step, "removed", names=list(left.values()))]
+        image = red.image(kind, k)
         if image is None:
             raise _Invalid(f"{kind} does not apply to {step['removed']}")
-        N = _reduce(M, kind, k, image)[0]
-        _verify_embedding(M, [N, N], step)
-        M = N
-    return M
+        lemma = red.step(kind, k, image)["embedding"]
+        A = None if step.get("embedding") == lemma else red.algebra()
+        red.drop(kind, k)
+        if A is not None:
+            N = red.algebra()
+            _verify_embedding(A, [N, N], step)
+    return red.algebra()
 
 
 def _verify_embedding(A: AutomaticAlgebra, targets: list, obj: dict) -> None:

@@ -2,6 +2,9 @@
 permutation profiles, per-component abelian groups, the letter-affine test,
 and the commuting-permutation non-dualizability conditions.
 
+`Reduction` is the one mutable copy of the action rows that
+`classify.normalize_algebra` and its verifier shrink, step by step.
+
 The per-component data has one home each: M keeps its components, each
 with its `component_actions` index, as `M._components`, built on first use
 like its product table.  `components` copies them out; every per-component
@@ -32,7 +35,9 @@ tail wherever the direct vote fails, so the two fail together.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, repeat
+from collections import Counter
+from functools import cached_property
+from itertools import accumulate, chain, combinations, repeat
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -98,6 +103,101 @@ def component_actions(M: AutomaticAlgebra, comp: Sequence[int]) -> dict:
 
 def _is_perm(images: tuple) -> bool:
     return None not in images and len(set(images)) == len(images)
+
+
+# ---------------------------------------------------------------------------
+# the rows that normalization reduces
+# ---------------------------------------------------------------------------
+
+class Reduction:
+    """One mutable copy of an algebra M's action rows and names, which the
+    four reductions of `classify.normalize_algebra` shrink in place.
+
+    `letters` and `states` map the indices in M of those left, in order, to
+    their names.  A reduction removes only a letter or a state in no range,
+    so the products of the elements left stay as they are.  `cover[s]`
+    counts the (state, letter) pairs left whose product is s: s is in no
+    range exactly when it is 0.
+
+    A removed state never told two rows apart: an isolated state's column
+    is all 0, and a redundant state's equals its twin's.  A removed letter
+    never told two columns apart, for the same reasons.  So two letters
+    left have equal rows exactly when their rows in M are equal, and two
+    states left equal columns exactly when their columns in M are:
+    `row_class[j]` lists the letters left with j's row in M, and
+    `column_class[s]` the states left with s's column, in order.
+    """
+
+    def __init__(self, M: AutomaticAlgebra):
+        self.rows = list(map(M.action, range(M.n_letters)))
+        self.letters = dict(enumerate(M.letter_names))
+        self.states = dict(enumerate(M.state_names))
+        counts = Counter(chain.from_iterable(self.rows))
+        self.cover = [counts[s] for s in self.states]
+        self.row_class = _classes(self.letters, self.rows)
+
+    @cached_property
+    def column_class(self) -> list:
+        return _classes(self.states, list(zip(*self.rows)) or [()] * len(self.cover))
+
+    def image(self, kind: str, k: int) -> Optional[list]:
+        """Where the lemma of `classify.normalize_algebra` sends k, a letter
+        or state of M, if the reduction `kind` removes k now; else None."""
+        rows, letters, states = self.rows, self.letters, self.states
+        if kind == "drop_undefined_letter":
+            if states and all(rows[k][s] is None for s in states):
+                return ["0", next(iter(states.values()))]
+        elif kind == "drop_repeated_letter":
+            b = self.row_class[k][0]
+            if b != k:
+                return [letters[b]] * 2
+        elif self.cover[k]:
+            return None
+        elif kind == "drop_isolated_state":
+            if letters and all(rows[j][k] is None for j in letters):
+                return ["0", next(iter(letters.values()))]
+        elif (r := next((r for r in self.column_class[k] if r != k), None)) is not None:
+            return [states[r]] * 2
+        return None
+
+    def step(self, kind: str, k: int, image: list) -> dict:
+        """The step record removing k: the lemma's embedding, x -> (x, 0) for
+        the elements left in the canonical order, then k -> image."""
+        removed = (self.letters if kind.endswith("letter") else self.states)[k]
+        emb = {x: [x, "0"] for x in chain(self.states.values(), self.letters.values(), ["0"])
+               if x != removed}
+        emb[removed] = image
+        return {"kind": kind, "removed": removed, "embedding": emb}
+
+    def drop(self, kind: str, k: int) -> None:
+        """Remove k, a letter or state of M, keeping `cover` and the classes."""
+        if kind.endswith("letter"):
+            self.row_class[k].remove(k)
+            del self.letters[k]
+            values = [self.rows[k][s] for s in self.states]
+        else:
+            self.column_class[k].remove(k)
+            del self.states[k]
+            values = [self.rows[j][k] for j in self.letters]
+        for t in values:
+            if t is not None:
+                self.cover[t] -= 1
+
+    def algebra(self) -> AutomaticAlgebra:
+        """The algebra on the letters and states left."""
+        at = {s: i for i, s in enumerate(self.states)}
+        return AutomaticAlgebra(self.states.values(), self.letters.values(), {
+            (at[s], lj): at[t] for lj, j in enumerate(self.letters)
+            for s in self.states if (t := self.rows[j][s]) is not None})
+
+
+def _classes(members, keys: list) -> list:
+    """For each index i, the list of the members whose key is keys[i]; one
+    list is shared by all of them."""
+    lists = {}
+    for i in members:
+        lists.setdefault(keys[i], []).append(i)
+    return [lists.get(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------

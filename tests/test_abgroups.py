@@ -4,13 +4,11 @@ from itertools import product as iproduct
 import pytest
 
 import complement_search
-from autodual.abgroups import (AbelianGroup, CharacterWitness, MatrixZm,
-                               abelian_group_isomorphism_types, all_characters,
-                               all_endomorphisms, annihilator_system,
-                               columns_form_coset, coordinate_maps,
-                               cyclic_decomposition, every_row_has_zero,
-                               find_zero_column, huc_character,
-                               rows_form_subgroup, solve_system)
+from autodual.abgroups import AbelianGroup, coordinate_maps, cyclic_decomposition
+from autodual.operations import (CharacterWitness, MatrixZm, abelian_group_isomorphism_types,
+                                 all_characters, all_endomorphisms, annihilator_system,
+                                 columns_form_coset, every_row_has_zero, find_zero_column,
+                                 huc_character, rows_form_subgroup, solve_system)
 from autodual.errors import (BadParams, ExponentMismatch, HypothesisFailed,
                              IndexOutOfRange, NotAbelian, NotSubgroup)
 

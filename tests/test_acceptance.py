@@ -10,17 +10,15 @@ from itertools import product as iproduct
 
 import pytest
 
-from autodual.abgroups import (AbelianGroup, MatrixZm,
-                               abelian_group_isomorphism_types,
-                               all_endomorphisms, find_zero_column,
-                               huc_character)
+from autodual.abgroups import AbelianGroup
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra
 from autodual.classify import (EQ_WXYZ_WYXZ, EQ_XY_XYYY, classify, gen_chain,
                                verify_certificate)
 from autodual.errors import HypothesisFailed
-from autodual.operations import (is_compatible, local_eval_probe, op_chain_meet, op_diamond,
-                                 op_g_uv, op_h, op_join, op_lambda, op_pbar, op_psi,
-                                 op_quasi_meet)
+from autodual.operations import (MatrixZm, abelian_group_isomorphism_types, all_endomorphisms,
+                                 find_zero_column, huc_character, is_compatible,
+                                 local_eval_probe, op_chain_meet, op_diamond, op_g_uv, op_h,
+                                 op_join, op_lambda, op_pbar, op_psi, op_quasi_meet)
 from autodual.powers import Groupoid, find_embedding, generate_subuniverse
 from autodual.structure import (_whiskery_direct, component_group, components,
                                 least_tail_embedding)

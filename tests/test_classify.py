@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from autodual.algebras import AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (_REDUCTIONS, RULE_ORDER, _all_loops, _detect_all_loops,
-                               _find_reduction, _forbidden_two_state, _names,
-                               _reduction_images, check_embedding, classify, gen_chain,
-                               normalize_algebra, verify_certificate)
+                               _forbidden_two_state, _names, check_embedding, classify,
+                               gen_chain, normalize_algebra, verify_certificate)
 from autodual.errors import CapExceeded, InternalInconsistency, ToolError, UnknownName
-from autodual.structure import (components, least_tail_embedding, letter_affine_analysis,
-                                nondcomm_check, rankill_check, whiskery_check)
+from autodual.structure import (Reduction, components, least_tail_embedding,
+                                letter_affine_analysis, nondcomm_check, rankill_check,
+                                whiskery_check)
 from autodual.terms import order_sensitivity
 from small_algebras import every_algebra
 
@@ -75,28 +75,153 @@ def reduction_image_by_index(M, kind, k):
                  if r != k and all(act[k] == act[r] for act in actions)), None)
 
 
-def test_reduction_images_match_the_per_index_scans():
-    # targets drawn from few states, so letters repeat and states go unreached
+def few_target_algebras(rng, count, max_states):
+    """Seeded algebras whose targets come from at most two states, so
+    letters repeat, and states go unreached, as often as not."""
+    for _ in range(count):
+        nq, ns = rng.randint(1, max_states), rng.randint(0, 4)
+        pool = rng.sample(range(nq), min(nq, 2)) + [None]
+        yield AutomaticAlgebra([f"q{i}" for i in range(nq)], [f"a{j}" for j in range(ns)],
+                               {(i, j): t for i in range(nq) for j in range(ns)
+                                if (t := rng.choice(pool)) is not None})
+
+
+def normalization_inputs():
+    """Every algebra with at most three states and two letters, chains 1-4,
+    and seeded random algebras of up to 12 states."""
     rng = random.Random(41)
     algebras = [M for nq in range(4) for ns in range(3) for M in every_algebra(nq, ns)]
-    for _ in range(300):
-        nq, ns = rng.randint(1, 7), rng.randint(0, 4)
-        pool = rng.sample(range(nq), min(nq, 2)) + [None]
-        algebras.append(AutomaticAlgebra(
-            [f"q{i}" for i in range(nq)], [f"a{j}" for j in range(ns)],
-            {(i, j): t for i in range(nq) for j in range(ns)
-             if (t := rng.choice(pool)) is not None}))
+    algebras += [gen_chain(n) for n in range(1, 5)]
+    algebras += few_target_algebras(rng, 300, 12)
+    algebras += [random_algebra(rng, 12, 4) for _ in range(100)]
+    return algebras
+
+
+def test_reduction_images_match_the_per_index_scans():
     applied = set()
-    for M in algebras:
+    for M in normalization_inputs():
+        red = Reduction(M)
         for kind in _REDUCTIONS:
             n = M.n_letters if kind.endswith("letter") else M.n_states
-            want = {k: image for k in range(n)
-                    if (image := reduction_image_by_index(M, kind, k)) is not None}
-            assert _reduction_images(M, kind) == want, (M.table_key(), kind)
-            assert list(_reduction_images(M, kind)) == sorted(want)
-            if want:
+            want = [reduction_image_by_index(M, kind, k) for k in range(n)]
+            assert [red.image(kind, k) for k in range(n)] == want, (M.table_key(), kind)
+            if any(want):
                 applied.add(kind)
     assert applied == set(_REDUCTIONS)
+
+
+def reference_steps(M):
+    """(reduced algebra, steps) by taking, on the algebra at hand, the least k
+    of the first reduction in `_REDUCTIONS` order that applies, found one
+    index at a time, and dropping it."""
+    steps = []
+    while True:
+        found = next(((kind, k, image) for kind in _REDUCTIONS
+                      for k in range(M.n_letters if kind.endswith("letter") else M.n_states)
+                      if (image := reduction_image_by_index(M, kind, k)) is not None), None)
+        if found is None:
+            return M, steps
+        kind, k, image = found
+        if kind.endswith("letter"):
+            N, removed = M.drop_letter(k), M.letter_names[k]
+        else:
+            N, removed = M.drop_state(k), M.state_names[k]
+        emb = {x: [x, "0"] for x in _names(N)}
+        emb[removed] = image
+        steps.append({"kind": kind, "removed": removed, "embedding": emb})
+        M = N
+
+
+def normalization_walk(M):
+    """(A, N, step) for each step of `normalize_algebra(M)`: the algebra
+    before the step and after it."""
+    for step in normalize_algebra(M)[1]:
+        removed = step["removed"]
+        N = (M.drop_letter(M.letter_names.index(removed)) if removed in M.letter_names
+             else M.drop_state(M.state_names.index(removed)))
+        yield M, N, step
+        M = N
+
+
+def test_normalization_steps_match_the_reference_and_embed():
+    # the per-index reference fixes the step list, dict order included, and
+    # the generic check accepts each step's embedding into N × N
+    kinds = set()
+    for M in normalization_inputs():
+        N, steps = normalize_algebra(M)
+        want_N, want = reference_steps(M)
+        assert json.dumps(steps) == json.dumps(want), M.table_key()
+        assert N == want_N and (N is M) == (not steps)
+        for A, B, step in normalization_walk(M):
+            assert check_embedding(A, [B, B], step["embedding"]) is None, (M.emit(), step)
+            kinds.add(step["kind"])
+    assert kinds == set(_REDUCTIONS)
+
+
+def identical_letters_on_a_cycle(n: int) -> AutomaticAlgebra:
+    """n letters a0..a{n-1}, each acting as q_i -> q_{i+1} on the n-cycle
+    q0..q{n-1}: normalization drops n - 1 repeated letters."""
+    return AutomaticAlgebra([f"q{i}" for i in range(n)], [f"a{j}" for j in range(n)],
+                            {(i, j): (i + 1) % n for i in range(n) for j in range(n)})
+
+
+def free_states_into_a_two_cycle(n: int) -> AutomaticAlgebra:
+    """Free states p0..p{n-1} and a 2-cycle r0, r1 that letters a, b and c
+    swap; a and b send each p_i to r0 and r1, and c to r_{i mod 2}, so
+    normalization drops n - 2 redundant states."""
+    delta = {(n + i, j): n + 1 - i for i in range(2) for j in range(3)}
+    delta.update({(i, j): n + (i % 2 if j == 2 else j) for i in range(n) for j in range(3)})
+    return AutomaticAlgebra([f"p{i}" for i in range(n)] + ["r0", "r1"], ["a", "b", "c"], delta)
+
+
+def test_normalization_at_scale_takes_linear_time_per_step():
+    # each step costs O(|M|): about 0.4 s for both on a 2-CPU machine, where
+    # the cycle alone took 17 s when every step rebuilt the algebra and
+    # checked its embedding generically
+    for M, drops in ((identical_letters_on_a_cycle(256), 255),
+                     (free_states_into_a_two_cycle(256), 254)):
+        start = time.perf_counter()
+        verdict = json.loads(json.dumps(classify(M).to_json()))
+        assert verify_certificate(M, verdict) == (True, "")
+        wall = time.perf_counter() - start
+        assert len(normalize_algebra(M)[1]) == drops
+        assert wall < 2, wall
+
+
+def test_verifier_checks_other_step_embeddings_generically(monkeypatch):
+    # a step's embedding that is the lemma's map is accepted without
+    # check_embedding; another valid one (another twin of a repeated letter
+    # or a redundant state, another state for an undefined letter, another
+    # letter for an isolated state) is accepted through it, and one with a
+    # wrong image is refused with its reason
+    module = importlib.import_module("autodual.classify")
+    real, calls = module.check_embedding, []
+
+    def spy(A, targets, emb):
+        if len(targets) == 2:           # a step's; the inner certificate's has one
+            calls.append(emb)
+        return real(A, targets, emb)
+
+    monkeypatch.setattr(module, "check_embedding", spy)
+    build = AutomaticAlgebra.build
+    cases = [   # algebra, another valid image of the first step's k, a wrong one
+        (build("qr", "abc", [("q", x, "r") for x in "abc"]), ["c", "c"],
+         (["q", "a"], "embedding is not a homomorphism at (q, b)")),
+        (build("qr", "ab", [("q", "a", "r")]), ["0", "r"],
+         (["a", "q"], "embedding is not a homomorphism at (q, b)")),
+        (build("qrs", "ab", [("q", "a", "r"), ("r", "a", "r"), ("r", "b", "q")]), ["0", "b"],
+         (["b", "b"], "embedding is not a homomorphism at (r, s)")),
+        (build(["p0", "p1", "p2", "r"], "a", [(x, "a", "r") for x in ("p0", "p1", "p2", "r")]),
+         ["p2", "p2"], (["p1", "0"], "embedding is not injective")),
+    ]
+    for M, other, (wrong, reason) in cases:
+        verdict = json.loads(json.dumps(classify(M).to_json()))
+        step = verdict["certificate"]["steps"][0]
+        assert verify_certificate(M, verdict) == (True, "") and calls == []
+        for image, want in ((other, (True, "")), (wrong, (False, reason))):
+            step["embedding"][step["removed"]] = image
+            assert verify_certificate(M, verdict) == want, (M.emit(), image)
+            assert len(calls) == 1 and calls.pop()[step["removed"]] == image
 
 
 def check_embedding_reference(A, targets, emb):
@@ -131,10 +256,9 @@ def embedding_cases(M, normal_forms):
     normal form N is not in the set `normal_forms` yet, for each embedding a
     certificate states on N: whiskery's F_m, the two-state rule's N_k, and
     the component split when every edge is a loop."""
-    cur = M
-    while (found := _find_reduction(cur)) is not None:
-        yield cur, [found[0]] * 2, found[1]["embedding"]
-        cur = found[0]
+    for A, N, step in normalization_walk(M):
+        yield A, [N, N], step["embedding"]
+    cur = normalize_algebra(M)[0]
     if cur in normal_forms:
         return
     normal_forms.add(cur)

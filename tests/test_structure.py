@@ -13,12 +13,12 @@ from embedding_search import first_embedded, state_orbit_roots
 from small_algebras import every_algebra
 from test_classify import translation_action
 from test_powers import partial_algebras
-from autodual.abgroups import AbelianGroup, CharacterWitness, MatrixZm, cyclic_decomposition
+from autodual.abgroups import AbelianGroup, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
 from autodual.classify import (RULES, _forbidden_two_state, classify, gen_chain,
                                normalize_algebra, verify_certificate)
 from autodual.errors import BadParams, InternalInconsistency, NotCommuting, NotPermutational
-from autodual.operations import PartialOperation
+from autodual.operations import CharacterWitness, MatrixZm, PartialOperation
 from autodual.powers import Groupoid, find_embedding
 from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
                                 _perm_order, _tree_maps, _whiskery_at, _whiskery_direct,
