@@ -71,6 +71,7 @@ class AutomaticAlgebra:
         self._products = None   # product_table(), built on first use
         self._masks = None      # the hom-search masks of powers._search_masks
         self._components = None  # structure._component_index, built on first use
+        self._groups = {}       # structure.component_group, per component on first use
 
     @classmethod
     def build(cls, states: Sequence[str], letters: Sequence[str],

@@ -656,20 +656,21 @@ def _verify_component_group(M, comp, sigma_c, entry):
 
 
 def _verify_commuting_permutations(M, cert):
-    profile = structure.permutation_profile(M)
-    if not profile.permutational:
+    if not all(map(structure._is_perm, map(M.action, range(M.n_letters)))):
         raise _Invalid("not permutational")
-    if not profile.commuting:
+    groups = structure.commuting_groups(M)
+    if groups is None:
         raise _Invalid("letters do not commute")
     b, c = (_field(cert, key, names=M.letter_names) for key in ("b", "c"))
-    m, stated = difference_order(profile.perms, b, c), _field(cert, "m", int)
+    m, stated = difference_order(groups, b, c), _field(cert, "m", int)
     if m != stated or m <= 1:
         raise _Invalid(f"stated order m = {stated} is wrong (actual {m})")
     report = []
-    for comp, actions in structure._component_index(M):
-        if structure._coset_inside(actions, m):
+    for data in groups:
+        codes = set(data.letter_images.values())
+        if structure._coset_inside(data.group, codes, m):
             raise _Invalid("a component action set contains a qualifying coset")
-        report.append(([M.state_names[s] for s in comp], len(actions)))
+        report.append(([M.state_names[s] for s in data.states], len(codes)))
     if [(_field(e, "states", list), _field(e, "actions", int))
             for e in _field(cert, "report", list)] != report:
         raise _Invalid("stated coset report disagrees")

@@ -29,27 +29,30 @@ class UsageError(ToolError):
 def parse_algebra_file(source) -> AutomaticAlgebra:
     """Parse the whitespace/line algebra format (`#` starts a comment) from the text or an
     open text file, a line at a time, into one dict keyed by (state, letter) index.  Lines
-    are numbered as by `str.splitlines`; a conflict is raised once every line has passed."""
+    are numbered as `str.splitlines` numbers the whole text; a conflict is raised once every
+    line has passed."""
     names, index = {}, {"states": None, "letters": None}     # by head: names, name -> position
+    sidx = lidx = None                                       # index's two entries
     delta, conflict = {}, None
-    physical = source.splitlines(True) if isinstance(source, str) else source
-    for lineno, raw in enumerate((part for line in physical for part in line.splitlines()), 1):
-        tokens = raw.split("#", 1)[0].split()
+    for lineno, line in enumerate(_lines(source), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
         if not tokens:
             continue
         head = tokens[0]
         if head == "trans":
-            sidx, lidx = index["states"], index["letters"]
             if sidx is None or lidx is None:
                 raise InputParseError("trans before states/letters", line=lineno)
             if len(tokens) != 4:
                 raise InputParseError("trans needs: state letter state", line=lineno)
             _, q, a, r = tokens
-            if q not in sidx or r not in sidx:
-                raise InputParseError(f"unknown state in {tokens[1:]}", line=lineno)
-            if a not in lidx:
-                raise InputParseError(f"unknown letter in {tokens[1:]}", line=lineno)
-            if delta.setdefault((sidx[q], lidx[a]), sidx[r]) != sidx[r]:
+            try:
+                key, t = (sidx[q], lidx[a]), sidx[r]
+            except KeyError:
+                unknown = "state" if q not in sidx or r not in sidx else "letter"
+                raise InputParseError(f"unknown {unknown} in {tokens[1:]}", line=lineno) from None
+            if delta.setdefault(key, t) != t:
                 conflict = conflict or InputParseError(
                     f"conflicting transitions for ({q}, {a})", line=lineno)
         elif head in index:
@@ -60,6 +63,7 @@ def parse_algebra_file(source) -> AutomaticAlgebra:
             if head in names:
                 raise InputParseError(f"duplicate {head} line", line=lineno)
             names[head], index[head] = rest, {name: i for i, name in enumerate(rest)}
+            sidx, lidx = index["states"], index["letters"]
         else:
             raise InputParseError(f"unknown directive {head!r}", line=lineno)
     if len(names) < 2:
@@ -67,6 +71,21 @@ def parse_algebra_file(source) -> AutomaticAlgebra:
     if conflict:
         raise conflict
     return AutomaticAlgebra(names["states"], names["letters"], delta)
+
+
+def _lines(source):
+    """The lines of the text, or of an open text file's whole text, with their ends, as
+    `str.splitlines(True)` splits it.  A file is read in blocks of whole lines, each
+    split at once; a block's last line is split again with the next block, which it
+    may run into (a CR then an LF is one line end), so each line is split at most twice."""
+    if isinstance(source, str):
+        yield from source.splitlines(True)
+        return
+    last = ""
+    while block := source.readlines(1 << 16):
+        *lines, last = (last + "".join(block)).splitlines(True)
+        yield from lines
+    yield from last.splitlines(True)
 
 
 def _load(path: str) -> AutomaticAlgebra:

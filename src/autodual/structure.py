@@ -13,9 +13,14 @@ reads that copy.  An index maps each distinct action of the letters on a
 component to the ascending list of letters with it, in least-letter order.
 The scans run over its keys and name least letters.  That finds what a
 scan over all letters finds, since a letter's failure and a pair's
-commuting depend only on their actions there.  `difference_order` (the
-order of ρ_b ρ_c⁻¹) and `group_law_holds` (q·a = q * a_img) complete it.
-The detectors here and the certificate verifiers in `classify` both call
+commuting depend only on their actions there.  M keeps each component's
+group too, or its refusal, as `M._groups`, built by `component_group` on
+first use.  Commuting permutations of a component act regularly, so a
+letter acts there as the translation by its code, the image of the least
+state: `difference_order` (the order of ρ_b ρ_c⁻¹) is the lcm over the
+components of the order of a code difference, and the coset test reads
+codes.  With `group_law_holds` (q·a = q * a_img) they complete it.  The
+detectors here and the certificate verifiers in `classify` both call
 them, and the Mal'cev and difference-subgroup computations live on
 `abgroups.AbelianGroup`.
 
@@ -360,7 +365,6 @@ def whiskery_check(M: AutomaticAlgebra) -> Optional[WhiskeryFailure]:
 class PermProfile(NamedTuple):
     permutational: bool
     commuting: bool
-    perms: Optional[tuple]        # per letter: tuple state->state, when permutational
     component_status: tuple       # per component: per letter 'total'/'undefined'/'partial'
 
 
@@ -373,8 +377,7 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
         commuting = commuting and all(_compose(x, y) == _compose(y, x)
                                       for x, y in combinations(index, 2))
     permutational = all(st == "total" for row in status for st in row)
-    perms = tuple(map(M.action, range(M.n_letters))) if permutational else None
-    return PermProfile(permutational, commuting, perms, tuple(status))
+    return PermProfile(permutational, commuting, tuple(status))
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +387,25 @@ def permutation_profile(M: AutomaticAlgebra) -> PermProfile:
 class AbelianGroupData:
     """Group structure carried by one component of a permutational,
     commuting algebra, read off `_tree_maps`.  A plain class, not a tuple, so
-    that it is never mistaken for an (error type, message) pair."""
+    that it is never mistaken for an (error type, message) pair.  Group
+    element k is the state states[k]; a letter acts as the translation by its
+    image, so the image is the letter's code.  H is built on first use."""
 
-    __slots__ = ("states", "e_state", "group", "letter_images", "subgroup_H")
+    __slots__ = ("states", "e_state", "group", "letter_images", "_subgroup_H")
 
-    def __init__(self, states: tuple, e_state: int, group: AbelianGroup,
-                 letter_images: dict, subgroup_H: frozenset):
+    def __init__(self, states: tuple, e_state: int, group: AbelianGroup, letter_images: dict):
         self.states = states                  # sorted state indices of the component
         self.e_state = e_state                # identity's state index (least in the component)
         self.group = group                    # op table on positions 0..|C|-1
         self.letter_images = letter_images    # letter index -> group index of its image
-        self.subgroup_H = subgroup_H          # group indices: ⟨g⁻¹h : g,h letter images⟩
+        self._subgroup_H = None
+
+    @property
+    def subgroup_H(self) -> frozenset:
+        """Group indices: ⟨g⁻¹h : g, h letter images⟩."""
+        if self._subgroup_H is None:
+            self._subgroup_H = self.group.difference_subgroup(self.letter_images.values())
+        return self._subgroup_H
 
     def group_index(self, state_index: int) -> int:
         return self.states.index(state_index)
@@ -414,36 +425,10 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return tuple(None if i is None else p[i] for i in q)
 
 
-def _perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def generated_group(gens, n: int) -> set:
     """The group of permutations of range(n) generated by `gens`; for finite
     permutations this is also their closure under composition."""
     return closure([tuple(range(n))], list(gens), lambda p, g: _compose(g, p))
-
-
-def _perm_order(p: tuple) -> int:
-    """The order of the permutation p: the lcm of its cycle lengths."""
-    order, seen = 1, [False] * len(p)
-    for start in range(len(p)):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
-
-
-def difference_order(perms: Sequence[tuple], b: int, c: int) -> int:
-    """The order of ρ_b ρ_c⁻¹ for the letter permutations `perms`."""
-    return _perm_order(_compose(perms[b], _perm_inverse(perms[c])))
 
 
 def group_law_holds(M: AutomaticAlgebra, comp: Sequence[int], G: AbelianGroup,
@@ -495,6 +480,26 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     index = dict(_component_index(M)).get(comp)
     if index is None:
         raise BadParams(f"states {list(comp)} are not a component")
+    return _kept_group(M, comp, index)
+
+
+def _kept_group(M: AutomaticAlgebra, comp: tuple, index: dict) -> AbelianGroupData:
+    """`component_group` of the component comp of M with its index, built
+    once and kept on M as `M._groups`; a refusal is kept as its (error type,
+    message) and raised again."""
+    found = M._groups.get(comp)
+    if found is None:
+        try:
+            found = _build_group(M, comp, index)
+        except (NotPermutational, NotCommuting) as exc:
+            found = (type(exc), str(exc))
+        M._groups[comp] = found
+    if isinstance(found, tuple):
+        raise found[0](found[1])
+    return found
+
+
+def _build_group(M: AutomaticAlgebra, comp: tuple, index: dict) -> AbelianGroupData:
     for act, letters in index.items():
         if not _is_perm(act):
             raise NotPermutational(f"letter {M.letter_names[letters[0]]} "
@@ -503,7 +508,7 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
     try:
         if any(act != rows[act[0]] for act in index):
             raise NotAbelian("a letter is not the row of its image")
-        group = AbelianGroup(rows, labels=[M.state_names[s] for s in comp])
+        group = AbelianGroup(rows)
     except NotAbelian:
         for (p1, js1), (p2, js2) in combinations(index.items(), 2):
             if _compose(p1, p2) != _compose(p2, p1):
@@ -512,8 +517,33 @@ def component_group(M: AutomaticAlgebra, comp: Sequence[int]) -> AbelianGroupDat
         raise InternalInconsistency("commuting letters are not translations of their rows")
     letter_images = dict(sorted((j, p[0]) for p, letters in index.items()
                                 for j in letters))
-    return AbelianGroupData(comp, comp[0], group, letter_images,
-                            group.difference_subgroup(letter_images.values()))
+    return AbelianGroupData(comp, comp[0], group, letter_images)
+
+
+def commuting_groups(M: AutomaticAlgebra) -> Optional[list]:
+    """Each component's `component_group`, in `components` order, when every
+    letter acts on every component and no component refuses, else None.
+    That is exactly when the letters are commuting permutations of Q."""
+    groups = []
+    for comp, index in _component_index(M):
+        if sum(map(len, index.values())) < M.n_letters:
+            return None
+        try:
+            groups.append(_kept_group(M, comp, index))
+        except (NotPermutational, NotCommuting):
+            return None
+    return groups
+
+
+def difference_order(groups: Sequence[AbelianGroupData], b: int, c: int) -> int:
+    """The order of ρ_b ρ_c⁻¹ for letters acting on every component of
+    `groups`: on each it is the translation by b's code times the inverse of
+    c's, of that element's order, and the order is their lcm."""
+    m = 1
+    for data in groups:
+        G, images = data.group, data.letter_images
+        m = lcm(m, G.order_of(G.op(images[b], G.inv(images[c]))))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +584,7 @@ def letter_affine_analysis(M: AutomaticAlgebra) -> LetterAffineReport:
                 failure = (comp, "not-permutational", M.letter_names[letters[0]])
                 return LetterAffineReport(False, reports, failure)
         try:
-            data = component_group(M, comp) if sigma_c else None
+            data = _kept_group(M, comp, index) if sigma_c else None
         except NotCommuting as exc:
             return LetterAffineReport(False, reports, (comp, "not-commuting", str(exc)))
         reports.append(ComponentAffineReport(comp, tuple(sigma_c), dropped, data))
@@ -579,26 +609,26 @@ class NondcommWitness(NamedTuple):
     coset_report: list       # per component: (states, action count)
 
 
-def _coset_inside(actions: set, m: int) -> bool:
-    """True iff the action set contains a coset of a nontrivial subgroup
-    whose order divides m.
+def _coset_inside(G: AbelianGroup, codes: set, m: int) -> bool:
+    """True iff the codes, a set of elements of G, contain a coset of a
+    nontrivial subgroup whose order divides m.
 
     A coset kH inside the set forces H = k⁻¹(kH), and by Cauchy's theorem
     H contains a subgroup ⟨g⟩ of some prime order p dividing |H|, so
     dividing m, with k⟨g⟩ ⊆ kH; conversely any such ⟨g⟩ is itself a
     qualifying subgroup.  So it is enough to look for k in the set and g in
     k⁻¹·set of prime order p | m with g, g², …, g^(p−1) in k⁻¹·set, which
-    holds e = k⁻¹k; the walk stops at the first power outside it.  m is the
-    order of a permutation of the states, so its primes are at most their
-    number.
+    holds e = k⁻¹k; the walk stops at the first power outside it.  Each
+    k⁻¹·set is |set| lookups in the table.  m is an element order, so its
+    primes are at most |G|.
     """
     primes = set(_prime_factors(m))
-    for k in actions:
-        kinv = _perm_inverse(k)
-        D = {_compose(kinv, a) for a in actions}
+    for k in codes:
+        shift = G.table[G.inv(k)]
+        D = {shift[a] for a in codes}
         for g in D:
-            p = _perm_order(g)
-            if p in primes and all(x in D for x in accumulate(repeat(g, p - 1), _compose)):
+            p = G.order_of(g)
+            if p in primes and all(x in D for x in accumulate(repeat(g, p - 1), G.op)):
                 return True
     return False
 
@@ -611,20 +641,23 @@ def nondcomm_check(M: AutomaticAlgebra) -> Optional[NondcommWitness]:
     commute, some ρ_b ρ_c⁻¹ has order m > 1, and no component's action set
     contains a coset of a nontrivial subgroup of order dividing m.  Only the
     pairs b < c are tried: ρ_c ρ_b⁻¹ is the inverse of ρ_b ρ_c⁻¹, of the
-    same order, so the first ordered pair that qualifies has b < c.
+    same order, so the first ordered pair that qualifies has b < c.  The
+    first two conditions hold exactly when every component has its group
+    (`commuting_groups`); an action set is then the set of its letters'
+    codes.
     """
-    profile = permutation_profile(M)
-    if not profile.permutational or not profile.commuting:
+    groups = commuting_groups(M)
+    if groups is None:
         return None
-    perms, comp_actions = profile.perms, _component_index(M)
+    codes = [set(data.letter_images.values()) for data in groups]
     coset = {}      # m -> whether some component's action set holds a coset
     for b, c in combinations(range(M.n_letters), 2):
-        m = difference_order(perms, b, c)
+        m = difference_order(groups, b, c)
         if m <= 1:              # b and c act alike
             continue
         if m not in coset:
-            coset[m] = any(_coset_inside(index, m) for _, index in comp_actions)
+            coset[m] = any(_coset_inside(data.group, S, m) for data, S in zip(groups, codes))
         if not coset[m]:
-            return NondcommWitness(b, c, m, [(comp, len(index))
-                                             for comp, index in comp_actions])
+            return NondcommWitness(b, c, m, [(data.states, len(S))
+                                             for data, S in zip(groups, codes)])
     return None

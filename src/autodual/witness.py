@@ -27,7 +27,7 @@ from .errors import (BadParams, CapExceeded, InternalInconsistency,
                      ProofIdentityFailed, UnknownName)
 from .powers import (HOM_CAP_DEFAULT, Groupoid, generate_subuniverse, pointwise_mul,
                      restriction_counts)
-from .structure import permutation_profile, _perm_order
+from .structure import commuting_groups
 from .terms import order_sensitivity
 
 SCOPE_NOTE = ("finite truncation: displayed identities and hom-kernel blocks "
@@ -274,15 +274,17 @@ def _spec_thm_nondcomm(N, M, bname, cname):
         if letter not in M.letter_names:
             raise UnknownName(f"{letter!r} is not a letter of the algebra; "
                               f"letters: {' '.join(M.letter_names)}")
-    profile = permutation_profile(M)
-    if not profile.permutational or not profile.commuting:
+    groups = commuting_groups(M)
+    if groups is None:
         raise BadParams("needs a permutational algebra with commuting letters")
     bj = M.letter_names.index(bname)
     cj = M.letter_names.index(cname)
-    perms = profile.perms
-    if perms[bj] == perms[cj]:
+    if all(data.letter_images[bj] == data.letter_images[cj] for data in groups):
         raise BadParams("chosen letters have equal action")
-    lam = lcm(_perm_order(perms[bj]), _perm_order(perms[cj]))
+    # a letter acts on each component as the translation by its code, of
+    # that element's order
+    lam = lcm(*(data.group.order_of(data.letter_images[j]) for data in groups
+                for j in (bj, cj)))
     s_idx = None
     for i in range(M.n_states):
         r0 = M.word(M.state(i), (bj,) + (cj,) * (lam - 1))

@@ -25,6 +25,7 @@ from autodual.structure import (_whiskery_direct, component_group, components,
 from autodual.terms import (WHISKERY_QUASI, check_identity,
                             check_quasi_identity, order_sensitivity)
 from autodual.witness import build_truncation, kernel_block_analysis, verify_construction
+from test_classify import fresh_copy
 from test_terms import order_sensitivity_brute
 
 
@@ -371,6 +372,8 @@ def test_criterion_11_certificate_audit():
         v = classify(M)
         ok, reason = verify_certificate(M, v)
         assert ok, (v.rule, reason)
+    # each mutation is verified against a copy of its target that classify
+    # never touched, so the verifier builds the groups it reads itself
     rejected = 0
     for source, target, mutate in _mutations():
         verdict = classify(source).to_json()
@@ -381,7 +384,7 @@ def test_criterion_11_certificate_audit():
                     not getattr(mutate, "whole_certificate", False):
                 cert = cert["inner"]
             mutate(cert)
-        ok, _ = verify_certificate(target, verdict)
+        ok, _ = verify_certificate(fresh_copy(target), verdict)
         assert not ok, (verdict["rule"], verdict["certificate"])
         rejected += 1
     assert rejected >= 20

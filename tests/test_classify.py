@@ -786,13 +786,22 @@ def certificate_mutations(verdict: dict):
                 yield mutated
 
 
+def fresh_copy(M: AutomaticAlgebra) -> AutomaticAlgebra:
+    """A new algebra equal to M, with none of what M keeps once built (its
+    components, groups and product table)."""
+    return AutomaticAlgebra(M.state_names, M.letter_names, M.delta)
+
+
 def sweep_certificate_mutations(algebras):
     """(mutations tried, certificate kinds reached, failures) over the
     classify verdicts of `algebras`; a failure is a mutation that
-    verify_certificate accepts, or one that makes it raise."""
+    verify_certificate accepts, or one that makes it raise.  The verifier
+    reads a copy of each algebra that classify never touched, so that it
+    builds for itself what it checks."""
     count, kinds, failures = 0, set(), []
     for M in algebras:
         verdict = json.loads(json.dumps(classify(M).to_json()))
+        M = fresh_copy(M)
         cert = verdict["certificate"]
         while cert is not None:
             kinds.add(cert["kind"])

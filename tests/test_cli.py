@@ -133,6 +133,19 @@ def test_parser_matches_the_reference_on_line_breaks_and_late_errors(tmp_path, t
     assert got == want or want is None and not isinstance(got, tuple)
 
 
+def test_parser_numbers_a_line_end_split_between_blocks(tmp_path):
+    # read with newline="\r", each line of the file ends at a \r and the next
+    # begins with its \n; the file is read in blocks of lines, and a \r\n
+    # across two blocks is one line end, as in the whole text
+    text = _HEAD + "trans q a r\r\n" * 20_000 + "trans q c r\n"
+    want = (InputParseError, "line 20003: unknown letter in ['q', 'c', 'r']", 20003)
+    assert _parse_outcome(reference_parse, text) == want
+    path = tmp_path / "crlf.alg"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8", newline="\r") as fh:
+        assert _parse_outcome(parse_algebra_file, fh) == want
+
+
 def test_parsing_repeated_lines_takes_memory_that_does_not_grow(tmp_path):
     # the file is read a line at a time and the transitions are kept by
     # (state, letter), so 180,000 more copies of one line cost no memory

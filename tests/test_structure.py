@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from action_algebras import shared_action_algebras
 from embedding_search import first_embedded, state_orbit_roots
+from permutation_walks import (as_group, coset_inside, perm_inverse, perm_order,
+                               difference_order as difference_order_by_perms)
 from small_algebras import every_algebra
-from test_classify import translation_action
+from test_classify import fresh_copy, translation_action
 from test_powers import partial_algebras
 from autodual.abgroups import AbelianGroup, cyclic_decomposition
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog, random_algebra, standard_catalog
@@ -21,10 +23,10 @@ from autodual.errors import BadParams, InternalInconsistency, NotCommuting, NotP
 from autodual.operations import CharacterWitness, MatrixZm, PartialOperation
 from autodual.powers import Groupoid, find_embedding
 from autodual.structure import (RanKillWitness, _component_index, _compose, _coset_inside,
-                                _perm_order, _tree_maps, _whiskery_at, _whiskery_direct,
-                                component_actions, component_group, components,
-                                difference_order, generated_group, group_law_holds,
-                                least_tail_embedding, letter_affine_analysis,
+                                _tree_maps, _whiskery_at, _whiskery_direct,
+                                commuting_groups, component_actions, component_group,
+                                components, difference_order, generated_group,
+                                group_law_holds, least_tail_embedding, letter_affine_analysis,
                                 nondcomm_check, permutation_profile, rankill_check,
                                 whiskery_check)
 from autodual.terms import WHISKERY_QUASI, check_quasi_identity
@@ -184,7 +186,7 @@ def test_result_types_are_immutable_named_fields():
          "WhiskeryFailure(letter=0, state=0, forbidden_m=0, "
          "embedding={'q': 'q', 'r': 'r', 'a': 'a', '0': '0'})"),
         (permutation_profile(C3),
-         "PermProfile(permutational=True, commuting=True, perms=((1, 2, 0), (2, 0, 1)), "
+         "PermProfile(permutational=True, commuting=True, "
          "component_status=(('total', 'total'),))"),
         (nondcomm_check(C3), "NondcommWitness(b=0, c=1, m=3, coset_report=[((0, 1, 2), 2)])"),
     )
@@ -338,17 +340,18 @@ def test_kept_components_cannot_leak_or_go_stale():
     comps.pop()
     assert components(M) == [list(comp) for comp, _ in _component_index(M)] == \
         components(fresh_copy(M))
+    def group_images(M):
+        groups = commuting_groups(M)
+        return groups and [(data.states, data.letter_images) for data in groups]
+
     for M in every_algebra(3, 2):
-        components(M)       # a derived algebra must not inherit M's index
+        group_images(M)     # a derived algebra must not inherit M's index or groups
         derived = [M.drop_letter(j) for j in range(M.n_letters)]
         derived += [M.drop_state(i) for i in range(M.n_states) if i not in M.delta.values()]
         derived += [M.component_subalgebra(comp) for comp in components(M)]
         for D in derived:
             assert _component_index(D) == _component_index(fresh_copy(D)), (M, D)
-
-
-def fresh_copy(M):
-    return AutomaticAlgebra(M.state_names, M.letter_names, dict(M.delta))
+            assert group_images(D) == group_images(fresh_copy(D)), (M, D)
 
 
 def test_component_group_refuses_a_state_set_that_is_no_component():
@@ -412,22 +415,26 @@ def test_rankill_none_excludes_trailing_letter_flips():
 
 
 def test_nondcomm_subset_oracle():
-    # the cyclic-generator coset test agrees with brute-force subset search
-    from itertools import combinations
-    from autodual.structure import _coset_inside, _compose, _perm_inverse, _perm_order
-
+    # the cyclic-generator coset test, on permutations and on the codes of
+    # the group they generate, agrees with brute-force subset search
     def brute(actions, m):
         acts = sorted(actions)
         for size in range(1, len(acts) + 1):
             for subset in combinations(acts, size):
                 k = subset[0]
-                H = {_compose(_perm_inverse(k), s) for s in subset}
+                H = {_compose(perm_inverse(k), s) for s in subset}
                 ident = tuple(range(len(k)))
                 if ident not in H or len(H) <= 1 or m % len(H) != 0:
                     continue
                 if all(_compose(a, b) in H for a in H for b in H):
                     return True
         return False
+
+    def assert_coset_tests_agree(actions, m):
+        want = brute(actions, m)
+        assert coset_inside(actions, m) == want
+        assert _coset_inside(*as_group(actions, len(next(iter(actions)))), m) == want
+        return want
 
     rng = random.Random(9)
     from itertools import permutations
@@ -439,7 +446,7 @@ def test_nondcomm_subset_oracle():
         if not all(_compose(a, b) == _compose(b, a) for a in acts for b in acts):
             continue
         for m in (2, 3, 4, 6, 12):
-            assert _coset_inside(actions, m) == brute(actions, m)
+            assert_coset_tests_agree(actions, m)
     # translation families of Z_8 and Z_2 × Z_4, whose cyclic subgroups
     # have order 4 and 8, with up to all 8 translations
     pairs = list(itertools.product(range(2), range(4)))
@@ -450,7 +457,7 @@ def test_nondcomm_subset_oracle():
             for _ in range(6):
                 actions = set(rng.sample(translations, size))
                 for m in (2, 3, 4, 6, 8):
-                    assert _coset_inside(actions, m) == brute(actions, m)
+                    assert_coset_tests_agree(actions, m)
     # translation families of Z_9, Z_3 × Z_3 and Z_12, which hold cosets of
     # subgroups of composite order (9 in Z_9; 4, 6 and 12 in Z_12); each is
     # found through a subgroup of prime order inside it
@@ -461,14 +468,14 @@ def test_nondcomm_subset_oracle():
             for _ in range(4):
                 actions = set(rng.sample(translations, size))
                 for m in (3, 9, 12, 18):
-                    assert _coset_inside(actions, m) == brute(actions, m)
+                    assert_coset_tests_agree(actions, m)
         for H in {G.subgroup_generated([h]) for h in G.elements()} | {frozenset(G.elements())}:
             if len(H) < 4:      # composite orders only
                 continue
             for k in G.elements():
                 actions = {translations[G.op(k, h)] for h in H}
                 for m in (3, 9, 12, 18):
-                    assert _coset_inside(actions, m) == brute(actions, m) == (gcd(m, len(H)) > 1)
+                    assert assert_coset_tests_agree(actions, m) == (gcd(m, len(H)) > 1)
 
 
 def test_letter_affine_coset_normal_form():
@@ -509,7 +516,7 @@ def profile_by_letters(M):
         status.append(tuple("undefined" if j not in on else
                             "partial" if perm_on(M, comp, j) is None else "total"
                             for j in range(M.n_letters)))
-    return permutational, commuting, perms if permutational else None, tuple(status)
+    return permutational, commuting, tuple(status)
 
 
 def group_by_letters(M, comp):
@@ -574,14 +581,15 @@ def letter_affine_by_letters(M):
 
 
 def nondcomm_by_letters(M):
-    permutational, commuting, perms, _ = profile_by_letters(M)
+    permutational, commuting, _ = profile_by_letters(M)
     if not permutational or not commuting:
         return None
+    perms = [M.action(j) for j in range(M.n_letters)]
     actions = [{perm_on(M, comp, j) for j in range(M.n_letters)} for comp in components(M)]
     for b in range(M.n_letters):
         for c in range(M.n_letters):
-            m = difference_order(perms, b, c) if b != c else 1
-            if m > 1 and not any(_coset_inside(acts, m) for acts in actions):
+            m = difference_order_by_perms(perms, b, c) if b != c else 1
+            if m > 1 and not any(coset_inside(acts, m) for acts in actions):
                 return b, c, m, [len(acts) for acts in actions]
     return None
 
@@ -609,8 +617,8 @@ def test_component_actions_index():
 @given(shared_action_algebras())
 def test_action_index_matches_letter_scans(M):
     prof = permutation_profile(M)
-    assert (prof.permutational, prof.commuting, prof.perms,
-            prof.component_status) == profile_by_letters(M)
+    assert tuple(prof) == profile_by_letters(M)
+    assert (commuting_groups(M) is not None) == (prof.permutational and prof.commuting)
     for comp in components(M):
         got = outcome(component_group, M, comp)
         assert (got if isinstance(got, tuple) else got.letter_images) == \
@@ -877,7 +885,7 @@ def test_nondcomm_tests_cosets_once_per_m():
     # once per m finds the per-pair loop's first witness, with every
     # component in its report
     fired = 0
-    for M in translation_actions() + [gen_chain(n) for n in range(2, 6)]:
+    for M in translation_actions() + [gen_chain(n) for n in range(1, 6)]:
         nd = nondcomm_check(M)
         assert (None if nd is None else (nd.b, nd.c, nd.m, [n for _, n in nd.coset_report])) \
             == nondcomm_by_letters(M)
@@ -893,11 +901,104 @@ def test_nondcomm_tries_each_unordered_pair_once(monkeypatch):
     # ρ_c ρ_b⁻¹ is the inverse of ρ_b ρ_c⁻¹, so only the pairs b < c are tried
     import autodual.structure as structure
     tried = []
-    monkeypatch.setattr(structure, "difference_order", lambda perms, b, c:
-                        tried.append((b, c)) or difference_order(perms, b, c))
+    monkeypatch.setattr(structure, "difference_order", lambda groups, b, c:
+                        tried.append((b, c)) or difference_order(groups, b, c))
     M = gen_chain(4)
     assert nondcomm_check(M) is None
     assert tried == list(combinations(range(M.n_letters), 2))
+
+
+def commuting_permutation_algebras():
+    """Every algebra with at most four states and two letters, or three
+    states and three letters, whose letters are commuting permutations of its
+    states; then the translations of Z_n, n <= 8, under every nonempty set
+    of shifts."""
+    out = []
+    for nq, ns in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                   (4, 1), (4, 2)):
+        for perms in itertools.product(itertools.permutations(range(nq)), repeat=ns):
+            if all(_compose(p, q) == _compose(q, p) for p, q in combinations(perms, 2)):
+                out.append(AutomaticAlgebra([f"q{i}" for i in range(nq)],
+                                            [f"a{j}" for j in range(ns)],
+                                            {(i, j): t for j, p in enumerate(perms)
+                                             for i, t in enumerate(p)}))
+    for n in range(1, 9):
+        out += [translation_action(n, shifts) for size in range(1, n + 1)
+                for shifts in combinations(range(n), size)]
+    return out
+
+
+def test_group_codes_match_the_permutation_walks():
+    # the order of ρ_b ρ_c⁻¹ for every ordered pair, and the coset test of
+    # every component for every m dividing 840 (every set of the primes up to
+    # 8, with powers), read off the component groups and off whole
+    # permutations
+    algebras = commuting_permutation_algebras()
+    assert len(algebras) == 735
+    for M in algebras:
+        groups = commuting_groups(M)
+        perms = [M.action(j) for j in range(M.n_letters)]
+        assert len(groups) == len(components(M))
+        for b, c in itertools.product(range(M.n_letters), repeat=2):
+            assert difference_order(groups, b, c) == difference_order_by_perms(perms, b, c)
+        for data, (comp, index) in zip(groups, _component_index(M)):
+            codes = set(data.letter_images.values())
+            assert data.states == comp and len(codes) == len(index)
+            for m in (d for d in range(1, 841) if 840 % d == 0):
+                assert _coset_inside(data.group, codes, m) == coset_inside(set(index), m)
+
+
+def test_every_component_has_a_group_exactly_when_the_letters_commute():
+    algebras = commuting_permutation_algebras()
+    algebras += [M for nq, ns in ((2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
+                 for M in every_algebra(nq, ns)]
+    found = 0
+    for M in algebras:
+        prof = permutation_profile(M)
+        groups = commuting_groups(M)
+        assert (groups is not None) == (prof.permutational and prof.commuting), M
+        found += groups is not None
+    assert 0 < found < len(algebras)
+
+
+def test_component_groups_are_built_once_per_algebra(monkeypatch):
+    # classify's letter_affine and commuting_permutations rules and the
+    # verifier read one group per component; a copy of M builds its own
+    import autodual.structure as structure
+    built = []
+    tree_maps = structure._tree_maps
+    monkeypatch.setattr(structure, "_tree_maps", lambda *a: built.append(1) or tree_maps(*a))
+    M = gen_chain(3)
+    verdict = classify(M)
+    stated = verdict.to_json()
+    assert verdict.rule == "commuting_permutations"
+    assert verify_certificate(M, stated) == (True, "")
+    assert len(built) == len(components(M)) == 2
+    assert verify_certificate(fresh_copy(M), stated) == (True, "")
+    assert len(built) == 4
+
+
+def test_a_kept_refusal_is_raised_again(monkeypatch):
+    import autodual.structure as structure
+    built = []
+    tree_maps = structure._tree_maps
+    monkeypatch.setattr(structure, "_tree_maps", lambda *a: built.append(1) or tree_maps(*a))
+    noncomm = AutomaticAlgebra.build(
+        ["1", "2", "3"], ["a", "b"],
+        [("1", "a", "2"), ("2", "a", "1"), ("3", "a", "3"),
+         ("1", "b", "1"), ("2", "b", "3"), ("3", "b", "2")])
+    for _ in range(2):
+        with pytest.raises(NotCommuting, match="^letters a, b do not commute$"):
+            component_group(noncomm, [0, 1, 2])
+    assert noncomm._groups == {(0, 1, 2): (NotCommuting, "letters a, b do not commute")}
+    assert len(built) == 1
+    assert commuting_groups(noncomm) is None and nondcomm_check(noncomm) is None
+    assert len(built) == 1
+    partial = catalog("B")
+    for _ in range(2):
+        with pytest.raises(NotPermutational, match="^letter a is not a permutation"):
+            component_group(partial, [0, 1, 2])
+    assert len(built) == 1
 
 
 def compose_until_identity(p):
@@ -912,4 +1013,4 @@ def compose_until_identity(p):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
 def test_perm_order_is_the_lcm_of_cycle_lengths(p):
-    assert _perm_order(tuple(p)) == compose_until_identity(tuple(p))
+    assert perm_order(tuple(p)) == compose_until_identity(tuple(p))
