@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from itertools import chain, compress, islice
-from operator import and_, getitem, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .algebras import ZERO, AutomaticAlgebra
@@ -127,20 +127,17 @@ class Groupoid:
 
     @cached_property
     def search_index(self) -> tuple:
-        """(pre_left, pre_right, zeros) for `_search_root`, built on first
-        use and kept: pre_left[t], pre_right[t] list the pairs (k, j) with
-        k·j = t not the zero, in row order, and zeros[i] the j that are no
-        partners of i: O(n²), but only an A under the cap is indexed."""
-        ids, zeros = list(range(self.n)), []    # one int object per element, shared
-        pre_left, pre_right = [[] for _ in ids], [[] for _ in ids]
+        """(pre_left, pre_right) for `_search_root`, built on first use and
+        kept: pre_left[t], pre_right[t] list the pairs (k, j) with k·j = t
+        not the zero, in row order.  No list of non-partners is kept: the
+        search reaches them through each value's first holder."""
+        pre_left, pre_right = [[] for _ in range(self.n)], [[] for _ in range(self.n)]
         for k, row in enumerate(self.partners):
             for j, t, _ in row:
                 if t != self.zero:
                     pre_left[t].append(k)
                     pre_right[t].append(j)
-            near = {j for j, _, _ in row}
-            zeros.append([j for j in ids if j not in near])
-        return pre_left, pre_right, zeros
+        return pre_left, pre_right
 
     @classmethod
     def from_algebra(cls, M: AutomaticAlgebra) -> "Groupoid":
@@ -285,7 +282,14 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
     element i with value v propagates along every product that involves i:
 
     - j not a partner: both products go to 0, so dom[j] keeps one mask,
-      Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full;
+      Z[v] = L[v][0] & R[v][0], and none is visited when Z[v] is full.
+      v's holder f, the first element decided as v on the path, walks
+      every element and narrows the non-partners of f (`mark` names the
+      partners of the element propagating); a later i with value v walks
+      only the partners of f that are no partner of i.  i's other
+      non-partners are non-partners of f, narrowed by f's walk whichever
+      of f and i the queue pops first, as f is decided before i and undone
+      after it (residual supports; Lecoutre and Hemery 2007);
     - i·j and j·i with j a decided partner: the product's image is forced;
     - j an open partner and v·c = 0 (or c·v = 0) for every c of M, as when
       v is no state (no letter): i·j (or j·i) is decided as 0 first, which
@@ -311,7 +315,7 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
     of A, on A alone and kept on A once it passes the cap.  So a run of
     searches into one M, or from one A, builds each side once."""
     size, n = M.size(), A.n
-    zero, partners, (pre_left, pre_right, zeros) = A.zero, A.partners, A.search_index
+    zero, partners, (pre_left, pre_right) = A.zero, A.partners, A.search_index
     mt = M.product_table()
     full = (1 << size) - 1
     L, R, FR, Z = _search_masks(M)
@@ -322,6 +326,8 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
     decided = []
     queue = []
     used = 0  # values taken so far, kept under injective_only
+    holder = [0] * size     # v's holder, while its image is v; undo leaves it stale
+    mark = [-1] * n         # mark[j] = i once j is read as a partner of i
 
     def decide(i, v):
         nonlocal used
@@ -334,6 +340,8 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
         trail.append(dom[i])
         dom[i] = bit
         img[i] = v
+        if img[holder[v]] != v:     # i is the first on the path with value v
+            holder[v] = i
         decided.append(i)
         queue.append(i)
         return True
@@ -366,6 +374,7 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
             open_l = open_r = full
             seen = 0
             for j, t, s in partners[i]:
+                mark[j] = i
                 y = img[j]
                 if y >= 0:      # t = i·j and s = j·i are forced
                     w = row_v[y]
@@ -398,11 +407,13 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
                     d = dom[j]
                     if d & mask != d and not narrow(j, mask):
                         return False
-            if Z_v != full:     # a decided zero partner outside Z_v fails
-                for j in zeros[i]:
-                    d = dom[j]
-                    if d & Z_v != d and not narrow(j, Z_v):
-                        return False
+            if Z_v != full:     # a non-partner j of i has dom[j] inside Z_v
+                f = holder[v]
+                for j in range(n) if f == i else map(itemgetter(0), partners[f]):
+                    if mark[j] != i:
+                        d = dom[j]
+                        if d & Z_v != d and not narrow(j, Z_v):
+                            return False
             for k, j in zip(pre_left[i], pre_right[i]):
                 x, y = img[k], img[j]
                 if x >= 0:
@@ -450,18 +461,6 @@ def _search_root(A: Groupoid, M: AutomaticAlgebra, injective_only: bool,
         if not narrow(j, mask) or not propagate():
             return None
     return img, dom, trail, decided, try_value, undo, free_values
-
-
-def count_homs(A: Groupoid, M: AutomaticAlgebra, limit: Optional[int] = None,
-               preassigned: Optional[dict] = None,
-               max_elements: int = HOM_CAP_DEFAULT) -> int:
-    """The number of homs A -> M with values in the `preassigned` sets, as
-    `restriction_counts` counts them, raising the CapExceeded of
-    `enumerate_homs` exactly when that number exceeds `limit`."""
-    count = restriction_counts(A, M, (), (), limit, max_elements, preassigned)[1]
-    if count is None:
-        raise CapExceeded(f"more than {limit} homomorphisms")
-    return count
 
 
 def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
@@ -532,7 +531,7 @@ def restriction_counts(A: Groupoid, M: AutomaticAlgebra, on: Sequence[int],
     if root is None:
         return set(), count
     img, dom, trail, decided, try_value, undo, free_values = root
-    partners, (pre_left, pre_right, _) = A.partners, A.search_index
+    partners, (pre_left, pre_right) = A.partners, A.search_index
     near = {}   # x -> x's masks for `split` (below), built when first read
     Z, codes, zero_with = _search_masks(M)[3], range(M.size()), {}
     # the branch element: the smallest domain, then the most partners, then the lowest index

@@ -11,8 +11,8 @@ from autodual import operations, witness
 from autodual.algebras import ZERO, AutomaticAlgebra, catalog
 from autodual.errors import BadParams, CapExceeded, ProofIdentityFailed, UnknownName
 from autodual.operations import local_eval_probe
-from autodual.powers import (Groupoid, count_homs, enumerate_homs, generate_subuniverse,
-                             hom_exists, pointwise_mul, restriction_counts)
+from autodual.powers import (Groupoid, enumerate_homs, generate_subuniverse, hom_exists,
+                             pointwise_mul, restriction_counts)
 from autodual.witness import (CONSTRUCTION_NAMES, Truncation, a0_swaps, build_truncation,
                               kernel_block_analysis, verify_construction,
                               _derive_pcomm_params)
@@ -281,12 +281,11 @@ SPECS = [("thm_wc", (m,)) for m in range(3)] + [(name, ()) for name in CONSTRUCT
 
 
 def capped(search, *args, **kwargs):
-    """len of a listing, a count, or the message of the CapExceeded it raises."""
+    """len of a listing, or None when it raises CapExceeded."""
     try:
-        found = search(*args, **kwargs)
-    except CapExceeded as err:
-        return str(err)
-    return found if isinstance(found, int) else len(found)
+        return len(search(*args, **kwargs))
+    except CapExceeded:
+        return None
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -298,16 +297,28 @@ def test_count_matches_listing_on_witness_specs(name, params, N):
     tr, A = truncation_groupoid(name, params, N)
     M, a0 = tr.spec.algebra, tr.a0_indices
     listed = capped(enumerate_homs, A, M, max_elements=A.n, limit=20000)
-    assert capped(count_homs, A, M, 20000, max_elements=A.n) == listed
+    assert restriction_counts(A, M, (), (), 20000, A.n)[1] == listed
     restrictions, count = restriction_counts(A, M, a0, (), 20000, A.n)
-    assert count == (listed if isinstance(listed, int) else None)
+    assert count == listed
     assert restriction_counts(A, M, a0, a0_swaps(tr.spec), 20000, A.n) == (restrictions, count)
     for r in restrictions:
         pinned = {i: {v} for i, v in zip(a0, r)}
         listed = capped(enumerate_homs, A, M, max_elements=A.n, preassigned=pinned, limit=20000)
-        assert capped(count_homs, A, M, 20000, pinned, A.n) == listed
-        if isinstance(listed, int) and listed < 200:
+        assert restriction_counts(A, M, (), (), 20000, A.n, pinned)[1] == listed
+        if listed is not None and listed < 200:
             assert_counted(A, M, pinned)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("name, params", SPECS)
+def test_kernel_reports_have_the_closed_form(name, params, N):
+    # under the default hom budget: ν = 1, no violation, and the kernels on
+    # A0 are the one block and one block with a single point split off, for
+    # k = |A0|, which is N - 1 for thm_wc (its A0 is indexed 2..N), else N
+    tr = build_truncation(name, params, N)
+    kr = kernel_block_analysis(tr, max_elements=512)
+    k = len(tr.spec.a0)
+    assert (kr.nu, kr.violations, kr.block_multisets) == (1, [], [(k - 1, 1), (k,)])
 
 
 @pytest.mark.parametrize("name, params", HOM_LISTS_AT_4)
